@@ -1,20 +1,62 @@
-"""Pure-Python counting kernels.
+"""Counting kernels: one sorted preference list per orbit.
 
-Reference implementations of the hot loops; `parkres._kernels` is the
-compiled twin with the same signatures and semantics.  Which one a process
-uses is decided once, in `parkres._backend`.
+Every statistic computed here is unchanged when the cars are reordered:
+whether every car parks (and whether the list is prime), how many cars
+prefer spot 1, how many cars park on fewer spots than cars, and which
+spots of a circular street stay empty.  So each kernel visits one
+non-decreasing list per orbit of the car-permuting action and adds the
+orbit size n!/prod(c_v!), where c_v is the number of entries equal to v.
 
-All kernels enumerate preference lists with an odometer over the allowed
-values in lexicographic order.  The parking-function counters prune a
-prefix as soon as no completion can satisfy the occupancy condition
-(with r entries still free, at least i - r of the placed entries must be
-<= i, for every i); pruning only ever discards lists that provably fail,
-so counts equal those of the unpruned enumeration.
+The parking counters decide an orbit by the occupancy condition (at least
+i entries <= i, for every i) and prune a prefix as soon as it fails;
+pruning only discards orbits that provably fail, so counts equal those of
+the unpruned enumeration.  The min-defect and circular kernels decide
+each orbit by running the parking walk on its sorted list.  Orbit sizes
+are computed here from factorials and share no code with
+:mod:`parkres.formulas`, whose closed forms these kernels check.
 """
 
 from __future__ import annotations
 
+from math import factorial
+
 from .exceptions import NotBlockAligned
+
+
+def _orbits(n: int, values: tuple, need: tuple):
+    """Yield ``(counts, size)`` for each multiset of n entries from ``values``.
+
+    ``counts[j]`` is how many entries equal ``values[j]`` and ``size`` is
+    the number of lists with those entries, n!/prod(counts[j]!).  A
+    multiset is skipped when, for some j, fewer than ``need[j]`` (at most
+    n) of its entries are <= ``values[j]``; the test runs as each count is
+    chosen, so a failing prefix is cut with everything that extends it.
+    """
+    fact = [factorial(i) for i in range(n + 1)]
+    last = len(values) - 1
+    counts = [0] * len(values)
+
+    def go(j: int, placed: int, denom: int):
+        rest = n - placed
+        low = rest if j == last else max(0, need[j] - placed)
+        for c in range(low, rest + 1):
+            counts[j] = c
+            if j == last:
+                yield tuple(counts), fact[n] // (denom * fact[c])
+            else:
+                yield from go(j + 1, placed + c, denom * fact[c])
+
+    return go(0, 0, 1)
+
+
+def _occupancy_need(n: int, allowed: tuple, strict: bool) -> tuple:
+    """Bounds for :func:`_orbits` from the occupancy condition.
+
+    Entry j is the fewest entries <= ``allowed[j]`` a parking list has:
+    each i from ``allowed[j]`` up to the next allowed value needs at least
+    i entries <= i (more than i when ``strict`` and i < n).
+    """
+    return tuple(min(v, n) if strict else v - 1 for v in allowed[1:]) + (n,)
 
 
 def count_parking(n: int, allowed: tuple, strict: bool = False) -> int:
@@ -28,36 +70,8 @@ def count_parking(n: int, allowed: tuple, strict: bool = False) -> int:
         return 1
     if not allowed or allowed[0] != 1:
         return 0  # spot 1 is never preferred
-    counts = [0] * (n + 1)
-
-    def feasible(placed: int) -> bool:
-        r = n - placed
-        running = 0
-        for i in range(1, n + 1):
-            running += counts[i]
-            need = i + 1 if (strict and i < n) else i
-            if running + r < need:
-                return False
-            if running == placed:
-                return True  # later needs are met even in the worst case
-        return True
-
-    total = 0
-
-    def go(pos: int) -> None:
-        nonlocal total
-        last = pos + 1 == n
-        for v in allowed:
-            counts[v] += 1
-            if feasible(pos + 1):
-                if last:
-                    total += 1
-                else:
-                    go(pos + 1)
-            counts[v] -= 1
-
-    go(0)
-    return total
+    need = _occupancy_need(n, allowed, strict)
+    return sum(size for _, size in _orbits(n, allowed, need))
 
 
 def ones_census(n: int, s: int) -> list:
@@ -67,67 +81,36 @@ def ones_census(n: int, s: int) -> list:
     """
     if n == 0:
         return [1]
-    allowed = tuple(range(1, s + 1))
-    counts = [0] * (n + 1)
+    values = tuple(range(1, s + 1))
     tally = [0] * (n + 1)
-
-    def feasible(placed: int) -> bool:
-        r = n - placed
-        running = 0
-        for i in range(1, n + 1):
-            running += counts[i]
-            if running + r < i:
-                return False
-            if running == placed:
-                return True
-        return True
-
-    def go(pos: int) -> None:
-        last = pos + 1 == n
-        for v in allowed:
-            counts[v] += 1
-            if feasible(pos + 1):
-                if last:
-                    tally[counts[1]] += 1
-                else:
-                    go(pos + 1)
-            counts[v] -= 1
-
-    go(0)
+    for counts, size in _orbits(n, values, _occupancy_need(n, values, False)):
+        tally[counts[0]] += size
     return tally
 
 
 def count_min_defect(n: int, s: int) -> int:
     """Count functions [n] -> [s] that leave only n - s cars unparked.
 
-    Decided by simulating the parking procedure for every list, so it is
-    independent of the occupancy-condition counters above.
+    Decided by simulating the parking procedure on each orbit's sorted
+    list, so it is independent of the occupancy-condition counters above.
     """
     if n == 0:
         return 1
-    digits = [1] * n
-    occ = bytearray(s + 1)
     total = 0
-    while True:
-        for i in range(1, s + 1):
-            occ[i] = 0
+    for counts, size in _orbits(n, tuple(range(1, s + 1)), (0,) * s):
+        occ = bytearray(s + 1)
         parked = 0
-        for p in digits:
-            t = p
-            while t <= s and occ[t]:
-                t += 1
-            if t <= s:
-                occ[t] = 1
-                parked += 1
+        for p, c in enumerate(counts, 1):
+            for _ in range(c):
+                t = p
+                while t <= s and occ[t]:
+                    t += 1
+                if t <= s:
+                    occ[t] = 1
+                    parked += 1
         if parked == s:
-            total += 1
-        pos = n - 1
-        while pos >= 0 and digits[pos] == s:
-            digits[pos] = 1
-            pos -= 1
-        if pos < 0:
-            return total
-        digits[pos] += 1
+            total += size
+    return total
 
 
 def class_from_mask(mask: int, length: int, g: int):
@@ -194,44 +177,25 @@ def canonical_class(lam: tuple, mu: tuple) -> tuple:
 def modular_census(g: int, s: int, k: int) -> dict:
     """Classify all circular preference lists by their gap decomposition.
 
-    Simulates every list of ``g*s - k`` cars on a circular street of
-    ``g*s`` spots, preferences limited to the first spot of each row, and
-    tallies the resulting (gap sizes, block sizes) classes, canonicalized
-    up to cyclic rotation.  Returns ``{(lam, mu): count}``.
+    Simulates one sorted list per orbit of ``g*s - k`` cars on a circular
+    street of ``g*s`` spots, preferences limited to the first spot of each
+    row, and tallies the orbit sizes by the resulting (gap sizes, block
+    sizes) class, canonicalized up to cyclic rotation.  Returns
+    ``{(lam, mu): count}``; the counts sum to s**(g*s - k).
     """
     length = g * s
-    m = length - k
-    patterns: dict = {}
-    if m == 0:
-        patterns[(1 << length) - 1] = 1
-    else:
-        spots = [d * g for d in range(s)]
-        digits = [0] * m
-        occ = bytearray(length)
-        while True:
-            for i in range(length):
-                occ[i] = 0
-            for d in digits:
-                t = spots[d]
-                while occ[t]:
-                    t += 1
-                    if t == length:
-                        t = 0
-                occ[t] = 1
-            mask = 0
-            for i in range(length - 1, -1, -1):
-                mask = (mask << 1) | (0 if occ[i] else 1)
-            patterns[mask] = patterns.get(mask, 0) + 1
-            pos = m - 1
-            while pos >= 0 and digits[pos] == s - 1:
-                digits[pos] = 0
-                pos -= 1
-            if pos < 0:
-                break
-            digits[pos] += 1
+    spots = tuple(d * g for d in range(s))
     census: dict = {}
-    for mask, cnt in patterns.items():
+    for counts, size in _orbits(length - k, spots, (0,) * s):
+        occ = bytearray(length)
+        for p, c in zip(spots, counts):
+            for _ in range(c):
+                t = p
+                while occ[t]:
+                    t = (t + 1) % length
+                occ[t] = 1
+        mask = sum(1 << i for i, taken in enumerate(occ) if not taken)
         lam, mu, _ = class_from_mask(mask, length, g)
         key = canonical_class(lam, mu)
-        census[key] = census.get(key, 0) + cnt
+        census[key] = census.get(key, 0) + size
     return census

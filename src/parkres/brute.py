@@ -1,10 +1,12 @@
 """Exhaustive oracles over restricted preference spaces.
 
-Everything here is decided by enumeration (odometer over the allowed
-values, with pruning that only discards provably failing prefixes) or by
-direct simulation.  These are the trusted, independent counterparts of the
-closed forms in :mod:`parkres.formulas`; the two are never allowed to
-share a code path.
+Everything here is decided by enumeration or by direct simulation.  The
+counters visit one sorted list per orbit of the car-permuting action and
+weight it by the orbit size (see :mod:`parkres._kernels_py`); the
+``enum_*`` streams walk every list in lexicographic order, pruning only
+prefixes that provably fail; the fiber oracle parks every list.  These
+are the trusted, independent counterparts of the closed forms in
+:mod:`parkres.formulas`; the two are never allowed to share a code path.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from itertools import combinations_with_replacement, product
 from typing import Iterable, Iterator, Sequence
 
 from . import core
-from ._backend import kernels
+from . import _kernels_py as kernels
 from .exceptions import DomainError, EmptyRestriction
 
 

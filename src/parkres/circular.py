@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from ._backend import kernels
-from ._kernels_py import canonical_class, class_from_mask
+from ._kernels_py import canonical_class, class_from_mask, modular_census
 from .brute import count_restricted
 from .exceptions import BadModularPreference, BudgetExceeded, DomainError
 from .formulas import compositions, multinomial
@@ -185,7 +184,7 @@ def verify_relation(g: int, s: int, k: int, budget: int = 10**7) -> RelationRepo
     total = s**m
     if total > budget:
         raise BudgetExceeded(f"{total} lists exceed budget {budget}")
-    observed = kernels.modular_census(g, s, k)
+    observed = modular_census(g, s, k)
 
     spots = preferred_spots(g, s)
     segment_cache: dict = {}

@@ -10,10 +10,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
-from . import bijections, brute, circular, core, formulas, verify
-from ._backend import BACKEND
+from . import __version__, bijections, brute, circular, core, formulas, verify
 from .exceptions import ParkresError
 
 EXIT_OK = 0
@@ -30,13 +30,18 @@ def _parse_ints(text: str) -> tuple:
 
 def _parse_budget(text: str) -> int:
     try:
-        return int(float(text))
+        value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad budget {text!r}")
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"budget must be a finite number >= 0, got {text!r}"
+        )
+    return int(value)
 
 
 def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", default="text", help="text|lines|json|csv")
+    sub.add_argument("--format", default="text", choices=["text", "lines", "json", "csv"])
     sub.add_argument(
         "--budget",
         type=_parse_budget,
@@ -200,7 +205,10 @@ def _occupancy_text(occupancy) -> str:
 def cmd_simulate(args) -> int:
     prefs = _parse_ints(args.prefs)
     if args.circular is not None:
-        g, s = _parse_ints(args.circular)
+        street = _parse_ints(args.circular)
+        if len(street) != 2:
+            raise ParkresError(f"--circular needs two integers g,s, got {args.circular!r}")
+        g, s = street
         state = circular.circular_park(prefs, g, s)
         parts = circular.decompose(state) if state.empty_count else None
         linear = circular.linearize(state)
@@ -340,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact counting and simulation of preference-restricted parking functions",
     )
     parser.add_argument(
-        "--version", action="version", version=f"parkres ({BACKEND} kernels)"
+        "--version", action="version", version=f"parkres {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -26,7 +26,11 @@ class Check:
     detail: str = ""
 
 
-def _check(name: str, ok: bool, detail: str = "") -> Check:
+def _check(name: str, ok: bool, detail: str = "", cases: int | None = None) -> Check:
+    """A check result; ``cases`` (when given) counts the instances the
+    check compared, and a check that compared none fails."""
+    if cases == 0:
+        return Check(name, False, "compared no cases")
     return Check(name, bool(ok), "" if ok else detail)
 
 
@@ -54,26 +58,32 @@ def check_restricted_formulas(n_max: int = 6, formula_n_max: int = 12) -> list:
     checks = []
     ok = True
     bad = ""
+    cases = 0
     for n in range(1, formula_n_max + 1):
         for s in range(1, n + 1):
+            cases += 1
             a = formulas.restricted_subtractive(n, s)
             b = formulas.restricted_alternating(n, s)
             if a != b:
                 ok = False
                 bad = f"n={n}, s={s}: {a} != {b}"
     checks.append(
-        _check(f"restricted forms agree (n <= {formula_n_max})", ok, bad)
+        _check(f"restricted forms agree (n <= {formula_n_max})", ok, bad, cases)
     )
     ok = True
     bad = ""
+    cases = 0
     for n in range(1, n_max + 1):
         for s in range(1, n + 1):
+            cases += 1
             want = brute.count_restricted(n, range(1, s + 1))
             got = formulas.restricted_subtractive(n, s)
             if got != want:
                 ok = False
                 bad = f"n={n}, s={s}: formula {got}, brute {want}"
-    checks.append(_check(f"restricted forms match brute force (n <= {n_max})", ok, bad))
+    checks.append(
+        _check(f"restricted forms match brute force (n <= {n_max})", ok, bad, cases)
+    )
     return checks
 
 
@@ -82,24 +92,28 @@ def check_prime_formulas(n_max: int = 6, formula_n_max: int = 12) -> list:
     checks = []
     ok = True
     bad = ""
+    cases = 0
     for n in range(2, formula_n_max + 1):
         for s in range(1, n):
+            cases += 1
             a = formulas.prime_subtractive(n, s)
             b = formulas.prime_alternating(n, s)
             if a != b:
                 ok = False
                 bad = f"n={n}, s={s}: {a} != {b}"
-    checks.append(_check(f"prime forms agree (n <= {formula_n_max})", ok, bad))
+    checks.append(_check(f"prime forms agree (n <= {formula_n_max})", ok, bad, cases))
     ok = True
     bad = ""
+    cases = 0
     for n in range(2, n_max + 1):
         for s in range(1, n):
+            cases += 1
             want = brute.count_prime_restricted(n, range(1, s + 1))
             got = formulas.prime_subtractive(n, s)
             if got != want:
                 ok = False
                 bad = f"n={n}, s={s}: formula {got}, brute {want}"
-    checks.append(_check(f"prime forms match brute force (n <= {n_max})", ok, bad))
+    checks.append(_check(f"prime forms match brute force (n <= {n_max})", ok, bad, cases))
     return checks
 
 
@@ -109,19 +123,25 @@ def check_defect(n_max: int = 6) -> list:
     checks = []
     ok = True
     bad = ""
+    cases = 0
     for n in range(1, n_max + 1):
         for s in range(1, n + 1):
+            cases += 1
             a = brute.count_min_defect(n, s)
             b = brute.count_restricted(n, range(1, s + 1))
             if a != b:
                 ok = False
                 bad = f"n={n}, s={s}: min-defect {a}, restricted {b}"
-    checks.append(_check(f"min-defect count == restricted count (n <= {n_max})", ok, bad))
+    checks.append(
+        _check(f"min-defect count == restricted count (n <= {n_max})", ok, bad, cases)
+    )
     ok = True
     bad = ""
+    cases = 0
     for n in range(1, min(n_max, 5) + 1):
         for s in range(1, n + 1):
             for prefs in product(range(1, s + 1), repeat=n):
+                cases += 1
                 d = core.defect(prefs, s)
                 if d < n - s:
                     ok = False
@@ -129,7 +149,9 @@ def check_defect(n_max: int = 6) -> list:
                 elif (d == n - s) != core.catalan_check(prefs):
                     ok = False
                     bad = f"{prefs} on {s} spots: floor/restriction mismatch"
-    checks.append(_check("defect floor n - s attained exactly on restricted lists", ok, bad))
+    checks.append(
+        _check("defect floor n - s attained exactly on restricted lists", ok, bad, cases)
+    )
     return checks
 
 
@@ -138,14 +160,18 @@ def check_orbits(n_max: int = 8) -> list:
     checks = []
     ok = True
     bad = ""
+    cases = 0
     for n in range(1, n_max + 1):
         for s in range(1, n + 1):
+            cases += 1
             want = brute.count_nondecreasing_restricted(n, s)
             got = formulas.catalan_triangle(n, s - 1)
             if got != want:
                 ok = False
                 bad = f"n={n}, s={s}: triangle {got}, brute {want}"
-    checks.append(_check(f"orbit counts == Catalan triangle (n <= {n_max})", ok, bad))
+    checks.append(
+        _check(f"orbit counts == Catalan triangle (n <= {n_max})", ok, bad, cases)
+    )
     diag = [formulas.catalan_number(n) for n in range(1, 7)]
     checks.append(
         _check(
@@ -156,8 +182,10 @@ def check_orbits(n_max: int = 8) -> list:
     )
     ok = True
     bad = ""
+    cases = 0
     for n in range(2, n_max + 1):
         for s in range(2, n):
+            cases += 1
             lhs = brute.count_nondecreasing_restricted(n, s)
             rhs = brute.count_nondecreasing_restricted(
                 n - 1, s
@@ -165,7 +193,7 @@ def check_orbits(n_max: int = 8) -> list:
             if lhs != rhs:
                 ok = False
                 bad = f"n={n}, s={s}: {lhs} != {rhs}"
-    checks.append(_check("orbit recurrence holds", ok, bad))
+    checks.append(_check("orbit recurrence holds", ok, bad, cases))
     return checks
 
 
@@ -175,18 +203,22 @@ def check_abel(n_max: int = 10, poly_n_max: int = 8) -> list:
     grid = [Fraction(v) for v in range(-3, 4)] + [Fraction(1, 2), Fraction(-1, 2)]
     ok = True
     bad = ""
+    cases = 0
     for n in range(1, n_max + 1):
         for x in grid:
             for y in grid:
+                cases += 1
                 res = formulas.abel_check(n, x, y)
                 if not res.equal:
                     ok = False
                     bad = f"n={n}, x={x}, y={y}: {res.lhs} != {res.rhs}"
-    checks.append(_check(f"Abel identity on rational grid (n <= {n_max})", ok, bad))
+    checks.append(_check(f"Abel identity on rational grid (n <= {n_max})", ok, bad, cases))
     ok = True
     bad = ""
+    cases = 0
     for n in range(1, n_max + 1):
         for s in range(1, n + 1):
+            cases += 1
             plus = formulas.abel_check(n, 1, s - n - 1)
             minus = formulas.abel_check(n, -1, s - n + 1)
             if not (plus.equal and plus.lhs == s**n):
@@ -195,11 +227,15 @@ def check_abel(n_max: int = 10, poly_n_max: int = 8) -> list:
             if not (minus.equal and minus.lhs == s**n):
                 ok = False
                 bad = f"x=-1 specialization fails at n={n}, s={s}"
-    checks.append(_check("restricted-count specializations evaluate to s**n", ok, bad))
+    checks.append(
+        _check("restricted-count specializations evaluate to s**n", ok, bad, cases)
+    )
     ok = True
     bad = ""
+    cases = 0
     for n in range(1, poly_n_max + 1):
         for s in range(1, n + 1):
+            cases += 1
             a = formulas.ones_poly_subtractive(n, s)
             b = formulas.ones_poly_alternating(n, s)
             if a != b:
@@ -212,7 +248,9 @@ def check_abel(n_max: int = 10, poly_n_max: int = 8) -> list:
         if full != X * (X + n) ** (n - 1):
             ok = False
             bad = f"n={n}: unrestricted enumerator is {full}"
-    checks.append(_check(f"ones enumerator forms agree (n <= {poly_n_max})", ok, bad))
+    checks.append(
+        _check(f"ones enumerator forms agree (n <= {poly_n_max})", ok, bad, cases)
+    )
     return checks
 
 
@@ -221,8 +259,10 @@ def check_ones(n_max: int = 6) -> list:
     checks = []
     ok = True
     bad = ""
+    cases = 0
     for n in range(1, n_max + 1):
         for s in range(1, n + 1):
+            cases += 1
             dist = brute.ones_distribution(n, s)
             poly = formulas.ones_poly_subtractive(n, s)
             want = tuple(poly.coefficient(i) for i in range(1, n + 1))
@@ -232,7 +272,9 @@ def check_ones(n_max: int = 6) -> list:
             if poly(1) != brute.count_restricted(n, range(1, s + 1)):
                 ok = False
                 bad = f"n={n}, s={s}: evaluation at 1 misses the count"
-    checks.append(_check(f"ones distribution matches enumerator (n <= {n_max})", ok, bad))
+    checks.append(
+        _check(f"ones distribution matches enumerator (n <= {n_max})", ok, bad, cases)
+    )
     return checks
 
 
@@ -241,12 +283,14 @@ def check_fibers(n_max: int = 5) -> list:
     checks = []
     ok = True
     bad = ""
+    cases = 0
     from itertools import permutations
 
     for n in range(1, n_max + 1):
         for s in range(1, n + 1):
             total = 0
             for sigma in permutations(range(1, n + 1)):
+                cases += 1
                 want = brute.fiber_size_bruteforce(sigma, s)
                 got = formulas.fiber_size_formula(sigma, s)
                 if got != want:
@@ -256,7 +300,7 @@ def check_fibers(n_max: int = 5) -> list:
             if total != brute.count_restricted(n, range(1, s + 1)):
                 ok = False
                 bad = f"n={n}, s={s}: fibers sum to {total}"
-    checks.append(_check(f"outcome fibers match formula (n <= {n_max})", ok, bad))
+    checks.append(_check(f"outcome fibers match formula (n <= {n_max})", ok, bad, cases))
     return checks
 
 
@@ -272,8 +316,10 @@ def check_bijections(n_max: int = 5) -> list:
     checks = []
     ok = True
     bad = ""
+    cases = 0
     for n in range(1, n_max + 1):
         for S in _subsets_with_one(n):
+            cases += 1
             T = bijections.shift_restriction(S, n)
             primes = list(brute.enum_prime_restricted(n, S))
             target = list(brute.enum_restricted(n, T))
@@ -291,12 +337,16 @@ def check_bijections(n_max: int = 5) -> list:
             if image != set(target):
                 ok = False
                 bad = f"n={n}, S={S}: image is not the shifted family"
-    checks.append(_check(f"prime/restricted shift bijection (n <= {n_max})", ok, bad))
+    checks.append(
+        _check(f"prime/restricted shift bijection (n <= {n_max})", ok, bad, cases)
+    )
     ok = True
     bad = ""
+    cases = 0
     for n in range(1, n_max + 1):
         for size in range(1, n + 1):
             for S in combinations(range(1, n + 1), size):
+                cases += 1
                 u = bijections.u_vector(S, n)
                 image = set()
                 for pi in brute.enum_restricted(n, S):
@@ -309,7 +359,7 @@ def check_bijections(n_max: int = 5) -> list:
                 if image != target:
                     ok = False
                     bad = f"n={n}, S={S}: u-parking image mismatch"
-    checks.append(_check(f"u-parking correspondence (n <= {n_max})", ok, bad))
+    checks.append(_check(f"u-parking correspondence (n <= {n_max})", ok, bad, cases))
     return checks
 
 
@@ -347,8 +397,10 @@ def check_involution(n_max: int = 5) -> list:
         label = "prime" if prime else "plain"
         ok = True
         bad = ""
+        cases = 0
         for n in range(1, n_max + 1):
             for s in range(1, n + 1):
+                cases += 1
                 signed = 0
                 fixed = set()
                 for colored in iter_colorings(n, s, prime):
@@ -379,7 +431,7 @@ def check_involution(n_max: int = 5) -> list:
                     ok = False
                     bad = f"n={n}, s={s}: fixed points are not the restricted lists"
         checks.append(
-            _check(f"{label} recoloring involution (n <= {n_max})", ok, bad)
+            _check(f"{label} recoloring involution (n <= {n_max})", ok, bad, cases)
         )
     return checks
 
@@ -422,6 +474,8 @@ def check_modular(
             if s ** (g * s - k) <= budget:
                 jobs.append((g, s, k, budget))
     jobs.sort()
+    if not jobs:
+        return [_check("modular relation", False, f"no (g, s, k) fits budget {budget}")]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(_modular_job, jobs))
@@ -442,7 +496,7 @@ SUITES = {
     "orbits": lambda n_max=8, budget=None, threads=1: check_orbits(n_max),
     "fibers": lambda n_max=5, budget=None, threads=1: check_fibers(min(n_max, 5)),
     "modular": lambda n_max=None, budget=10**7, threads=1: check_modular(
-        budget or 10**7, threads=threads
+        budget, threads=threads
     ),
 }
 

@@ -1,11 +1,19 @@
+import contextlib
+import io
 import json
 
-from parkres import core
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from parkres import __version__, core
 from parkres.cli import main
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -65,6 +73,11 @@ def test_count_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "count", "pf", "--set", "1,2", "--n", "3", "--method", "subtractive")
     assert code == 2
+    for budget in ("inf", "nan", "-1", "1e400", "lots"):
+        code, _, err = run(capsys, "count", "pf", "--n", "4", "--budget", budget)
+        assert code == 2 and "budget" in err
+    code, _, err = run(capsys, "count", "pf", "--n", "4", "--format", "yaml")
+    assert code == 2 and "--format" in err
 
 
 def test_enum_lines(capsys):
@@ -144,6 +157,9 @@ def test_simulate_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "simulate", "2,2", "--circular", "3,3")
     assert code == 2
+    for street in ("3", "1,2,3"):
+        code, _, err = run(capsys, "simulate", "1,2", "--circular", street)
+        assert code == 2 and err.startswith("error: --circular needs two integers")
 
 
 def test_table_ones(capsys):
@@ -182,9 +198,83 @@ def test_verify_cli(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["ok"] is True
+    # a check that compared nothing fails instead of passing vacuously
+    for argv in (("abel", "--n-max", "0"), ("orbits", "--n-max", "0"), ("modular", "--budget", "0")):
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 3 and ("compared no cases" in out or "fits budget" in out)
+
+
+def test_version(capsys):
+    code, out, _ = run(capsys, "--version")
+    assert code == 0
+    assert out.strip() == f"parkres {__version__}" == "parkres 0.1.0"
 
 
 def test_output_determinism(capsys):
     first = run(capsys, "count", "pf", "--n", "6", "--s", "4", "--format", "json")
     second = run(capsys, "count", "pf", "--n", "6", "--s", "4", "--format", "json")
     assert first == second
+
+
+# Tokens the parser must refuse somewhere: a non-finite budget, a single
+# integer where g,s is needed, an unknown format, a zero size.
+BAD = ["inf", "3", "yaml", "0"]
+SMALL = [str(v) for v in range(1, 7)]
+
+
+def _flag(name, values):
+    return st.tuples(st.just(name), st.sampled_from(values + BAD))
+
+
+def _command(head, positional, flags):
+    return st.builds(
+        lambda pos, chosen: [head, pos] + [tok for pair in chosen for tok in pair],
+        positional,
+        st.lists(st.one_of(flags), max_size=4),
+    )
+
+
+def _argv():
+    # --g and --s stay small so that a modular length g*s - k is at most 9.
+    restriction = [
+        _flag("--n", SMALL),
+        _flag("--s", ["1", "2"]),
+        _flag("--set", ["1", "1,2", "1,3,5", "2,4", "1,9"]),
+        _flag("--g", ["1", "2"]),
+        _flag("--k", ["1", "2", "6"]),
+    ]
+    common = [
+        _flag("--format", ["text", "lines", "json", "csv"]),
+        _flag("--budget", ["1e7", "100", "2.5"]),
+    ]
+    kind = st.sampled_from(["pf", "ppf"] + BAD)
+    method = _flag("--method", ["auto", "brute", "subtractive", "alternating"])
+    prefs = st.lists(st.sampled_from(SMALL + BAD + ["7", "x"]), max_size=6).map(",".join)
+    family = st.sampled_from(["pf-restricted", "ppf-restricted", "catalan-triangle", "ones"] + BAD)
+    return st.one_of(
+        _command("count", kind, restriction + [method] + common),
+        _command("enum", kind, restriction + common),
+        _command(
+            "simulate",
+            prefs,
+            [_flag("--spots", SMALL), _flag("--circular", ["1,2", "2,3", "3,2", "1,x"])] + common,
+        ),
+        _command(
+            "table",
+            family,
+            [_flag("--n-max", SMALL), _flag("--n", SMALL), _flag("--s", SMALL)] + common,
+        ),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_argv())
+def test_cli_never_crashes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue()

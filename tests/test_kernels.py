@@ -1,0 +1,129 @@
+"""The orbit-weighted kernels against a plain odometer over every list.
+
+The reference below visits all |S|**n preference lists, decides each one
+by simulation or by the definition, and classifies circular streets with
+its own decomposition.  It shares no code with ``parkres._kernels_py``.
+"""
+
+from itertools import combinations, product
+
+import pytest
+
+from parkres import _kernels_py as kernels
+from parkres.exceptions import NotBlockAligned
+
+CENSUS_CASES = [(2, 2, 1), (2, 2, 2), (2, 3, 2), (3, 2, 4), (3, 3, 2), (1, 4, 2), (1, 5, 3), (4, 2, 3)]
+
+
+def all_restrictions(n):
+    for size in range(1, n + 1):
+        yield from combinations(range(1, n + 1), size)
+
+
+def parked(prefs, spots):
+    """Number of cars that park on a one-way street of ``spots`` spots."""
+    taken = [False] * (spots + 1)
+    count = 0
+    for p in prefs:
+        while p <= spots and taken[p]:
+            p += 1
+        if p <= spots:
+            taken[p] = True
+            count += 1
+    return count
+
+
+def is_prime_pf(prefs):
+    n = len(prefs)
+    return all(sum(1 for p in prefs if p <= i) > i for i in range(1, n))
+
+
+def reference_parking(n, allowed):
+    """(parking functions, prime parking functions) over ``allowed``**n."""
+    plain = prime = 0
+    for prefs in product(allowed, repeat=n):
+        if parked(prefs, n) == n:
+            plain += 1
+            prime += is_prime_pf(prefs)
+    return plain, prime
+
+
+def circular_class(prefs, g, s):
+    """Canonical (gap sizes, block rows) of the street ``prefs`` leaves."""
+    length = g * s
+    taken = [False] * length
+    for p in prefs:
+        t = p - 1
+        while taken[t]:
+            t = (t + 1) % length
+        taken[t] = True
+    starts = [i for i in range(length) if taken[i] and not taken[i - 1]]
+    if not starts:
+        return (length,), (s,)
+    pairs = []
+    for a, b in zip(starts, starts[1:] + [starts[0] + length]):
+        gap = sum(1 for i in range(a, b) if not taken[i % length])
+        assert (b - a) % g == 0
+        pairs.append((gap, (b - a) // g))
+    best = min(pairs[r:] + pairs[:r] for r in range(len(pairs)))
+    return tuple(p[0] for p in best), tuple(p[1] for p in best)
+
+
+def reference_census(g, s, k):
+    census = {}
+    for prefs in product(range(1, g * s + 1, g), repeat=g * s - k):
+        key = circular_class(prefs, g, s)
+        census[key] = census.get(key, 0) + 1
+    return census
+
+
+def test_count_parking_matches_odometer():
+    assert kernels.count_parking(0, (), False) == kernels.count_parking(0, (), True) == 1
+    for n in range(1, 7):
+        for allowed in all_restrictions(n):
+            plain, prime = reference_parking(n, allowed)
+            assert kernels.count_parking(n, allowed, False) == plain, (n, allowed)
+            assert kernels.count_parking(n, allowed, True) == prime, (n, allowed)
+
+
+def test_ones_census_matches_odometer():
+    for n in range(1, 7):
+        for s in range(1, n + 1):
+            tally = [0] * (n + 1)
+            for prefs in product(range(1, s + 1), repeat=n):
+                if parked(prefs, n) == n:
+                    tally[prefs.count(1)] += 1
+            assert kernels.ones_census(n, s) == tally, (n, s)
+
+
+def test_count_min_defect_matches_odometer():
+    for n in range(1, 7):
+        for s in range(1, n + 1):
+            want = sum(
+                1 for prefs in product(range(1, s + 1), repeat=n) if parked(prefs, s) == s
+            )
+            assert kernels.count_min_defect(n, s) == want, (n, s)
+
+
+@pytest.mark.parametrize("g,s,k", CENSUS_CASES)
+def test_modular_census_matches_odometer(g, s, k):
+    assert kernels.modular_census(g, s, k) == reference_census(g, s, k)
+
+
+def test_modular_census_zero_cars():
+    assert kernels.modular_census(2, 2, 4) == {((4,), (2,)): 1}
+
+
+@pytest.mark.parametrize("g,s,k", CENSUS_CASES + [(3, 3, 1), (3, 4, 1), (4, 4, 5)])
+def test_census_totals(g, s, k):
+    assert sum(kernels.modular_census(g, s, k).values()) == s ** (g * s - k)
+
+
+def test_class_from_mask_alignment_guard():
+    # an empty run that does not end right before a row start is impossible
+    # for simulated states; the decomposer refuses it
+    with pytest.raises(NotBlockAligned):
+        kernels.class_from_mask(0b0100, 4, 2)
+    with pytest.raises(NotBlockAligned):
+        kernels.class_from_mask(0, 4, 2)
+    assert kernels.class_from_mask(0b0010, 4, 2) == ((1,), (2,), 2)
