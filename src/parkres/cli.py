@@ -14,7 +14,7 @@ import math
 import sys
 
 from . import __version__, bijections, brute, circular, core, formulas, verify
-from .exceptions import ParkresError
+from .exceptions import BudgetExceeded, ParkresError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -40,32 +40,37 @@ def _parse_budget(text: str) -> int:
     return int(value)
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
+def _common_flags(sub: argparse.ArgumentParser, budget: bool = False) -> None:
     sub.add_argument("--format", default="text", choices=["text", "lines", "json", "csv"])
-    sub.add_argument(
-        "--budget",
-        type=_parse_budget,
-        default=10**7,
-        help="max candidate lists for brute-force work (default 1e7)",
-    )
-    sub.add_argument("--threads", type=int, default=1, help="worker processes")
+    if budget:
+        sub.add_argument(
+            "--budget",
+            type=_parse_budget,
+            default=10**7,
+            help="max candidate lists for brute-force work (default 1e7)",
+        )
 
 
 def _restriction_of(args) -> tuple:
-    """Resolve flags into (kind, payload, n).  kind: segment|set|modular."""
+    """Resolve flags into (kind, payload, n, allowed spots).
+    kind: segment|set|modular."""
     if args.g is not None:
         if args.s is None or args.k is None:
             raise ParkresError("modular restriction needs --g, --s and --k")
         n = args.g * args.s - args.k
         if n < 0:
             raise ParkresError("--k exceeds g*s")
-        return "modular", (args.g, args.s, args.k), n
+        allowed = tuple(v for v in circular.preferred_spots(args.g, args.s) if v <= n)
+        return "modular", (args.g, args.s, args.k), n, allowed
     if args.n is None:
         raise ParkresError("--n is required without --g")
+    if args.n < 0:
+        raise ParkresError(f"--n must be >= 0, got {args.n}")
     if args.set is not None:
-        return "set", _parse_ints(args.set), args.n
+        spots = _parse_ints(args.set)
+        return "set", spots, args.n, spots
     s = args.s if args.s is not None else args.n
-    return "segment", s, args.n
+    return "segment", s, args.n, tuple(range(1, s + 1))
 
 
 def _count_formula(kind: str, rkind: str, payload, n: int, method: str):
@@ -89,22 +94,21 @@ def _count_formula(kind: str, rkind: str, payload, n: int, method: str):
     return formulas.prime_subtractive(n, s)
 
 
-def _count_brute(kind: str, rkind: str, payload, n: int) -> int:
-    if rkind == "modular":
-        g, s, k = payload
-        allowed = [v for v in circular.preferred_spots(g, s) if v <= n]
-        return brute.count_restricted(n, allowed)
-    allowed = payload if rkind == "set" else range(1, payload + 1)
+def _count_brute(kind: str, allowed: tuple, n: int) -> int:
     if kind == "pf":
         return brute.count_restricted(n, allowed)
     return brute.count_prime_restricted(n, allowed)
 
 
-def _space_size(rkind: str, payload, n: int) -> int:
-    if rkind == "modular":
-        return payload[1] ** n
-    size = len(payload) if rkind == "set" else payload
-    return size**n
+def _space_size(allowed: tuple, n: int) -> int:
+    """Candidate lists a brute-force walk over ``allowed`` may visit."""
+    return len(set(allowed)) ** n
+
+
+def _within_budget(allowed: tuple, n: int, budget: int) -> None:
+    size = _space_size(allowed, n)
+    if size > budget:
+        raise BudgetExceeded(f"{size} candidate lists exceed --budget {budget}")
 
 
 def _restriction_json(rkind: str, payload):
@@ -117,7 +121,7 @@ def _restriction_json(rkind: str, payload):
 
 
 def cmd_count(args) -> int:
-    rkind, payload, n = _restriction_of(args)
+    rkind, payload, n, allowed = _restriction_of(args)
     method = args.method
     value = None
     if method in ("subtractive", "alternating", "auto"):
@@ -125,15 +129,16 @@ def cmd_count(args) -> int:
         if value is None and method != "auto":
             raise ParkresError(f"no {method} formula for an explicit set")
     if method == "brute" or value is None:
-        value = _count_brute(args.kind, rkind, payload, n)
+        _within_budget(allowed, n, args.budget)
+        value = _count_brute(args.kind, allowed, n)
         method_used = "brute"
     else:
         if rkind == "modular":
             method_used = "recursion"
         else:
             method_used = "alternating" if method == "alternating" else "subtractive"
-        if method == "auto" and _space_size(rkind, payload, n) <= args.budget:
-            check = _count_brute(args.kind, rkind, payload, n)
+        if method == "auto" and _space_size(allowed, n) <= args.budget:
+            check = _count_brute(args.kind, allowed, n)
             if check != value:
                 print(
                     f"MISMATCH: formula {value}, brute force {check}",
@@ -158,14 +163,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_enum(args) -> int:
-    rkind, payload, n = _restriction_of(args)
-    if rkind == "modular":
-        g, s, k = payload
-        allowed = tuple(v for v in circular.preferred_spots(g, s) if v <= n)
-    elif rkind == "set":
-        allowed = payload
-    else:
-        allowed = tuple(range(1, payload + 1))
+    _, _, n, allowed = _restriction_of(args)
+    _within_budget(allowed, n, args.budget)
     stream = (
         brute.enum_restricted(n, allowed)
         if args.kind == "pf"
@@ -263,9 +262,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks = verify.run_suite(
-        args.suite, n_max=args.n_max, budget=args.budget, threads=args.threads
-    )
+    checks = verify.run_suite(args.suite, n_max=args.n_max, budget=args.budget)
     if args.format == "json":
         print(
             json.dumps(
@@ -364,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "brute", "subtractive", "alternating"],
         default="auto",
     )
-    _common_flags(p_count)
+    _common_flags(p_count, budget=True)
     p_count.set_defaults(func=cmd_count)
 
     p_enum = sub.add_parser("enum", help="stream (prime) parking functions")
@@ -374,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--set")
     p_enum.add_argument("--g", type=int)
     p_enum.add_argument("--k", type=int)
-    _common_flags(p_enum)
+    _common_flags(p_enum, budget=True)
     p_enum.set_defaults(func=cmd_enum, format="lines")
 
     p_sim = sub.add_parser("simulate", help="run the parking procedure")
@@ -387,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run cross-verification suites")
     p_verify.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
     p_verify.add_argument("--n-max", type=int, default=None)
-    _common_flags(p_verify)
+    _common_flags(p_verify, budget=True)
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="emit count tables")

@@ -4,6 +4,12 @@ Every closed form in :mod:`parkres.formulas` and every bijection in
 :mod:`parkres.bijections` is checked here against the brute-force oracles
 of :mod:`parkres.brute`, exhaustively up to the requested bounds.  The CLI
 ``verify`` subcommand and the acceptance tests both run these.
+
+Each check is one :func:`_check` fold over its outcomes: an iterable that
+yields one item per compared case, falsy when the case agrees and a
+mismatch description otherwise.  The fold counts the cases, keeps the
+last mismatch, and fails a check that compared no cases, so no check can
+pass vacuously.
 """
 
 from __future__ import annotations
@@ -11,8 +17,8 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from typing import Iterator
+from itertools import combinations, permutations, product
+from typing import Iterable, Iterator
 
 from . import bijections, brute, circular, core, formulas
 from .bijections import FIXED_POINT, ColoredPF
@@ -26,282 +32,214 @@ class Check:
     detail: str = ""
 
 
-def _check(name: str, ok: bool, detail: str = "", cases: int | None = None) -> Check:
-    """A check result; ``cases`` (when given) counts the instances the
-    check compared, and a check that compared none fails."""
+def _check(name: str, outcomes: Iterable) -> Check:
+    """Fold one item per compared case (falsy: the case agrees; otherwise
+    a mismatch description) into a check that keeps the last mismatch."""
+    cases = 0
+    detail = ""
+    for outcome in outcomes:
+        cases += 1
+        if outcome:
+            detail = str(outcome)
     if cases == 0:
         return Check(name, False, "compared no cases")
-    return Check(name, bool(ok), "" if ok else detail)
+    return Check(name, not detail, detail)
+
+
+def _differ(label: str, got, want) -> str:
+    """An empty string when ``got == want``, else a mismatch description."""
+    return "" if got == want else f"{label}: {got} != {want}"
+
+
+def _grid(n_max: int, strict: bool = False) -> Iterator[tuple]:
+    """Every (n, s) with 1 <= s <= n <= n_max, or s < n when ``strict``."""
+    for n in range(1, n_max + 1):
+        for s in range(1, n if strict else n + 1):
+            yield n, s
 
 
 def check_totals(n_max: int = 6) -> list:
     """Brute-force totals against (n+1)**(n-1) and (n-1)**(n-1)."""
-    checks = []
-    for n in range(1, n_max + 1):
-        got = brute.count_restricted(n, range(1, n + 1))
-        want = formulas.pf_total(n)
-        checks.append(
-            _check(f"#PF_{n} == {want}", got == want, f"brute gives {got}")
+    routes = (
+        ("PF", formulas.pf_total, brute.count_restricted),
+        ("PPF", formulas.ppf_total, brute.count_prime_restricted),
+    )
+    return [
+        _check(
+            f"#{label}_{n} == {total(n)}",
+            [_differ("brute", count(n, range(1, n + 1)), total(n))],
         )
-    for n in range(1, n_max + 1):
-        got = brute.count_prime_restricted(n, range(1, n + 1))
-        want = formulas.ppf_total(n)
-        checks.append(
-            _check(f"#PPF_{n} == {want}", got == want, f"brute gives {got}")
-        )
-    return checks
+        for label, total, count in routes
+        for n in range(1, n_max + 1)
+    ]
+
+
+def _on_grid(name: str, n_max: int, got, want, strict: bool = False) -> Check:
+    """Compare ``got(n, s)`` with ``want(n, s)`` at every (n, s) of the grid."""
+    return _check(
+        name, (_differ(f"n={n}, s={s}", got(n, s), want(n, s)) for n, s in _grid(n_max, strict))
+    )
+
+
+def _segment(count):
+    """``count(n, allowed)`` on the spots 1..s, as a function of (n, s)."""
+    return lambda n, s: count(n, range(1, s + 1))
 
 
 def check_restricted_formulas(n_max: int = 6, formula_n_max: int = 12) -> list:
     """Both closed forms for the [s]-restricted count, against each other
     and against enumeration."""
-    checks = []
-    ok = True
-    bad = ""
-    cases = 0
-    for n in range(1, formula_n_max + 1):
-        for s in range(1, n + 1):
-            cases += 1
-            a = formulas.restricted_subtractive(n, s)
-            b = formulas.restricted_alternating(n, s)
-            if a != b:
-                ok = False
-                bad = f"n={n}, s={s}: {a} != {b}"
-    checks.append(
-        _check(f"restricted forms agree (n <= {formula_n_max})", ok, bad, cases)
-    )
-    ok = True
-    bad = ""
-    cases = 0
-    for n in range(1, n_max + 1):
-        for s in range(1, n + 1):
-            cases += 1
-            want = brute.count_restricted(n, range(1, s + 1))
-            got = formulas.restricted_subtractive(n, s)
-            if got != want:
-                ok = False
-                bad = f"n={n}, s={s}: formula {got}, brute {want}"
-    checks.append(
-        _check(f"restricted forms match brute force (n <= {n_max})", ok, bad, cases)
-    )
-    return checks
+    return [
+        _on_grid(
+            f"restricted forms agree (n <= {formula_n_max})",
+            formula_n_max,
+            formulas.restricted_subtractive,
+            formulas.restricted_alternating,
+        ),
+        _on_grid(
+            f"restricted forms match brute force (n <= {n_max})",
+            n_max,
+            formulas.restricted_subtractive,
+            _segment(brute.count_restricted),
+        ),
+    ]
 
 
 def check_prime_formulas(n_max: int = 6, formula_n_max: int = 12) -> list:
     """Both closed forms for the [s]-restricted prime count."""
-    checks = []
-    ok = True
-    bad = ""
-    cases = 0
-    for n in range(2, formula_n_max + 1):
-        for s in range(1, n):
-            cases += 1
-            a = formulas.prime_subtractive(n, s)
-            b = formulas.prime_alternating(n, s)
-            if a != b:
-                ok = False
-                bad = f"n={n}, s={s}: {a} != {b}"
-    checks.append(_check(f"prime forms agree (n <= {formula_n_max})", ok, bad, cases))
-    ok = True
-    bad = ""
-    cases = 0
-    for n in range(2, n_max + 1):
-        for s in range(1, n):
-            cases += 1
-            want = brute.count_prime_restricted(n, range(1, s + 1))
-            got = formulas.prime_subtractive(n, s)
-            if got != want:
-                ok = False
-                bad = f"n={n}, s={s}: formula {got}, brute {want}"
-    checks.append(_check(f"prime forms match brute force (n <= {n_max})", ok, bad, cases))
-    return checks
+    return [
+        _on_grid(
+            f"prime forms agree (n <= {formula_n_max})",
+            formula_n_max,
+            formulas.prime_subtractive,
+            formulas.prime_alternating,
+            strict=True,
+        ),
+        _on_grid(
+            f"prime forms match brute force (n <= {n_max})",
+            n_max,
+            formulas.prime_subtractive,
+            _segment(brute.count_prime_restricted),
+            strict=True,
+        ),
+    ]
+
+
+def _defect_floor(n_max: int) -> Iterator:
+    for n, s in _grid(n_max):
+        for prefs in product(range(1, s + 1), repeat=n):
+            d = core.defect(prefs, s)
+            if d < n - s:
+                yield f"{prefs} on {s} spots has defect {d} < {n - s}"
+            elif (d == n - s) != core.catalan_check(prefs):
+                yield f"{prefs} on {s} spots: floor/restriction mismatch"
+            else:
+                yield ""
 
 
 def check_defect(n_max: int = 6) -> list:
     """Minimum-defect functions are exactly the [s]-restricted parking
     functions, and no function beats the floor n - s."""
-    checks = []
-    ok = True
-    bad = ""
-    cases = 0
-    for n in range(1, n_max + 1):
-        for s in range(1, n + 1):
-            cases += 1
-            a = brute.count_min_defect(n, s)
-            b = brute.count_restricted(n, range(1, s + 1))
-            if a != b:
-                ok = False
-                bad = f"n={n}, s={s}: min-defect {a}, restricted {b}"
-    checks.append(
-        _check(f"min-defect count == restricted count (n <= {n_max})", ok, bad, cases)
-    )
-    ok = True
-    bad = ""
-    cases = 0
-    for n in range(1, min(n_max, 5) + 1):
-        for s in range(1, n + 1):
-            for prefs in product(range(1, s + 1), repeat=n):
-                cases += 1
-                d = core.defect(prefs, s)
-                if d < n - s:
-                    ok = False
-                    bad = f"{prefs} on {s} spots has defect {d} < {n - s}"
-                elif (d == n - s) != core.catalan_check(prefs):
-                    ok = False
-                    bad = f"{prefs} on {s} spots: floor/restriction mismatch"
-    checks.append(
-        _check("defect floor n - s attained exactly on restricted lists", ok, bad, cases)
-    )
-    return checks
+    return [
+        _on_grid(
+            f"min-defect count == restricted count (n <= {n_max})",
+            n_max,
+            brute.count_min_defect,
+            _segment(brute.count_restricted),
+        ),
+        _check(
+            "defect floor n - s attained exactly on restricted lists",
+            _defect_floor(min(n_max, 5)),
+        ),
+    ]
 
 
 def check_orbits(n_max: int = 8) -> list:
     """Orbit counts against the Catalan triangle."""
-    checks = []
-    ok = True
-    bad = ""
-    cases = 0
-    for n in range(1, n_max + 1):
-        for s in range(1, n + 1):
-            cases += 1
-            want = brute.count_nondecreasing_restricted(n, s)
-            got = formulas.catalan_triangle(n, s - 1)
-            if got != want:
-                ok = False
-                bad = f"n={n}, s={s}: triangle {got}, brute {want}"
-    checks.append(
-        _check(f"orbit counts == Catalan triangle (n <= {n_max})", ok, bad, cases)
-    )
-    diag = [formulas.catalan_number(n) for n in range(1, 7)]
-    checks.append(
+    orbits = brute.count_nondecreasing_restricted
+    return [
+        _on_grid(
+            f"orbit counts == Catalan triangle (n <= {n_max})",
+            n_max,
+            lambda n, s: formulas.catalan_triangle(n, s - 1),
+            orbits,
+        ),
         _check(
             "triangle diagonal gives Catalan numbers",
-            diag == [1, 2, 5, 14, 42, 132],
-            f"diagonal {diag}",
-        )
-    )
-    ok = True
-    bad = ""
-    cases = 0
-    for n in range(2, n_max + 1):
-        for s in range(2, n):
-            cases += 1
-            lhs = brute.count_nondecreasing_restricted(n, s)
-            rhs = brute.count_nondecreasing_restricted(
-                n - 1, s
-            ) + brute.count_nondecreasing_restricted(n, s - 1)
-            if lhs != rhs:
-                ok = False
-                bad = f"n={n}, s={s}: {lhs} != {rhs}"
-    checks.append(_check("orbit recurrence holds", ok, bad, cases))
-    return checks
+            (
+                _differ(f"n={n}", formulas.catalan_number(n), want)
+                for n, want in enumerate([1, 2, 5, 14, 42, 132], start=1)
+            ),
+        ),
+        _check(
+            "orbit recurrence holds",
+            (
+                _differ(f"n={n}, s={s}", orbits(n, s), orbits(n - 1, s) + orbits(n, s - 1))
+                for n, s in _grid(n_max, strict=True)
+                if s > 1
+            ),
+        ),
+    ]
+
+
+def _ones_forms(n_max: int) -> Iterator:
+    for n, s in _grid(n_max):
+        a = formulas.ones_poly_subtractive(n, s)
+        yield _differ(f"n={n}, s={s}", a, formulas.ones_poly_alternating(n, s))
+        yield _differ(f"n={n}, s={s}: constant term", a.coefficient(0), 0)
+        if s == n:
+            yield _differ(f"n={n}: unrestricted enumerator", a, X * (X + n) ** (n - 1))
 
 
 def check_abel(n_max: int = 10, poly_n_max: int = 8) -> list:
     """Abel's identity on a rational grid, plus the ones-enumerator pair."""
-    checks = []
     grid = [Fraction(v) for v in range(-3, 4)] + [Fraction(1, 2), Fraction(-1, 2)]
-    ok = True
-    bad = ""
-    cases = 0
-    for n in range(1, n_max + 1):
-        for x in grid:
-            for y in grid:
-                cases += 1
-                res = formulas.abel_check(n, x, y)
-                if not res.equal:
-                    ok = False
-                    bad = f"n={n}, x={x}, y={y}: {res.lhs} != {res.rhs}"
-    checks.append(_check(f"Abel identity on rational grid (n <= {n_max})", ok, bad, cases))
-    ok = True
-    bad = ""
-    cases = 0
-    for n in range(1, n_max + 1):
-        for s in range(1, n + 1):
-            cases += 1
-            plus = formulas.abel_check(n, 1, s - n - 1)
-            minus = formulas.abel_check(n, -1, s - n + 1)
-            if not (plus.equal and plus.lhs == s**n):
-                ok = False
-                bad = f"x=1 specialization fails at n={n}, s={s}"
-            if not (minus.equal and minus.lhs == s**n):
-                ok = False
-                bad = f"x=-1 specialization fails at n={n}, s={s}"
-    checks.append(
-        _check("restricted-count specializations evaluate to s**n", ok, bad, cases)
-    )
-    ok = True
-    bad = ""
-    cases = 0
-    for n in range(1, poly_n_max + 1):
-        for s in range(1, n + 1):
-            cases += 1
-            a = formulas.ones_poly_subtractive(n, s)
-            b = formulas.ones_poly_alternating(n, s)
-            if a != b:
-                ok = False
-                bad = f"n={n}, s={s}: {a} != {b}"
-            if a.coefficient(0) != 0:
-                ok = False
-                bad = f"n={n}, s={s}: nonzero constant term"
-        full = formulas.ones_poly_subtractive(n, n)
-        if full != X * (X + n) ** (n - 1):
-            ok = False
-            bad = f"n={n}: unrestricted enumerator is {full}"
-    checks.append(
-        _check(f"ones enumerator forms agree (n <= {poly_n_max})", ok, bad, cases)
-    )
-    return checks
+
+    def abel(n, x, y, want=None):
+        res = formulas.abel_check(n, x, y)
+        return _differ(f"n={n}, x={x}, y={y}", res.lhs, res.rhs) or (
+            want is not None and _differ(f"n={n}, x={x}, y={y}: value", res.lhs, want)
+        )
+
+    return [
+        _check(
+            f"Abel identity on rational grid (n <= {n_max})",
+            (abel(n, x, y) for n in range(1, n_max + 1) for x in grid for y in grid),
+        ),
+        _check(
+            "restricted-count specializations evaluate to s**n",
+            (abel(n, x, s - n - x, s**n) for n, s in _grid(n_max) for x in (1, -1)),
+        ),
+        _check(f"ones enumerator forms agree (n <= {poly_n_max})", _ones_forms(poly_n_max)),
+    ]
+
+
+def _ones(n_max: int) -> Iterator:
+    for n, s in _grid(n_max):
+        poly = formulas.ones_poly_subtractive(n, s)
+        want = tuple(poly.coefficient(i) for i in range(1, n + 1))
+        yield _differ(f"n={n}, s={s}: brute vs formula", brute.ones_distribution(n, s), want)
+        yield _differ(f"n={n}, s={s}: value at 1", poly(1), _segment(brute.count_restricted)(n, s))
 
 
 def check_ones(n_max: int = 6) -> list:
     """Ones enumerator against the brute-force distribution."""
-    checks = []
-    ok = True
-    bad = ""
-    cases = 0
-    for n in range(1, n_max + 1):
-        for s in range(1, n + 1):
-            cases += 1
-            dist = brute.ones_distribution(n, s)
-            poly = formulas.ones_poly_subtractive(n, s)
-            want = tuple(poly.coefficient(i) for i in range(1, n + 1))
-            if dist != want:
-                ok = False
-                bad = f"n={n}, s={s}: brute {dist}, formula {want}"
-            if poly(1) != brute.count_restricted(n, range(1, s + 1)):
-                ok = False
-                bad = f"n={n}, s={s}: evaluation at 1 misses the count"
-    checks.append(
-        _check(f"ones distribution matches enumerator (n <= {n_max})", ok, bad, cases)
-    )
-    return checks
+    return [_check(f"ones distribution matches enumerator (n <= {n_max})", _ones(n_max))]
+
+
+def _fibers(n_max: int) -> Iterator:
+    for n, s in _grid(n_max):
+        total = 0
+        for sigma in permutations(range(1, n + 1)):
+            want = brute.fiber_size_bruteforce(sigma, s)
+            total += want
+            yield _differ(f"sigma={sigma}, s={s}", formulas.fiber_size_formula(sigma, s), want)
+        yield _differ(f"n={n}, s={s}: fiber sum", total, _segment(brute.count_restricted)(n, s))
 
 
 def check_fibers(n_max: int = 5) -> list:
     """Fiber sizes of the outcome map, formula vs. enumeration."""
-    checks = []
-    ok = True
-    bad = ""
-    cases = 0
-    from itertools import permutations
-
-    for n in range(1, n_max + 1):
-        for s in range(1, n + 1):
-            total = 0
-            for sigma in permutations(range(1, n + 1)):
-                cases += 1
-                want = brute.fiber_size_bruteforce(sigma, s)
-                got = formulas.fiber_size_formula(sigma, s)
-                if got != want:
-                    ok = False
-                    bad = f"sigma={sigma}, s={s}: formula {got}, brute {want}"
-                total += want
-            if total != brute.count_restricted(n, range(1, s + 1)):
-                ok = False
-                bad = f"n={n}, s={s}: fibers sum to {total}"
-    checks.append(_check(f"outcome fibers match formula (n <= {n_max})", ok, bad, cases))
-    return checks
+    return [_check(f"outcome fibers match formula (n <= {n_max})", _fibers(n_max))]
 
 
 def _subsets_with_one(n: int) -> Iterator[tuple]:
@@ -311,56 +249,39 @@ def _subsets_with_one(n: int) -> Iterator[tuple]:
             yield (1,) + extra
 
 
-def check_bijections(n_max: int = 5) -> list:
-    """Shift bijection round trips and the u-parking correspondence."""
-    checks = []
-    ok = True
-    bad = ""
-    cases = 0
+def _shift_bijection(n_max: int) -> Iterator:
     for n in range(1, n_max + 1):
         for S in _subsets_with_one(n):
-            cases += 1
-            T = bijections.shift_restriction(S, n)
-            primes = list(brute.enum_prime_restricted(n, S))
-            target = list(brute.enum_restricted(n, T))
-            if len(primes) != len(target):
-                ok = False
-                bad = f"n={n}, S={S}: {len(primes)} primes vs {len(target)}"
-                continue
+            target = set(brute.enum_restricted(n, bijections.shift_restriction(S, n)))
             image = set()
-            for pi in primes:
+            for pi in brute.enum_prime_restricted(n, S):
                 psi = bijections.prime_to_restricted(pi, S)
-                if bijections.restricted_to_prime(psi, S) != pi:
-                    ok = False
-                    bad = f"round trip fails at {pi}, S={S}"
                 image.add(psi)
-            if image != set(target):
-                ok = False
-                bad = f"n={n}, S={S}: image is not the shifted family"
-    checks.append(
-        _check(f"prime/restricted shift bijection (n <= {n_max})", ok, bad, cases)
-    )
-    ok = True
-    bad = ""
-    cases = 0
+                back = bijections.restricted_to_prime(psi, S)
+                yield back != pi and f"round trip fails at {pi}, S={S}"
+            yield image != target and f"n={n}, S={S}: image is not the shifted family"
+
+
+def _u_parking(n_max: int) -> Iterator:
     for n in range(1, n_max + 1):
         for size in range(1, n + 1):
             for S in combinations(range(1, n + 1), size):
-                cases += 1
                 u = bijections.u_vector(S, n)
-                image = set()
-                for pi in brute.enum_restricted(n, S):
-                    image.add(bijections.to_u_parking(pi, S))
+                image = {bijections.to_u_parking(pi, S) for pi in brute.enum_restricted(n, S)}
                 target = {
                     psi
                     for psi in product(range(1, size + 1), repeat=n)
                     if bijections.is_u_parking(psi, u)
                 }
-                if image != target:
-                    ok = False
-                    bad = f"n={n}, S={S}: u-parking image mismatch"
-    checks.append(_check(f"u-parking correspondence (n <= {n_max})", ok, bad, cases))
-    return checks
+                yield image != target and f"n={n}, S={S}: u-parking image mismatch"
+
+
+def check_bijections(n_max: int = 5) -> list:
+    """Shift bijection round trips and the u-parking correspondence."""
+    return [
+        _check(f"prime/restricted shift bijection (n <= {n_max})", _shift_bijection(n_max)),
+        _check(f"u-parking correspondence (n <= {n_max})", _u_parking(n_max)),
+    ]
 
 
 def iter_colorings(n: int, s: int, prime: bool = False) -> Iterator[ColoredPF]:
@@ -389,51 +310,34 @@ def iter_colorings(n: int, s: int, prime: bool = False) -> Iterator[ColoredPF]:
                     yield ColoredPF.from_indigo_cars(prefs, positions, s, prime)
 
 
+def _involution(n_max: int, prime: bool) -> Iterator:
+    enum = _segment(brute.enum_prime_restricted if prime else brute.enum_restricted)
+    count = _segment(brute.count_prime_restricted if prime else brute.count_restricted)
+    for n, s in _grid(n_max):
+        signed = 0
+        fixed = set()
+        for colored in iter_colorings(n, s, prime):
+            signed += colored.sign
+            out = bijections.involution(colored)
+            if out is FIXED_POINT:
+                fixed.add(colored.prefs)
+                restricted = colored.red_count == 0 and max(colored.prefs) <= s
+                yield not restricted and f"bad fixed point {colored}"
+            elif (out.red_count - colored.red_count) % 2 == 0:
+                yield f"parity not flipped at {colored}"
+            else:
+                yield bijections.involution(out) != colored and f"not an involution at {colored}"
+        yield _differ(f"n={n}, s={s}: signed sum", signed, count(n, s))
+        yield fixed != set(enum(n, s)) and f"n={n}, s={s}: fixed points != restricted lists"
+
+
 def check_involution(n_max: int = 5) -> list:
     """The recoloring involution: parity-flipping, self-inverse, fixed
     exactly on the all-indigo restricted lists, with the right signed sum."""
-    checks = []
-    for prime in (False, True):
-        label = "prime" if prime else "plain"
-        ok = True
-        bad = ""
-        cases = 0
-        for n in range(1, n_max + 1):
-            for s in range(1, n + 1):
-                cases += 1
-                signed = 0
-                fixed = set()
-                for colored in iter_colorings(n, s, prime):
-                    signed += colored.sign
-                    out = bijections.involution(colored)
-                    if out is FIXED_POINT:
-                        if colored.red_count != 0 or max(colored.prefs) > s:
-                            ok = False
-                            bad = f"bad fixed point {colored}"
-                        fixed.add(colored.prefs)
-                    else:
-                        if (out.red_count - colored.red_count) % 2 == 0:
-                            ok = False
-                            bad = f"parity not flipped at {colored}"
-                        if bijections.involution(out) != colored:
-                            ok = False
-                            bad = f"not an involution at {colored}"
-                if prime:
-                    want_count = brute.count_prime_restricted(n, range(1, s + 1))
-                    want_fixed = set(brute.enum_prime_restricted(n, range(1, s + 1)))
-                else:
-                    want_count = brute.count_restricted(n, range(1, s + 1))
-                    want_fixed = set(brute.enum_restricted(n, range(1, s + 1)))
-                if signed != want_count:
-                    ok = False
-                    bad = f"n={n}, s={s}: signed sum {signed}, count {want_count}"
-                if fixed != want_fixed:
-                    ok = False
-                    bad = f"n={n}, s={s}: fixed points are not the restricted lists"
-        checks.append(
-            _check(f"{label} recoloring involution (n <= {n_max})", ok, bad, cases)
-        )
-    return checks
+    return [
+        _check(f"{label} recoloring involution (n <= {n_max})", _involution(n_max, prime))
+        for label, prime in (("plain", False), ("prime", True))
+    ]
 
 
 DEFAULT_MODULAR_PAIRS = tuple(
@@ -447,35 +351,23 @@ def _modular_job(args) -> Check:
     report = circular.verify_relation(g, s, k, budget=budget)
     allowed = [v for v in circular.preferred_spots(g, s) if v <= m]
     want = brute.count_restricted(m, allowed) if m else 1
-    got = formulas.mod_count(g, s, k)
-    ok = report.ok and got == want
-    detail = ""
-    if not report.ok:
-        bad_rows = [r for r in report.rows if not r.ok]
-        detail = f"relation rows off: {bad_rows[:3]}"
-    elif got != want:
-        detail = f"recursion gives {got}, brute {want}"
-    if k == 1 and formulas.mod_count_k1(g, s) != want:
-        ok = False
-        detail = f"closed form {formulas.mod_count_k1(g, s)}, brute {want}"
-    return _check(f"modular relation g={g}, s={s}, k={k} ({s}^{m} lists)", ok, detail)
+    outcomes = [
+        _differ("recursion vs brute", formulas.mod_count(g, s, k), want),
+        not report.ok and f"relation rows off: {[r for r in report.rows if not r.ok][:3]}",
+    ]
+    if k == 1:
+        outcomes.append(_differ("closed form vs brute", formulas.mod_count_k1(g, s), want))
+    return _check(f"modular relation g={g}, s={s}, k={k} ({s}^{m} lists)", outcomes)
 
 
-def check_modular(
-    budget: int = 10**7,
-    pairs=DEFAULT_MODULAR_PAIRS,
-    threads: int = 1,
-) -> list:
+def check_modular(budget: int = 10**7, pairs=DEFAULT_MODULAR_PAIRS, threads: int = 1) -> list:
     """Per-class verification of the circular relation plus the recursion
     and the one-missing-spot closed form, for every k within budget."""
-    jobs = []
-    for g, s in pairs:
-        for k in range(1, g * s):
-            if s ** (g * s - k) <= budget:
-                jobs.append((g, s, k, budget))
-    jobs.sort()
+    jobs = sorted(
+        (g, s, k, budget) for g, s in pairs for k in range(1, g * s) if s ** (g * s - k) <= budget
+    )
     if not jobs:
-        return [_check("modular relation", False, f"no (g, s, k) fits budget {budget}")]
+        return [Check("modular relation", False, f"no (g, s, k) fits budget {budget}")]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(_modular_job, jobs))
@@ -483,35 +375,25 @@ def check_modular(
 
 
 SUITES = {
-    "formulas": lambda n_max=6, budget=None, threads=1: (
+    "formulas": lambda n_max=6, budget=None: (
         check_totals(n_max)
         + check_restricted_formulas(n_max)
         + check_prime_formulas(n_max)
         + check_defect(n_max)
         + check_ones(n_max)
     ),
-    "bijections": lambda n_max=5, budget=None, threads=1: check_bijections(min(n_max, 5)),
-    "involution": lambda n_max=5, budget=None, threads=1: check_involution(min(n_max, 5)),
-    "abel": lambda n_max=10, budget=None, threads=1: check_abel(n_max),
-    "orbits": lambda n_max=8, budget=None, threads=1: check_orbits(n_max),
-    "fibers": lambda n_max=5, budget=None, threads=1: check_fibers(min(n_max, 5)),
-    "modular": lambda n_max=None, budget=10**7, threads=1: check_modular(
-        budget, threads=threads
-    ),
+    "bijections": lambda n_max=5, budget=None: check_bijections(min(n_max, 5)),
+    "involution": lambda n_max=5, budget=None: check_involution(min(n_max, 5)),
+    "abel": lambda n_max=10, budget=None: check_abel(n_max),
+    "orbits": lambda n_max=8, budget=None: check_orbits(n_max),
+    "fibers": lambda n_max=5, budget=None: check_fibers(min(n_max, 5)),
+    "modular": lambda n_max=None, budget=10**7: check_modular(budget),
 }
 
 
-def run_suite(name: str, n_max=None, budget=None, threads: int = 1) -> list:
+def run_suite(name: str, n_max=None, budget=None) -> list:
     """Run one named suite (or ``all``) and return its checks."""
     if name == "all":
-        checks = []
-        for key in SUITES:
-            checks.extend(run_suite(key, n_max=n_max, budget=budget, threads=threads))
-        return checks
-    runner = SUITES[name]
-    kwargs = {"threads": threads}
-    if n_max is not None:
-        kwargs["n_max"] = n_max
-    if budget is not None:
-        kwargs["budget"] = budget
-    return runner(**kwargs)
+        return [check for key in SUITES for check in run_suite(key, n_max, budget)]
+    kwargs = {"n_max": n_max, "budget": budget}
+    return SUITES[name](**{key: value for key, value in kwargs.items() if value is not None})

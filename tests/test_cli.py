@@ -5,7 +5,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parkres import __version__, core
+from parkres import __version__, core, verify
 from parkres.cli import main
 
 
@@ -28,6 +28,10 @@ def test_count_modular(capsys):
     code, out, _ = run(capsys, "count", "pf", "--g", "3", "--s", "3", "--k", "1")
     assert code == 0
     assert out.strip() == "2187"
+    # a brute-force prime count over row starts counts what enum lists
+    code, out, _ = run(capsys, "count", "ppf", "--g", "2", "--s", "2", "--k", "1", "--method", "brute")
+    _, listed, _ = run(capsys, "enum", "ppf", "--g", "2", "--s", "2", "--k", "1")
+    assert code == 0 and int(out) == len(listed.splitlines()) == 1
 
 
 def test_count_prime_full(capsys):
@@ -78,6 +82,25 @@ def test_count_usage_errors(capsys):
         assert code == 2 and "budget" in err
     code, _, err = run(capsys, "count", "pf", "--n", "4", "--format", "yaml")
     assert code == 2 and "--format" in err
+    # every brute-force path stops at --budget candidate lists
+    for argv in (
+        ("count", "pf", "--n", "7", "--s", "7", "--method", "brute", "--budget", "10"),
+        ("count", "pf", "--n", "7", "--set", "1,2,3,4,5,6,7", "--budget", "10"),
+        ("enum", "pf", "--n", "7", "--budget", "10"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:") and "budget" in err
+    code, _, err = run(capsys, "enum", "pf", "--n", "-1", "--set", "")
+    assert code == 2 and err.startswith("error: --n must be >= 0")
+    # flags a subcommand does not read are refused
+    for argv in (
+        ("count", "pf", "--n", "4", "--threads", "2"),
+        ("verify", "abel", "--threads", "2"),
+        ("simulate", "1,1", "--budget", "10"),
+        ("table", "catalan-triangle", "--budget", "10"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "unrecognized arguments" in err
 
 
 def test_enum_lines(capsys):
@@ -217,8 +240,8 @@ def test_output_determinism(capsys):
 
 
 # Tokens the parser must refuse somewhere: a non-finite budget, a single
-# integer where g,s is needed, an unknown format, a zero size.
-BAD = ["inf", "3", "yaml", "0"]
+# integer where g,s is needed, an unknown format, a zero or negative size.
+BAD = ["inf", "3", "yaml", "0", "-1"]
 SMALL = [str(v) for v in range(1, 7)]
 
 
@@ -243,26 +266,33 @@ def _argv():
         _flag("--g", ["1", "2"]),
         _flag("--k", ["1", "2", "6"]),
     ]
-    common = [
-        _flag("--format", ["text", "lines", "json", "csv"]),
-        _flag("--budget", ["1e7", "100", "2.5"]),
-    ]
+    fmt = _flag("--format", ["text", "lines", "json", "csv"])
+    budget = _flag("--budget", ["1e7", "100", "2.5"])
     kind = st.sampled_from(["pf", "ppf"] + BAD)
     method = _flag("--method", ["auto", "brute", "subtractive", "alternating"])
     prefs = st.lists(st.sampled_from(SMALL + BAD + ["7", "x"]), max_size=6).map(",".join)
     family = st.sampled_from(["pf-restricted", "ppf-restricted", "catalan-triangle", "ones"] + BAD)
+    suite = st.sampled_from(sorted(verify.SUITES) + ["all"] + BAD)
     return st.one_of(
-        _command("count", kind, restriction + [method] + common),
-        _command("enum", kind, restriction + common),
+        _command("count", kind, restriction + [method, fmt, budget]),
+        _command("enum", kind, restriction + [fmt, budget]),
         _command(
             "simulate",
             prefs,
-            [_flag("--spots", SMALL), _flag("--circular", ["1,2", "2,3", "3,2", "1,x"])] + common,
+            [_flag("--spots", SMALL), _flag("--circular", ["1,2", "2,3", "3,2", "1,x"]), fmt],
         ),
         _command(
             "table",
             family,
-            [_flag("--n-max", SMALL), _flag("--n", SMALL), _flag("--s", SMALL)] + common,
+            [_flag("--n-max", SMALL), _flag("--n", SMALL), _flag("--s", SMALL), fmt],
+        ),
+        # an --n-max of at most 3 and a small --budget keep each verify
+        # example near 0.1 s
+        st.builds(
+            lambda head, n_max, budget: head + list(n_max + budget),
+            _command("verify", suite, [fmt]),
+            _flag("--n-max", ["0", "1", "2", "3"]),
+            _flag("--budget", ["100", "2.5"]),
         ),
     )
 

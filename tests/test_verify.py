@@ -1,0 +1,90 @@
+"""Every verify check fails, and names the case, when one route is wrong at
+a single input; the CLI reports such a failure with exit code 3."""
+
+import pytest
+
+from parkres import bijections, formulas, verify
+from parkres.bijections import FIXED_POINT
+from parkres.cli import main
+
+
+def _plus_one(value):
+    return value + 1
+
+
+def _bump_first(prefs):
+    return (prefs[0] + 1,) + tuple(prefs[1:])
+
+
+# The first coloring on 2 cars with s = 1 that the involution recolors.
+RECOLORED = next(
+    colored
+    for colored in verify.iter_colorings(2, 1)
+    if bijections.involution(colored) is not FIXED_POINT
+)
+
+# (module, route, the arguments it gets wrong, how it goes wrong, the check
+#  that must catch it, the CLI argv that runs that check, the case's name)
+CASES = [
+    (
+        formulas, "restricted_subtractive", (4, 2), _plus_one,
+        lambda: verify.check_restricted_formulas(3), ["formulas", "--n-max", "3"], "n=4, s=2",
+    ),
+    (
+        formulas, "prime_subtractive", (4, 2), _plus_one,
+        lambda: verify.check_prime_formulas(3), ["formulas", "--n-max", "3"], "n=4, s=2",
+    ),
+    (
+        formulas, "fiber_size_formula", ((2, 1, 3), 2), _plus_one,
+        lambda: verify.check_fibers(3), ["fibers", "--n-max", "3"], "sigma=(2, 1, 3), s=2",
+    ),
+    (
+        formulas, "catalan_triangle", (3, 1), _plus_one,
+        lambda: verify.check_orbits(3), ["orbits", "--n-max", "3"], "n=3, s=2",
+    ),
+    (
+        formulas, "ones_poly_subtractive", (4, 2), _plus_one,
+        lambda: verify.check_abel(2), ["abel", "--n-max", "2"], "n=4, s=2",
+    ),
+    (
+        formulas, "mod_count", (2, 3, 1), _plus_one,
+        lambda: verify.check_modular(pairs=((2, 3),)), ["modular", "--budget", "1000"],
+        "g=2, s=3, k=1",
+    ),
+    (
+        bijections, "involution", (RECOLORED,), lambda out: FIXED_POINT,
+        lambda: verify.check_involution(2), ["involution", "--n-max", "2"], "n=2, s=1",
+    ),
+    (
+        bijections, "to_u_parking", ((1, 1), (1, 2)), _bump_first,
+        lambda: verify.check_bijections(2), ["bijections", "--n-max", "2"], "n=2, S=(1, 2)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "module, route, bad_args, skew, run_check, argv, case",
+    CASES,
+    ids=[f"{c[0].__name__.split('.')[-1]}.{c[1]}" for c in CASES],
+)
+def test_mismatch_fails_and_names_the_case(
+    monkeypatch, capsys, module, route, bad_args, skew, run_check, argv, case
+):
+    real = getattr(module, route)
+
+    def wrong_once(*args):
+        value = real(*args)
+        return skew(value) if args == bad_args else value
+
+    monkeypatch.setattr(module, route, wrong_once)
+
+    failing = [c for c in run_check() if not c.ok]
+    assert failing, f"no check noticed {route} off at {bad_args}"
+    # a modular check covers one (g, s, k), which its name gives
+    assert any(case in f"{c.name}: {c.detail}" for c in failing), failing
+
+    code = main(["verify", *argv])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert "Traceback" not in err
+    assert "FAIL" in out and case in out
