@@ -3,18 +3,18 @@
 Everything here is decided by enumeration or by direct simulation.  The
 counters visit one sorted list per orbit of the car-permuting action and
 weight it by the orbit size (see :mod:`parkres._kernels_py`); the
-``enum_*`` streams walk every list in lexicographic order, pruning only
-prefixes that provably fail; the fiber oracle parks every list.  These
-are the trusted, independent counterparts of the closed forms in
-:mod:`parkres.formulas`; the two are never allowed to share a code path.
+``enum_*`` streams walk the lists in lexicographic order and extend a
+prefix only by the entries that keep it completable; the fiber oracle
+parks the cars one at a time and follows only the preferences that put
+each car where the outcome permutation does.  These are the trusted,
+independent counterparts of the closed forms in :mod:`parkres.formulas`;
+the two are never allowed to share a code path.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, product
 from typing import Iterable, Iterator, Sequence
 
-from . import core
 from . import _kernels_py as kernels
 from .exceptions import DomainError, EmptyRestriction
 
@@ -28,31 +28,39 @@ def normalize_restriction(n: int, allowed: Iterable[int]) -> tuple:
 
 
 def _stream(n: int, allowed: tuple, strict: bool) -> Iterator[tuple]:
+    # A prefix is completable iff, for every i < n, the entries <= i so far
+    # plus the entries still to come reach i (i + 1 when strict).  A larger
+    # next entry raises fewer of those counts, so the entries that fit are
+    # exactly the allowed ones up to a cap: the first i that falls short
+    # without the next entry, or n if none does.
+    surplus = 1 if strict else 0
     counts = [0] * (n + 1)
     buf = [0] * n
 
-    def feasible(placed: int) -> bool:
-        r = n - placed
+    def cap(placed: int) -> int:
+        spare = n - placed - 1 - surplus
         running = 0
-        for i in range(1, n + 1):
+        for i in range(1, n):
             running += counts[i]
-            need = i + 1 if (strict and i < n) else i
-            if running + r < need:
-                return False
-            if running == placed:
-                return True
-        return True
+            if running + spare < i:
+                return i
+        return n
 
     def go(pos: int) -> Iterator[tuple]:
-        last = pos + 1 == n
+        top = cap(pos)
+        if pos + 1 == n:
+            head = tuple(buf[:pos])
+            for v in allowed:
+                if v > top:
+                    break
+                yield head + (v,)
+            return
         for v in allowed:
+            if v > top:
+                break
             counts[v] += 1
             buf[pos] = v
-            if feasible(pos + 1):
-                if last:
-                    yield tuple(buf)
-                else:
-                    yield from go(pos + 1)
+            yield from go(pos + 1)
             counts[v] -= 1
 
     return go(0)
@@ -107,15 +115,24 @@ def count_nondecreasing_restricted(n: int, s: int) -> int:
     """Number of non-decreasing [s]-restricted parking functions.
 
     These are one per orbit of the car-permuting action, so this is the
-    orbit count.
+    orbit count.  A non-decreasing list parks iff its entry i is at most
+    i, so the walk extends only non-decreasing prefixes whose entry i is
+    at most min(i, s), and counts the choices for the last entry at once.
     """
     if not 1 <= s <= n:
         raise DomainError(f"need 1 <= s <= n, got s={s}, n={n}")
-    total = 0
-    for tup in combinations_with_replacement(range(1, s + 1), n):
-        if all(v <= i for i, v in enumerate(tup, 1)):
-            total += 1
-    return total
+
+    def extend(i: int, low: int) -> int:
+        # entries 1..i-1 are placed and the last of them is ``low``
+        top = min(i, s)
+        if i == n:
+            return top - low + 1
+        total = 0
+        for v in range(low, top + 1):
+            total += extend(i + 1, v)
+        return total
+
+    return extend(1, 1)
 
 
 def ones_distribution(n: int, s: int) -> tuple:
@@ -134,18 +151,34 @@ def ones_distribution(n: int, s: int) -> tuple:
 
 def fiber_size_bruteforce(sigma: Sequence[int], s: int) -> int:
     """Number of [s]-restricted parking functions whose outcome is the
-    permutation ``sigma`` (one-line notation, spot -> car)."""
+    permutation ``sigma`` (one-line notation, spot -> car).
+
+    Car j's spot depends only on the preferences of cars 1..j, so the cars
+    are parked in order: car j tries every preference 1..s, rolling forward
+    on the current occupancy, and the walk goes on only from the spot where
+    ``sigma`` puts car j.  Every preference that lands it there leaves the
+    same occupancy, so the numbers of such preferences multiply.
+    """
     n = len(sigma)
     if sorted(sigma) != list(range(1, n + 1)):
         raise DomainError(f"{tuple(sigma)} is not a permutation of 1..{n}")
     if not 1 <= s <= n:
         raise DomainError(f"need 1 <= s <= n, got s={s}, n={n}")
-    target = tuple(sigma)
-    total = 0
-    for prefs in product(range(1, s + 1), repeat=n):
-        result = core.park(prefs, n)
-        if not result.unparked and result.occupancy == target:
-            total += 1
+    spot_of = {car: spot for spot, car in enumerate(sigma)}
+    taken = [False] * n
+    total = 1
+    for car in range(1, n + 1):
+        landed = 0
+        for pref in range(1, s + 1):
+            t = pref - 1
+            while t < n and taken[t]:
+                t += 1
+            if t == spot_of[car]:
+                landed += 1
+        if landed == 0:
+            return 0
+        total *= landed
+        taken[spot_of[car]] = True
     return total
 
 

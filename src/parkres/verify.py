@@ -22,6 +22,7 @@ from typing import Iterable, Iterator
 
 from . import bijections, brute, circular, core, formulas
 from .bijections import FIXED_POINT, ColoredPF
+from .exceptions import ParkresError
 from .polynomial import X
 
 
@@ -255,9 +256,13 @@ def _shift_bijection(n_max: int) -> Iterator:
             target = set(brute.enum_restricted(n, bijections.shift_restriction(S, n)))
             image = set()
             for pi in brute.enum_prime_restricted(n, S):
-                psi = bijections.prime_to_restricted(pi, S)
-                image.add(psi)
-                back = bijections.restricted_to_prime(psi, S)
+                try:
+                    psi = bijections.prime_to_restricted(pi, S)
+                    image.add(psi)
+                    back = bijections.restricted_to_prime(psi, S)
+                except ParkresError as err:
+                    yield f"round trip raises at {pi}, S={S}: {err}"
+                    continue
                 yield back != pi and f"round trip fails at {pi}, S={S}"
             yield image != target and f"n={n}, S={S}: image is not the shifted family"
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
@@ -29,27 +30,39 @@ def test_enum_restricted_rejects_bad_set():
         list(brute.enum_restricted(2, (1, 5)))
 
 
+def parks(prefs):
+    """Sorted entry i is at most i: the list is a parking function."""
+    return all(b <= i for i, b in enumerate(sorted(prefs), 1))
+
+
+def parks_prime(prefs):
+    """Sorted entry i + 1 is at most i for i < n: the list is prime."""
+    return all(b <= i for i, b in enumerate(sorted(prefs)[1:], 1))
+
+
+# every S in [n] for n <= 5, and a few sets with n = 6
+STREAM_SETS = [(n, S) for n in range(1, 6) for S in all_subsets(n)] + [
+    (6, (1, 2, 3, 4, 5, 6)),
+    (6, (1, 3, 5)),
+    (6, (1, 2, 4)),
+]
+
+
 def test_enum_matches_filtered_product():
-    for n in range(1, 5):
-        for S in all_subsets(n):
-            expected = [
-                prefs
-                for prefs in product(S, repeat=n)
-                if core.is_parking_function(prefs)
-            ]
-            got = list(brute.enum_restricted(n, S))
-            assert got == expected  # lexicographic and duplicate-free
-            assert brute.count_restricted(n, S) == len(expected)
+    for n, S in STREAM_SETS:
+        expected = [prefs for prefs in product(S, repeat=n) if parks(prefs)]
+        got = list(brute.enum_restricted(n, S))
+        assert got == expected, (n, S)  # lexicographic and duplicate-free
+        assert brute.count_restricted(n, S) == len(expected)
 
 
 def test_enum_prime_matches_filtered_product():
-    for n in range(1, 5):
-        for S in all_subsets(n):
-            expected = [
-                prefs for prefs in product(S, repeat=n) if core.is_prime(prefs)
-            ]
-            assert list(brute.enum_prime_restricted(n, S)) == expected
-            assert brute.count_prime_restricted(n, S) == len(expected)
+    for n, S in STREAM_SETS:
+        expected = [prefs for prefs in product(S, repeat=n) if parks_prime(prefs)]
+        assert list(brute.enum_prime_restricted(n, S)) == expected, (n, S)
+        assert brute.count_prime_restricted(n, S) == len(expected)
+    # without spot 2 the strict condition leaves only the all-ones list
+    assert list(brute.enum_prime_restricted(3, (1, 3))) == [(1, 1, 1)]
 
 
 def test_enum_output_is_sorted_and_unique():
@@ -86,14 +99,14 @@ def test_count_nondecreasing_restricted():
         42,
         132,
     ]
-    for n in range(1, 6):
+    for n in range(1, 10):
         for s in range(1, n + 1):
             expected = sum(
                 1
                 for t in combinations_with_replacement(range(1, s + 1), n)
-                if core.catalan_check(t)
+                if all(v <= i for i, v in enumerate(t, 1))
             )
-            assert brute.count_nondecreasing_restricted(n, s) == expected
+            assert brute.count_nondecreasing_restricted(n, s) == expected, (n, s)
 
 
 def test_ones_distribution():
@@ -113,13 +126,16 @@ def test_fiber_size_bruteforce():
     assert brute.fiber_size_bruteforce((2, 1), 2) == 1
     with pytest.raises(DomainError):
         brute.fiber_size_bruteforce((1, 1), 1)
-    for n in range(1, 5):
+    # tally the outcomes of parking every list once
+    for n in range(1, 7):
         for s in range(1, n + 1):
-            total = sum(
-                brute.fiber_size_bruteforce(sigma, s)
-                for sigma in permutations(range(1, n + 1))
-            )
-            assert total == brute.count_restricted(n, range(1, s + 1))
+            tally = Counter()
+            for prefs in product(range(1, s + 1), repeat=n):
+                result = core.park(prefs, n)
+                if not result.unparked:
+                    tally[result.occupancy] += 1
+            for sigma in permutations(range(1, n + 1)):
+                assert brute.fiber_size_bruteforce(sigma, s) == tally[sigma], (sigma, s)
 
 
 def test_count_min_defect():

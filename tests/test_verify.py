@@ -59,6 +59,11 @@ CASES = [
         bijections, "to_u_parking", ((1, 1), (1, 2)), _bump_first,
         lambda: verify.check_bijections(2), ["bijections", "--n-max", "2"], "n=2, S=(1, 2)",
     ),
+    # the bumped image lies outside the shifted set, so the inverse raises
+    (
+        bijections, "prime_to_restricted", ((1, 1), (1, 2)), _bump_first,
+        lambda: verify.check_bijections(2), ["bijections", "--n-max", "2"], "n=2, S=(1, 2)",
+    ),
 ]
 
 
