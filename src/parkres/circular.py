@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import NamedTuple, Sequence
 
 from ._kernels_py import canonical_class, class_from_mask, modular_census
@@ -165,7 +166,9 @@ def verify_relation(g: int, s: int, k: int, budget: int = 10**7) -> RelationRepo
     """Exhaustively check the circular counting relation for (g, s, k).
 
     Every one of the s**(g*s-k) circular preference lists is classified by
-    its gap decomposition (up to rotation).  For each class the observed
+    its gap decomposition (up to rotation).  The census visits one sorted
+    list per orbit of the car-permuting action, C(g*s-k+s-1, s-1) of them,
+    and ``budget`` bounds that number.  For each class the observed
     tally is compared with the predicted one,
 
         (p*s/n) * multinomial(g*s-k; g*mu - lam) * prod_i N(g*mu_i - lam_i),
@@ -182,8 +185,9 @@ def verify_relation(g: int, s: int, k: int, budget: int = 10**7) -> RelationRepo
         )
     m = length - k
     total = s**m
-    if total > budget:
-        raise BudgetExceeded(f"{total} lists exceed budget {budget}")
+    orbits = comb(m + s - 1, s - 1)
+    if orbits > budget:
+        raise BudgetExceeded(f"{orbits} sorted lists exceed budget {budget}")
     observed = modular_census(g, s, k)
 
     spots = preferred_spots(g, s)

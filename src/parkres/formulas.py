@@ -138,10 +138,12 @@ def catalan_number(n: int) -> int:
 
 def _ones_factor(i: int) -> IntPolynomial:
     # x*(x+i)**(i-1), which counts parking functions of length i by their
-    # number of 1 entries; the empty product at i == 0 is 1.
+    # number of 1 entries, written out by the binomial theorem: the
+    # coefficient of x**j is C(i-1, j-1) * i**(i-j).  The empty product at
+    # i == 0 is 1.
     if i == 0:
         return ONE
-    return X * (X + i) ** (i - 1)
+    return IntPolynomial([0] + [comb(i - 1, j - 1) * i ** (i - j) for j in range(1, i + 1)])
 
 
 def ones_poly_subtractive(n: int, s: int) -> IntPolynomial:
@@ -281,28 +283,46 @@ def mod_count_k1(g: int, s: int) -> int:
     return s ** (g * s - 2)
 
 
-_MOD_MEMO: dict = {}
+_MOD_MEMO: dict = {}  # (g, m) -> N(m), the count of length m for row size g
+_BLOCK_MEMO: dict = {}  # (g, a, b) -> T(a, b), the block table
 
 
 def mod_count(g: int, s: int, k: int) -> int:
-    """Number of parking functions of length g*s - k with preferences
+    """Number of parking functions of length m = g*s - k with preferences
     limited to the spots that are 1 mod g.
 
-    Solves the circular-street relation
+    Call this count N(m).  Classifying the s**m preference lists of m cars
+    on a circular street of s rows of g spots by their gap decomposition
+    gives the circular-street relation
 
-        s**(g*s-k) = s*N(g*s-k)
-                   + sum_{n=2}^{k} (s/n) * sum_{lam, mu} multinomial(g*s-k; g*mu - lam)
-                                            * prod_i N(g*mu_i - lam_i)
+        s**m = sum_{n>=1} (s/n) * sum_{lam, mu} multinomial(m; g*mu - lam)
+                                              * prod_i N(g*mu_i - lam_i),
 
-    for N(g*s-k), where lam runs over compositions of k and mu over
-    compositions of s, both of length n, and the product recurses on the
-    per-segment counts.  Composition pairs in which some segment would
-    hold g*mu_i - lam_i <= 0 cars cannot arise from maximal empty runs and
-    are skipped.  A length of 0 (k == g*s) counts as 1, the empty list.
+    where lam runs over compositions of k and mu over compositions of s,
+    both of length n: block i holds lam_i empty spots and mu_i rows.
+    Blocks that would hold g*mu_i - lam_i <= 0 cars cannot arise from
+    maximal empty runs and are left out.  The n == 1 term is s*N(m), and
+    the relation is solved for it.
 
-    The s/n weights are computed over exact rationals; failure to cancel
+    The summand does not change under a cyclic rotation of the blocks, and
+    the row count mu_1 of the first block sums to s over the n rotations,
+    so the weight s/n may be replaced by mu_1.  Splitting off the first
+    block (a1 gaps, b1 rows) then gives
+
+        s**m = sum_{a1, b1} b1 * C(m, g*b1 - a1) * N(g*b1 - a1) * T(k - a1, s - b1)
+
+    with the block table T(a, b): the ordered block sequences with a gaps
+    and b rows in all, each block weighted by its multinomial and N factor,
+
+        T(0, 0) = 1,
+        T(a, b) = sum_{a1, b1} C(g*b - a, g*b1 - a1) * N(g*b1 - a1) * T(a - a1, b - b1).
+
+    Both are filled bottom-up by increasing length g*b - a, all in
+    integers, so N(m) costs O(k**2 * s**2) big-integer products; the
+    memos are kept per g.  A length of 0 (k == g*s) counts as 1, the
+    empty list.  A remainder not divisible by s, or a negative count,
     raises :class:`NonIntegerIntermediate` (it would indicate a bug, the
-    result is provably an integer).
+    result is provably a nonnegative integer).
     """
     if g < 1 or s < 1 or not 1 <= k <= g * s:
         raise DomainError(f"need g, s >= 1 and 1 <= k <= g*s, got {g}, {s}, {k}")
@@ -316,24 +336,28 @@ def _mod_count(g: int, s: int, k: int) -> int:
     cached = _MOD_MEMO.get((g, m))
     if cached is not None:
         return cached
-    acc = Fraction(0)
-    for n in range(2, min(k, s) + 1):
-        sub = 0
-        for lam in compositions(k, n):
-            for mu in compositions(s, n):
-                parts = [g * b - a for a, b in zip(lam, mu)]
-                if any(p <= 0 for p in parts):
-                    continue
-                weight = multinomial(m, parts)
-                for a, b in zip(lam, mu):
-                    weight *= _mod_count(g, b, a)
-                sub += weight
-        acc += Fraction(s, n) * sub
-    if acc.denominator != 1:
-        raise NonIntegerIntermediate(
-            f"cyclic weights left denominator {acc.denominator} at g={g}, s={s}, k={k}"
-        )
-    remainder = s**m - int(acc)
+    # An entry of length L needs only shorter entries, and T(a, b) also
+    # N(L) itself, so fill by length: N(L) first, solved at the fewest rows
+    # that hold L (at most g gaps), then T at every (gaps, rows) of length L
+    # that a solve here or there splits off.
+    gaps = max(k, g)
+    for length in range(1, m):
+        if (g, length) not in _MOD_MEMO:
+            rows = length // g + 1
+            _MOD_MEMO[(g, length)] = _solve(g, rows, g * rows - length)
+        for b in range(1, s):
+            a = g * b - length
+            if 1 <= a < gaps and (g, a, b) not in _BLOCK_MEMO:
+                _BLOCK_MEMO[(g, a, b)] = _MOD_MEMO[(g, length)] + _split(g, a, b, False)
+    value = _solve(g, s, k)
+    _MOD_MEMO[(g, m)] = value
+    return value
+
+
+def _solve(g: int, s: int, k: int) -> int:
+    """N(g*s - k) from the relation at (g, s, k); needs every shorter entry."""
+    m = g * s - k
+    remainder = s**m - _split(g, k, s, True)
     if remainder % s:
         raise NonIntegerIntermediate(
             f"total not divisible by s={s} at g={g}, s={s}, k={k}"
@@ -341,5 +365,18 @@ def _mod_count(g: int, s: int, k: int) -> int:
     value = remainder // s
     if value < 0:
         raise NonIntegerIntermediate(f"negative count at g={g}, s={s}, k={k}")
-    _MOD_MEMO[(g, m)] = value
     return value
+
+
+def _split(g: int, a: int, b: int, weighted: bool) -> int:
+    """Sum over the first block (a1, b1) of the sequences with a gaps and
+    b rows that have more blocks after it, weighted by b1 if asked."""
+    length = g * b - a
+    total = 0
+    for b1 in range(1, b):
+        # the first block and the rest must both hold at least one car
+        for a1 in range(max(1, a - g * (b - b1) + 1), min(a, g * b1)):
+            part = g * b1 - a1
+            term = comb(length, part) * _MOD_MEMO[(g, part)] * _BLOCK_MEMO[(g, a - a1, b - b1)]
+            total += b1 * term if weighted else term
+    return total

@@ -127,9 +127,20 @@ def test_verify_relation_small():
             assert circular.verify_relation(1, s, k).ok
 
 
+def test_verify_relation_budget_counts_orbits():
+    # 4**15 = 1.07e9 lists, but the census visits C(15+3, 3) = 816 sorted ones
+    report = circular.verify_relation(4, 4, 1)
+    assert report.ok and report.total == 4**15
+    assert circular.verify_relation(4, 4, 1, budget=816).ok
+    with pytest.raises(BudgetExceeded):
+        circular.verify_relation(4, 4, 1, budget=815)
+    with pytest.raises(BudgetExceeded):
+        circular.verify_relation(8, 8, 1)  # C(63+7, 7) = 1.2e9 sorted lists
+
+
 def test_verify_relation_errors():
     with pytest.raises(BudgetExceeded):
-        circular.verify_relation(3, 3, 1, budget=100)
+        circular.verify_relation(3, 3, 1, budget=44)  # C(8+2, 2) = 45 sorted lists
     with pytest.raises(DomainError):
         circular.verify_relation(3, 3, 9)  # zero cars: relation does not apply
     with pytest.raises(DomainError):

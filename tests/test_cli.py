@@ -34,6 +34,16 @@ def test_count_modular(capsys):
     assert code == 0 and int(out) == len(listed.splitlines()) == 1
 
 
+def test_count_modular_beyond_budget(capsys):
+    # 8**16 candidate lists exceed --budget, so only the recursion runs;
+    # the value is the multiplicity-vector count of tests/test_formulas.py
+    code, out, _ = run(capsys, "count", "pf", "--g", "2", "--s", "14", "--k", "12", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["count"] == "64820487788537"
+    assert obj["method"] == "recursion"
+
+
 def test_count_prime_full(capsys):
     code, out, _ = run(capsys, "count", "ppf", "--n", "4", "--s", "4")
     assert code == 0

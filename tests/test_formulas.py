@@ -3,10 +3,12 @@ from itertools import permutations
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parkres import brute, formulas
 from parkres.exceptions import DomainError
-from parkres.polynomial import X, IntPolynomial
+from parkres.polynomial import ONE, X, IntPolynomial
 
 
 def test_totals():
@@ -101,6 +103,12 @@ def test_ones_polynomials():
             assert a == b
             assert a.coefficient(0) == 0
         assert formulas.ones_poly_subtractive(n, n) == X * (X + n) ** (n - 1)
+
+
+def test_ones_factor_expansion():
+    assert formulas._ones_factor(0) == ONE
+    for i in range(1, 41):
+        assert formulas._ones_factor(i) == X * (X + i) ** (i - 1)
 
 
 def test_ones_polynomials_match_distribution():
@@ -214,3 +222,106 @@ def test_mod_count_matches_brute_force():
                     continue
                 allowed = [v for v in preferred_spots(g, s) if v <= m]
                 assert formulas.mod_count(g, s, k) == brute.count_restricted(m, allowed)
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _composition_pair_count(g, s, k, memo):
+    """The circular relation summed over every pair of compositions (lam
+    of k, mu of s) with weight s/n, in rationals, solved for N(g*s - k)."""
+    m = g * s - k
+    if m == 0:
+        return 1
+    if (g, m) in memo:
+        return memo[(g, m)]
+    acc = Fraction(0)
+    for n in range(2, min(k, s) + 1):
+        sub = 0
+        for lam in _compositions(k, n):
+            for mu in _compositions(s, n):
+                parts = [g * b - a for a, b in zip(lam, mu)]
+                if any(p <= 0 for p in parts):
+                    continue
+                weight = factorial(m)
+                for p in parts:
+                    weight //= factorial(p)
+                for a, b in zip(lam, mu):
+                    weight *= _composition_pair_count(g, b, a, memo)
+                sub += weight
+        acc += Fraction(s, n) * sub
+    assert acc.denominator == 1
+    remainder = s**m - int(acc)
+    assert remainder % s == 0
+    memo[(g, m)] = remainder // s
+    return memo[(g, m)]
+
+
+def _row_start_count(g, m):
+    """Parking functions of length m preferring only the spots 1, g+1, ...
+    up to m, counted over multiplicity vectors: walking the allowed spots
+    in order, c more cars prefer spot v in C(cars left, c) ways, and the
+    cars placed so far must fill every spot before the next allowed one."""
+    ways = {0: 1}  # cars placed -> labelled ways
+    for v in range(1, m + 1, g):
+        need = min(v + g, m + 1) - 1
+        after = {}
+        for placed, w in ways.items():
+            for c in range(max(0, need - placed), m - placed + 1):
+                after[placed + c] = after.get(placed + c, 0) + w * comb(m - placed, c)
+        ways = after
+    return ways.get(m, 0)
+
+
+def _cold_mod_count(g, s, k):
+    # with empty memos the relation is solved at (g, s, k) itself, not
+    # looked up from an earlier call with the same length g*s - k
+    formulas._MOD_MEMO.clear()
+    formulas._BLOCK_MEMO.clear()
+    return formulas.mod_count(g, s, k)
+
+
+def test_row_start_reference_matches_brute_force():
+    from parkres.circular import preferred_spots
+
+    for g in range(1, 5):
+        for m in range(0, 9):
+            allowed = [v for v in preferred_spots(g, m // g + 1) if v <= m]
+            assert _row_start_count(g, m) == brute.count_restricted(m, allowed)
+    for m in range(1, 12):
+        assert _row_start_count(1, m) == (m + 1) ** (m - 1)
+
+
+def test_mod_count_matches_composition_pair_sum():
+    memo = {}
+    for g in range(1, 6):
+        for s in range(1, 24 // g + 1):
+            for k in range(1, g * s + 1):
+                want = _composition_pair_count(g, s, k, memo)
+                assert _cold_mod_count(g, s, k) == want, (g, s, k)
+
+
+@pytest.mark.parametrize(
+    "g, s, k, want",
+    [(2, 14, 12, 64820487788537), (2, 30, 25, None), (4, 12, 10, None), (10, 10, 9, None)],
+)
+def test_mod_count_beyond_composition_pairs(g, s, k, want):
+    reference = _row_start_count(g, g * s - k)
+    if want is not None:
+        assert reference == want
+    assert _cold_mod_count(g, s, k) == reference
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_mod_count_random_sizes(data):
+    g = data.draw(st.integers(1, 40))
+    s = data.draw(st.integers(1, 40 // g))
+    k = data.draw(st.integers(1, g * s))
+    assert _cold_mod_count(g, s, k) == _row_start_count(g, g * s - k)
