@@ -12,9 +12,8 @@ Three constructions live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import core
 from .brute import normalize_restriction
@@ -133,8 +132,14 @@ class _FixedPoint:
 FIXED_POINT = _FixedPoint()
 
 
-@dataclass(frozen=True)
-class ColoredPF:
+class _ColoredFields(NamedTuple):
+    prefs: tuple
+    colors: tuple
+    s: int
+    prime: bool = False
+
+
+class ColoredPF(_ColoredFields):
     """A parking function with cars colored indigo or red.
 
     With i indigo cars, the indigo subsequence must itself be a parking
@@ -143,29 +148,36 @@ class ColoredPF:
     indigo subsequence must be prime).  Such a list is automatically a
     parking function; these objects carry the signed count that the
     recoloring involution collapses onto the [s]-restricted lists.
+
+    Every construction validates, :meth:`_make` and :meth:`_replace`
+    included, and raises :class:`InvalidColoring` on a bad coloring.
     """
 
-    prefs: tuple
-    colors: tuple
-    s: int
-    prime: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "prefs", tuple(self.prefs))
-        object.__setattr__(self, "colors", tuple(self.colors))
-        if len(self.prefs) != len(self.colors):
+    def __new__(cls, prefs, colors, s, prime=False):
+        prefs = tuple(prefs)
+        colors = tuple(colors)
+        if len(prefs) != len(colors):
             raise InvalidColoring("one color per car required")
-        if any(not isinstance(c, Color) for c in self.colors):
-            raise InvalidColoring("colors must be Color.INDIGO or Color.RED")
-        if self.s < 1:
-            raise InvalidColoring(f"need s >= 1, got {self.s}")
-        i = self.indigo_count
-        if i < self.s:
-            raise InvalidColoring(f"{i} indigo cars, need at least s={self.s}")
-        indigo = self.indigo_prefs
+        indigo = []
+        red = []
+        for p, c in zip(prefs, colors):
+            if c is Color.INDIGO:
+                indigo.append(p)
+            elif c is Color.RED:
+                red.append(p)
+            else:
+                raise InvalidColoring("colors must be Color.INDIGO or Color.RED")
+        if s < 1:
+            raise InvalidColoring(f"need s >= 1, got {s}")
+        i = len(indigo)
+        if i < s:
+            raise InvalidColoring(f"{i} indigo cars, need at least s={s}")
+        indigo = tuple(indigo)
         if any(not 1 <= p <= i for p in indigo):
             raise InvalidColoring(f"indigo preferences {indigo} not within 1..{i}")
-        if self.prime:
+        if prime:
             if not core.is_prime(indigo):
                 raise InvalidColoring(f"indigo subsequence {indigo} is not prime")
             hi = i
@@ -175,11 +187,14 @@ class ColoredPF:
                     f"indigo subsequence {indigo} is not a parking function"
                 )
             hi = i + 1
-        for p in self.red_prefs:
-            if not self.s < p <= hi:
-                raise InvalidColoring(
-                    f"red preference {p} outside {self.s + 1}..{hi}"
-                )
+        for p in red:
+            if not s < p <= hi:
+                raise InvalidColoring(f"red preference {p} outside {s + 1}..{hi}")
+        return super().__new__(cls, prefs, colors, s, prime)
+
+    @classmethod
+    def _make(cls, iterable) -> "ColoredPF":
+        return cls(*iterable)
 
     @property
     def indigo_count(self) -> int:

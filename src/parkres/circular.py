@@ -11,7 +11,6 @@ the counting relation checked by :func:`verify_relation`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple, Sequence
@@ -29,8 +28,7 @@ def preferred_spots(g: int, s: int) -> tuple:
     return tuple(1 + j * g for j in range(s))
 
 
-@dataclass(frozen=True)
-class CircularState:
+class CircularState(NamedTuple):
     """Occupancy of a circular street after all cars have parked."""
 
     g: int
@@ -121,8 +119,7 @@ def linearize(state: CircularState):
     return tuple((p - anchor) % length + 1 for p in state.prefs)
 
 
-@dataclass(frozen=True)
-class ClassRow:
+class ClassRow(NamedTuple):
     """Observed vs. expected tally for one decomposition class."""
 
     lam: tuple
@@ -135,15 +132,14 @@ class ClassRow:
         return self.observed == self.expected
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     """Per-class verification of the circular counting relation."""
 
     g: int
     s: int
     k: int
     total: int  # s**(g*s - k), the number of classified lists
-    rows: tuple = field(default_factory=tuple)
+    rows: tuple = ()
 
     @property
     def ok(self) -> bool:

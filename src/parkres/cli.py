@@ -170,6 +170,10 @@ def cmd_enum(args) -> int:
         if args.kind == "pf"
         else brute.enum_prime_restricted(n, allowed)
     )
+    if args.format not in ("json", "csv"):  # the outcome and ones are not printed
+        for prefs in stream:
+            print(",".join(map(str, prefs)))
+        return EXIT_OK
     writer = None
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
@@ -188,12 +192,10 @@ def cmd_enum(args) -> int:
                     }
                 )
             )
-        elif args.format == "csv":
+        else:
             writer.writerow(
                 [",".join(map(str, prefs)), ",".join(map(str, outcome)), ones]
             )
-        else:
-            print(",".join(map(str, prefs)))
     return EXIT_OK
 
 

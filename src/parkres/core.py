@@ -14,8 +14,7 @@ it needs and range-checks against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exceptions import NotAParkingFunction, PreferenceOutOfRange
 
@@ -23,8 +22,7 @@ from .exceptions import NotAParkingFunction, PreferenceOutOfRange
 EMPTY = None
 
 
-@dataclass(frozen=True)
-class ParkingResult:
+class ParkingResult(NamedTuple):
     """Outcome of running the parking procedure once.
 
     ``occupancy[i]`` is the 1-based index of the car in spot ``i + 1``, or

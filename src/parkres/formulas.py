@@ -18,7 +18,7 @@ from math import comb, factorial
 from typing import Iterator, NamedTuple, Sequence
 
 from .exceptions import DomainError, NonIntegerIntermediate
-from .polynomial import ONE, X, IntPolynomial
+from .polynomial import ONE, IntPolynomial
 
 
 def pf_total(n: int) -> int:
@@ -136,14 +136,18 @@ def catalan_number(n: int) -> int:
     return catalan_triangle(n, n - 1)
 
 
+def _binomial_coeffs(n: int, c: int) -> list:
+    # The coefficients of (x + c)**n, lowest degree first, by the binomial
+    # theorem: C(n, j) * c**(n-j) at x**j.
+    return [comb(n, j) * c ** (n - j) for j in range(n + 1)]
+
+
 def _ones_factor(i: int) -> IntPolynomial:
     # x*(x+i)**(i-1), which counts parking functions of length i by their
-    # number of 1 entries, written out by the binomial theorem: the
-    # coefficient of x**j is C(i-1, j-1) * i**(i-j).  The empty product at
-    # i == 0 is 1.
+    # number of 1 entries.  The empty product at i == 0 is 1.
     if i == 0:
         return ONE
-    return IntPolynomial([0] + [comb(i - 1, j - 1) * i ** (i - j) for j in range(1, i + 1)])
+    return IntPolynomial([0] + _binomial_coeffs(i - 1, i))
 
 
 def ones_poly_subtractive(n: int, s: int) -> IntPolynomial:
@@ -153,7 +157,7 @@ def ones_poly_subtractive(n: int, s: int) -> IntPolynomial:
         (s-1+x)**n - sum_{i=0}^{s-1} C(n,i) * x(x+i)**(i-1) * (s-i-1)**(n-i)
     """
     _check_ns(n, s)
-    total = (X + (s - 1)) ** n
+    total = IntPolynomial(_binomial_coeffs(n, s - 1))
     for i in range(s):
         total = total - comb(n, i) * _ones_factor(i) * (s - i - 1) ** (n - i)
     return total

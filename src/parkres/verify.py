@@ -14,11 +14,9 @@ pass vacuously.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from . import bijections, brute, circular, core, formulas
 from .bijections import FIXED_POINT, ColoredPF
@@ -26,8 +24,7 @@ from .exceptions import ParkresError
 from .polynomial import X
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
@@ -374,6 +371,9 @@ def check_modular(budget: int = 10**7, pairs=DEFAULT_MODULAR_PAIRS, threads: int
     if not jobs:
         return [Check("modular relation", False, f"no (g, s, k) fits budget {budget}")]
     if threads > 1:
+        # imported here, as its imports would slow the start of every CLI call
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(_modular_job, jobs))
     return [_modular_job(job) for job in jobs]

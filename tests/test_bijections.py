@@ -136,6 +136,35 @@ def test_colored_pf_validation():
         ColoredPF((1, 1), ("indigo", "indigo"), s=1)
 
 
+def test_colored_pf_coerces_and_validates_every_construction():
+    colored = ColoredPF([1, 1], [Color.INDIGO, Color.INDIGO], 1)
+    assert colored.prefs == (1, 1)
+    assert colored.colors == (Color.INDIGO, Color.INDIGO)
+    assert colored.prime is False
+    assert colored._replace(s=2) == ColoredPF((1, 1), colored.colors, 2)
+    with pytest.raises(InvalidColoring):
+        colored._replace(s=3)
+    with pytest.raises(InvalidColoring):
+        ColoredPF._make(((1, 2), (Color.INDIGO,), 1))
+    # flipping car 1 leaves one indigo car, fewer than s = 2
+    with pytest.raises(InvalidColoring):
+        ColoredPF.from_indigo_cars((1, 1), (1, 2), s=2).with_flipped(1)
+
+
+@pytest.mark.parametrize(
+    "prefs, colors, s, prime, message",
+    [
+        ((1, 1), (Color.INDIGO, "red"), 1, False, "colors must be"),
+        ((1,), (Color.INDIGO,), 0, False, "need s >= 1"),
+        ((1, 3), (Color.INDIGO, Color.INDIGO), 1, False, "not within 1..2"),
+        ((1, 1, 3), (Color.INDIGO, Color.INDIGO, Color.RED), 1, True, "outside 2..2"),
+    ],
+)
+def test_colored_pf_rules_name_the_failure(prefs, colors, s, prime, message):
+    with pytest.raises(InvalidColoring, match=message):
+        ColoredPF(prefs, colors, s, prime)
+
+
 def test_involution_recoloring_example():
     colored = fig1_coloring()
     flipped = bijections.involution(colored)

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -241,6 +245,21 @@ def test_version(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert out.strip() == f"parkres {__version__}" == "parkres 0.1.0"
+
+
+def test_import_loads_no_unused_stdlib():
+    # A CLI process pays for every module it imports; these four are not
+    # needed by any request (the process pool is imported when it is used).
+    code = (
+        "import parkres.cli, sys; "
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'concurrent.futures', "
+        "'multiprocessing') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_output_determinism(capsys):

@@ -111,6 +111,12 @@ def test_ones_factor_expansion():
         assert formulas._ones_factor(i) == X * (X + i) ** (i - 1)
 
 
+def test_binomial_coeffs_expansion():
+    for n in range(1, 31):
+        for s in range(1, n + 1):
+            assert IntPolynomial(formulas._binomial_coeffs(n, s - 1)) == (X + (s - 1)) ** n
+
+
 def test_ones_polynomials_match_distribution():
     for n in range(1, 7):
         for s in range(1, n + 1):

@@ -93,3 +93,9 @@ def test_mismatch_fails_and_names_the_case(
     assert code == 3
     assert "Traceback" not in err
     assert "FAIL" in out and case in out
+
+
+def test_modular_process_pool_matches_serial():
+    serial = verify.check_modular(20000)
+    assert serial and all(c.ok for c in serial)
+    assert verify.check_modular(20000, threads=2) == serial
