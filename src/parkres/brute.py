@@ -1,9 +1,18 @@
 """Exhaustive oracles over restricted preference spaces.
 
 Everything here is decided by enumeration or by direct simulation.  The
-counters visit one sorted list per orbit of the car-permuting action and
-weight it by the orbit size (see :mod:`parkres._kernels_py`); the
-``enum_*`` streams walk the lists in lexicographic order and extend a
+counters rest on one observation: whether every car parks (and whether
+the list is prime), how many cars prefer spot 1, and how many cars park
+on fewer spots than cars are all unchanged when the cars are reordered.
+So :func:`_orbits` walks one non-decreasing list per orbit of the
+car-permuting action, as its multiplicity vector (c_v entries equal to
+v), and each counter adds the orbit size n!/prod(c_v!).  The parking
+counters decide an orbit by the occupancy condition (at least i entries
+<= i, for every i) and cut a prefix as soon as it fails, which discards
+only orbits that provably fail; the min-defect counter runs the parking
+walk on the sorted list instead.  Orbit sizes come from factorials here.
+
+The ``enum_*`` streams walk the lists in lexicographic order and extend a
 prefix only by the entries that keep it completable; the fiber oracle
 parks the cars one at a time and follows only the preferences that put
 each car where the outcome permutation does.  These are the trusted,
@@ -13,9 +22,9 @@ the two are never allowed to share a code path.
 
 from __future__ import annotations
 
+from math import factorial
 from typing import Iterable, Iterator, Sequence
 
-from . import _kernels_py as kernels
 from .exceptions import DomainError, EmptyRestriction
 
 
@@ -25,6 +34,50 @@ def normalize_restriction(n: int, allowed: Iterable[int]) -> tuple:
     if elems and not (1 <= elems[0] and elems[-1] <= n):
         raise DomainError(f"restriction {elems} not contained in 1..{n}")
     return elems
+
+
+def _orbits(n: int, values: tuple, need: tuple):
+    """Yield ``(counts, size)`` for each multiset of n entries from ``values``.
+
+    ``counts[j]`` is how many entries equal ``values[j]`` and ``size`` is
+    the number of lists with those entries, n!/prod(counts[j]!).  A
+    multiset is skipped when, for some j, fewer than ``need[j]`` (at most
+    n) of its entries are <= ``values[j]``; the test runs as each count is
+    chosen, so a failing prefix is cut with everything that extends it.
+    """
+    fact = [factorial(i) for i in range(n + 1)]
+    last = len(values) - 1
+    counts = [0] * len(values)
+
+    def go(j: int, placed: int, denom: int):
+        rest = n - placed
+        low = rest if j == last else max(0, need[j] - placed)
+        for c in range(low, rest + 1):
+            counts[j] = c
+            if j == last:
+                yield tuple(counts), fact[n] // (denom * fact[c])
+            else:
+                yield from go(j + 1, placed + c, denom * fact[c])
+
+    return go(0, 0, 1)
+
+
+def _occupancy_need(n: int, allowed: tuple, strict: bool) -> tuple:
+    """Bounds for :func:`_orbits` from the occupancy condition.
+
+    Entry j is the fewest entries <= ``allowed[j]`` a parking list has:
+    each i from ``allowed[j]`` up to the next allowed value needs at least
+    i entries <= i (more than i when ``strict`` and i < n).
+    """
+    return tuple(min(v, n) if strict else v - 1 for v in allowed[1:]) + (n,)
+
+
+def _count_parking(n: int, allowed: tuple, strict: bool) -> int:
+    # n >= 1 cars over the sorted, non-empty ``allowed``
+    if allowed[0] != 1:
+        return 0  # spot 1 is never preferred
+    need = _occupancy_need(n, allowed, strict)
+    return sum(size for _, size in _orbits(n, allowed, need))
 
 
 def _stream(n: int, allowed: tuple, strict: bool) -> Iterator[tuple]:
@@ -98,7 +151,7 @@ def count_restricted(n: int, allowed: Iterable[int]) -> int:
     elems = normalize_restriction(n, allowed)
     if not elems:
         raise EmptyRestriction("no allowed preferences with cars present")
-    return kernels.count_parking(n, elems, False)
+    return _count_parking(n, elems, False)
 
 
 def count_prime_restricted(n: int, allowed: Iterable[int]) -> int:
@@ -108,7 +161,7 @@ def count_prime_restricted(n: int, allowed: Iterable[int]) -> int:
     elems = normalize_restriction(n, allowed)
     if not elems:
         return 0
-    return kernels.count_parking(n, elems, True)
+    return _count_parking(n, elems, True)
 
 
 def count_nondecreasing_restricted(n: int, s: int) -> int:
@@ -143,10 +196,13 @@ def ones_distribution(n: int, s: int) -> tuple:
     """
     if not 1 <= s <= n:
         raise DomainError(f"need 1 <= s <= n, got s={s}, n={n}")
-    census = kernels.ones_census(n, s)
-    if census[0] != 0:
+    values = tuple(range(1, s + 1))
+    tally = [0] * (n + 1)
+    for counts, size in _orbits(n, values, _occupancy_need(n, values, False)):
+        tally[counts[0]] += size
+    if tally[0] != 0:
         raise AssertionError("parking function with no car preferring spot 1")
-    return tuple(census[1:])
+    return tuple(tally[1:])
 
 
 def fiber_size_bruteforce(sigma: Sequence[int], s: int) -> int:
@@ -184,7 +240,25 @@ def fiber_size_bruteforce(sigma: Sequence[int], s: int) -> int:
 
 def count_min_defect(n: int, s: int) -> int:
     """Number of preference functions [n] -> [s] with the smallest possible
-    defect n - s, decided by simulation."""
+    defect n - s.
+
+    Decided by simulating the parking procedure on each orbit's sorted
+    list, so it is independent of the occupancy-condition counters above.
+    """
     if not 1 <= s <= n:
         raise DomainError(f"need 1 <= s <= n, got s={s}, n={n}")
-    return kernels.count_min_defect(n, s)
+    total = 0
+    for counts, size in _orbits(n, tuple(range(1, s + 1)), (0,) * s):
+        occ = bytearray(s + 1)
+        parked = 0
+        for p, c in enumerate(counts, 1):
+            for _ in range(c):
+                t = p
+                while t <= s and occ[t]:
+                    t += 1
+                if t <= s:
+                    occ[t] = 1
+                    parked += 1
+        if parked == s:
+            total += size
+    return total

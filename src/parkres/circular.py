@@ -5,19 +5,18 @@ may only prefer the first spot of a row (spots 1, g+1, ..., g(s-1)+1) and
 roll clockwise, wrapping around, until they find an empty spot.  With at
 most as many cars as spots everyone parks, and the empty spots always end
 immediately before a row start, so the occupancy decomposes into blocks of
-whole rows.  Classifying all preference lists by that decomposition yields
-the counting relation checked by :func:`verify_relation`.
+whole rows.  Classifying all preference lists by that decomposition
+(:func:`modular_census`, one sorted list per orbit) yields the counting
+relation checked by :func:`verify_relation`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from typing import NamedTuple, Sequence
 
-from ._kernels_py import canonical_class, class_from_mask, modular_census
-from .brute import count_restricted
-from .exceptions import BadModularPreference, BudgetExceeded, DomainError
+from .brute import _orbits, count_restricted
+from .exceptions import BadModularPreference, BudgetExceeded, DomainError, NotBlockAligned
 from .formulas import compositions, multinomial
 
 
@@ -76,12 +75,62 @@ class Decomposition(NamedTuple):
     anchor: int  # 1-based spot where the first block starts
 
 
-def _empty_mask(state: CircularState) -> int:
-    mask = 0
-    for i, car in enumerate(state.occupancy):
-        if car is None:
-            mask |= 1 << i
-    return mask
+def _empty_mask(occupancy: Sequence) -> int:
+    """Bit i set when 0-based spot i holds no car (``None`` or 0)."""
+    return sum(1 << i for i, car in enumerate(occupancy) if not car)
+
+
+def class_from_mask(mask: int, length: int, g: int):
+    """Decompose a circular empty-spot pattern into (gap sizes, block sizes).
+
+    ``mask`` has bit i set when 0-based spot i is empty.  Reading starts at
+    the anchor: the smallest-indexed occupied spot that immediately follows
+    an empty one.  Blocks pair each filled run with the gap after it; every
+    block length must be divisible by ``g`` (rows of g spots), otherwise
+    :class:`NotBlockAligned` is raised.
+
+    Returns ``(lam, mu, anchor)`` with ``lam`` the gap sizes, ``mu`` the
+    block lengths divided by g, and ``anchor`` the 0-based start spot.
+    """
+    if mask == 0:
+        raise NotBlockAligned("no empty spots: nothing to decompose")
+    if mask == (1 << length) - 1:  # no cars at all: one all-empty block
+        if length % g:
+            raise NotBlockAligned(f"empty circle of length {length} with row size {g}")
+        return (length,), (length // g,), 0
+    anchor = -1
+    for b in range(length):
+        if not (mask >> b) & 1 and (mask >> ((b - 1) % length)) & 1:
+            anchor = b
+            break
+    # Both empty and occupied spots exist, so the anchor does too and every
+    # run below terminates at a spot of the opposite kind.
+    if anchor % g:
+        raise NotBlockAligned(
+            f"gap ends at spot {anchor} (0-based), not before a row start"
+        )
+    lam = []
+    mu = []
+    t = anchor
+    consumed = 0
+    while consumed < length:
+        filled = 0
+        while not (mask >> t) & 1:
+            filled += 1
+            t = (t + 1) % length
+        gap = 0
+        while (mask >> t) & 1:
+            gap += 1
+            t = (t + 1) % length
+        block = filled + gap
+        if block % g:
+            raise NotBlockAligned(
+                f"block of length {block} not divisible by row size {g}"
+            )
+        lam.append(gap)
+        mu.append(block // g)
+        consumed += block
+    return tuple(lam), tuple(mu), anchor
 
 
 def decompose(state: CircularState) -> Decomposition:
@@ -94,7 +143,7 @@ def decompose(state: CircularState) -> Decomposition:
     """
     if state.empty_count == 0:
         raise DomainError("no empty spots: nothing to decompose")
-    lam, mu, anchor = class_from_mask(_empty_mask(state), state.spots, state.g)
+    lam, mu, anchor = class_from_mask(_empty_mask(state.occupancy), state.spots, state.g)
     return Decomposition(lam, mu, anchor + 1)
 
 
@@ -148,6 +197,42 @@ class RelationReport(NamedTuple):
             and sum(row.observed for row in self.rows) == self.total
             and sum(row.expected for row in self.rows) == self.total
         )
+
+
+def canonical_class(lam: tuple, mu: tuple) -> tuple:
+    """Lexicographically minimal cyclic rotation of the paired sequence."""
+    pairs = tuple(zip(lam, mu))
+    n = len(pairs)
+    best = min(pairs[r:] + pairs[:r] for r in range(n))
+    return tuple(p[0] for p in best), tuple(p[1] for p in best)
+
+
+def modular_census(g: int, s: int, k: int) -> dict:
+    """Classify all circular preference lists by their gap decomposition.
+
+    Simulates one sorted list per orbit of ``g*s - k`` cars on a circular
+    street of ``g*s`` spots, preferences limited to the first spot of each
+    row, and tallies the orbit sizes by the resulting (gap sizes, block
+    sizes) class, canonicalized up to cyclic rotation.  Which spots stay
+    empty does not depend on the order the cars arrive in, so the sorted
+    list stands for its whole orbit.  Returns ``{(lam, mu): count}``; the
+    counts sum to s**(g*s - k).
+    """
+    length = g * s
+    spots = tuple(d * g for d in range(s))
+    census: dict = {}
+    for counts, size in _orbits(length - k, spots, (0,) * s):
+        occ = bytearray(length)
+        for p, c in zip(spots, counts):
+            for _ in range(c):
+                t = p
+                while occ[t]:
+                    t = (t + 1) % length
+                occ[t] = 1
+        lam, mu, _ = class_from_mask(_empty_mask(occ), length, g)
+        key = canonical_class(lam, mu)
+        census[key] = census.get(key, 0) + size
+    return census
 
 
 def _period(pairs: tuple) -> int:
@@ -209,12 +294,12 @@ def verify_relation(g: int, s: int, k: int, budget: int = 10**7) -> RelationRepo
                     continue
                 pairs = tuple(zip(*key))
                 p = _period(pairs)
-                layouts = Fraction(p * s, n)
-                if layouts.denominator != 1:
+                layouts, rest = divmod(p * s, n)
+                if rest:
                     raise AssertionError(
                         f"non-integer layout count for class {key}"
                     )
-                value = int(layouts) * multinomial(m, parts)
+                value = layouts * multinomial(m, parts)
                 for seg in parts:
                     value *= segment_count(seg)
                 expected[key] = value

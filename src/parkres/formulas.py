@@ -12,13 +12,14 @@ at i == 0 is the constant 1 (which also covers x == 0).
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
-from typing import Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .exceptions import DomainError, NonIntegerIntermediate
 from .polynomial import ONE, IntPolynomial
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def pf_total(n: int) -> int:
@@ -105,20 +106,10 @@ def prime_alternating(n: int, s: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def _catalan_row(n: int) -> tuple:
-    if n == 1:
-        return (1,)
-    prev = _catalan_row(n - 1)
-    row = [1]
-    for k in range(1, n):
-        up = prev[k] if k <= n - 2 else prev[n - 2]
-        row.append(row[k - 1] + up)
-    return tuple(row)
-
-
 def catalan_triangle(n: int, k: int) -> int:
-    """Entry (n, k) of the Catalan triangle, 0 <= k <= n-1.
+    """Entry (n, k) of the Catalan triangle, 0 <= k <= n-1:
+
+        T(n, k) = C(n+k, k) * (n-k+1) / (n+1)
 
     First column 1, diagonal the Catalan numbers, and inner entries
     satisfying T(n, k) = T(n-1, k) + T(n, k-1).  Row n lists the orbit
@@ -126,7 +117,7 @@ def catalan_triangle(n: int, k: int) -> int:
     """
     if n < 1 or not 0 <= k <= n - 1:
         raise DomainError(f"triangle entry ({n}, {k}) out of range")
-    return _catalan_row(n)[k]
+    return comb(n + k, k) * (n - k + 1) // (n + 1)
 
 
 def catalan_number(n: int) -> int:
@@ -191,6 +182,8 @@ def abel_check(n: int, x, y) -> AbelCheck:
     The i == 0 factor x*(x+0)**(-1) is taken to be 1, which removes the
     singularity at x == 0.  Returns the equality flag and both values.
     """
+    from fractions import Fraction  # only here, to keep it out of every CLI start
+
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     x = Fraction(x)

@@ -14,13 +14,12 @@ pass vacuously.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, NamedTuple
 
 from . import bijections, brute, circular, core, formulas
 from .bijections import FIXED_POINT, ColoredPF
-from .exceptions import ParkresError
+from .exceptions import DomainError, ParkresError
 from .polynomial import X
 
 
@@ -191,6 +190,8 @@ def _ones_forms(n_max: int) -> Iterator:
 
 def check_abel(n_max: int = 10, poly_n_max: int = 8) -> list:
     """Abel's identity on a rational grid, plus the ones-enumerator pair."""
+    from fractions import Fraction  # only here, to keep it out of every CLI start
+
     grid = [Fraction(v) for v in range(-3, 4)] + [Fraction(1, 2), Fraction(-1, 2)]
 
     def abel(n, x, y, want=None):
@@ -369,7 +370,9 @@ def check_modular(budget: int = 10**7, pairs=DEFAULT_MODULAR_PAIRS, threads: int
         (g, s, k, budget) for g, s in pairs for k in range(1, g * s) if s ** (g * s - k) <= budget
     )
     if not jobs:
-        return [Check("modular relation", False, f"no (g, s, k) fits budget {budget}")]
+        least = min((s ** (g * s - k) for g, s in pairs for k in range(1, g * s)), default=None)
+        hint = "" if least is None else f"; the smallest needs {least}"
+        raise DomainError(f"no (g, s, k) fits budget {budget}{hint}")
     if threads > 1:
         # imported here, as its imports would slow the start of every CLI call
         from concurrent.futures import ProcessPoolExecutor
@@ -396,9 +399,23 @@ SUITES = {
 }
 
 
+# The smallest n_max at which every check of a suite compares a case: the
+# prime brute-force check needs s < n, the orbit recurrence 1 < s < n.
+# ``modular`` takes no n_max.
+_MIN_N_MAX = {"formulas": 2, "bijections": 1, "involution": 1, "abel": 1, "orbits": 3, "fibers": 1}
+
+
 def run_suite(name: str, n_max=None, budget=None) -> list:
-    """Run one named suite (or ``all``) and return its checks."""
-    if name == "all":
-        return [check for key in SUITES for check in run_suite(key, n_max, budget)]
+    """Run one named suite (or ``all``) and return its checks.
+
+    An ``n_max`` too small for every check of a suite to compare a case
+    raises :class:`DomainError` before any check runs.
+    """
+    keys = list(SUITES) if name == "all" else [name]
+    if n_max is not None:
+        least = max(_MIN_N_MAX.get(key, n_max) for key in keys)
+        if n_max < least:
+            raise DomainError(f"verify {name} needs --n-max >= {least}, got {n_max}")
     kwargs = {"n_max": n_max, "budget": budget}
-    return SUITES[name](**{key: value for key, value in kwargs.items() if value is not None})
+    kwargs = {key: value for key, value in kwargs.items() if value is not None}
+    return [check for key in keys for check in SUITES[key](**kwargs)]

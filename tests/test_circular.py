@@ -1,6 +1,8 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parkres import brute, circular, core
 from parkres.exceptions import BadModularPreference, BudgetExceeded, DomainError
@@ -58,6 +60,29 @@ def test_decompose_totals():
             assert sum(parts.lam) == k
             assert sum(parts.mu) == s
             assert all(v >= 1 for v in parts.lam)
+
+
+@st.composite
+def _row_start_street(draw):
+    g = draw(st.integers(1, 4))
+    s = draw(st.integers(1, 4))
+    cars = draw(st.integers(0, g * s - 1))  # at least one spot stays empty
+    spots = st.sampled_from(circular.preferred_spots(g, s))
+    prefs = draw(st.lists(spots, min_size=cars, max_size=cars))
+    return circular.circular_park(prefs, g, s)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_row_start_street())
+def test_decompose_invariants(state):
+    g, length = state.g, state.spots
+    parts = circular.decompose(state)
+    assert sum(parts.lam) == state.empty_count
+    assert sum(parts.mu) == state.s
+    assert sum(g * b - a for a, b in zip(parts.lam, parts.mu)) == len(state.prefs)
+    # the spot before the 1-based anchor is empty, and the anchor starts a row
+    assert state.occupancy[(parts.anchor - 2) % length] is None
+    assert (parts.anchor - 1) % g == 0
 
 
 def test_linearize_fig3():

@@ -235,10 +235,19 @@ def test_verify_cli(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["ok"] is True
-    # a check that compared nothing fails instead of passing vacuously
-    for argv in (("abel", "--n-max", "0"), ("orbits", "--n-max", "0"), ("modular", "--budget", "0")):
-        code, out, _ = run(capsys, "verify", *argv)
-        assert code == 3 and ("compared no cases" in out or "fits budget" in out)
+    # a bound too small for every check to compare a case is a usage error
+    for argv, least in (
+        (("abel", "--n-max", "0"), "--n-max >= 1"),
+        (("orbits", "--n-max", "0"), "--n-max >= 3"),
+        (("modular", "--budget", "0"), "the smallest needs 1"),
+        (("formulas", "--n-max", "1"), "--n-max >= 2"),
+        (("orbits", "--n-max", "2"), "--n-max >= 3"),
+        (("all", "--n-max", "2"), "--n-max >= 3"),
+    ):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == "" and err.startswith("error: ") and least in err
+    for argv in (("formulas", "--n-max", "2"), ("orbits", "--n-max", "3"), ("modular", "--budget", "1")):
+        assert run(capsys, "verify", *argv)[0] == 0
 
 
 def test_version(capsys):
@@ -248,12 +257,13 @@ def test_version(capsys):
 
 
 def test_import_loads_no_unused_stdlib():
-    # A CLI process pays for every module it imports; these four are not
-    # needed by any request (the process pool is imported when it is used).
+    # A CLI process pays for every module it imports; these are not needed
+    # by most requests (the process pool and fractions are imported where
+    # they are used).
     code = (
         "import parkres.cli, sys; "
         "print(sorted(m for m in ('dataclasses', 'inspect', 'concurrent.futures', "
-        "'multiprocessing') if m in sys.modules))"
+        "'multiprocessing', 'fractions', 'decimal') if m in sys.modules))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     out = subprocess.run(

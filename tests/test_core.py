@@ -1,6 +1,8 @@
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parkres import core
 from parkres.exceptions import NotAParkingFunction, PreferenceOutOfRange
@@ -111,3 +113,20 @@ def test_parking_is_permutation_invariant():
             key = tuple(sorted(prefs))
             value = core.is_parking_function(prefs)
             assert verdict.setdefault(key, value) == value
+
+
+@st.composite
+def _street(draw):
+    spots = draw(st.integers(1, 8))
+    prefs = draw(st.lists(st.integers(1, spots), max_size=10))
+    return prefs, spots
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_street())
+def test_park_places_every_car_once(street):
+    prefs, spots = street
+    result = core.park(prefs, spots)
+    placed = [car for car in result.occupancy if car is not core.EMPTY]
+    assert len(result.occupancy) == spots
+    assert sorted(placed + list(result.unparked)) == list(range(1, len(prefs) + 1))

@@ -86,6 +86,27 @@ def test_catalan_triangle():
         formulas.catalan_triangle(3, -1)
 
 
+def _catalan_rows(n_max):
+    """Rows 1..n_max of the triangle by T(n, k) = T(n-1, k) + T(n, k-1),
+    where T(n-1, n-1) stands for the diagonal entry T(n-1, n-2)."""
+    rows = [(1,)]
+    for n in range(2, n_max + 1):
+        prev = rows[-1]
+        row = [1]
+        for k in range(1, n):
+            row.append(row[k - 1] + prev[min(k, n - 2)])
+        rows.append(tuple(row))
+    return rows
+
+
+def test_catalan_triangle_closed_form():
+    for n, row in enumerate(_catalan_rows(60), start=1):
+        assert tuple(formulas.catalan_triangle(n, k) for k in range(n)) == row, n
+    # a row far beyond any recursion depth
+    assert formulas.catalan_triangle(2000, 5) == comb(2005, 5) * 1996 // 2001
+    assert formulas.catalan_number(2000) == comb(4000, 2000) // 2001
+
+
 def test_catalan_triangle_matches_orbit_counts():
     for n in range(1, 9):
         for s in range(1, n + 1):

@@ -1,15 +1,18 @@
-"""The orbit-weighted kernels against a plain odometer over every list.
+"""The orbit-weighted counters against a plain odometer over every list.
 
-The reference below visits all |S|**n preference lists, decides each one
-by simulation or by the definition, and classifies circular streets with
-its own decomposition.  It shares no code with ``parkres._kernels_py``.
+``parkres.brute`` counts parking, prime, ones and minimum-defect lists,
+and ``parkres.circular`` tallies its census, by visiting one sorted list
+per orbit and weighting it by the orbit size.  The reference below visits
+all |S|**n preference lists, decides each one by simulation or by the
+definition, and classifies circular streets with its own decomposition.
+It shares no code with either module.
 """
 
 from itertools import combinations, product
 
 import pytest
 
-from parkres import _kernels_py as kernels
+from parkres import brute, circular
 from parkres.exceptions import NotBlockAligned
 
 CENSUS_CASES = [(2, 2, 1), (2, 2, 2), (2, 3, 2), (3, 2, 4), (3, 3, 2), (1, 4, 2), (1, 5, 3), (4, 2, 3)]
@@ -78,12 +81,12 @@ def reference_census(g, s, k):
 
 
 def test_count_parking_matches_odometer():
-    assert kernels.count_parking(0, (), False) == kernels.count_parking(0, (), True) == 1
+    assert brute.count_restricted(0, ()) == brute.count_prime_restricted(0, ()) == 1
     for n in range(1, 7):
         for allowed in all_restrictions(n):
             plain, prime = reference_parking(n, allowed)
-            assert kernels.count_parking(n, allowed, False) == plain, (n, allowed)
-            assert kernels.count_parking(n, allowed, True) == prime, (n, allowed)
+            assert brute.count_restricted(n, allowed) == plain, (n, allowed)
+            assert brute.count_prime_restricted(n, allowed) == prime, (n, allowed)
 
 
 def test_ones_census_matches_odometer():
@@ -93,7 +96,7 @@ def test_ones_census_matches_odometer():
             for prefs in product(range(1, s + 1), repeat=n):
                 if parked(prefs, n) == n:
                     tally[prefs.count(1)] += 1
-            assert kernels.ones_census(n, s) == tally, (n, s)
+            assert tally[0] == 0 and brute.ones_distribution(n, s) == tuple(tally[1:]), (n, s)
 
 
 def test_count_min_defect_matches_odometer():
@@ -102,28 +105,28 @@ def test_count_min_defect_matches_odometer():
             want = sum(
                 1 for prefs in product(range(1, s + 1), repeat=n) if parked(prefs, s) == s
             )
-            assert kernels.count_min_defect(n, s) == want, (n, s)
+            assert brute.count_min_defect(n, s) == want, (n, s)
 
 
 @pytest.mark.parametrize("g,s,k", CENSUS_CASES)
 def test_modular_census_matches_odometer(g, s, k):
-    assert kernels.modular_census(g, s, k) == reference_census(g, s, k)
+    assert circular.modular_census(g, s, k) == reference_census(g, s, k)
 
 
 def test_modular_census_zero_cars():
-    assert kernels.modular_census(2, 2, 4) == {((4,), (2,)): 1}
+    assert circular.modular_census(2, 2, 4) == {((4,), (2,)): 1}
 
 
 @pytest.mark.parametrize("g,s,k", CENSUS_CASES + [(3, 3, 1), (3, 4, 1), (4, 4, 5)])
 def test_census_totals(g, s, k):
-    assert sum(kernels.modular_census(g, s, k).values()) == s ** (g * s - k)
+    assert sum(circular.modular_census(g, s, k).values()) == s ** (g * s - k)
 
 
 def test_class_from_mask_alignment_guard():
     # an empty run that does not end right before a row start is impossible
     # for simulated states; the decomposer refuses it
     with pytest.raises(NotBlockAligned):
-        kernels.class_from_mask(0b0100, 4, 2)
+        circular.class_from_mask(0b0100, 4, 2)
     with pytest.raises(NotBlockAligned):
-        kernels.class_from_mask(0, 4, 2)
-    assert kernels.class_from_mask(0b0010, 4, 2) == ((1,), (2,), 2)
+        circular.class_from_mask(0, 4, 2)
+    assert circular.class_from_mask(0b0010, 4, 2) == ((1,), (2,), 2)
