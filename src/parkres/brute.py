@@ -13,15 +13,23 @@ only orbits that provably fail; the min-defect counter runs the parking
 walk on the sorted list instead.  Orbit sizes come from factorials here.
 
 The ``enum_*`` streams walk the lists in lexicographic order and extend a
-prefix only by the entries that keep it completable; the fiber oracle
-parks the cars one at a time and follows only the preferences that put
-each car where the outcome permutation does.  These are the trusted,
-independent counterparts of the closed forms in :mod:`parkres.formulas`;
-the two are never allowed to share a code path.
+prefix only by the entries that keep it completable.  The completions of
+a prefix depend only on how many entries are left and on how far each
+occupancy count still falls short, so a stream builds the completions of
+its last few positions once per such state (at most 256 lists each) and
+emits every list as its prefix joined to a shared tail; the walk above
+the tails takes one step per tail, not one per list.  The orbit count
+runs a dynamic programme over the last entry of the sorted prefixes, and
+the fiber oracle parks the cars one at a time and follows only the
+preferences that put each car where the outcome permutation does.
+
+These are the trusted, independent counterparts of the closed forms in
+:mod:`parkres.formulas`; the two are never allowed to share a code path.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, chain
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -36,7 +44,7 @@ def normalize_restriction(n: int, allowed: Iterable[int]) -> tuple:
     return elems
 
 
-def _orbits(n: int, values: tuple, need: tuple):
+def _orbits(n: int, values: tuple, need: tuple) -> Iterator[tuple]:
     """Yield ``(counts, size)`` for each multiset of n entries from ``values``.
 
     ``counts[j]`` is how many entries equal ``values[j]`` and ``size`` is
@@ -45,21 +53,26 @@ def _orbits(n: int, values: tuple, need: tuple):
     n) of its entries are <= ``values[j]``; the test runs as each count is
     chosen, so a failing prefix is cut with everything that extends it.
     """
+    if len(values) == 1:
+        return iter([((n,), 1)])
     fact = [factorial(i) for i in range(n + 1)]
-    last = len(values) - 1
-    counts = [0] * len(values)
+    return _orbit_walk(n, need, fact, [0] * len(values), 0, 0, 1)
 
-    def go(j: int, placed: int, denom: int):
-        rest = n - placed
-        low = rest if j == last else max(0, need[j] - placed)
+
+def _orbit_walk(n, need, fact, counts, j, placed, denom):
+    # counts[:j] are chosen, ``placed`` entries in all, and ``denom`` is
+    # the product of their factorials; the last count takes what is left
+    rest = n - placed
+    low = max(0, need[j] - placed)
+    if j + 2 == len(counts):
         for c in range(low, rest + 1):
             counts[j] = c
-            if j == last:
-                yield tuple(counts), fact[n] // (denom * fact[c])
-            else:
-                yield from go(j + 1, placed + c, denom * fact[c])
-
-    return go(0, 0, 1)
+            counts[j + 1] = rest - c
+            yield tuple(counts), fact[n] // (denom * fact[c] * fact[rest - c])
+        return
+    for c in range(low, rest + 1):
+        counts[j] = c
+        yield from _orbit_walk(n, need, fact, counts, j + 1, placed + c, denom * fact[c])
 
 
 def _occupancy_need(n: int, allowed: tuple, strict: bool) -> tuple:
@@ -80,43 +93,65 @@ def _count_parking(n: int, allowed: tuple, strict: bool) -> int:
     return sum(size for _, size in _orbits(n, allowed, need))
 
 
+# A stream builds the completions of its last ``short`` positions at
+# once, where ``short`` is the largest r <= n with |S|**r <= _TAIL_LISTS.
+_TAIL_LISTS = 256
+
+
 def _stream(n: int, allowed: tuple, strict: bool) -> Iterator[tuple]:
-    # A prefix is completable iff, for every i < n, the entries <= i so far
-    # plus the entries still to come reach i (i + 1 when strict).  A larger
-    # next entry raises fewer of those counts, so the entries that fit are
-    # exactly the allowed ones up to a cap: the first i that falls short
-    # without the next entry, or n if none does.
-    surplus = 1 if strict else 0
-    counts = [0] * (n + 1)
-    buf = [0] * n
+    # n >= 1 cars over the sorted, non-empty ``allowed``
+    if allowed[0] != 1:
+        return iter(())  # spot 1 is never preferred
+    if len(allowed) == 1:
+        return iter([(1,) * n])  # one list, without a walk n levels deep
+    short = 0
+    while short < n and len(allowed) ** (short + 1) <= _TAIL_LISTS:
+        short += 1
+    need = tuple(range(1 + strict, n + strict)) + (n,)
+    return chain.from_iterable(_walk((), need, allowed, short, {}))
 
-    def cap(placed: int) -> int:
-        spare = n - placed - 1 - surplus
-        running = 0
-        for i in range(1, n):
-            running += counts[i]
-            if running + spare < i:
-                return i
-        return n
 
-    def go(pos: int) -> Iterator[tuple]:
-        top = cap(pos)
-        if pos + 1 == n:
-            head = tuple(buf[:pos])
-            for v in allowed:
-                if v > top:
-                    break
-                yield head + (v,)
+def _steps(need: tuple, allowed: tuple) -> Iterator[tuple]:
+    # Yield (v, need after v) for each entry v that keeps the prefix
+    # completable.  ``need[i-1]`` is how many more entries <= i the prefix
+    # needs, at least 0: a list needs i of them (i + 1 when strict and
+    # i < n), so ``need[-1]`` is the number of entries still to come.  As
+    # 1 is allowed, the prefix is completable iff no need exceeds that.
+    # An entry v lowers need[i-1] for every i >= v, so it keeps the prefix
+    # completable iff it is at most the first i whose need equals the
+    # entries to come.
+    top = need.index(need[-1]) + 1
+    for v in allowed:
+        if v > top:
             return
-        for v in allowed:
-            if v > top:
-                break
-            counts[v] += 1
-            buf[pos] = v
-            yield from go(pos + 1)
-            counts[v] -= 1
+        yield v, need[: v - 1] + tuple([d - 1 if d else 0 for d in need[v - 1 :]])
 
-    return go(0)
+
+def _walk(prefix: tuple, need: tuple, allowed: tuple, short: int, memo: dict):
+    # Yield, in order, one iterable of lists per tail state below ``prefix``.
+    if need[-1] <= short:
+        yield map(prefix.__add__, _tails(need, allowed, memo))
+        return
+    for v, after in _steps(need, allowed):
+        yield from _walk(prefix + (v,), after, allowed, short, memo)
+
+
+def _tails(need: tuple, allowed: tuple, memo: dict) -> list:
+    # The completions of any prefix in state ``need``, in lexicographic
+    # order; ``memo`` holds them per state (entries to come and deficits,
+    # as ``need`` ends with the former) for the whole stream.
+    tails = memo.get(need)
+    if tails is None:
+        if need[-1] == 0:
+            tails = [()]
+        else:
+            tails = [
+                (v,) + tail
+                for v, after in _steps(need, allowed)
+                for tail in _tails(after, allowed, memo)
+            ]
+        memo[need] = tails
+    return tails
 
 
 def enum_restricted(n: int, allowed: Iterable[int]) -> Iterator[tuple]:
@@ -169,23 +204,16 @@ def count_nondecreasing_restricted(n: int, s: int) -> int:
 
     These are one per orbit of the car-permuting action, so this is the
     orbit count.  A non-decreasing list parks iff its entry i is at most
-    i, so the walk extends only non-decreasing prefixes whose entry i is
-    at most min(i, s), and counts the choices for the last entry at once.
+    i, so after i entries ``ways[v-1]`` counts the sorted prefixes whose
+    last entry is v <= min(i, s).  The next entry may be any v at least
+    the last one, so each step is a running sum.
     """
     if not 1 <= s <= n:
         raise DomainError(f"need 1 <= s <= n, got s={s}, n={n}")
-
-    def extend(i: int, low: int) -> int:
-        # entries 1..i-1 are placed and the last of them is ``low``
-        top = min(i, s)
-        if i == n:
-            return top - low + 1
-        total = 0
-        for v in range(low, top + 1):
-            total += extend(i + 1, v)
-        return total
-
-    return extend(1, 1)
+    ways = [1]  # the one prefix (1,)
+    for i in range(2, n + 1):
+        ways = list(accumulate(ways + [0] * (min(i, s) - len(ways))))
+    return sum(ways)
 
 
 def ones_distribution(n: int, s: int) -> tuple:

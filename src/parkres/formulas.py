@@ -248,15 +248,16 @@ def compositions(total: int, num_parts: int) -> Iterator[tuple]:
             f"cannot compose {total} into {num_parts} positive parts"
         )
 
-    def go(remaining: int, parts: int):
-        if parts == 1:
-            yield (remaining,)
-            return
-        for first in range(1, remaining - parts + 2):
-            for rest in go(remaining - first, parts - 1):
-                yield (first,) + rest
+    return _compositions(total, num_parts)
 
-    return go(total, num_parts)
+
+def _compositions(total: int, num_parts: int) -> Iterator[tuple]:
+    if num_parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - num_parts + 2):
+        for rest in _compositions(total - first, num_parts - 1):
+            yield (first,) + rest
 
 
 def multinomial(n: int, parts: Sequence[int]) -> int:

@@ -363,9 +363,9 @@ def _modular_job(args) -> Check:
     return _check(f"modular relation g={g}, s={s}, k={k} ({s}^{m} lists)", outcomes)
 
 
-def check_modular(budget: int = 10**7, pairs=DEFAULT_MODULAR_PAIRS, threads: int = 1) -> list:
-    """Per-class verification of the circular relation plus the recursion
-    and the one-missing-spot closed form, for every k within budget."""
+def _modular_jobs(budget: int, pairs=DEFAULT_MODULAR_PAIRS) -> list:
+    """The (g, s, k, budget) jobs of :func:`check_modular`: every k within
+    budget.  Raises :class:`DomainError` when none fits."""
     jobs = sorted(
         (g, s, k, budget) for g, s in pairs for k in range(1, g * s) if s ** (g * s - k) <= budget
     )
@@ -373,6 +373,13 @@ def check_modular(budget: int = 10**7, pairs=DEFAULT_MODULAR_PAIRS, threads: int
         least = min((s ** (g * s - k) for g, s in pairs for k in range(1, g * s)), default=None)
         hint = "" if least is None else f"; the smallest needs {least}"
         raise DomainError(f"no (g, s, k) fits budget {budget}{hint}")
+    return jobs
+
+
+def check_modular(budget: int = 10**7, pairs=DEFAULT_MODULAR_PAIRS, threads: int = 1) -> list:
+    """Per-class verification of the circular relation plus the recursion
+    and the one-missing-spot closed form, for every k within budget."""
+    jobs = _modular_jobs(budget, pairs)
     if threads > 1:
         # imported here, as its imports would slow the start of every CLI call
         from concurrent.futures import ProcessPoolExecutor
@@ -408,14 +415,17 @@ _MIN_N_MAX = {"formulas": 2, "bijections": 1, "involution": 1, "abel": 1, "orbit
 def run_suite(name: str, n_max=None, budget=None) -> list:
     """Run one named suite (or ``all``) and return its checks.
 
-    An ``n_max`` too small for every check of a suite to compare a case
-    raises :class:`DomainError` before any check runs.
+    An ``n_max`` too small for every check of a suite to compare a case,
+    or a budget that no modular job fits, raises :class:`DomainError`
+    before any check runs.
     """
     keys = list(SUITES) if name == "all" else [name]
     if n_max is not None:
         least = max(_MIN_N_MAX.get(key, n_max) for key in keys)
         if n_max < least:
             raise DomainError(f"verify {name} needs --n-max >= {least}, got {n_max}")
+    if "modular" in keys and budget is not None:
+        _modular_jobs(budget)
     kwargs = {"n_max": n_max, "budget": budget}
     kwargs = {key: value for key, value in kwargs.items() if value is not None}
     return [check for key in keys for check in SUITES[key](**kwargs)]

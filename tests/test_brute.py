@@ -1,9 +1,14 @@
-from collections import Counter
+import gc
+import inspect
+import tracemalloc
+from collections import Counter, deque
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from parkres import brute, core
+from parkres import brute, circular, core
 from parkres.exceptions import DomainError, EmptyRestriction
 
 
@@ -65,6 +70,44 @@ def test_enum_prime_matches_filtered_product():
     assert list(brute.enum_prime_restricted(3, (1, 3))) == [(1, 1, 1)]
 
 
+@st.composite
+def _small_space(draw):
+    """(n, S) with n <= 9 and |S|**n <= 2e5, mostly with spot 1 in S."""
+    n = draw(st.integers(1, 9))
+    size = draw(st.integers(1, max(k for k in range(1, n + 1) if k**n <= 2 * 10**5)))
+    S = draw(st.lists(st.integers(1, n), min_size=size, max_size=size, unique=True))
+    if 1 not in S and draw(st.integers(0, 3)):  # without spot 1 no list parks
+        S[0] = 1
+    return n, tuple(sorted(S))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_small_space())
+def test_streams_match_filtered_product(case):
+    n, S = case
+    space = list(product(S, repeat=n))
+    assert list(brute.enum_restricted(n, S)) == [p for p in space if parks(p)]
+    assert list(brute.enum_prime_restricted(n, S)) == [p for p in space if parks_prime(p)]
+
+
+def test_streams_with_one_allowed_spot():
+    for enum in (brute.enum_restricted, brute.enum_prime_restricted):
+        assert list(enum(60, (1,))) == [(1,) * 60]
+        assert list(enum(60, (2,))) == []
+        assert list(enum(60, (60,))) == []
+
+
+def test_stream_memory_stays_small():
+    # the shared tails are at most 256 lists per deficit state
+    tracemalloc.start()
+    try:
+        deque(brute.enum_restricted(9, range(1, 7)), maxlen=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+
+
 def test_enum_output_is_sorted_and_unique():
     listing = list(brute.enum_restricted(5, (1, 2, 4)))
     assert listing == sorted(set(listing))
@@ -107,6 +150,29 @@ def test_count_nondecreasing_restricted():
                 if all(v <= i for i, v in enumerate(t, 1))
             )
             assert brute.count_nondecreasing_restricted(n, s) == expected, (n, s)
+
+
+def nondecreasing_walk(n, s):
+    """Sorted [s]-restricted parking functions, counted by walking every
+    sorted prefix whose entry i is at most min(i, s)."""
+
+    def extend(i, low):
+        # entries 1..i-1 are placed and the last of them is ``low``
+        top = min(i, s)
+        if i == n:
+            return top - low + 1
+        total = 0
+        for v in range(low, top + 1):
+            total += extend(i + 1, v)
+        return total
+
+    return extend(1, 1)
+
+
+def test_count_nondecreasing_matches_walk():
+    for n in range(1, 15):
+        for s in range(1, n + 1):
+            assert brute.count_nondecreasing_restricted(n, s) == nondecreasing_walk(n, s), (n, s)
 
 
 def test_ones_distribution():
@@ -157,3 +223,36 @@ def test_defect_floor():
                 d = core.defect(prefs, s)
                 assert d >= n - s
                 assert (d == n - s) == core.catalan_check(prefs)
+
+
+ORACLE_CALLS = {
+    "normalize_restriction": lambda: brute.normalize_restriction(5, (3, 1)),
+    "enum_restricted": lambda: deque(brute.enum_restricted(7, (1, 2, 4, 5)), maxlen=0),
+    "enum_prime_restricted": lambda: deque(brute.enum_prime_restricted(7, (1, 2, 3)), maxlen=0),
+    "count_restricted": lambda: brute.count_restricted(7, (1, 3, 4)),
+    "count_prime_restricted": lambda: brute.count_prime_restricted(7, (1, 2, 5)),
+    "count_nondecreasing_restricted": lambda: brute.count_nondecreasing_restricted(9, 4),
+    "ones_distribution": lambda: brute.ones_distribution(6, 4),
+    "fiber_size_bruteforce": lambda: brute.fiber_size_bruteforce((2, 1, 4, 3), 3),
+    "count_min_defect": lambda: brute.count_min_defect(6, 4),
+}
+
+
+def test_oracles_leave_no_cyclic_garbage():
+    # a generator closure that calls itself keeps each call's state alive
+    # until a full collection; the oracles must free it as they return
+    public = {
+        name
+        for name, fn in vars(brute).items()
+        if inspect.isfunction(fn) and fn.__module__ == brute.__name__ and not name.startswith("_")
+    }
+    assert public == set(ORACLE_CALLS)
+    calls = list(ORACLE_CALLS.values()) + [lambda: circular.verify_relation(2, 3, 1)]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -6,6 +6,7 @@ import pytest
 from parkres import bijections, formulas, verify
 from parkres.bijections import FIXED_POINT
 from parkres.cli import main
+from parkres.exceptions import DomainError
 
 
 def _plus_one(value):
@@ -99,3 +100,16 @@ def test_modular_process_pool_matches_serial():
     serial = verify.check_modular(20000)
     assert serial and all(c.ok for c in serial)
     assert verify.check_modular(20000, threads=2) == serial
+
+
+def test_small_modular_budget_is_refused_before_any_suite(monkeypatch, capsys):
+    def must_not_run(**kwargs):
+        raise AssertionError("a suite ran before the budget was refused")
+
+    for key in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, key, must_not_run)
+    with pytest.raises(DomainError, match="the smallest needs 1"):
+        verify.run_suite("all", budget=0)
+    code = main(["verify", "all", "--budget", "0"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err.startswith("error: ") and "budget 0" in err
