@@ -300,8 +300,10 @@ def _emit_table(rows, header, fmt) -> None:
 
 def cmd_table(args) -> int:
     fmt = args.format if args.format != "text" else "csv"
+    n_max = 8 if args.n_max is None else args.n_max
+    if n_max < 1 and args.family != "ones":
+        raise ParkresError(f"table {args.family} needs --n-max >= 1, got {n_max}")
     if args.family == "pf-restricted":
-        n_max = args.n_max or 8
         header = ["n"] + [f"s={s}" for s in range(1, n_max + 1)]
         rows = [
             [n]
@@ -310,7 +312,6 @@ def cmd_table(args) -> int:
             for n in range(1, n_max + 1)
         ]
     elif args.family == "ppf-restricted":
-        n_max = args.n_max or 8
         header = ["n"] + [f"s={s}" for s in range(1, n_max + 1)]
         rows = []
         for n in range(1, n_max + 1):
@@ -321,7 +322,6 @@ def cmd_table(args) -> int:
                 )
             rows.append(row + [""] * (n_max - n))
     elif args.family == "catalan-triangle":
-        n_max = args.n_max or 8
         header = ["n"] + [f"k={k}" for k in range(n_max)]
         rows = [
             [n]
@@ -406,11 +406,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Counts print in full decimal at any size: lift the int-to-str digit
+    # limit (absent before Python 3.10.7) while the command runs.
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except ParkresError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

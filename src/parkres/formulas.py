@@ -13,6 +13,7 @@ at i == 0 is the constant 1 (which also covers x == 0).
 from __future__ import annotations
 
 from math import comb, factorial
+from operator import index
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .exceptions import DomainError, NonIntegerIntermediate
@@ -22,8 +23,18 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
+def _ints(*values) -> tuple:
+    """The arguments as Python ints; a float, even a whole one, or any
+    other non-integer raises :class:`DomainError`."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise DomainError(f"need integer arguments, got {values!r}") from None
+
+
 def pf_total(n: int) -> int:
     """Number of parking functions on n cars: (n+1)**(n-1)."""
+    (n,) = _ints(n)
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     return (n + 1) ** (n - 1)
@@ -34,14 +45,17 @@ def ppf_total(n: int) -> int:
 
     For n == 1 this is 0**0 == 1, matching the single prime list (1,).
     """
+    (n,) = _ints(n)
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     return (n - 1) ** (n - 1)
 
 
-def _check_ns(n: int, s: int) -> None:
+def _check_ns(n: int, s: int) -> tuple:
+    n, s = _ints(n, s)
     if not 1 <= s <= n:
         raise DomainError(f"need 1 <= s <= n, got s={s}, n={n}")
+    return n, s
 
 
 def restricted_subtractive(n: int, s: int) -> int:
@@ -52,11 +66,13 @@ def restricted_subtractive(n: int, s: int) -> int:
     obtained by subtracting the non-parking lists, classified by the first
     unoccupied spot.
     """
-    _check_ns(n, s)
+    n, s = _check_ns(n, s)
     total = s**n
+    c = 1  # C(n, i), walked up from C(n, 0)
     for i in range(s):
         pf_i = 1 if i == 0 else (i + 1) ** (i - 1)
-        total -= comb(n, i) * pf_i * (s - i - 1) ** (n - i)
+        total -= c * pf_i * (s - i - 1) ** (n - i)
+        c = c * (n - i) // (i + 1)
     return total
 
 
@@ -68,10 +84,12 @@ def restricted_alternating(n: int, s: int) -> int:
     from the signed count of two-colored parking functions cancelled by the
     recoloring involution.  ``parkres verify formulas`` compares the two.
     """
-    _check_ns(n, s)
+    n, s = _check_ns(n, s)
     total = 0
-    for i in range(s, n + 1):
-        total += comb(n, i) * (i + 1) ** (i - 1) * (s - i - 1) ** (n - i)
+    c = 1  # C(n, i), walked down from C(n, n)
+    for i in range(n, s - 1, -1):
+        total += c * (i + 1) ** (i - 1) * (s - i - 1) ** (n - i)
+        c = c * i // (n - i + 1)
     return total
 
 
@@ -83,11 +101,14 @@ def prime_subtractive(n: int, s: int) -> int:
     subtracting the non-prime lists by the position of the first failure
     of the strict occupancy condition.
     """
+    n, s = _ints(n, s)
     if not 1 <= s < n:
         raise DomainError(f"need 1 <= s < n, got s={s}, n={n}")
     total = s**n - (s - 1) ** n
+    c = n  # C(n, i), walked up from C(n, 1)
     for i in range(1, s + 1):
-        total -= comb(n, i) * (i - 1) ** (i - 1) * (s - i) ** (n - i)
+        total -= c * (i - 1) ** (i - 1) * (s - i) ** (n - i)
+        c = c * (n - i) // (i + 1)
     return total
 
 
@@ -98,11 +119,14 @@ def prime_alternating(n: int, s: int) -> int:
 
     ``parkres verify formulas`` compares it with :func:`prime_subtractive`.
     """
+    n, s = _ints(n, s)
     if not 1 <= s < n:
         raise DomainError(f"need 1 <= s < n, got s={s}, n={n}")
     total = 0
-    for i in range(s + 1, n + 1):
-        total += comb(n, i) * (i - 1) ** (i - 1) * (s - i) ** (n - i)
+    c = 1  # C(n, i), walked down from C(n, n)
+    for i in range(n, s, -1):
+        total += c * (i - 1) ** (i - 1) * (s - i) ** (n - i)
+        c = c * i // (n - i + 1)
     return total
 
 
@@ -115,6 +139,7 @@ def catalan_triangle(n: int, k: int) -> int:
     satisfying T(n, k) = T(n-1, k) + T(n, k-1).  Row n lists the orbit
     counts of [s]-restricted parking functions for s = k+1.
     """
+    n, k = _ints(n, k)
     if n < 1 or not 0 <= k <= n - 1:
         raise DomainError(f"triangle entry ({n}, {k}) out of range")
     return comb(n + k, k) * (n - k + 1) // (n + 1)
@@ -122,6 +147,7 @@ def catalan_triangle(n: int, k: int) -> int:
 
 def catalan_number(n: int) -> int:
     """The n-th Catalan number (diagonal of the triangle)."""
+    (n,) = _ints(n)
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     return catalan_triangle(n, n - 1)
@@ -129,8 +155,12 @@ def catalan_number(n: int) -> int:
 
 def _binomial_coeffs(n: int, c: int) -> list:
     # The coefficients of (x + c)**n, lowest degree first, by the binomial
-    # theorem: C(n, j) * c**(n-j) at x**j.
-    return [comb(n, j) * c ** (n - j) for j in range(n + 1)]
+    # theorem: C(n, j) * c**(n-j) at x**j, each from the one above it.
+    coeffs = [1]
+    for j in range(n, 0, -1):
+        coeffs.append(coeffs[-1] * j * c // (n - j + 1))
+    coeffs.reverse()
+    return coeffs
 
 
 def _ones_factor(i: int) -> IntPolynomial:
@@ -147,10 +177,12 @@ def ones_poly_subtractive(n: int, s: int) -> IntPolynomial:
 
         (s-1+x)**n - sum_{i=0}^{s-1} C(n,i) * x(x+i)**(i-1) * (s-i-1)**(n-i)
     """
-    _check_ns(n, s)
+    n, s = _check_ns(n, s)
     total = IntPolynomial(_binomial_coeffs(n, s - 1))
+    c = 1  # C(n, i), walked up from C(n, 0)
     for i in range(s):
-        total = total - comb(n, i) * _ones_factor(i) * (s - i - 1) ** (n - i)
+        total = total - c * (s - i - 1) ** (n - i) * _ones_factor(i)
+        c = c * (n - i) // (i + 1)
     return total
 
 
@@ -161,10 +193,12 @@ def ones_poly_alternating(n: int, s: int) -> IntPolynomial:
 
     ``parkres verify abel`` compares it with :func:`ones_poly_subtractive`.
     """
-    _check_ns(n, s)
+    n, s = _check_ns(n, s)
     total = IntPolynomial()
-    for i in range(s, n + 1):
-        total = total + comb(n, i) * _ones_factor(i) * (s - i - 1) ** (n - i)
+    c = 1  # C(n, i), walked down from C(n, n)
+    for i in range(n, s - 1, -1):
+        total = total + c * (s - i - 1) ** (n - i) * _ones_factor(i)
+        c = c * i // (n - i + 1)
     return total
 
 
@@ -181,18 +215,32 @@ def abel_check(n: int, x, y) -> AbelCheck:
 
     The i == 0 factor x*(x+0)**(-1) is taken to be 1, which removes the
     singularity at x == 0.  Returns the equality flag and both values.
+
+    The left side is a :class:`~fractions.Fraction` power.  The right side
+    is summed in integers over the common denominator q**n * v**n, where
+    x = p/q and y = u/v in lowest terms: term i is
+
+        C(n,i) * p(p+iq)**(i-1) * q**(n-i) * (u+(n-i)v)**(n-i) * v**i
+
+    (q**n * (u+nv)**n at i == 0), and the total is reduced to one
+    Fraction at the end.
     """
     from fractions import Fraction  # only here, to keep it out of every CLI start
 
+    (n,) = _ints(n)
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     x = Fraction(x)
     y = Fraction(y)
     lhs = (x + y + n) ** n
-    rhs = Fraction(0)
-    for i in range(n + 1):
-        factor = Fraction(1) if i == 0 else x * (x + i) ** (i - 1)
-        rhs += comb(n, i) * factor * (y + n - i) ** (n - i)
+    p, q = x.numerator, x.denominator
+    u, v = y.numerator, y.denominator
+    w = q**n  # C(n, i) * q**(n-i) * v**i, walked up from i == 0
+    total = w * (u + n * v) ** n
+    for i in range(1, n + 1):
+        w = w * (n - i + 1) * v // (i * q)
+        total += w * p * (p + i * q) ** (i - 1) * (u + (n - i) * v) ** (n - i)
+    rhs = Fraction(total, (q * v) ** n)
     return AbelCheck(lhs == rhs, lhs, rhs)
 
 
@@ -207,6 +255,7 @@ def max_run_length(sigma: Sequence[int], i: int) -> int:
     """Length of the longest contiguous window of ``sigma`` ending at
     position ``i`` (1-based) whose maximum is ``sigma[i-1]``."""
     n = _check_permutation(sigma)
+    (i,) = _ints(i)
     if not 1 <= i <= n:
         raise DomainError(f"position {i} outside 1..{n}")
     top = sigma[i - 1]
@@ -229,6 +278,7 @@ def fiber_size_formula(sigma: Sequence[int], s: int) -> int:
     dominates, minus the spots beyond s.
     """
     n = _check_permutation(sigma)
+    (s,) = _ints(s)
     if not 1 <= s <= n:
         raise DomainError(f"need 1 <= s <= n, got s={s}, n={n}")
     total = 1
@@ -243,6 +293,7 @@ def fiber_size_formula(sigma: Sequence[int], s: int) -> int:
 def compositions(total: int, num_parts: int) -> Iterator[tuple]:
     """All compositions of ``total`` into exactly ``num_parts`` positive
     parts, in lexicographic order."""
+    total, num_parts = _ints(total, num_parts)
     if num_parts < 1 or total < num_parts:
         raise DomainError(
             f"cannot compose {total} into {num_parts} positive parts"
@@ -263,6 +314,7 @@ def _compositions(total: int, num_parts: int) -> Iterator[tuple]:
 def multinomial(n: int, parts: Sequence[int]) -> int:
     """Number of ways to split n labelled items into blocks of the given
     sizes.  Parts must be nonnegative and sum to n."""
+    n, *parts = _ints(n, *parts)
     if any(p < 0 for p in parts):
         raise DomainError(f"negative part in {tuple(parts)}")
     if sum(parts) != n:
@@ -276,6 +328,7 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
 def mod_count_k1(g: int, s: int) -> int:
     """Number of parking functions of length g*s - 1 whose preferences are
     limited to the first spot of each of s rows of g spots: s**(g*s - 2)."""
+    g, s = _ints(g, s)
     if g < 1 or s < 1 or g * s < 2:
         raise DomainError(f"need g, s >= 1 and g*s >= 2, got g={g}, s={s}")
     return s ** (g * s - 2)
@@ -322,6 +375,7 @@ def mod_count(g: int, s: int, k: int) -> int:
     raises :class:`NonIntegerIntermediate` (it would indicate a bug, the
     result is provably a nonnegative integer).
     """
+    g, s, k = _ints(g, s, k)
     if g < 1 or s < 1 or not 1 <= k <= g * s:
         raise DomainError(f"need g, s >= 1 and 1 <= k <= g*s, got {g}, {s}, {k}")
     return _mod_count(g, s, k)

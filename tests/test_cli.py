@@ -9,7 +9,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parkres import __version__, core, verify
+from parkres import __version__, core, formulas, verify
 from parkres.cli import main
 
 
@@ -46,6 +46,23 @@ def test_count_modular_beyond_budget(capsys):
     obj = json.loads(out)
     assert obj["count"] == "64820487788537"
     assert obj["method"] == "recursion"
+
+
+def test_count_prints_large_values_in_full(capsys):
+    # 9000 digits, beyond the interpreter's default int-to-str limit of 4300
+    value = formulas.restricted_subtractive(3000, 1000)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "count", "pf", "--n", "3000", "--s", "1000", "--format", fmt)
+        assert code == 0 and "Traceback" not in err
+        text = out.strip() if fmt == "text" else json.loads(out)["count"]
+        assert len(text) == 9000 and text.isdigit()
+        lowest = 10 ** (len(text) - 1)
+        assert lowest <= value < 10 * lowest  # as many digits as the formula's value
+        assert int(text[:20]) == value // 10 ** (len(text) - 20)
+        assert int(text[-20:]) == value % 10**20
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit  # restored on return
 
 
 def test_count_prime_full(capsys):
@@ -106,6 +123,10 @@ def test_count_usage_errors(capsys):
         assert code == 2 and out == "" and err.startswith("error:") and "budget" in err
     code, _, err = run(capsys, "enum", "pf", "--n", "-1", "--set", "")
     assert code == 2 and err.startswith("error: --n must be >= 0")
+    for family in ("pf-restricted", "ppf-restricted", "catalan-triangle"):
+        for n_max in ("0", "-1"):
+            code, out, err = run(capsys, "table", family, "--n-max", n_max)
+            assert code == 2 and out == "" and err.startswith("error:") and "--n-max >= 1" in err
     # flags a subcommand does not read are refused
     for argv in (
         ("count", "pf", "--n", "4", "--threads", "2"),

@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
@@ -126,6 +127,60 @@ def test_ones_polynomials():
         assert formulas.ones_poly_subtractive(n, n) == X * (X + n) ** (n - 1)
 
 
+# The closed forms as plain sums, one math.comb per term: the references
+# for the running binomials of parkres.formulas.
+REFERENCE_COUNTS = {
+    "restricted_subtractive": lambda n, s: s**n
+    - (s - 1) ** n
+    - sum(comb(n, i) * (i + 1) ** (i - 1) * (s - i - 1) ** (n - i) for i in range(1, s)),
+    "restricted_alternating": lambda n, s: sum(
+        comb(n, i) * (i + 1) ** (i - 1) * (s - i - 1) ** (n - i) for i in range(s, n + 1)
+    ),
+    "prime_subtractive": lambda n, s: s**n
+    - (s - 1) ** n
+    - sum(comb(n, i) * (i - 1) ** (i - 1) * (s - i) ** (n - i) for i in range(1, s + 1)),
+    "prime_alternating": lambda n, s: sum(
+        comb(n, i) * (i - 1) ** (i - 1) * (s - i) ** (n - i) for i in range(s + 1, n + 1)
+    ),
+}
+
+
+def _ones_reference(n, s, indices):
+    """sum over ``indices`` of C(n,i) * x(x+i)**(i-1) * (s-i-1)**(n-i)."""
+    total = IntPolynomial()
+    for i in indices:
+        factor = ONE if i == 0 else IntPolynomial(
+            [0] + [comb(i - 1, j) * i ** (i - 1 - j) for j in range(i)]
+        )
+        total = total + comb(n, i) * (s - i - 1) ** (n - i) * factor
+    return total
+
+
+def _large_sizes(n, strict):
+    return sorted(s for s in {1, 2, n // 3, n - 1, n} if s < n or not strict)
+
+
+@pytest.mark.parametrize("n", [150, 400])
+@pytest.mark.parametrize("name", sorted(REFERENCE_COUNTS))
+def test_count_forms_match_reference_at_large_n(name, n):
+    for s in _large_sizes(n, strict=name.startswith("prime")):
+        assert getattr(formulas, name)(n, s) == REFERENCE_COUNTS[name](n, s), (n, s)
+
+
+@pytest.mark.parametrize("n", [150, 400])
+def test_ones_forms_match_reference_at_large_n(n):
+    for s in _large_sizes(n, strict=False):
+        # both forms are the same polynomial, so each is compared with
+        # whichever reference sum has fewer terms
+        if s <= n // 2:
+            base = IntPolynomial([comb(n, j) * (s - 1) ** (n - j) for j in range(n + 1)])
+            want = base - _ones_reference(n, s, range(s))
+        else:
+            want = _ones_reference(n, s, range(s, n + 1))
+        assert formulas.ones_poly_subtractive(n, s) == want, (n, s)
+        assert formulas.ones_poly_alternating(n, s) == want, (n, s)
+
+
 def test_ones_factor_expansion():
     assert formulas._ones_factor(0) == ONE
     for i in range(1, 41):
@@ -162,6 +217,71 @@ def test_abel_check():
     assert plus.equal and plus.lhs == 16
     minus = formulas.abel_check(4, -1, 2 - 4 + 1)
     assert minus.equal and minus.lhs == 16
+
+
+def _abel_reference(n, x, y):
+    """The right side of Abel's identity summed term by term in Fractions."""
+    x, y = Fraction(x), Fraction(y)
+    rhs = Fraction(0)
+    for i in range(n + 1):
+        factor = Fraction(1) if i == 0 else x * (x + i) ** (i - 1)
+        rhs += comb(n, i) * factor * (y + n - i) ** (n - i)
+    return rhs
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-60, 60), st.integers(-30, 30).filter(bool))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.data())
+def test_abel_check_matches_fraction_sum(data):
+    n = data.draw(st.integers(1, 40))
+    # x = -i zeroes the factor x + i; a negative denominator is normalised
+    x = data.draw(st.one_of(st.just(0), st.integers(-n, 0), _RATIONALS))
+    y = data.draw(st.one_of(st.integers(-n, n), _RATIONALS))
+    res = formulas.abel_check(n, x, y)
+    assert isinstance(res.rhs, Fraction) and isinstance(res.lhs, Fraction)
+    assert res.rhs == _abel_reference(n, x, y)
+    assert res.lhs == (Fraction(x) + Fraction(y) + n) ** n
+    assert res.equal and res.lhs == res.rhs
+
+
+# One call per public formula with a float, even a whole one, where an
+# integer belongs.
+NON_INTEGER_CALLS = [
+    ("pf_total", (3.0,)),
+    ("ppf_total", (2.5,)),
+    ("restricted_subtractive", (5.0, 2)),
+    ("restricted_alternating", (5, 2.0)),
+    ("prime_subtractive", (5, 2.0)),
+    ("prime_alternating", (5.0, 2)),
+    ("catalan_triangle", (4, 1.0)),
+    ("catalan_number", (3.0,)),
+    ("ones_poly_subtractive", (3.0, 2)),
+    ("ones_poly_alternating", (3, 2.0)),
+    ("abel_check", (2.0, 1, 1)),
+    ("max_run_length", ((1, 2), 2.0)),
+    ("fiber_size_formula", ((1, 2), 2.0)),
+    ("compositions", (3.0, 2)),
+    ("multinomial", (3, (1.0, 2))),
+    ("mod_count_k1", (2.0, 3)),
+    ("mod_count", (2, 3, 1.0)),
+]
+
+
+def test_formulas_reject_non_integer_arguments():
+    public = {
+        name
+        for name, obj in vars(formulas).items()
+        if inspect.isfunction(obj) and obj.__module__ == formulas.__name__ and not name.startswith("_")
+    }
+    assert {name for name, _ in NON_INTEGER_CALLS} == public
+    for name, args in NON_INTEGER_CALLS:
+        with pytest.raises(DomainError):
+            getattr(formulas, name)(*args)
+    for args in (("3",), (Fraction(3),), (None,)):
+        with pytest.raises(DomainError):
+            formulas.pf_total(*args)
 
 
 def test_max_run_length():
