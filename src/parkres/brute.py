@@ -9,8 +9,9 @@ car-permuting action, as its multiplicity vector (c_v entries equal to
 v), and each counter adds the orbit size n!/prod(c_v!).  The parking
 counters decide an orbit by the occupancy condition (at least i entries
 <= i, for every i) and cut a prefix as soon as it fails, which discards
-only orbits that provably fail; the min-defect counter runs the parking
-walk on the sorted list instead.  Orbit sizes come from factorials here.
+only orbits that provably fail; the min-defect counter instead parks the
+sorted list a spot at a time, counting the cars waiting at each spot.
+Orbit sizes come from factorials here.
 
 The ``enum_*`` streams walk the lists in lexicographic order and extend a
 prefix only by the entries that keep it completable.  The completions of
@@ -270,23 +271,22 @@ def count_min_defect(n: int, s: int) -> int:
     """Number of preference functions [n] -> [s] with the smallest possible
     defect n - s.
 
-    Decided by simulating the parking procedure on each orbit's sorted
-    list, so it is independent of the occupancy-condition counters above.
+    Decided by parking each orbit's sorted list a spot at a time, so it
+    is independent of the occupancy-condition counters above.  Walking
+    spots 1..s, the cars waiting at a spot are those preferring it plus
+    those rolled on from earlier spots; the spot parks one of them, and
+    the list reaches the minimum defect iff every spot finds a car waiting.
     """
     if not 1 <= s <= n:
         raise DomainError(f"need 1 <= s <= n, got s={s}, n={n}")
     total = 0
     for counts, size in _orbits(n, tuple(range(1, s + 1)), (0,) * s):
-        occ = bytearray(s + 1)
-        parked = 0
-        for p, c in enumerate(counts, 1):
-            for _ in range(c):
-                t = p
-                while t <= s and occ[t]:
-                    t += 1
-                if t <= s:
-                    occ[t] = 1
-                    parked += 1
-        if parked == s:
+        waiting = 0
+        for c in counts:
+            waiting += c
+            if not waiting:
+                break
+            waiting -= 1
+        else:
             total += size
     return total

@@ -5,9 +5,11 @@ may only prefer the first spot of a row (spots 1, g+1, ..., g(s-1)+1) and
 roll clockwise, wrapping around, until they find an empty spot.  With at
 most as many cars as spots everyone parks, and the empty spots always end
 immediately before a row start, so the occupancy decomposes into blocks of
-whole rows.  Classifying all preference lists by that decomposition
-(:func:`modular_census`, one sorted list per orbit) yields the counting
-relation checked by :func:`verify_relation`.
+whole rows.  A row that only its first spot feeds behaves like one spot
+holding g cars, so :func:`modular_census` parks one sorted list per orbit
+a row at a time and classifies every preference list by that
+decomposition; the tally yields the counting relation checked by
+:func:`verify_relation`.
 """
 
 from __future__ import annotations
@@ -210,26 +212,41 @@ def canonical_class(lam: tuple, mu: tuple) -> tuple:
 def modular_census(g: int, s: int, k: int) -> dict:
     """Classify all circular preference lists by their gap decomposition.
 
-    Simulates one sorted list per orbit of ``g*s - k`` cars on a circular
+    Parks one sorted list per orbit of ``g*s - k`` cars on a circular
     street of ``g*s`` spots, preferences limited to the first spot of each
-    row, and tallies the orbit sizes by the resulting (gap sizes, block
-    sizes) class, canonicalized up to cyclic rotation.  Which spots stay
-    empty does not depend on the order the cars arrive in, so the sorted
-    list stands for its whole orbit.  Returns ``{(lam, mu): count}``; the
-    counts sum to s**(g*s - k).
+    row, a row at a time: a row fills from its first spot, so it holds
+    min(g, its own cars plus the overflow of the row before) and passes
+    the rest on.  With fewer cars than spots some row overflows nothing,
+    so one lap from no overflow settles what wraps into row 0 and a
+    second lap gives every row's fill.  Which spots stay empty does not
+    depend on the order the cars arrive in, so the sorted list stands for
+    its whole orbit.  The orbit sizes are tallied by fill, and each
+    distinct fill is classified once by its (gap sizes, block sizes),
+    canonicalized up to cyclic rotation.  Returns ``{(lam, mu): count}``;
+    the counts sum to s**(g*s - k).
     """
     length = g * s
-    spots = tuple(d * g for d in range(s))
+    fills: dict = {}
+    for counts, size in _orbits(length - k, tuple(range(s)), (0,) * s):
+        over = 0
+        for c in counts:
+            over = over + c - g if over + c > g else 0
+        fill = []
+        for c in counts:
+            over += c
+            if over > g:
+                fill.append(g)
+                over -= g
+            else:
+                fill.append(over)
+                over = 0
+        fill = tuple(fill)
+        fills[fill] = fills.get(fill, 0) + size
     census: dict = {}
-    for counts, size in _orbits(length - k, spots, (0,) * s):
-        occ = bytearray(length)
-        for p, c in zip(spots, counts):
-            for _ in range(c):
-                t = p
-                while occ[t]:
-                    t = (t + 1) % length
-                occ[t] = 1
-        lam, mu, _ = class_from_mask(_empty_mask(occ), length, g)
+    full = (1 << g) - 1
+    for fill, size in fills.items():
+        mask = sum((full >> f) << (d * g + f) for d, f in enumerate(fill))
+        lam, mu, _ = class_from_mask(mask, length, g)
         key = canonical_class(lam, mu)
         census[key] = census.get(key, 0) + size
     return census

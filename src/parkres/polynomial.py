@@ -70,7 +70,11 @@ class IntPolynomial:
             other = IntPolynomial((other,))
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] -= c
+        return IntPolynomial(out)
 
     def __rsub__(self, other):
         return (-self) + other

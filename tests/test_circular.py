@@ -170,3 +170,10 @@ def test_verify_relation_errors():
         circular.verify_relation(3, 3, 9)  # zero cars: relation does not apply
     with pytest.raises(DomainError):
         circular.verify_relation(3, 3, 0)
+
+
+def test_verify_relation_five_rows_of_five():
+    # 5**24 lists in C(24 + 4, 4) = 20,475 sorted ones, each parked a row
+    # at a time; parking them car by car took several times as long
+    report = circular.verify_relation(5, 5, 1)
+    assert report.ok and report.total == 5**24

@@ -1,21 +1,30 @@
-"""The orbit-weighted counters against a plain odometer over every list.
+"""The orbit-weighted counters against a plain odometer over every list,
+and against the per-car parking of one sorted list per orbit.
 
 ``parkres.brute`` counts parking, prime, ones and minimum-defect lists,
 and ``parkres.circular`` tallies its census, by visiting one sorted list
-per orbit and weighting it by the orbit size.  The reference below visits
-all |S|**n preference lists, decides each one by simulation or by the
-definition, and classifies circular streets with its own decomposition.
-It shares no code with either module.
+per orbit and weighting it by the orbit size; the min-defect counter and
+the census park that list a spot (a row) at a time.  The odometer below
+visits all |S|**n preference lists, decides each one by simulation or by
+the definition, and classifies circular streets with its own
+decomposition; it shares no code with either module.  The per-car
+references walk the same orbits through ``brute._orbits`` (which the
+odometer checks) but park every car of the sorted list on its own, so
+they reach sizes the odometer cannot.
 """
 
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
 from parkres import brute, circular
 from parkres.exceptions import NotBlockAligned
 
-CENSUS_CASES = [(2, 2, 1), (2, 2, 2), (2, 3, 2), (3, 2, 4), (3, 3, 2), (1, 4, 2), (1, 5, 3), (4, 2, 3)]
+# The later cases wrap overflow past the last row through several rows,
+# with k < g and with k >= g, where fully empty rows merge into one gap.
+CENSUS_CASES = [(2, 2, 1), (2, 2, 2), (2, 3, 2), (3, 2, 4), (3, 3, 2), (1, 4, 2), (1, 5, 3), (4, 2, 3),
+                (3, 3, 1), (2, 4, 1), (4, 3, 2), (2, 5, 4)]
 
 
 def all_restrictions(n):
@@ -51,15 +60,9 @@ def reference_parking(n, allowed):
     return plain, prime
 
 
-def circular_class(prefs, g, s):
-    """Canonical (gap sizes, block rows) of the street ``prefs`` leaves."""
+def classify(taken, g, s):
+    """Canonical (gap sizes, block rows) of the occupancy ``taken``."""
     length = g * s
-    taken = [False] * length
-    for p in prefs:
-        t = p - 1
-        while taken[t]:
-            t = (t + 1) % length
-        taken[t] = True
     starts = [i for i in range(length) if taken[i] and not taken[i - 1]]
     if not starts:
         return (length,), (s,)
@@ -72,12 +75,44 @@ def circular_class(prefs, g, s):
     return tuple(p[0] for p in best), tuple(p[1] for p in best)
 
 
+def park_circular(prefs, g, s):
+    """Occupancy of the circular street after ``prefs`` (1-based) park."""
+    length = g * s
+    taken = [False] * length
+    for p in prefs:
+        t = p - 1
+        while taken[t]:
+            t = (t + 1) % length
+        taken[t] = True
+    return taken
+
+
 def reference_census(g, s, k):
     census = {}
     for prefs in product(range(1, g * s + 1, g), repeat=g * s - k):
-        key = circular_class(prefs, g, s)
+        key = classify(park_circular(prefs, g, s), g, s)
         census[key] = census.get(key, 0) + 1
     return census
+
+
+def per_car_census(g, s, k):
+    """The census with every car of each orbit's sorted list parked alone."""
+    census = {}
+    for counts, size in brute._orbits(g * s - k, tuple(range(s)), (0,) * s):
+        prefs = [1 + row * g for row, c in enumerate(counts) for _ in range(c)]
+        key = classify(park_circular(prefs, g, s), g, s)
+        census[key] = census.get(key, 0) + size
+    return census
+
+
+def per_car_min_defect(n, s):
+    """Minimum-defect count with every car of each sorted list parked alone."""
+    total = 0
+    for counts, size in brute._orbits(n, tuple(range(1, s + 1)), (0,) * s):
+        prefs = [p for p, c in enumerate(counts, 1) for _ in range(c)]
+        if parked(prefs, s) == s:
+            total += size
+    return total
 
 
 def test_count_parking_matches_odometer():
@@ -108,16 +143,35 @@ def test_count_min_defect_matches_odometer():
             assert brute.count_min_defect(n, s) == want, (n, s)
 
 
+def test_count_min_defect_matches_per_car_parking():
+    for n in range(1, 11):
+        for s in range(1, n + 1):
+            assert brute.count_min_defect(n, s) == per_car_min_defect(n, s), (n, s)
+
+
 @pytest.mark.parametrize("g,s,k", CENSUS_CASES)
 def test_modular_census_matches_odometer(g, s, k):
     assert circular.modular_census(g, s, k) == reference_census(g, s, k)
+
+
+def test_modular_census_matches_per_car_parking():
+    cases = [
+        (g, s, k)
+        for g in range(1, 7)
+        for s in range(1, 7)
+        for k in range(1, g * s + 1)
+        if comb(g * s - k + s - 1, s - 1) <= 5000
+    ]
+    assert len(cases) == 357
+    for g, s, k in cases:
+        assert circular.modular_census(g, s, k) == per_car_census(g, s, k), (g, s, k)
 
 
 def test_modular_census_zero_cars():
     assert circular.modular_census(2, 2, 4) == {((4,), (2,)): 1}
 
 
-@pytest.mark.parametrize("g,s,k", CENSUS_CASES + [(3, 3, 1), (3, 4, 1), (4, 4, 5)])
+@pytest.mark.parametrize("g,s,k", CENSUS_CASES + [(3, 4, 1), (4, 4, 5)])
 def test_census_totals(g, s, k):
     assert sum(circular.modular_census(g, s, k).values()) == s ** (g * s - k)
 

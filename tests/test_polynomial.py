@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -58,3 +59,19 @@ def test_str():
     assert str(IntPolynomial((-1, 0, 1))) == "x^2 - 1"
     assert str(IntPolynomial()) == "0"
     assert str(-X) == "-x"
+
+
+def test_subtraction_matches_adding_the_negation():
+    rng = random.Random(7)
+    for _ in range(300):
+        a = IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(0, 7))])
+        b = IntPolynomial([rng.randint(-9, 9) for _ in range(rng.randint(0, 7))])
+        assert a - b == a + (-1) * b
+        assert (a - b).coeffs == (a + (-1) * b).coeffs
+    # equal leading terms cancel, and the trailing zeros they leave go too
+    p = IntPolynomial((1, 2, 3, 4))
+    q = IntPolynomial((5, 2, 3, 4))
+    assert (p - q).coeffs == (-4,)
+    assert (p - p).coeffs == ()
+    assert (X - (X**3 + X)).coeffs == (0, 0, 0, -1)
+    assert (p - 1).coeffs == (0, 2, 3, 4)
