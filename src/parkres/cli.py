@@ -57,6 +57,8 @@ def _restriction_of(args) -> tuple:
     if args.g is not None:
         if args.s is None or args.k is None:
             raise ParkresError("modular restriction needs --g, --s and --k")
+        if args.g < 1 or args.s < 1:
+            raise ParkresError(f"--g and --s must be >= 1, got g={args.g}, s={args.s}")
         n = args.g * args.s - args.k
         if n < 0:
             raise ParkresError("--k exceeds g*s")
@@ -74,8 +76,9 @@ def _restriction_of(args) -> tuple:
 
 
 def _count_formula(kind: str, rkind: str, payload, n: int, method: str):
-    """Closed-form count, or None when no formula applies."""
-    if rkind == "set":
+    """Closed-form count, or None when no formula applies: an explicit set,
+    or zero cars under ``auto`` (the segment forms need 1 <= s <= n)."""
+    if rkind == "set" or (n == 0 and method == "auto"):
         return None
     if rkind == "modular":
         g, s, k = payload
@@ -123,12 +126,11 @@ def _restriction_json(rkind: str, payload):
 def cmd_count(args) -> int:
     rkind, payload, n, allowed = _restriction_of(args)
     method = args.method
-    value = None
-    if method in ("subtractive", "alternating", "auto"):
-        value = _count_formula(args.kind, rkind, payload, n, method)
-        if value is None and method != "auto":
-            raise ParkresError(f"no {method} formula for an explicit set")
-    if method == "brute" or value is None:
+    if method in ("subtractive", "alternating") and rkind != "segment":
+        where = "an explicit set" if rkind == "set" else "a modular restriction"
+        raise ParkresError(f"no {method} formula for {where}")
+    value = None if method == "brute" else _count_formula(args.kind, rkind, payload, n, method)
+    if value is None:
         _within_budget(allowed, n, args.budget)
         value = _count_brute(args.kind, allowed, n)
         method_used = "brute"

@@ -58,6 +58,21 @@ def _check_ns(n: int, s: int) -> tuple:
     return n, s
 
 
+def _power_pair(a: int, e: int, b: int, f: int) -> int:
+    """a**e * b**f for e, f >= 0 (0**0 == 1) by simultaneous exponentiation
+    (Straus 1964): one left-to-right square-and-multiply chain over the bits
+    of both exponents, so no full-size product of two separate powers."""
+    ab = a * b
+    result = 1
+    for k in range(max(e, f).bit_length() - 1, -1, -1):
+        result *= result
+        if e >> k & 1:
+            result *= ab if f >> k & 1 else a
+        elif f >> k & 1:
+            result *= b
+    return result
+
+
 def restricted_subtractive(n: int, s: int) -> int:
     """Number of [s]-restricted parking functions on n cars:
 
@@ -83,12 +98,13 @@ def restricted_alternating(n: int, s: int) -> int:
 
     from the signed count of two-colored parking functions cancelled by the
     recoloring involution.  ``parkres verify formulas`` compares the two.
+    Each term's two powers come from one :func:`_power_pair` chain.
     """
     n, s = _check_ns(n, s)
     total = 0
     c = 1  # C(n, i), walked down from C(n, n)
     for i in range(n, s - 1, -1):
-        total += c * (i + 1) ** (i - 1) * (s - i - 1) ** (n - i)
+        total += c * _power_pair(i + 1, i - 1, s - i - 1, n - i)
         c = c * i // (n - i + 1)
     return total
 
@@ -118,6 +134,7 @@ def prime_alternating(n: int, s: int) -> int:
         sum_{i=s+1}^{n} C(n,i) * (i-1)**(i-1) * (s-i)**(n-i)
 
     ``parkres verify formulas`` compares it with :func:`prime_subtractive`.
+    Each term's two powers come from one :func:`_power_pair` chain.
     """
     n, s = _ints(n, s)
     if not 1 <= s < n:
@@ -125,7 +142,7 @@ def prime_alternating(n: int, s: int) -> int:
     total = 0
     c = 1  # C(n, i), walked down from C(n, n)
     for i in range(n, s, -1):
-        total += c * (i - 1) ** (i - 1) * (s - i) ** (n - i)
+        total += c * _power_pair(i - 1, i - 1, s - i, n - i)
         c = c * i // (n - i + 1)
     return total
 

@@ -16,12 +16,18 @@ class IntPolynomial:
 
     def __init__(self, coeffs=()):
         cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
         for c in cs:
             if not isinstance(c, int):
                 raise TypeError(f"integer coefficients required, got {c!r}")
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", _trimmed(cs))
+
+    @classmethod
+    def _of(cls, cs: list) -> IntPolynomial:
+        """The polynomial of ``cs``, a list already known to hold ints (the
+        result of arithmetic on checked polynomials): trimmed, not checked."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "coeffs", _trimmed(cs))
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPolynomial is immutable")
@@ -39,7 +45,7 @@ class IntPolynomial:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = IntPolynomial((other,))
+            other = IntPolynomial._of([other])
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -49,7 +55,7 @@ class IntPolynomial:
 
     def __add__(self, other):
         if isinstance(other, int):
-            other = IntPolynomial((other,))
+            other = IntPolynomial._of([other])
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -58,40 +64,40 @@ class IntPolynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPolynomial(out)
+        return IntPolynomial._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return IntPolynomial(tuple(-c for c in self.coeffs))
+        return IntPolynomial._of([-c for c in self.coeffs])
 
     def __sub__(self, other):
         if isinstance(other, int):
-            other = IntPolynomial((other,))
+            other = IntPolynomial._of([other])
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         out = list(a) + [0] * (len(b) - len(a))
         for i, c in enumerate(b):
             out[i] -= c
-        return IntPolynomial(out)
+        return IntPolynomial._of(out)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntPolynomial(tuple(other * c for c in self.coeffs))
+            return IntPolynomial._of([other * c for c in self.coeffs])
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
-            return IntPolynomial()
+            return IntPolynomial._of([])
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-        return IntPolynomial(out)
+        return IntPolynomial._of(out)
 
     __rmul__ = __mul__
 
@@ -141,6 +147,13 @@ class IntPolynomial:
         for sign, body in parts[1:]:
             text += f" {sign} {body}"
         return text
+
+
+def _trimmed(cs: list) -> tuple:
+    # Drop trailing zeros, so equal polynomials have equal coefficients.
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
 
 
 #: The zero-degree unit and the variable itself, for building expressions.

@@ -32,6 +32,12 @@ def test_count_modular(capsys):
     code, out, _ = run(capsys, "count", "pf", "--g", "3", "--s", "3", "--k", "1")
     assert code == 0
     assert out.strip() == "2187"
+    for method, used in (("auto", "recursion"), ("brute", "brute")):
+        code, out, _ = run(
+            capsys, "count", "pf", "--g", "2", "--s", "2", "--k", "1",
+            "--method", method, "--format", "json",
+        )
+        assert code == 0 and json.loads(out)["count"] == "4" and json.loads(out)["method"] == used
     # a brute-force prime count over row starts counts what enum lists
     code, out, _ = run(capsys, "count", "ppf", "--g", "2", "--s", "2", "--k", "1", "--method", "brute")
     _, listed, _ = run(capsys, "enum", "ppf", "--g", "2", "--s", "2", "--k", "1")
@@ -108,6 +114,17 @@ def test_count_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "count", "pf", "--set", "1,2", "--n", "3", "--method", "subtractive")
     assert code == 2
+    # a modular restriction has only the recursion: a named formula is refused
+    for method in ("subtractive", "alternating"):
+        for fmt in ("text", "json"):
+            code, out, err = run(
+                capsys, "count", "pf", "--g", "2", "--s", "2", "--k", "1",
+                "--method", method, "--format", fmt,
+            )
+            assert code == 2 and out == "" and err.startswith("error:") and method in err
+    for g, s in (("0", "2"), ("2", "0"), ("-1", "-2")):
+        code, out, err = run(capsys, "count", "pf", "--g", g, "--s", s, "--k", "1")
+        assert code == 2 and out == "" and err.startswith("error: --g and --s must be >= 1")
     for budget in ("inf", "nan", "-1", "1e400", "lots"):
         code, _, err = run(capsys, "count", "pf", "--n", "4", "--budget", budget)
         assert code == 2 and "budget" in err
@@ -136,6 +153,29 @@ def test_count_usage_errors(capsys):
     ):
         code, _, err = run(capsys, *argv)
         assert code == 2 and "unrecognized arguments" in err
+
+
+def test_count_zero_cars_matches_enum(capsys):
+    for kind in ("pf", "ppf"):
+        _, listed, _ = run(capsys, "enum", kind, "--n", "0")
+        assert listed.splitlines() == [""]  # the one empty list
+        code, out, _ = run(capsys, "count", kind, "--n", "0", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["count"] == "1" and json.loads(out)["method"] == "brute"
+        code, out, _ = run(capsys, "count", kind, "--n", "0", "--method", "brute")
+        assert code == 0 and out.strip() == "1"
+        for method in ("subtractive", "alternating"):
+            code, out, err = run(capsys, "count", kind, "--n", "0", "--method", method)
+            assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_count_alternating_at_large_n_prints_subtractive_value(capsys):
+    code, out, _ = run(capsys, "count", "pf", "--n", "1400", "--s", "466", "--method", "alternating")
+    assert code == 0
+    assert out.strip() == str(formulas.restricted_subtractive(1400, 466))
+    code, out, _ = run(capsys, "count", "ppf", "--n", "1400", "--s", "466", "--method", "alternating")
+    assert code == 0
+    assert out.strip() == str(formulas.prime_subtractive(1400, 466))
 
 
 def test_enum_lines(capsys):

@@ -4,7 +4,7 @@ from itertools import permutations
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parkres import brute, formulas
@@ -244,6 +244,35 @@ def test_abel_check_matches_fraction_sum(data):
     assert res.rhs == _abel_reference(n, x, y)
     assert res.lhs == (Fraction(x) + Fraction(y) + n) ** n
     assert res.equal and res.lhs == res.rhs
+
+
+_SMALL_BASES = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-40, 40))
+_EXPONENTS = st.one_of(st.just(0), st.integers(0, 1500))
+
+
+# 0**0 == 1 on either side; a zero base with a positive exponent zeroes the
+# product whichever exponent is longer; exponents of unequal bit length.
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_SMALL_BASES, _EXPONENTS, _SMALL_BASES, _EXPONENTS)
+@example(0, 0, 0, 0)
+@example(0, 0, 7, 3)
+@example(5, 2, 0, 0)
+@example(0, 1, 3, 1500)
+@example(3, 1500, 0, 1)
+@example(-2, 63, 3, 64)
+@example(3, 64, -2, 65)
+@example(-1, 1499, 1, 0)
+def test_power_pair_matches_two_powers(a, e, b, f):
+    assert formulas._power_pair(a, e, b, f) == a**e * b**f
+
+
+@pytest.mark.parametrize("subtractive, alternating", [
+    ("restricted_subtractive", "restricted_alternating"),
+    ("prime_subtractive", "prime_alternating"),
+])
+def test_count_forms_agree_at_1400(subtractive, alternating):
+    n, s = 1400, 466
+    assert getattr(formulas, alternating)(n, s) == getattr(formulas, subtractive)(n, s)
 
 
 # One call per public formula with a float, even a whole one, where an

@@ -75,3 +75,23 @@ def test_subtraction_matches_adding_the_negation():
     assert (p - p).coeffs == ()
     assert (X - (X**3 + X)).coeffs == (0, 0, 0, -1)
     assert (p - 1).coeffs == (0, 2, 3, 4)
+
+
+def test_public_constructor_checks_every_coefficient():
+    for bad in ((1, 2.0), (Fraction(1, 2),), (1, 0, "3"), (1, None)):
+        with pytest.raises(TypeError):
+            IntPolynomial(bad)
+    # a whole float is refused too, even where it would be trimmed away
+    with pytest.raises(TypeError):
+        IntPolynomial((1, 0.0))
+
+
+def test_arithmetic_results_are_trimmed():
+    assert (X + 1) - X == ONE
+    assert ((X + 1) - X).degree == 0
+    assert ((X**2 + X) - X**2).degree == 1
+    assert (X * X - X**2).coeffs == ()
+    assert ((X + 1) + (-X)).coeffs == (1,)
+    assert (0 * (X + 1)).coeffs == ()
+    assert (-(X - X)).degree == -1
+    assert ((X + 1) * (X - 1) + 1).coeffs == (0, 0, 1)

@@ -54,3 +54,68 @@ def test_self_calling_closure_is_detected():
     assert _self_calling_closures(ast.parse(source)) == ["go:2"]
     flat = "def go(i):\n    return go(i - 1) if i else 0\n"
     assert _self_calling_closures(ast.parse(flat)) == []
+
+
+# The argument checks every formula may share; no other private helper may
+# serve both forms of a count, or the check of one by the other is not
+# independent.
+SHARED_CHECKS = {"_ints", "_check_ns"}
+COUNT_PAIRS = [
+    ("restricted_subtractive", "restricted_alternating"),
+    ("prime_subtractive", "prime_alternating"),
+]
+
+
+def _private_names_used(tree):
+    """For each module-level function, the private module-level names its
+    body refers to."""
+    top = {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    } | {
+        target.id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    }
+    private = {name for name in top if name.startswith("_")}
+    return {
+        node.name: {
+            sub.id
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Name) and sub.id in private
+        }
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+def _shared_helpers(tree, pairs):
+    used = _private_names_used(tree)
+    shared = {(a, b): sorted((used[a] & used[b]) - SHARED_CHECKS) for a, b in pairs}
+    return {pair: names for pair, names in shared.items() if names}
+
+
+def test_count_forms_share_no_private_helper():
+    path = SRC / "formulas.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _private_names_used(tree)
+    for pair in COUNT_PAIRS:
+        assert all(name in used for name in pair)
+    assert _shared_helpers(tree, COUNT_PAIRS) == {}
+
+
+def test_shared_count_helper_is_detected():
+    source = (
+        "_MEMO = {}\n"
+        "def _ints(*v):\n    return v\n"
+        "def _power_pair(a, e, b, f):\n    return a**e * b**f\n"
+        "def sub(n):\n    _ints(n)\n    return _power_pair(n, 1, n, 1) + len(_MEMO)\n"
+        "def alt(n):\n    _ints(n)\n    return _power_pair(n, 2, n, 0) + len(_MEMO)\n"
+        "def other(n):\n    _ints(n)\n    return n\n"
+    )
+    tree = ast.parse(source)
+    assert _shared_helpers(tree, [("sub", "alt")]) == {("sub", "alt"): ["_MEMO", "_power_pair"]}
+    assert _shared_helpers(tree, [("sub", "other")]) == {}
