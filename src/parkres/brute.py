@@ -19,10 +19,13 @@ a prefix depend only on how many entries are left and on how far each
 occupancy count still falls short, so a stream builds the completions of
 its last few positions once per such state (at most 256 lists each) and
 emits every list as its prefix joined to a shared tail; the walk above
-the tails takes one step per tail, not one per list.  The orbit count
-runs a dynamic programme over the last entry of the sorted prefixes, and
-the fiber oracle parks the cars one at a time and follows only the
-preferences that put each car where the outcome permutation does.
+the tails takes one step per tail, not one per list.  The join runs in C
+(``map`` of ``operator.add`` over the tails) and the public ``enum_*``
+functions return that iterator rather than re-yield it, so no Python
+frame runs per list.  The orbit count runs a dynamic programme over the
+last entry of the sorted prefixes, and the fiber oracle parks the cars
+one at a time and follows only the preferences that put each car where
+the outcome permutation does.
 
 These are the trusted, independent counterparts of the closed forms in
 :mod:`parkres.formulas`; the two are never allowed to share a code path.
@@ -30,18 +33,54 @@ These are the trusted, independent counterparts of the closed forms in
 
 from __future__ import annotations
 
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from math import factorial
+from operator import add, index
 from typing import Iterable, Iterator, Sequence
 
 from .exceptions import DomainError, EmptyRestriction
 
 
-def normalize_restriction(n: int, allowed: Iterable[int]) -> tuple:
-    """Sorted tuple of the allowed spots, checked to lie inside [1, n]."""
-    elems = tuple(sorted(set(allowed)))
-    if elems and not (1 <= elems[0] and elems[-1] <= n):
+def _ints(*values) -> tuple:
+    """The arguments as Python ints; a float, even a whole one, or any
+    other non-integer raises :class:`DomainError`."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise DomainError(f"need integer arguments, got {values!r}") from None
+
+
+def _restriction(n: int, allowed: Iterable[int]) -> tuple:
+    """``n`` and the sorted, distinct allowed spots, as ints.
+
+    n must be at least 0 and, when cars are present, every spot must lie
+    inside [1, n].
+    """
+    try:
+        n = index(n)
+        elems = tuple(sorted(set(map(index, allowed))))
+    except TypeError:
+        raise DomainError(f"need integer arguments, got n={n!r}, allowed={allowed!r}") from None
+    if n < 0:
+        raise DomainError(f"need n >= 0, got {n}")
+    if n and elems and not (1 <= elems[0] and elems[-1] <= n):
         raise DomainError(f"restriction {elems} not contained in 1..{n}")
+    return n, elems
+
+
+def _check_ns(n: int, s: int) -> tuple:
+    n, s = _ints(n, s)
+    if not 1 <= s <= n:
+        raise DomainError(f"need 1 <= s <= n, got s={s}, n={n}")
+    return n, s
+
+
+def normalize_restriction(n: int, allowed: Iterable[int]) -> tuple:
+    """Sorted tuple of the allowed spots, checked to be integers inside
+    [1, n]."""
+    n, elems = _restriction(n, allowed)
+    if not n and elems:
+        raise DomainError(f"restriction {elems} not contained in 1..0")
     return elems
 
 
@@ -131,7 +170,7 @@ def _steps(need: tuple, allowed: tuple) -> Iterator[tuple]:
 def _walk(prefix: tuple, need: tuple, allowed: tuple, short: int, memo: dict):
     # Yield, in order, one iterable of lists per tail state below ``prefix``.
     if need[-1] <= short:
-        yield map(prefix.__add__, _tails(need, allowed, memo))
+        yield map(add, repeat(prefix), _tails(need, allowed, memo))
         return
     for v, after in _steps(need, allowed):
         yield from _walk(prefix + (v,), after, allowed, short, memo)
@@ -156,35 +195,41 @@ def _tails(need: tuple, allowed: tuple, memo: dict) -> list:
 
 
 def enum_restricted(n: int, allowed: Iterable[int]) -> Iterator[tuple]:
-    """Yield the parking functions with all preferences in ``allowed``,
-    in lexicographic order."""
+    """A lazy iterator over the parking functions with all preferences in
+    ``allowed``, in lexicographic order.
+
+    The arguments are checked when the function is called, before the
+    first ``next()``.
+    """
+    n, elems = _restriction(n, allowed)
     if n == 0:
-        yield ()
-        return
-    elems = normalize_restriction(n, allowed)
+        return iter([()])
     if not elems:
         raise EmptyRestriction("no allowed preferences with cars present")
-    yield from _stream(n, elems, strict=False)
+    return _stream(n, elems, strict=False)
 
 
 def enum_prime_restricted(n: int, allowed: Iterable[int]) -> Iterator[tuple]:
-    """Yield the prime parking functions with preferences in ``allowed``,
-    in lexicographic order."""
+    """A lazy iterator over the prime parking functions with preferences
+    in ``allowed``, in lexicographic order.
+
+    The arguments are checked when the function is called, before the
+    first ``next()``.
+    """
+    n, elems = _restriction(n, allowed)
     if n == 0:
-        yield ()
-        return
-    elems = normalize_restriction(n, allowed)
+        return iter([()])
     if not elems:
         raise EmptyRestriction("no allowed preferences with cars present")
-    yield from _stream(n, elems, strict=True)
+    return _stream(n, elems, strict=True)
 
 
 def count_restricted(n: int, allowed: Iterable[int]) -> int:
     """Number of parking functions with all preferences in ``allowed``,
     counted by enumeration without materializing the set."""
+    n, elems = _restriction(n, allowed)
     if n == 0:
         return 1
-    elems = normalize_restriction(n, allowed)
     if not elems:
         raise EmptyRestriction("no allowed preferences with cars present")
     return _count_parking(n, elems, False)
@@ -192,9 +237,9 @@ def count_restricted(n: int, allowed: Iterable[int]) -> int:
 
 def count_prime_restricted(n: int, allowed: Iterable[int]) -> int:
     """Number of prime parking functions with preferences in ``allowed``."""
+    n, elems = _restriction(n, allowed)
     if n == 0:
         return 1
-    elems = normalize_restriction(n, allowed)
     if not elems:
         return 0
     return _count_parking(n, elems, True)
@@ -209,8 +254,7 @@ def count_nondecreasing_restricted(n: int, s: int) -> int:
     last entry is v <= min(i, s).  The next entry may be any v at least
     the last one, so each step is a running sum.
     """
-    if not 1 <= s <= n:
-        raise DomainError(f"need 1 <= s <= n, got s={s}, n={n}")
+    n, s = _check_ns(n, s)
     ways = [1]  # the one prefix (1,)
     for i in range(2, n + 1):
         ways = list(accumulate(ways + [0] * (min(i, s) - len(ways))))
@@ -223,8 +267,7 @@ def ones_distribution(n: int, s: int) -> tuple:
 
     No parking function avoids spot 1, so the implicit c_0 is always 0.
     """
-    if not 1 <= s <= n:
-        raise DomainError(f"need 1 <= s <= n, got s={s}, n={n}")
+    n, s = _check_ns(n, s)
     values = tuple(range(1, s + 1))
     tally = [0] * (n + 1)
     for counts, size in _orbits(n, values, _occupancy_need(n, values, False)):
@@ -244,6 +287,7 @@ def fiber_size_bruteforce(sigma: Sequence[int], s: int) -> int:
     ``sigma`` puts car j.  Every preference that lands it there leaves the
     same occupancy, so the numbers of such preferences multiply.
     """
+    s, *sigma = _ints(s, *sigma)
     n = len(sigma)
     if sorted(sigma) != list(range(1, n + 1)):
         raise DomainError(f"{tuple(sigma)} is not a permutation of 1..{n}")
@@ -277,8 +321,7 @@ def count_min_defect(n: int, s: int) -> int:
     those rolled on from earlier spots; the spot parks one of them, and
     the list reaches the minimum defect iff every spot finds a car waiting.
     """
-    if not 1 <= s <= n:
-        raise DomainError(f"need 1 <= s <= n, got s={s}, n={n}")
+    n, s = _check_ns(n, s)
     total = 0
     for counts, size in _orbits(n, tuple(range(1, s + 1)), (0,) * s):
         waiting = 0

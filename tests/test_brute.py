@@ -35,6 +35,72 @@ def test_enum_restricted_rejects_bad_set():
         list(brute.enum_restricted(2, (1, 5)))
 
 
+def test_streams_check_arguments_when_called():
+    # the streams are plain functions returning an iterator, so a bad
+    # argument raises before anything is consumed
+    for enum in (brute.enum_restricted, brute.enum_prime_restricted):
+        with pytest.raises(DomainError):
+            enum(2, (1, 5))
+        with pytest.raises(EmptyRestriction):
+            enum(2, ())
+        with pytest.raises(DomainError, match="need n >= 0"):
+            enum(-1, (1,))
+        for n, S in ((0, ()), (3, (1,)), (3, (2, 3)), (4, (1, 2))):
+            stream = enum(n, S)
+            assert iter(stream) is stream, (enum, n, S)
+        assert next(enum(0, ())) == ()
+
+
+NON_INTEGER_CALLS = [
+    ("normalize_restriction", (3.0, (1,))),
+    ("enum_restricted", (3, (1, 2.0))),
+    ("enum_prime_restricted", (2.5, (1,))),
+    ("count_restricted", (2.5, (1,))),
+    ("count_prime_restricted", (2, (1, 1.5))),
+    ("count_nondecreasing_restricted", (3.0, 2)),
+    ("ones_distribution", (3, 2.0)),
+    ("fiber_size_bruteforce", ((2, 1), 2.0)),
+    ("count_min_defect", (3.0, 2)),
+]
+
+
+def test_brute_rejects_non_integer_arguments():
+    sized = {
+        name
+        for name, fn in vars(brute).items()
+        if inspect.isfunction(fn)
+        and fn.__module__ == brute.__name__
+        and not name.startswith("_")
+        and {"n", "s", "allowed"} & set(inspect.signature(fn).parameters)
+    }
+    assert {name for name, _ in NON_INTEGER_CALLS} == sized
+    for name, args in NON_INTEGER_CALLS:
+        with pytest.raises(DomainError):
+            getattr(brute, name)(*args)
+    for call in (
+        lambda: brute.count_restricted(2, (1, 1.5)),
+        lambda: brute.count_restricted(0, (1.0,)),
+        lambda: brute.enum_restricted(0, ("1",)),
+        lambda: brute.enum_prime_restricted(3, (1, None)),
+        lambda: brute.fiber_size_bruteforce((2.0, 1), 2),
+    ):
+        with pytest.raises(DomainError):
+            call()
+    assert brute.normalize_restriction(3, range(3, 0, -1)) == (1, 2, 3)
+
+
+def test_brute_rejects_negative_cars():
+    for call in (
+        brute.normalize_restriction,
+        brute.enum_restricted,
+        brute.enum_prime_restricted,
+        brute.count_restricted,
+        brute.count_prime_restricted,
+    ):
+        with pytest.raises(DomainError, match="need n >= 0"):
+            call(-1, (1,))
+
+
 def parks(prefs):
     """Sorted entry i is at most i: the list is a parking function."""
     return all(b <= i for i, b in enumerate(sorted(prefs), 1))
@@ -88,6 +154,23 @@ def test_streams_match_filtered_product(case):
     space = list(product(S, repeat=n))
     assert list(brute.enum_restricted(n, S)) == [p for p in space if parks(p)]
     assert list(brute.enum_prime_restricted(n, S)) == [p for p in space if parks_prime(p)]
+
+
+# sets whose prefix walk runs at least four levels above the shared tails
+DEEP_WALKS = [(14, (1, 2)), (14, (1, 3)), (10, (1, 2, 3))]
+
+
+@pytest.mark.parametrize("case", DEEP_WALKS, ids=str)
+def test_streams_match_filtered_product_deep_walks(case):
+    n, S = case
+    short = max(r for r in range(n + 1) if len(S) ** r <= brute._TAIL_LISTS)
+    assert n - short >= 4
+    space = list(product(S, repeat=n))
+    for enum, keep in ((brute.enum_restricted, parks), (brute.enum_prime_restricted, parks_prime)):
+        got = list(enum(n, S))
+        assert all(type(p) is tuple and len(p) == n for p in got)
+        assert all(a < b for a, b in zip(got, got[1:]))  # ordered, no duplicates
+        assert got == [p for p in space if keep(p)], (enum, n, S)
 
 
 def test_streams_with_one_allowed_spot():

@@ -1,7 +1,10 @@
 """Rules that hold for the library source as a whole."""
 
 import ast
+import inspect
 from pathlib import Path
+
+from parkres import brute
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "parkres"
 
@@ -54,6 +57,50 @@ def test_self_calling_closure_is_detected():
     assert _self_calling_closures(ast.parse(source)) == ["go:2"]
     flat = "def go(i):\n    return go(i - 1) if i else 0\n"
     assert _self_calling_closures(ast.parse(flat)) == []
+
+
+def _generator_streams(namespace):
+    """Names of the ``enum_*`` functions in ``namespace`` that are
+    generator functions: every list they emit passes through a Python
+    frame of their own."""
+    return sorted(
+        name
+        for name, fn in namespace.items()
+        if name.startswith("enum_") and inspect.isgeneratorfunction(fn)
+    )
+
+
+def test_streams_are_not_generator_functions():
+    streams = [name for name in vars(brute) if name.startswith("enum_")]
+    assert streams
+    assert _generator_streams(vars(brute)) == []
+
+
+def test_generator_stream_is_detected():
+    def enum_wrapped(n, allowed):
+        yield from brute.enum_restricted(n, allowed)
+
+    def enum_plain(n, allowed):
+        return brute.enum_restricted(n, allowed)
+
+    def helper(n, allowed):
+        yield from brute.enum_restricted(n, allowed)
+
+    namespace = {"enum_wrapped": enum_wrapped, "enum_plain": enum_plain, "helper": helper}
+    assert _generator_streams(namespace) == ["enum_wrapped"]
+
+
+def test_oracles_import_nothing_from_formulas():
+    # brute is the independent check of formulas: it keeps its own
+    # argument checks rather than borrow those of the route it checks
+    path = SRC / "brute.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+    assert imported and not any(name.split(".")[-1] == "formulas" for name in imported)
 
 
 # The argument checks every formula may share; no other private helper may
