@@ -38,16 +38,8 @@ from math import factorial
 from operator import add, index
 from typing import Iterable, Iterator, Sequence
 
+from .core import _ints
 from .exceptions import DomainError, EmptyRestriction
-
-
-def _ints(*values) -> tuple:
-    """The arguments as Python ints; a float, even a whole one, or any
-    other non-integer raises :class:`DomainError`."""
-    try:
-        return tuple(map(index, values))
-    except TypeError:
-        raise DomainError(f"need integer arguments, got {values!r}") from None
 
 
 def _restriction(n: int, allowed: Iterable[int]) -> tuple:

@@ -18,12 +18,14 @@ from math import comb
 from typing import NamedTuple, Sequence
 
 from .brute import _orbits, count_restricted
+from .core import _ints
 from .exceptions import BadModularPreference, BudgetExceeded, DomainError, NotBlockAligned
 from .formulas import compositions, multinomial
 
 
 def preferred_spots(g: int, s: int) -> tuple:
     """The s row-start spots 1, g+1, ..., g(s-1)+1."""
+    g, s = _ints(g, s)
     if g < 1 or s < 1:
         raise DomainError(f"need g, s >= 1, got g={g}, s={s}")
     return tuple(1 + j * g for j in range(s))
@@ -54,6 +56,7 @@ class CircularState(NamedTuple):
 def circular_park(prefs: Sequence[int], g: int, s: int) -> CircularState:
     """Park ``prefs`` on the circular street; every car parks."""
     spots = set(preferred_spots(g, s))
+    g, s, *prefs = _ints(g, s, *prefs)
     length = g * s
     if len(prefs) > length:
         raise DomainError(f"{len(prefs)} cars exceed {length} spots")
@@ -209,6 +212,16 @@ def canonical_class(lam: tuple, mu: tuple) -> tuple:
     return tuple(p[0] for p in best), tuple(p[1] for p in best)
 
 
+def _check_gsk(g: int, s: int, k: int, strict: bool) -> tuple:
+    """(g, s, k) as ints, with g, s >= 1 and 1 <= k <= g*s (k < g*s when
+    ``strict``: at least one car)."""
+    g, s, k = _ints(g, s, k)
+    if g < 1 or s < 1 or not 1 <= k <= g * s - strict:
+        bound = "<" if strict else "<="
+        raise DomainError(f"need g, s >= 1 and 1 <= k {bound} g*s, got g={g}, s={s}, k={k}")
+    return g, s, k
+
+
 def modular_census(g: int, s: int, k: int) -> dict:
     """Classify all circular preference lists by their gap decomposition.
 
@@ -223,8 +236,9 @@ def modular_census(g: int, s: int, k: int) -> dict:
     its whole orbit.  The orbit sizes are tallied by fill, and each
     distinct fill is classified once by its (gap sizes, block sizes),
     canonicalized up to cyclic rotation.  Returns ``{(lam, mu): count}``;
-    the counts sum to s**(g*s - k).
+    the counts sum to s**(g*s - k).  Needs g, s >= 1 and 1 <= k <= g*s.
     """
+    g, s, k = _check_gsk(g, s, k, strict=False)
     length = g * s
     fills: dict = {}
     for counts, size in _orbits(length - k, tuple(range(s)), (0,) * s):
@@ -276,12 +290,8 @@ def verify_relation(g: int, s: int, k: int, budget: int = 10**7) -> RelationRepo
     brute-force oracle, so the check is independent of the closed-form
     recursion.  Summed over classes this is exactly the relation.
     """
-    length = g * s
-    if g < 1 or s < 1 or not 1 <= k <= length - 1:
-        raise DomainError(
-            f"need g, s >= 1 and 1 <= k < g*s, got g={g}, s={s}, k={k}"
-        )
-    m = length - k
+    g, s, k = _check_gsk(g, s, k, strict=True)
+    m = g * s - k
     total = s**m
     orbits = comb(m + s - 1, s - 1)
     if orbits > budget:

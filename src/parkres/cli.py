@@ -13,7 +13,7 @@ import json
 import math
 import sys
 
-from . import __version__, bijections, brute, circular, core, formulas, verify
+from . import __version__, brute, circular, core, formulas, verify
 from .exceptions import BudgetExceeded, ParkresError
 
 EXIT_OK = 0
@@ -40,20 +40,10 @@ def _parse_budget(text: str) -> int:
     return int(value)
 
 
-def _common_flags(sub: argparse.ArgumentParser, budget: bool = False) -> None:
-    sub.add_argument("--format", default="text", choices=["text", "lines", "json", "csv"])
-    if budget:
-        sub.add_argument(
-            "--budget",
-            type=_parse_budget,
-            default=10**7,
-            help="max candidate lists for brute-force work (default 1e7)",
-        )
-
-
 def _restriction_of(args) -> tuple:
-    """Resolve flags into (kind, payload, n, allowed spots).
-    kind: segment|set|modular."""
+    """Resolve flags into (restriction, n, allowed spots); the restriction
+    is the object ``count --format json`` reports, of kind
+    segment|set|modular."""
     if args.g is not None:
         if args.s is None or args.k is None:
             raise ParkresError("modular restriction needs --g, --s and --k")
@@ -63,116 +53,99 @@ def _restriction_of(args) -> tuple:
         if n < 0:
             raise ParkresError("--k exceeds g*s")
         allowed = tuple(v for v in circular.preferred_spots(args.g, args.s) if v <= n)
-        return "modular", (args.g, args.s, args.k), n, allowed
+        return {"kind": "modular", "g": args.g, "s": args.s, "k": args.k}, n, allowed
     if args.n is None:
         raise ParkresError("--n is required without --g")
     if args.n < 0:
         raise ParkresError(f"--n must be >= 0, got {args.n}")
     if args.set is not None:
         spots = _parse_ints(args.set)
-        return "set", spots, args.n, spots
+        return {"kind": "set", "elements": list(spots)}, args.n, spots
     s = args.s if args.s is not None else args.n
-    return "segment", s, args.n, tuple(range(1, s + 1))
+    return {"kind": "segment", "s": s}, args.n, tuple(range(1, s + 1))
 
 
-def _count_formula(kind: str, rkind: str, payload, n: int, method: str):
-    """Closed-form count, or None when no formula applies: an explicit set,
-    or zero cars under ``auto`` (the segment forms need 1 <= s <= n)."""
-    if rkind == "set" or (n == 0 and method == "auto"):
-        return None
-    if rkind == "modular":
-        g, s, k = payload
-        if kind != "pf":
-            raise ParkresError("modular counting is defined for pf only")
-        return formulas.mod_count(g, s, k)
-    s = payload
+def closed_forms(kind: str, restriction: dict, n: int) -> dict:
+    """The closed forms that count ``kind`` on ``restriction`` with n cars,
+    in the order ``auto`` tries them, keyed by the method name the JSON
+    reports; each value computes the count when called.
+
+    [s] with 1 <= s <= n has the subtractive and alternating pair (for
+    ppf only while s < n; at s = n its count is the total), a modular pf
+    with 1 <= k <= g*s has the recursion.  An explicit set, a modular ppf
+    and every other (n, s) have none, and are counted by brute force.
+    """
+    if restriction["kind"] == "modular":
+        g, s, k = restriction["g"], restriction["s"], restriction["k"]
+        if kind == "pf" and 1 <= k <= g * s:
+            return {"recursion": lambda: formulas.mod_count(g, s, k)}
+        return {}
+    s = restriction.get("s", 0)  # an explicit set has none
+    if not 1 <= s <= n:
+        return {}
     if kind == "pf":
-        if method == "alternating":
-            return formulas.restricted_alternating(n, s)
-        return formulas.restricted_subtractive(n, s)
-    if s >= n:
-        return formulas.ppf_total(n)
-    if method == "alternating":
-        return formulas.prime_alternating(n, s)
-    return formulas.prime_subtractive(n, s)
+        return {
+            "subtractive": lambda: formulas.restricted_subtractive(n, s),
+            "alternating": lambda: formulas.restricted_alternating(n, s),
+        }
+    if s == n:
+        return {"total": lambda: formulas.ppf_total(n)}
+    return {
+        "subtractive": lambda: formulas.prime_subtractive(n, s),
+        "alternating": lambda: formulas.prime_alternating(n, s),
+    }
 
 
-def _count_brute(kind: str, allowed: tuple, n: int) -> int:
-    if kind == "pf":
-        return brute.count_restricted(n, allowed)
-    return brute.count_prime_restricted(n, allowed)
-
-
-def _space_size(allowed: tuple, n: int) -> int:
-    """Candidate lists a brute-force walk over ``allowed`` may visit."""
-    return len(set(allowed)) ** n
-
-
-def _within_budget(allowed: tuple, n: int, budget: int) -> None:
-    size = _space_size(allowed, n)
+def _brute_force(route, n: int, allowed: tuple, budget: int):
+    """``route(n, allowed)``, refused with :class:`BudgetExceeded` when the
+    walk may visit more than ``budget`` candidate lists (|allowed|^n)."""
+    size = len(set(allowed)) ** n
     if size > budget:
         raise BudgetExceeded(f"{size} candidate lists exceed --budget {budget}")
-
-
-def _restriction_json(rkind: str, payload):
-    if rkind == "segment":
-        return {"kind": "segment", "s": payload}
-    if rkind == "set":
-        return {"kind": "set", "elements": list(payload)}
-    g, s, k = payload
-    return {"kind": "modular", "g": g, "s": s, "k": k}
+    return route(n, allowed)
 
 
 def cmd_count(args) -> int:
-    rkind, payload, n, allowed = _restriction_of(args)
-    method = args.method
-    if method in ("subtractive", "alternating") and rkind != "segment":
-        where = "an explicit set" if rkind == "set" else "a modular restriction"
-        raise ParkresError(f"no {method} formula for {where}")
-    value = None if method == "brute" else _count_formula(args.kind, rkind, payload, n, method)
-    if value is None:
-        _within_budget(allowed, n, args.budget)
-        value = _count_brute(args.kind, allowed, n)
-        method_used = "brute"
+    restriction, n, allowed = _restriction_of(args)
+    forms = closed_forms(args.kind, restriction, n)
+    count = brute.count_restricted if args.kind == "pf" else brute.count_prime_restricted
+    method = next(iter(forms), "brute") if args.method == "auto" else args.method
+    if method == "brute":
+        value = _brute_force(count, n, allowed, args.budget)
+    elif method not in forms:
+        have = ", ".join(forms) or "none"
+        raise ParkresError(
+            f"no {method} formula for this {args.kind} count (closed forms here: {have})"
+        )
     else:
-        if rkind == "modular":
-            method_used = "recursion"
-        else:
-            method_used = "alternating" if method == "alternating" else "subtractive"
-        if method == "auto" and _space_size(allowed, n) <= args.budget:
-            check = _count_brute(args.kind, allowed, n)
+        value = forms[method]()
+        if args.method == "auto":
+            try:
+                check = _brute_force(count, n, allowed, args.budget)
+            except BudgetExceeded:  # beyond the budget the formula stands alone
+                check = value
             if check != value:
-                print(
-                    f"MISMATCH: formula {value}, brute force {check}",
-                    file=sys.stderr,
-                )
+                print(f"MISMATCH: formula {value}, brute force {check}", file=sys.stderr)
                 return EXIT_MISMATCH
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "kind": args.kind,
-                    "n": n,
-                    "restriction": _restriction_json(rkind, payload),
-                    "count": str(value),
-                    "method": method_used,
-                }
-            )
-        )
+        record = {
+            "kind": args.kind,
+            "n": n,
+            "restriction": restriction,
+            "count": str(value),
+            "method": method,
+        }
+        print(json.dumps(record))
     else:
         print(value)
     return EXIT_OK
 
 
 def cmd_enum(args) -> int:
-    _, _, n, allowed = _restriction_of(args)
-    _within_budget(allowed, n, args.budget)
-    stream = (
-        brute.enum_restricted(n, allowed)
-        if args.kind == "pf"
-        else brute.enum_prime_restricted(n, allowed)
-    )
-    if args.format not in ("json", "csv"):  # the outcome and ones are not printed
+    _, n, allowed = _restriction_of(args)
+    route = brute.enum_restricted if args.kind == "pf" else brute.enum_prime_restricted
+    stream = _brute_force(route, n, allowed, args.budget)
+    if args.format == "text":  # the outcome and ones are not printed
         for prefs in stream:
             print(",".join(map(str, prefs)))
         return EXIT_OK
@@ -184,16 +157,8 @@ def cmd_enum(args) -> int:
         outcome = core.outcome_permutation(prefs)
         ones = sum(1 for p in prefs if p == 1)
         if args.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "prefs": list(prefs),
-                        "n": n,
-                        "outcome": list(outcome),
-                        "ones": ones,
-                    }
-                )
-            )
+            record = {"prefs": list(prefs), "n": n, "outcome": list(outcome), "ones": ones}
+            print(json.dumps(record))
         else:
             writer.writerow(
                 [",".join(map(str, prefs)), ",".join(map(str, outcome)), ones]
@@ -301,28 +266,20 @@ def _emit_table(rows, header, fmt) -> None:
 
 
 def cmd_table(args) -> int:
-    fmt = args.format if args.format != "text" else "csv"
     n_max = 8 if args.n_max is None else args.n_max
     if n_max < 1 and args.family != "ones":
         raise ParkresError(f"table {args.family} needs --n-max >= 1, got {n_max}")
-    if args.family == "pf-restricted":
+    if args.family in ("pf-restricted", "ppf-restricted"):
+        kind = args.family.split("-")[0]
+
+        def cell(n, s):  # the first closed form, as count --method auto runs it
+            return next(iter(closed_forms(kind, {"kind": "segment", "s": s}, n).values()))()
+
         header = ["n"] + [f"s={s}" for s in range(1, n_max + 1)]
         rows = [
-            [n]
-            + [formulas.restricted_subtractive(n, s) for s in range(1, n + 1)]
-            + [""] * (n_max - n)
+            [n] + [cell(n, s) for s in range(1, n + 1)] + [""] * (n_max - n)
             for n in range(1, n_max + 1)
         ]
-    elif args.family == "ppf-restricted":
-        header = ["n"] + [f"s={s}" for s in range(1, n_max + 1)]
-        rows = []
-        for n in range(1, n_max + 1):
-            row = [n]
-            for s in range(1, n + 1):
-                row.append(
-                    formulas.ppf_total(n) if s == n else formulas.prime_subtractive(n, s)
-                )
-            rows.append(row + [""] * (n_max - n))
     elif args.family == "catalan-triangle":
         header = ["n"] + [f"k={k}" for k in range(n_max)]
         rows = [
@@ -339,7 +296,7 @@ def cmd_table(args) -> int:
         rows = [[poly.coefficient(k) for k in range(args.n + 1)]]
     else:
         raise ParkresError(f"unknown table family {args.family!r}")
-    _emit_table(rows, header, fmt)
+    _emit_table(rows, header, args.format)
     return EXIT_OK
 
 
@@ -353,42 +310,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_count = sub.add_parser("count", help="count (prime) parking functions")
-    p_count.add_argument("kind", choices=["pf", "ppf"])
-    p_count.add_argument("--n", type=int)
-    p_count.add_argument("--s", type=int)
-    p_count.add_argument("--set", help="explicit allowed spots, e.g. 1,4,7")
-    p_count.add_argument("--g", type=int, help="row size for modular restriction")
-    p_count.add_argument("--k", type=int, help="missing spots for modular restriction")
+    # Flags shared through argparse parents: the budget of brute-force
+    # work, and the lists that count and enum walk.
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument(
+        "--budget",
+        type=_parse_budget,
+        default=10**7,
+        help="max candidate lists for brute-force work (default 1e7)",
+    )
+    lists = argparse.ArgumentParser(add_help=False, parents=[budget])
+    lists.add_argument("kind", choices=["pf", "ppf"])
+    lists.add_argument("--n", type=int)
+    lists.add_argument("--s", type=int)
+    lists.add_argument("--set", help="explicit allowed spots, e.g. 1,4,7")
+    lists.add_argument("--g", type=int, help="row size for modular restriction")
+    lists.add_argument("--k", type=int, help="missing spots for modular restriction")
+
+    # Each --format value names one output; the first is the default.
+    p_count = sub.add_parser("count", parents=[lists], help="count (prime) parking functions")
     p_count.add_argument(
         "--method",
         choices=["auto", "brute", "subtractive", "alternating"],
         default="auto",
     )
-    _common_flags(p_count, budget=True)
+    p_count.add_argument("--format", choices=["text", "json"], default="text")
     p_count.set_defaults(func=cmd_count)
 
-    p_enum = sub.add_parser("enum", help="stream (prime) parking functions")
-    p_enum.add_argument("kind", choices=["pf", "ppf"])
-    p_enum.add_argument("--n", type=int)
-    p_enum.add_argument("--s", type=int)
-    p_enum.add_argument("--set")
-    p_enum.add_argument("--g", type=int)
-    p_enum.add_argument("--k", type=int)
-    _common_flags(p_enum, budget=True)
-    p_enum.set_defaults(func=cmd_enum, format="lines")
+    p_enum = sub.add_parser("enum", parents=[lists], help="stream (prime) parking functions")
+    p_enum.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    p_enum.set_defaults(func=cmd_enum)
 
     p_sim = sub.add_parser("simulate", help="run the parking procedure")
     p_sim.add_argument("prefs", help="comma-separated preferences, e.g. 1,4,4,1,1,7,1")
     p_sim.add_argument("--spots", type=int)
     p_sim.add_argument("--circular", help="g,s for a circular street")
-    _common_flags(p_sim)
+    p_sim.add_argument("--format", choices=["text", "json"], default="text")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_verify = sub.add_parser("verify", help="run cross-verification suites")
+    p_verify = sub.add_parser("verify", parents=[budget], help="run cross-verification suites")
     p_verify.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
     p_verify.add_argument("--n-max", type=int, default=None)
-    _common_flags(p_verify, budget=True)
+    p_verify.add_argument("--format", choices=["text", "json"], default="text")
     p_verify.set_defaults(func=cmd_verify)
 
     p_table = sub.add_parser("table", help="emit count tables")
@@ -399,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--n-max", type=int, default=None)
     p_table.add_argument("--n", type=int)
     p_table.add_argument("--s", type=int)
-    _common_flags(p_table)
+    p_table.add_argument("--format", choices=["csv", "json"], default="csv")
     p_table.set_defaults(func=cmd_table)
 
     return parser

@@ -14,9 +14,10 @@ it needs and range-checks against it.
 
 from __future__ import annotations
 
+from operator import index
 from typing import NamedTuple, Sequence
 
-from .exceptions import NotAParkingFunction, PreferenceOutOfRange
+from .exceptions import DomainError, NotAParkingFunction, PreferenceOutOfRange
 
 #: Marker used in occupancy sequences for a spot with no car in it.
 EMPTY = None
@@ -43,13 +44,34 @@ class ParkingResult(NamedTuple):
         return sum(1 for car in self.occupancy if car is not EMPTY)
 
 
-def validate_prefs(prefs: Sequence[int], limit: int) -> None:
-    """Raise :class:`PreferenceOutOfRange` unless every entry is in [1, limit]."""
+def _ints(*values) -> tuple:
+    """The arguments as Python ints; a float, even a whole one, or any
+    other non-integer raises :class:`DomainError`."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise DomainError(f"need integer arguments, got {values!r}") from None
+
+
+def validate_prefs(prefs: Sequence[int], limit: int) -> tuple:
+    """``prefs`` as a tuple of ints.  A non-integer entry or limit raises
+    :class:`DomainError`, an entry outside [1, limit]
+    :class:`PreferenceOutOfRange`."""
+    prefs = tuple(prefs)
+    try:
+        # The sum is an int only when every term is one, so a list of
+        # ints skips the per-entry conversion, which costs more than the
+        # simulation of a short list.
+        if type(sum(prefs, limit)) is not int:
+            (limit,), prefs = _ints(limit), _ints(*prefs)
+    except TypeError:
+        raise DomainError(f"need integer arguments, got {prefs!r}, {limit!r}") from None
     for car, p in enumerate(prefs, 1):
         if not 1 <= p <= limit:
             raise PreferenceOutOfRange(
                 f"car {car} prefers spot {p}, outside 1..{limit}"
             )
+    return prefs
 
 
 def park(prefs: Sequence[int], num_spots: int) -> ParkingResult:
@@ -58,7 +80,7 @@ def park(prefs: Sequence[int], num_spots: int) -> ParkingResult:
     Deterministic: cars enter in index order, park at their preference if
     it is empty and otherwise at the first empty spot after it.
     """
-    validate_prefs(prefs, num_spots)
+    prefs = validate_prefs(prefs, num_spots)
     occupancy = [EMPTY] * num_spots
     unparked = []
     for car, p in enumerate(prefs, 1):
@@ -88,8 +110,8 @@ def catalan_check(prefs: Sequence[int]) -> bool:
     Equivalent to :func:`is_parking_function` but decided by counting
     instead of simulation; the two are cross-checked in the test suite.
     """
+    prefs = validate_prefs(prefs, len(prefs))
     n = len(prefs)
-    validate_prefs(prefs, n)
     counts = [0] * (n + 1)
     for p in prefs:
         counts[p] += 1
@@ -115,8 +137,8 @@ def is_prime(prefs: Sequence[int]) -> bool:
     starts at 1 and afterwards stays strictly below its position.  The
     single list (1,) of length 1 is prime (the condition is vacuous).
     """
+    prefs = validate_prefs(prefs, len(prefs))
     n = len(prefs)
-    validate_prefs(prefs, n)
     counts = [0] * (n + 1)
     for p in prefs:
         counts[p] += 1

@@ -83,13 +83,18 @@ def _segment(count):
     return lambda n, s: count(n, range(1, s + 1))
 
 
-def check_restricted_formulas(n_max: int = 6, formula_n_max: int = 12) -> list:
+# The closed forms are compared with each other up to this n, beyond the
+# reach of brute force.
+FORMULA_N_MAX = 12
+
+
+def check_restricted_formulas(n_max: int = 6) -> list:
     """Both closed forms for the [s]-restricted count, against each other
     and against enumeration."""
     return [
         _on_grid(
-            f"restricted forms agree (n <= {formula_n_max})",
-            formula_n_max,
+            f"restricted forms agree (n <= {FORMULA_N_MAX})",
+            FORMULA_N_MAX,
             formulas.restricted_subtractive,
             formulas.restricted_alternating,
         ),
@@ -102,12 +107,12 @@ def check_restricted_formulas(n_max: int = 6, formula_n_max: int = 12) -> list:
     ]
 
 
-def check_prime_formulas(n_max: int = 6, formula_n_max: int = 12) -> list:
+def check_prime_formulas(n_max: int = 6) -> list:
     """Both closed forms for the [s]-restricted prime count."""
     return [
         _on_grid(
-            f"prime forms agree (n <= {formula_n_max})",
-            formula_n_max,
+            f"prime forms agree (n <= {FORMULA_N_MAX})",
+            FORMULA_N_MAX,
             formulas.prime_subtractive,
             formulas.prime_alternating,
             strict=True,
@@ -188,7 +193,11 @@ def _ones_forms(n_max: int) -> Iterator:
             yield _differ(f"n={n}: unrestricted enumerator", a, X * (X + n) ** (n - 1))
 
 
-def check_abel(n_max: int = 10, poly_n_max: int = 8) -> list:
+# The two ones-enumerator polynomials are compared up to this n.
+POLY_N_MAX = 8
+
+
+def check_abel(n_max: int = 10) -> list:
     """Abel's identity on a rational grid, plus the ones-enumerator pair."""
     from fractions import Fraction  # only here, to keep it out of every CLI start
 
@@ -209,7 +218,7 @@ def check_abel(n_max: int = 10, poly_n_max: int = 8) -> list:
             "restricted-count specializations evaluate to s**n",
             (abel(n, x, s - n - x, s**n) for n, s in _grid(n_max) for x in (1, -1)),
         ),
-        _check(f"ones enumerator forms agree (n <= {poly_n_max})", _ones_forms(poly_n_max)),
+        _check(f"ones enumerator forms agree (n <= {POLY_N_MAX})", _ones_forms(POLY_N_MAX)),
     ]
 
 
@@ -343,7 +352,7 @@ def check_involution(n_max: int = 5) -> list:
     ]
 
 
-DEFAULT_MODULAR_PAIRS = tuple(
+MODULAR_PAIRS = tuple(
     sorted({(g, s) for g in range(1, 5) for s in range(1, 5)} | {(2, 5), (5, 2), (1, 5), (1, 6)})
 )
 
@@ -363,23 +372,25 @@ def _modular_job(args) -> Check:
     return _check(f"modular relation g={g}, s={s}, k={k} ({s}^{m} lists)", outcomes)
 
 
-def _modular_jobs(budget: int, pairs=DEFAULT_MODULAR_PAIRS) -> list:
+def _modular_jobs(budget: int) -> list:
     """The (g, s, k, budget) jobs of :func:`check_modular`: every k within
     budget.  Raises :class:`DomainError` when none fits."""
     jobs = sorted(
-        (g, s, k, budget) for g, s in pairs for k in range(1, g * s) if s ** (g * s - k) <= budget
+        (g, s, k, budget)
+        for g, s in MODULAR_PAIRS
+        for k in range(1, g * s)
+        if s ** (g * s - k) <= budget
     )
     if not jobs:
-        least = min((s ** (g * s - k) for g, s in pairs for k in range(1, g * s)), default=None)
-        hint = "" if least is None else f"; the smallest needs {least}"
-        raise DomainError(f"no (g, s, k) fits budget {budget}{hint}")
+        least = min(s ** (g * s - k) for g, s in MODULAR_PAIRS for k in range(1, g * s))
+        raise DomainError(f"no (g, s, k) fits budget {budget}; the smallest needs {least}")
     return jobs
 
 
-def check_modular(budget: int = 10**7, pairs=DEFAULT_MODULAR_PAIRS, threads: int = 1) -> list:
+def check_modular(budget: int = 10**7, threads: int = 1) -> list:
     """Per-class verification of the circular relation plus the recursion
     and the one-missing-spot closed form, for every k within budget."""
-    jobs = _modular_jobs(budget, pairs)
+    jobs = _modular_jobs(budget)
     if threads > 1:
         # imported here, as its imports would slow the start of every CLI call
         from concurrent.futures import ProcessPoolExecutor

@@ -177,3 +177,24 @@ def test_verify_relation_five_rows_of_five():
     # at a time; parking them car by car took several times as long
     report = circular.verify_relation(5, 5, 1)
     assert report.ok and report.total == 5**24
+
+
+def test_sizes_and_preferences_must_be_integers_in_range():
+    # each of these once raised a bare TypeError, returned floats or
+    # returned an empty census
+    for call, args in (
+        (circular.verify_relation, (2.0, 3, 1)),
+        (circular.preferred_spots, (2.0, 3)),
+        (circular.circular_park, ((1.0,), 2, 3)),
+        (circular.modular_census, (2.0, 3, 1)),
+        (circular.modular_census, (2, 3, 7)),
+        (circular.modular_census, (0, 3, 1)),
+        (circular.modular_census, (2, 3, 0)),
+        (core.park, ((1, 2), 2.5)),
+        (core.park, ((1.0, 2), 2)),
+        (core.is_prime, ((1, 1.0),)),
+        (core.catalan_check, ((1.5, 1),)),
+    ):
+        with pytest.raises(DomainError):
+            call(*args)
+    assert circular.modular_census(2, 3, 6) == {((6,), (3,)): 1}  # k = g*s: no cars

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parkres import __version__, core, formulas, verify
-from parkres.cli import main
+from parkres.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -38,10 +39,13 @@ def test_count_modular(capsys):
             "--method", method, "--format", "json",
         )
         assert code == 0 and json.loads(out)["count"] == "4" and json.loads(out)["method"] == used
-    # a brute-force prime count over row starts counts what enum lists
-    code, out, _ = run(capsys, "count", "ppf", "--g", "2", "--s", "2", "--k", "1", "--method", "brute")
-    _, listed, _ = run(capsys, "enum", "ppf", "--g", "2", "--s", "2", "--k", "1")
-    assert code == 0 and int(out) == len(listed.splitlines()) == 1
+    # a modular ppf has no closed form: auto and brute both count by brute
+    # force what enum lists
+    modular = ("--g", "2", "--s", "2", "--k", "1")
+    _, listed, _ = run(capsys, "enum", "ppf", *modular)
+    for method in ("auto", "brute"):
+        code, out, _ = run(capsys, "count", "ppf", *modular, "--method", method)
+        assert code == 0 and int(out) == len(listed.splitlines()) == 1
 
 
 def test_count_modular_beyond_budget(capsys):
@@ -110,8 +114,6 @@ def test_count_json_schema(capsys):
 def test_count_usage_errors(capsys):
     code, _, err = run(capsys, "count", "pf")
     assert code == 2 and "error" in err
-    code, _, err = run(capsys, "count", "ppf", "--g", "2", "--s", "2", "--k", "1")
-    assert code == 2
     code, _, err = run(capsys, "count", "pf", "--set", "1,2", "--n", "3", "--method", "subtractive")
     assert code == 2
     # a modular restriction has only the recursion: a named formula is refused
@@ -176,6 +178,132 @@ def test_count_alternating_at_large_n_prints_subtractive_value(capsys):
     code, out, _ = run(capsys, "count", "ppf", "--n", "1400", "--s", "466", "--method", "alternating")
     assert code == 0
     assert out.strip() == str(formulas.prime_subtractive(1400, 466))
+
+
+# The closed forms each request has, in the order auto runs them, written
+# out here from the paper's ranges rather than read from the CLI.
+# None: no route counts the request at all.
+PAIR = ["subtractive", "alternating"]
+RESTRICTIONS = {
+    "s < n": (("--n", "5", "--s", "3"), {"pf": PAIR, "ppf": PAIR}),
+    "s = n": (("--n", "4", "--s", "4"), {"pf": PAIR, "ppf": ["total"]}),
+    "s > n": (("--n", "4", "--s", "9"), None),
+    "no cars": (("--n", "0"), {"pf": [], "ppf": []}),
+    "set": (("--n", "5", "--set", "1,3"), {"pf": [], "ppf": []}),
+    "modular": (("--g", "2", "--s", "3", "--k", "2"), {"pf": ["recursion"], "ppf": []}),
+}
+FORMULA_OF = {
+    ("pf", "subtractive"): "restricted_subtractive",
+    ("pf", "alternating"): "restricted_alternating",
+    ("ppf", "subtractive"): "prime_subtractive",
+    ("ppf", "alternating"): "prime_alternating",
+    ("ppf", "total"): "ppf_total",
+    ("pf", "recursion"): "mod_count",
+}
+
+
+def test_json_method_names_the_formula_that_ran(monkeypatch, capsys):
+    called = []
+    for name in set(FORMULA_OF.values()):
+        real = getattr(formulas, name)
+        monkeypatch.setattr(
+            formulas, name, lambda *args, name=name, real=real: called.append(name) or real(*args)
+        )
+    for label, (flags, forms) in RESTRICTIONS.items():
+        for kind in ("pf", "ppf"):
+            for method in ("auto", "brute", "subtractive", "alternating"):
+                called.clear()
+                code, out, err = run(capsys, "count", kind, *flags, "--method", method, "--format", "json")
+                case = (label, kind, method)
+                if forms is None:
+                    want = None
+                elif method == "auto":
+                    want = (forms[kind] or ["brute"])[0]
+                elif method == "brute" or method in forms[kind]:
+                    want = method
+                else:  # a form the request lacks
+                    want = None
+                if want is None:
+                    assert code == 2 and out == "" and err.startswith("error:"), case
+                    assert called == [], case
+                    continue
+                assert code == 0, (case, err)
+                assert json.loads(out)["method"] == want, case
+                assert called == ([] if want == "brute" else [FORMULA_OF[kind, want]]), case
+
+
+def test_prime_count_beyond_n_exits_2_at_any_budget(capsys):
+    for budget in ((), ("--budget", "0"), ("--budget", "1e9")):
+        code, out, err = run(capsys, "count", "ppf", "--n", "4", "--s", "9", *budget)
+        assert code == 2 and out == "" and err.startswith("error:"), budget
+
+
+def test_prime_total_has_no_named_pair(capsys):
+    code, out, _ = run(capsys, "count", "ppf", "--n", "4", "--s", "4", "--format", "json")
+    assert code == 0 and json.loads(out)["count"] == "27" and json.loads(out)["method"] == "total"
+    for method in ("subtractive", "alternating"):
+        code, out, err = run(capsys, "count", "ppf", "--n", "4", "--s", "4", "--method", method)
+        assert code == 2 and out == "" and method in err and "total" in err
+
+
+def test_restricted_tables_match_count(capsys):
+    for kind in ("pf", "ppf"):
+        code, out, _ = run(capsys, "table", f"{kind}-restricted", "--n-max", "7")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 7
+        for n, row in enumerate(rows, start=1):
+            assert row[0] == str(n) and row[n + 1:] == [""] * (7 - n)
+            for s in range(1, n + 1):
+                _, count, _ = run(capsys, "count", kind, "--n", str(n), "--s", str(s))
+                assert row[s] == count.strip(), (kind, n, s)
+
+
+def _format_choices():
+    """The --format values each subcommand accepts, read from the parser."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        command: next(a.choices for a in parser._actions if a.dest == "format")
+        for command, parser in sub.choices.items()
+    }
+
+
+# One small request per subcommand, to render in each format.
+FORMAT_ARGV = {
+    "count": ["count", "pf", "--n", "3", "--s", "2"],
+    "enum": ["enum", "pf", "--n", "2", "--s", "2"],
+    "simulate": ["simulate", "1,1", "--spots", "2"],
+    "verify": ["verify", "abel", "--n-max", "1"],
+    "table": ["table", "catalan-triangle", "--n-max", "3"],
+}
+
+
+def test_each_format_value_selects_its_own_output(capsys):
+    choices = _format_choices()
+    assert set(choices) == set(FORMAT_ARGV)
+    assert sum(len(values) for values in choices.values()) == 11
+    for command, values in choices.items():
+        outputs = {}
+        for value in values:
+            code, out, _ = run(capsys, *FORMAT_ARGV[command], "--format", value)
+            assert code == 0 and out, (command, value)
+            outputs[value] = out
+        assert len(set(outputs.values())) == len(values), (command, outputs)
+        # the default is one of the values, not an output of its own
+        assert run(capsys, *FORMAT_ARGV[command])[1] in outputs.values()
+
+
+def test_removed_format_aliases_are_refused(capsys):
+    for argv in (
+        FORMAT_ARGV["enum"] + ["--format", "lines"],
+        FORMAT_ARGV["count"] + ["--format", "csv"],
+        FORMAT_ARGV["count"] + ["--format", "lines"],
+        FORMAT_ARGV["simulate"] + ["--format", "csv"],
+        FORMAT_ARGV["verify"] + ["--format", "lines"],
+        FORMAT_ARGV["table"] + ["--format", "text"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "--format" in err, argv
 
 
 def test_enum_lines(capsys):
@@ -366,7 +494,7 @@ def _argv():
         _flag("--g", ["1", "2"]),
         _flag("--k", ["1", "2", "6"]),
     ]
-    fmt = _flag("--format", ["text", "lines", "json", "csv"])
+    fmt = _flag("--format", ["text", "json", "csv"])
     budget = _flag("--budget", ["1e7", "100", "2.5"])
     kind = st.sampled_from(["pf", "ppf"] + BAD)
     method = _flag("--method", ["auto", "brute", "subtractive", "alternating"])

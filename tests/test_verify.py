@@ -49,7 +49,7 @@ CASES = [
     ),
     (
         formulas, "mod_count", (2, 3, 1), _plus_one,
-        lambda: verify.check_modular(pairs=((2, 3),)), ["modular", "--budget", "1000"],
+        lambda: verify.check_modular(1000), ["modular", "--budget", "1000"],
         "g=2, s=3, k=1",
     ),
     (
