@@ -14,7 +14,7 @@ import math
 import sys
 
 from . import __version__, brute, circular, core, formulas, verify
-from .exceptions import BudgetExceeded, ParkresError
+from .exceptions import BudgetExceeded, EmptyRestriction, ParkresError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -49,6 +49,8 @@ def _restriction_of(args) -> tuple:
             raise ParkresError("modular restriction needs --g, --s and --k")
         if args.g < 1 or args.s < 1:
             raise ParkresError(f"--g and --s must be >= 1, got g={args.g}, s={args.s}")
+        if args.k < 1:  # k <= 0 leaves no spot of the circular street missing
+            raise ParkresError(f"--k must be >= 1, got {args.k}")
         n = args.g * args.s - args.k
         if n < 0:
             raise ParkresError("--k exceeds g*s")
@@ -98,8 +100,18 @@ def closed_forms(kind: str, restriction: dict, n: int) -> dict:
 
 def _brute_force(route, n: int, allowed: tuple, budget: int):
     """``route(n, allowed)``, refused with :class:`BudgetExceeded` when the
-    walk may visit more than ``budget`` candidate lists (|allowed|^n)."""
-    size = len(set(allowed)) ** n
+    walk may visit more than ``budget`` candidate lists (|allowed|^n).
+
+    The restriction is checked first, so the error names the real fault
+    at any budget: with cars present, a spot outside 1..n raises
+    :class:`DomainError` and an empty restriction
+    :class:`EmptyRestriction`, for pf and ppf alike.
+    """
+    if n:
+        allowed = brute.normalize_restriction(n, allowed)
+        if not allowed:
+            raise EmptyRestriction("no allowed preferences with cars present")
+    size = len(allowed) ** n
     if size > budget:
         raise BudgetExceeded(f"{size} candidate lists exceed --budget {budget}")
     return route(n, allowed)

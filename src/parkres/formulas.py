@@ -91,6 +91,30 @@ def restricted_subtractive(n: int, s: int) -> int:
     return total
 
 
+def _binomial_series(n: int, lo: int, hi: int, term) -> tuple:
+    """(P, Q, T) of the terms i = hi, hi-1, ..., lo of sum C(n,i) * term(i),
+    by binary splitting (Haible & Papanikolaou 1998).
+
+    Walking down from C(n, n) = 1, C(n, i) = C(n, i+1) * p_i / q_i with
+    p_i = i+1 and q_i = n-i, and p_n = q_n = 1.  P and Q are the products
+    of the p_i and q_i over the range, and
+
+        T = sum_i term(i) * (p_i * ... * p_hi) * (q_lo * ... * q_{i-1}),
+
+    so the sum over lo <= i <= hi = n is T / Q.  Two adjacent ranges merge
+    as T = T_1 * Q_2 + P_1 * T_2, upper range first, so each term is
+    multiplied only by small factors and products of them, never by a
+    full-size binomial.
+    """
+    if lo == hi:
+        p, q = (1, 1) if hi == n else (hi + 1, n - hi)
+        return p, q, term(hi) * p
+    mid = (lo + hi) // 2
+    p1, q1, t1 = _binomial_series(n, mid + 1, hi, term)
+    p2, q2, t2 = _binomial_series(n, lo, mid, term)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+
 def restricted_alternating(n: int, s: int) -> int:
     """The same count as :func:`restricted_subtractive` as an alternating sum:
 
@@ -98,14 +122,18 @@ def restricted_alternating(n: int, s: int) -> int:
 
     from the signed count of two-colored parking functions cancelled by the
     recoloring involution.  ``parkres verify formulas`` compares the two.
-    Each term's two powers come from one :func:`_power_pair` chain.
+    Each term's two powers come from one :func:`_power_pair` chain, and the
+    binomial weights are combined by binary splitting
+    (:func:`_binomial_series`), whose T / Q must divide exactly; a
+    remainder raises :class:`NonIntegerIntermediate`.
     """
     n, s = _check_ns(n, s)
-    total = 0
-    c = 1  # C(n, i), walked down from C(n, n)
-    for i in range(n, s - 1, -1):
-        total += c * _power_pair(i + 1, i - 1, s - i - 1, n - i)
-        c = c * i // (n - i + 1)
+    _, q, t = _binomial_series(
+        n, s, n, lambda i: _power_pair(i + 1, i - 1, s - i - 1, n - i)
+    )
+    total, remainder = divmod(t, q)
+    if remainder:
+        raise NonIntegerIntermediate(f"binomial sum not integral at n={n}, s={s}")
     return total
 
 
@@ -134,16 +162,20 @@ def prime_alternating(n: int, s: int) -> int:
         sum_{i=s+1}^{n} C(n,i) * (i-1)**(i-1) * (s-i)**(n-i)
 
     ``parkres verify formulas`` compares it with :func:`prime_subtractive`.
-    Each term's two powers come from one :func:`_power_pair` chain.
+    Each term's two powers come from one :func:`_power_pair` chain, and the
+    binomial weights are combined by binary splitting
+    (:func:`_binomial_series`), whose T / Q must divide exactly; a
+    remainder raises :class:`NonIntegerIntermediate`.
     """
     n, s = _ints(n, s)
     if not 1 <= s < n:
         raise DomainError(f"need 1 <= s < n, got s={s}, n={n}")
-    total = 0
-    c = 1  # C(n, i), walked down from C(n, n)
-    for i in range(n, s, -1):
-        total += c * _power_pair(i - 1, i - 1, s - i, n - i)
-        c = c * i // (n - i + 1)
+    _, q, t = _binomial_series(
+        n, s + 1, n, lambda i: _power_pair(i - 1, i - 1, s - i, n - i)
+    )
+    total, remainder = divmod(t, q)
+    if remainder:
+        raise NonIntegerIntermediate(f"binomial sum not integral at n={n}, s={s}")
     return total
 
 

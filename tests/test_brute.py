@@ -181,10 +181,15 @@ def test_streams_with_one_allowed_spot():
 
 
 def test_stream_memory_stays_small():
-    # the shared tails are at most 256 lists per deficit state
+    # the shared tails are at most 256 lists per deficit state; the 57,867
+    # lists of (8, [4]) walk four prefix levels above four tail levels, and
+    # held in one memo they take over 15 MiB
+    n, S = 8, range(1, 5)
+    short = max(r for r in range(n + 1) if len(S) ** r <= brute._TAIL_LISTS)
+    assert n - short >= 4
     tracemalloc.start()
     try:
-        deque(brute.enum_restricted(9, range(1, 7)), maxlen=0)
+        deque(brute.enum_restricted(n, S), maxlen=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

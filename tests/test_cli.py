@@ -238,6 +238,47 @@ def test_prime_count_beyond_n_exits_2_at_any_budget(capsys):
         assert code == 2 and out == "" and err.startswith("error:"), budget
 
 
+def test_modular_k_below_one_exits_2(capsys):
+    # k <= 0 puts g*s or more cars on the row starts: no street with
+    # missing spots, so no method counts it, brute force included
+    for k in ("0", "-1"):
+        for method in ("auto", "brute", "subtractive", "alternating"):
+            for fmt in ("text", "json"):
+                code, out, err = run(
+                    capsys, "count", "pf", "--g", "2", "--s", "3", "--k", k,
+                    "--method", method, "--format", fmt,
+                )
+                assert code == 2 and out == "", (k, method, fmt)
+                assert err.startswith("error: --k must be >= 1"), (k, method, fmt)
+        code, out, err = run(capsys, "enum", "pf", "--g", "2", "--s", "3", "--k", k)
+        assert code == 2 and out == "" and err.startswith("error: --k must be >= 1")
+
+
+def test_restriction_fault_is_named_at_any_budget(capsys):
+    # spots outside 1..n are the fault, whether or not |S|^n fits the budget
+    for argv in (("count", "pf"), ("count", "ppf"), ("enum", "pf"), ("enum", "ppf")):
+        errors = set()
+        for budget in ((), ("--budget", "0"), ("--budget", "1e9")):
+            code, out, err = run(capsys, *argv, "--n", "4", "--s", "9", *budget)
+            assert code == 2 and out == "", (argv, budget)
+            errors.add(err)
+        assert errors == {"error: restriction (1, 2, 3, 4, 5, 6, 7, 8, 9) not contained in 1..4\n"}
+
+
+def test_empty_restriction_exits_2_for_both_kinds(capsys):
+    want = "error: no allowed preferences with cars present\n"
+    for kind in ("pf", "ppf"):
+        for flags in (("--s", "0"), ("--set", "")):
+            for method in ("auto", "brute"):
+                for budget in ((), ("--budget", "0")):
+                    code, out, err = run(
+                        capsys, "count", kind, "--n", "3", *flags, "--method", method, *budget
+                    )
+                    assert (code, out, err) == (2, "", want), (kind, flags, method, budget)
+            code, out, err = run(capsys, "enum", kind, "--n", "3", *flags)
+            assert (code, out, err) == (2, "", want), (kind, flags)
+
+
 def test_prime_total_has_no_named_pair(capsys):
     code, out, _ = run(capsys, "count", "ppf", "--n", "4", "--s", "4", "--format", "json")
     assert code == 0 and json.loads(out)["count"] == "27" and json.loads(out)["method"] == "total"

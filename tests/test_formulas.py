@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parkres import brute, formulas
-from parkres.exceptions import DomainError
+from parkres.exceptions import DomainError, NonIntegerIntermediate
 from parkres.polynomial import ONE, X, IntPolynomial
 
 
@@ -33,7 +33,7 @@ def test_restricted_subtractive_values():
 
 
 def test_restricted_forms_agree():
-    for n in range(1, 13):
+    for n in range(1, 81):
         for s in range(1, n + 1):
             assert formulas.restricted_alternating(n, s) == formulas.restricted_subtractive(n, s)
 
@@ -56,7 +56,7 @@ def test_prime_forms():
         assert formulas.prime_subtractive(n, 1) == 1
     assert formulas.prime_subtractive(4, 2) == 11
     assert formulas.prime_subtractive(5, 4) == 256
-    for n in range(2, 13):
+    for n in range(2, 81):
         for s in range(1, n):
             assert formulas.prime_alternating(n, s) == formulas.prime_subtractive(n, s)
     for n in range(2, 7):
@@ -264,6 +264,48 @@ _EXPONENTS = st.one_of(st.just(0), st.integers(0, 1500))
 @example(-1, 1499, 1, 0)
 def test_power_pair_matches_two_powers(a, e, b, f):
     assert formulas._power_pair(a, e, b, f) == a**e * b**f
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 50, 400])
+def test_alternating_sums_of_one_and_two_terms(n):
+    # s = n (s = n-1 for the prime form) leaves the one term i = n, and one
+    # spot fewer two terms: the leaves and the first merge of the splitting
+    assert formulas.restricted_alternating(n, n) == formulas.pf_total(n)
+    if n >= 2:
+        want = formulas.restricted_subtractive(n, n - 1)
+        assert formulas.restricted_alternating(n, n - 1) == want
+        assert formulas.prime_alternating(n, n - 1) == formulas.ppf_total(n)
+    if n >= 3:
+        assert formulas.prime_alternating(n, n - 2) == formulas.prime_subtractive(n, n - 2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_alternating_forms_match_subtractive(data):
+    n = data.draw(st.integers(1, 400))
+    s = data.draw(st.integers(1, n))
+    assert formulas.restricted_alternating(n, s) == formulas.restricted_subtractive(n, s)
+    if s < n:
+        assert formulas.prime_alternating(n, s) == formulas.prime_subtractive(n, s)
+
+
+def test_binomial_series_matches_comb_sum():
+    def term(i):  # negative, zero and positive values
+        return 3 * i * i - 7 * i + 2
+
+    for n in range(1, 30):
+        for lo in range(n + 1):
+            p, q, t = formulas._binomial_series(n, lo, n, term)
+            assert p == factorial(n) // factorial(lo) and q == factorial(n - lo), (n, lo)
+            assert t == q * sum(comb(n, i) * term(i) for i in range(lo, n + 1)), (n, lo)
+
+
+def test_inexact_binomial_series_raises(monkeypatch):
+    # T / Q is exact by construction; a remainder means a broken splitting
+    monkeypatch.setattr(formulas, "_binomial_series", lambda n, lo, hi, term: (1, 2, 3))
+    for name in ("restricted_alternating", "prime_alternating"):
+        with pytest.raises(NonIntegerIntermediate):
+            getattr(formulas, name)(5, 2)
 
 
 @pytest.mark.parametrize("subtractive, alternating", [
