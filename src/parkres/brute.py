@@ -68,12 +68,10 @@ def _check_ns(n: int, s: int) -> tuple:
 
 
 def normalize_restriction(n: int, allowed: Iterable[int]) -> tuple:
-    """Sorted tuple of the allowed spots, checked to be integers inside
-    [1, n]."""
-    n, elems = _restriction(n, allowed)
-    if not n and elems:
-        raise DomainError(f"restriction {elems} not contained in 1..0")
-    return elems
+    """Sorted tuple of the distinct allowed spots, checked to be integers
+    inside [1, n] when cars are present; with none (n = 0) the spots are
+    ignored, as the counts and streams ignore them."""
+    return _restriction(n, allowed)[1]
 
 
 def _orbits(n: int, values: tuple, need: tuple) -> Iterator[tuple]:

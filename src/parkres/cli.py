@@ -8,17 +8,24 @@ codes: 0 ok, 2 usage or domain error, 3 verification mismatch.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
 
-from . import __version__, brute, circular, core, formulas, verify
+# Only what every subcommand needs: ``verify``, ``circular``, ``json`` and
+# ``csv`` are imported where a request uses them, as each call is a fresh
+# process that pays for every module it loads.
+from . import __version__, brute, core, formulas
 from .exceptions import BudgetExceeded, EmptyRestriction, ParkresError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
+
+# ``sorted(verify.SUITES) + ["all"]``, written out so that building the
+# parser imports no suite.
+VERIFY_SUITES = [
+    "abel", "bijections", "fibers", "formulas", "involution", "modular", "orbits", "all",
+]
 
 
 def _parse_ints(text: str) -> tuple:
@@ -40,6 +47,12 @@ def _parse_budget(text: str) -> int:
     return int(value)
 
 
+def _print_json(record) -> None:
+    import json  # only here: the other formats never load it
+
+    print(json.dumps(record))
+
+
 def _restriction_of(args) -> tuple:
     """Resolve flags into (restriction, n, allowed spots); the restriction
     is the object ``count --format json`` reports, of kind
@@ -54,6 +67,8 @@ def _restriction_of(args) -> tuple:
         n = args.g * args.s - args.k
         if n < 0:
             raise ParkresError("--k exceeds g*s")
+        from . import circular
+
         allowed = tuple(v for v in circular.preferred_spots(args.g, args.s) if v <= n)
         return {"kind": "modular", "g": args.g, "s": args.s, "k": args.k}, n, allowed
     if args.n is None:
@@ -107,10 +122,9 @@ def _brute_force(route, n: int, allowed: tuple, budget: int):
     :class:`DomainError` and an empty restriction
     :class:`EmptyRestriction`, for pf and ppf alike.
     """
-    if n:
-        allowed = brute.normalize_restriction(n, allowed)
-        if not allowed:
-            raise EmptyRestriction("no allowed preferences with cars present")
+    allowed = brute.normalize_restriction(n, allowed)
+    if n and not allowed:
+        raise EmptyRestriction("no allowed preferences with cars present")
     size = len(allowed) ** n
     if size > budget:
         raise BudgetExceeded(f"{size} candidate lists exceed --budget {budget}")
@@ -140,14 +154,15 @@ def cmd_count(args) -> int:
                 print(f"MISMATCH: formula {value}, brute force {check}", file=sys.stderr)
                 return EXIT_MISMATCH
     if args.format == "json":
-        record = {
-            "kind": args.kind,
-            "n": n,
-            "restriction": restriction,
-            "count": str(value),
-            "method": method,
-        }
-        print(json.dumps(record))
+        _print_json(
+            {
+                "kind": args.kind,
+                "n": n,
+                "restriction": restriction,
+                "count": str(value),
+                "method": method,
+            }
+        )
     else:
         print(value)
     return EXIT_OK
@@ -161,16 +176,16 @@ def cmd_enum(args) -> int:
         for prefs in stream:
             print(",".join(map(str, prefs)))
         return EXIT_OK
-    writer = None
     if args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout)
         writer.writerow(["prefs", "outcome", "ones"])
     for prefs in stream:
         outcome = core.outcome_permutation(prefs)
         ones = sum(1 for p in prefs if p == 1)
         if args.format == "json":
-            record = {"prefs": list(prefs), "n": n, "outcome": list(outcome), "ones": ones}
-            print(json.dumps(record))
+            _print_json({"prefs": list(prefs), "n": n, "outcome": list(outcome), "ones": ones})
         else:
             writer.writerow(
                 [",".join(map(str, prefs)), ",".join(map(str, outcome)), ones]
@@ -189,21 +204,21 @@ def cmd_simulate(args) -> int:
         if len(street) != 2:
             raise ParkresError(f"--circular needs two integers g,s, got {args.circular!r}")
         g, s = street
+        from . import circular
+
         state = circular.circular_park(prefs, g, s)
         parts = circular.decompose(state) if state.empty_count else None
         linear = circular.linearize(state)
         if args.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "occupancy": list(state.occupancy),
-                        "empty_spots": list(state.empty_spots),
-                        "lambda": list(parts.lam) if parts else None,
-                        "mu": list(parts.mu) if parts else None,
-                        "anchor": parts.anchor if parts else None,
-                        "linear": list(linear) if linear is not None else None,
-                    }
-                )
+            _print_json(
+                {
+                    "occupancy": list(state.occupancy),
+                    "empty_spots": list(state.empty_spots),
+                    "lambda": list(parts.lam) if parts else None,
+                    "mu": list(parts.mu) if parts else None,
+                    "anchor": parts.anchor if parts else None,
+                    "linear": list(linear) if linear is not None else None,
+                }
             )
         else:
             print(f"occupancy: {_occupancy_text(state.occupancy)}")
@@ -223,15 +238,13 @@ def cmd_simulate(args) -> int:
     if result.defect == 0 and spots == len(prefs):
         outcome = result.occupancy
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "occupancy": list(result.occupancy),
-                    "unparked": list(result.unparked),
-                    "defect": result.defect,
-                    "outcome": list(outcome) if outcome is not None else None,
-                }
-            )
+        _print_json(
+            {
+                "occupancy": list(result.occupancy),
+                "unparked": list(result.unparked),
+                "defect": result.defect,
+                "outcome": list(outcome) if outcome is not None else None,
+            }
         )
     else:
         print(f"occupancy: {_occupancy_text(result.occupancy)}")
@@ -243,19 +256,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     checks = verify.run_suite(args.suite, n_max=args.n_max, budget=args.budget)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "suite": args.suite,
-                    "ok": all(c.ok for c in checks),
-                    "checks": [
-                        {"name": c.name, "ok": c.ok, "detail": c.detail}
-                        for c in checks
-                    ],
-                }
-            )
+        _print_json(
+            {
+                "suite": args.suite,
+                "ok": all(c.ok for c in checks),
+                "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in checks],
+            }
         )
     else:
         width = max(len(c.name) for c in checks) + 2
@@ -269,8 +279,10 @@ def cmd_verify(args) -> int:
 
 def _emit_table(rows, header, fmt) -> None:
     if fmt == "json":
-        print(json.dumps({"header": header, "rows": rows}))
+        _print_json({"header": header, "rows": rows})
         return
+    import csv
+
     writer = csv.writer(sys.stdout)
     writer.writerow(header)
     for row in rows:
@@ -361,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_verify = sub.add_parser("verify", parents=[budget], help="run cross-verification suites")
-    p_verify.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
+    p_verify.add_argument("suite", choices=VERIFY_SUITES)
     p_verify.add_argument("--n-max", type=int, default=None)
     p_verify.add_argument("--format", choices=["text", "json"], default="text")
     p_verify.set_defaults(func=cmd_verify)

@@ -6,8 +6,6 @@ with no trailing zeros, so equal polynomials compare equal structurally.
 
 from __future__ import annotations
 
-from numbers import Rational
-
 
 class IntPolynomial:
     """An exact polynomial with integer coefficients."""
@@ -116,8 +114,11 @@ class IntPolynomial:
 
     def __call__(self, x):
         """Evaluate at ``x`` (int or exact rational) by Horner's rule."""
-        if not isinstance(x, (int, Rational)):
-            raise TypeError(f"exact argument required, got {x!r}")
+        if not isinstance(x, int):
+            from numbers import Rational  # only here, to keep it out of every CLI start
+
+            if not isinstance(x, Rational):
+                raise TypeError(f"exact argument required, got {x!r}")
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c

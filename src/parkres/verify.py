@@ -426,10 +426,13 @@ _MIN_N_MAX = {"formulas": 2, "bijections": 1, "involution": 1, "abel": 1, "orbit
 def run_suite(name: str, n_max=None, budget=None) -> list:
     """Run one named suite (or ``all``) and return its checks.
 
-    An ``n_max`` too small for every check of a suite to compare a case,
-    or a budget that no modular job fits, raises :class:`DomainError`
-    before any check runs.
+    An unknown name, an ``n_max`` too small for every check of a suite to
+    compare a case, or a budget that no modular job fits, raises
+    :class:`DomainError` before any check runs.
     """
+    if name != "all" and name not in SUITES:
+        known = ", ".join(sorted(SUITES) + ["all"])
+        raise DomainError(f"unknown verify suite {name!r} (known: {known})")
     keys = list(SUITES) if name == "all" else [name]
     if n_max is not None:
         least = max(_MIN_N_MAX.get(key, n_max) for key in keys)

@@ -72,6 +72,11 @@ def test_u_vector():
     assert bijections.u_vector(range(1, 5), 4) == (1, 2, 3, 4)
     assert bijections.u_vector((1,), 3) == (1, 1, 1)
     assert bijections.u_vector((2,), 3) == (0, 1, 1)
+    assert bijections.u_vector((1, 2, 3), 0) == ()  # no car: spots are ignored
+
+
+def test_shift_restriction_without_cars():
+    assert bijections.shift_restriction((1, 2, 3), 0) == (1,)
 
 
 def test_to_u_parking_examples():

@@ -89,6 +89,12 @@ def test_brute_rejects_non_integer_arguments():
     assert brute.normalize_restriction(3, range(3, 0, -1)) == (1, 2, 3)
 
 
+def test_spots_are_ignored_without_cars():
+    # with no car present no spot is out of range, as the counts have it
+    assert brute.normalize_restriction(0, (3, 1, 2)) == (1, 2, 3)
+    assert brute.count_restricted(0, (1, 2, 3)) == 1
+
+
 def test_brute_rejects_negative_cars():
     for call in (
         brute.normalize_restriction,

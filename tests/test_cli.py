@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -165,6 +166,8 @@ def test_count_zero_cars_matches_enum(capsys):
         assert code == 0
         assert json.loads(out)["count"] == "1" and json.loads(out)["method"] == "brute"
         code, out, _ = run(capsys, "count", kind, "--n", "0", "--method", "brute")
+        assert code == 0 and out.strip() == "1"
+        code, out, _ = run(capsys, "count", kind, "--n", "0", "--s", "3")  # no car, no spot out of range
         assert code == 0 and out.strip() == "1"
         for method in ("subtractive", "alternating"):
             code, out, err = run(capsys, "count", kind, "--n", "0", "--method", method)
@@ -500,6 +503,46 @@ def test_import_loads_no_unused_stdlib():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def _loaded_by(argv) -> set:
+    """The modules loaded in a fresh interpreter (without site packages)
+    once ``main(argv)`` has run."""
+    code = (
+        "import sys\n"
+        "from parkres.cli import main\n"
+        "try:\n"
+        f"    main({argv!r})\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(' '.join(sys.modules), file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    err = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stderr
+    return set(err.split())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--version"],
+        ["count", "pf", "--n", "5", "--s", "3"],
+        ["simulate", "1,1"],
+        ["table", "catalan-triangle", "--format", "json"],
+    ],
+)
+def test_request_imports_only_what_it_runs(argv):
+    loaded = _loaded_by(argv)
+    assert "parkres.cli" in loaded
+    unused = {"parkres.verify", "parkres.bijections", "parkres.circular", "csv"}
+    assert not loaded & unused
+    assert ("json" in loaded) == ("json" in argv)
+
+
+def test_verify_request_imports_the_suites():
+    assert "parkres.verify" in _loaded_by(["verify", "orbits", "--n-max", "3"])
 
 
 def test_output_determinism(capsys):
