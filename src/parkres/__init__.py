@@ -32,7 +32,8 @@ _EXPORTS = {
     ),
     "circular": (
         "CircularState", "Decomposition", "RelationReport", "circular_park",
-        "decompose", "linearize", "preferred_spots", "verify_relation",
+        "compositions", "decompose", "linearize", "multinomial", "preferred_spots",
+        "verify_relation",
     ),
     "core": (
         "EMPTY", "ParkingResult", "catalan_check", "defect", "is_parking_function",
@@ -40,10 +41,10 @@ _EXPORTS = {
     ),
     "formulas": (
         "AbelCheck", "abel_check", "catalan_number", "catalan_triangle",
-        "compositions", "fiber_size_formula", "max_run_length", "mod_count",
-        "mod_count_k1", "multinomial", "ones_poly_alternating", "ones_poly_subtractive",
-        "pf_total", "ppf_total", "prime_alternating", "prime_subtractive",
-        "restricted_alternating", "restricted_subtractive",
+        "fiber_size_formula", "max_run_length", "mod_count", "mod_count_k1",
+        "ones_poly_alternating", "ones_poly_subtractive", "pf_total", "ppf_total",
+        "prime_alternating", "prime_subtractive", "restricted_alternating",
+        "restricted_subtractive",
     ),
     "polynomial": ("IntPolynomial", "ONE", "X"),
 }

@@ -6,12 +6,17 @@ the list is prime), how many cars prefer spot 1, and how many cars park
 on fewer spots than cars are all unchanged when the cars are reordered.
 So :func:`_orbits` walks one non-decreasing list per orbit of the
 car-permuting action, as its multiplicity vector (c_v entries equal to
-v), and each counter adds the orbit size n!/prod(c_v!).  The parking
-counters decide an orbit by the occupancy condition (at least i entries
-<= i, for every i) and cut a prefix as soon as it fails, which discards
-only orbits that provably fail; the min-defect counter instead parks the
-sorted list a spot at a time, counting the cars waiting at each spot.
-Orbit sizes come from factorials here.
+v), and each counter adds the orbit size n!/prod(c_v!).  The walks carry
+that size down the path as a product of binomials, C(rest, c_v) for the
+c_v of the ``rest`` entries still unplaced that equal v, read from
+Pascal rows built once per call.  The parking counters decide an orbit
+by the occupancy condition (at least i entries <= i, for every i) and
+cut a prefix as soon as it fails, which discards only orbits that
+provably fail; their walk stops one value short of the orbits, where the
+orbits left add up to a suffix of one binomial row.  The min-defect
+counter instead parks the sorted list a spot at a time, counting the
+cars waiting at each spot, and cuts a prefix at the first spot that
+finds none.
 
 The ``enum_*`` streams walk the lists in lexicographic order and extend a
 prefix only by the entries that keep it completable.  The completions of
@@ -34,12 +39,11 @@ These are the trusted, independent counterparts of the closed forms in
 from __future__ import annotations
 
 from itertools import accumulate, chain, repeat
-from math import factorial
 from operator import add, index
 from typing import Iterable, Iterator, Sequence
 
 from .core import _ints
-from .exceptions import DomainError, EmptyRestriction
+from .exceptions import DomainError, EmptyRestriction, ParkresError
 
 
 def _restriction(n: int, allowed: Iterable[int]) -> tuple:
@@ -74,35 +78,46 @@ def normalize_restriction(n: int, allowed: Iterable[int]) -> tuple:
     return _restriction(n, allowed)[1]
 
 
+def _binomial_rows(n: int) -> list:
+    """Rows 0..n of Pascal's triangle: ``rows[r][c]`` is C(r, c)."""
+    rows = [[1]]
+    for _ in range(n):
+        row = rows[-1]
+        rows.append([1, *map(add, row, row[1:]), 1])
+    return rows
+
+
 def _orbits(n: int, values: tuple, need: tuple) -> Iterator[tuple]:
     """Yield ``(counts, size)`` for each multiset of n entries from ``values``.
 
     ``counts[j]`` is how many entries equal ``values[j]`` and ``size`` is
-    the number of lists with those entries, n!/prod(counts[j]!).  A
-    multiset is skipped when, for some j, fewer than ``need[j]`` (at most
+    the number of lists with those entries, n!/prod(counts[j]!), carried
+    down the walk as the product of the binomials C(rest, counts[j]) that
+    choose which of the ``rest`` entries still unplaced equal ``values[j]``.
+    A multiset is skipped when, for some j, fewer than ``need[j]`` (at most
     n) of its entries are <= ``values[j]``; the test runs as each count is
     chosen, so a failing prefix is cut with everything that extends it.
     """
     if len(values) == 1:
         return iter([((n,), 1)])
-    fact = [factorial(i) for i in range(n + 1)]
-    return _orbit_walk(n, need, fact, [0] * len(values), 0, 0, 1)
+    return _orbit_walk(n, need, _binomial_rows(n), [0] * len(values), 0, 0, 1)
 
 
-def _orbit_walk(n, need, fact, counts, j, placed, denom):
-    # counts[:j] are chosen, ``placed`` entries in all, and ``denom`` is
-    # the product of their factorials; the last count takes what is left
+def _orbit_walk(n, need, rows, counts, j, placed, size):
+    # counts[:j] are chosen, ``placed`` entries in all, in ``size`` ways;
+    # the last count takes what is left
     rest = n - placed
+    row = rows[rest]
     low = max(0, need[j] - placed)
     if j + 2 == len(counts):
         for c in range(low, rest + 1):
             counts[j] = c
             counts[j + 1] = rest - c
-            yield tuple(counts), fact[n] // (denom * fact[c] * fact[rest - c])
+            yield tuple(counts), size * row[c]
         return
     for c in range(low, rest + 1):
         counts[j] = c
-        yield from _orbit_walk(n, need, fact, counts, j + 1, placed + c, denom * fact[c])
+        yield from _orbit_walk(n, need, rows, counts, j + 1, placed + c, size * row[c])
 
 
 def _occupancy_need(n: int, allowed: tuple, strict: bool) -> tuple:
@@ -119,8 +134,26 @@ def _count_parking(n: int, allowed: tuple, strict: bool) -> int:
     # n >= 1 cars over the sorted, non-empty ``allowed``
     if allowed[0] != 1:
         return 0  # spot 1 is never preferred
-    need = _occupancy_need(n, allowed, strict)
-    return sum(size for _, size in _orbits(n, allowed, need))
+    if len(allowed) == 1:
+        return 1  # every car prefers spot 1
+    return _count_walk(n, _occupancy_need(n, allowed, strict), _binomial_rows(n), 0, 0)
+
+
+def _count_walk(n, need, rows, j, placed):
+    # The ways to give the ``rest`` cars still unplaced values from
+    # allowed[j:] so that every bound in need[j:] holds, when ``placed``
+    # cars already hold smaller values.  At the second last value, c >= low
+    # of them take it and the last value takes the others, so the count is
+    # the suffix of the binomial row of ``rest`` from c = low.
+    rest = n - placed
+    row = rows[rest]
+    low = max(0, need[j] - placed)
+    if j + 2 == len(need):
+        return sum(row[low:])
+    total = 0
+    for c in range(low, rest + 1):
+        total += row[c] * _count_walk(n, need, rows, j + 1, placed + c)
+    return total
 
 
 # A stream builds the completions of its last ``short`` positions at
@@ -263,7 +296,7 @@ def ones_distribution(n: int, s: int) -> tuple:
     for counts, size in _orbits(n, values, _occupancy_need(n, values, False)):
         tally[counts[0]] += size
     if tally[0] != 0:
-        raise AssertionError("parking function with no car preferring spot 1")
+        raise ParkresError("parking function with no car preferring spot 1")
     return tuple(tally[1:])
 
 
@@ -305,21 +338,27 @@ def count_min_defect(n: int, s: int) -> int:
     """Number of preference functions [n] -> [s] with the smallest possible
     defect n - s.
 
-    Decided by parking each orbit's sorted list a spot at a time, so it
-    is independent of the occupancy-condition counters above.  Walking
-    spots 1..s, the cars waiting at a spot are those preferring it plus
-    those rolled on from earlier spots; the spot parks one of them, and
-    the list reaches the minimum defect iff every spot finds a car waiting.
+    Decided by parking the sorted lists a spot at a time, so it is
+    independent of the occupancy-condition counters above.  Walking spots
+    1..s, the cars waiting at a spot are those preferring it plus those
+    rolled on from earlier spots; the spot parks one of them, and a list
+    reaches the minimum defect iff every spot finds a car waiting.  The
+    walk chooses how many cars prefer each spot in turn and cuts a prefix
+    at the first spot that finds none, so it reaches only the sorted lists
+    that fill every spot, each weighted by its orbit size.
     """
     n, s = _check_ns(n, s)
+    return _min_defect_walk(_binomial_rows(n), s, n, 0)
+
+
+def _min_defect_walk(rows, spots, rest, waiting):
+    # The ways to give ``rest`` cars preferences among the last ``spots``
+    # spots so that each of them finds a car, when ``waiting`` cars roll on
+    # to the first of them.  The last spot takes every car left.
+    if spots == 1:
+        return 1 if waiting + rest else 0
+    row = rows[rest]
     total = 0
-    for counts, size in _orbits(n, tuple(range(1, s + 1)), (0,) * s):
-        waiting = 0
-        for c in counts:
-            waiting += c
-            if not waiting:
-                break
-            waiting -= 1
-        else:
-            total += size
+    for c in range(0 if waiting else 1, rest + 1):
+        total += row[c] * _min_defect_walk(rows, spots - 1, rest - c, waiting + c - 1)
     return total

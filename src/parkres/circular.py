@@ -14,13 +14,18 @@ decomposition; the tally yields the counting relation checked by
 
 from __future__ import annotations
 
-from math import comb
-from typing import NamedTuple, Sequence
+from math import comb, factorial
+from typing import Iterator, NamedTuple, Sequence
 
 from .brute import _orbits, count_restricted
 from .core import _ints
-from .exceptions import BadModularPreference, BudgetExceeded, DomainError, NotBlockAligned
-from .formulas import compositions, multinomial
+from .exceptions import (
+    BadModularPreference,
+    BudgetExceeded,
+    DomainError,
+    NonIntegerIntermediate,
+    NotBlockAligned,
+)
 
 
 def preferred_spots(g: int, s: int) -> tuple:
@@ -266,6 +271,41 @@ def modular_census(g: int, s: int, k: int) -> dict:
     return census
 
 
+def compositions(total: int, num_parts: int) -> Iterator[tuple]:
+    """All compositions of ``total`` into exactly ``num_parts`` positive
+    parts, in lexicographic order."""
+    total, num_parts = _ints(total, num_parts)
+    if num_parts < 1 or total < num_parts:
+        raise DomainError(
+            f"cannot compose {total} into {num_parts} positive parts"
+        )
+
+    return _compositions(total, num_parts)
+
+
+def _compositions(total: int, num_parts: int) -> Iterator[tuple]:
+    if num_parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - num_parts + 2):
+        for rest in _compositions(total - first, num_parts - 1):
+            yield (first,) + rest
+
+
+def multinomial(n: int, parts: Sequence[int]) -> int:
+    """Number of ways to split n labelled items into blocks of the given
+    sizes.  Parts must be nonnegative and sum to n."""
+    n, *parts = _ints(n, *parts)
+    if any(p < 0 for p in parts):
+        raise DomainError(f"negative part in {tuple(parts)}")
+    if sum(parts) != n:
+        raise DomainError(f"parts {tuple(parts)} do not sum to {n}")
+    result = factorial(n)
+    for p in parts:
+        result //= factorial(p)
+    return result
+
+
 def _period(pairs: tuple) -> int:
     n = len(pairs)
     for p in range(1, n + 1):
@@ -323,9 +363,7 @@ def verify_relation(g: int, s: int, k: int, budget: int = 10**7) -> RelationRepo
                 p = _period(pairs)
                 layouts, rest = divmod(p * s, n)
                 if rest:
-                    raise AssertionError(
-                        f"non-integer layout count for class {key}"
-                    )
+                    raise NonIntegerIntermediate(f"non-integer layout count for class {key}")
                 value = layouts * multinomial(m, parts)
                 for seg in parts:
                     value *= segment_count(seg)

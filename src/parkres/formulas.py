@@ -12,9 +12,9 @@ at i == 0 is the constant 1 (which also covers x == 0).
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb
 from operator import index
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .exceptions import DomainError, NonIntegerIntermediate
 from .polynomial import ONE, IntPolynomial
@@ -337,41 +337,6 @@ def fiber_size_formula(sigma: Sequence[int], s: int) -> int:
             return 0
         total *= choices
     return total
-
-
-def compositions(total: int, num_parts: int) -> Iterator[tuple]:
-    """All compositions of ``total`` into exactly ``num_parts`` positive
-    parts, in lexicographic order."""
-    total, num_parts = _ints(total, num_parts)
-    if num_parts < 1 or total < num_parts:
-        raise DomainError(
-            f"cannot compose {total} into {num_parts} positive parts"
-        )
-
-    return _compositions(total, num_parts)
-
-
-def _compositions(total: int, num_parts: int) -> Iterator[tuple]:
-    if num_parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - num_parts + 2):
-        for rest in _compositions(total - first, num_parts - 1):
-            yield (first,) + rest
-
-
-def multinomial(n: int, parts: Sequence[int]) -> int:
-    """Number of ways to split n labelled items into blocks of the given
-    sizes.  Parts must be nonnegative and sum to n."""
-    n, *parts = _ints(n, *parts)
-    if any(p < 0 for p in parts):
-        raise DomainError(f"negative part in {tuple(parts)}")
-    if sum(parts) != n:
-        raise DomainError(f"parts {tuple(parts)} do not sum to {n}")
-    result = factorial(n)
-    for p in parts:
-        result //= factorial(p)
-    return result
 
 
 def mod_count_k1(g: int, s: int) -> int:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parkres import brute, circular, core
-from parkres.exceptions import DomainError, EmptyRestriction
+from parkres.exceptions import DomainError, EmptyRestriction, ParkresError
 
 
 def all_subsets(n):
@@ -278,6 +278,14 @@ def test_ones_distribution():
         for s in range(1, n + 1):
             dist = brute.ones_distribution(n, s)
             assert sum(dist) == brute.count_restricted(n, range(1, s + 1))
+
+
+def test_ones_distribution_names_a_list_without_a_one(monkeypatch):
+    # with no occupancy bound the walk reaches lists no car of which
+    # prefers spot 1; the census reports that as a library error
+    monkeypatch.setattr(brute, "_occupancy_need", lambda n, values, strict: (0,) * len(values))
+    with pytest.raises(ParkresError, match="no car preferring spot 1"):
+        brute.ones_distribution(3, 2)
 
 
 def test_fiber_size_bruteforce():

@@ -1,11 +1,12 @@
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parkres import brute, circular, core
-from parkres.exceptions import BadModularPreference, BudgetExceeded, DomainError
+from parkres.exceptions import BadModularPreference, BudgetExceeded, DomainError, NonIntegerIntermediate
 
 
 def test_preferred_spots():
@@ -137,6 +138,30 @@ def test_rotation_equivariance():
         assert rstate.occupancy == expect
 
 
+def test_compositions():
+    assert list(circular.compositions(3, 2)) == [(1, 2), (2, 1)]
+    assert list(circular.compositions(4, 1)) == [(4,)]
+    listing = list(circular.compositions(6, 3))
+    assert listing == sorted(listing)
+    assert len(listing) == comb(5, 2)
+    assert all(sum(c) == 6 and min(c) >= 1 for c in listing)
+    with pytest.raises(DomainError):
+        circular.compositions(2, 3)
+    with pytest.raises(DomainError):
+        circular.compositions(2, 0)
+
+
+def test_multinomial():
+    assert circular.multinomial(4, (2, 2)) == 6
+    assert circular.multinomial(7, (5, 2)) == 21
+    assert circular.multinomial(5, (5,)) == 1
+    assert circular.multinomial(3, (1, 0, 2)) == 3
+    with pytest.raises(DomainError):
+        circular.multinomial(3, (4, -1))
+    with pytest.raises(DomainError):
+        circular.multinomial(3, (1, 1))
+
+
 def test_verify_relation_small():
     report = circular.verify_relation(3, 3, 1)
     assert report.ok
@@ -150,6 +175,14 @@ def test_verify_relation_small():
     for s in range(2, 6):
         for k in range(1, s):
             assert circular.verify_relation(1, s, k).ok
+
+
+def test_verify_relation_names_a_non_integer_layout_count(monkeypatch):
+    # a class of n blocks has p*s/n layouts; a wrong period of 1 makes
+    # 5/n fractional for the two-block classes of (2, 5, 4)
+    monkeypatch.setattr(circular, "_period", lambda pairs: 1)
+    with pytest.raises(NonIntegerIntermediate, match="non-integer layout count"):
+        circular.verify_relation(2, 5, 4)
 
 
 def test_verify_relation_budget_counts_orbits():
@@ -190,6 +223,8 @@ def test_sizes_and_preferences_must_be_integers_in_range():
         (circular.modular_census, (2, 3, 7)),
         (circular.modular_census, (0, 3, 1)),
         (circular.modular_census, (2, 3, 0)),
+        (circular.compositions, (3.0, 2)),
+        (circular.multinomial, (3, (1.0, 2))),
         (core.park, ((1, 2), 2.5)),
         (core.park, ((1.0, 2), 2)),
         (core.is_prime, ((1, 1.0),)),

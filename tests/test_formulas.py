@@ -333,8 +333,6 @@ NON_INTEGER_CALLS = [
     ("abel_check", (2.0, 1, 1)),
     ("max_run_length", ((1, 2), 2.0)),
     ("fiber_size_formula", ((1, 2), 2.0)),
-    ("compositions", (3.0, 2)),
-    ("multinomial", (3, (1.0, 2))),
     ("mod_count_k1", (2.0, 3)),
     ("mod_count", (2, 3, 1.0)),
 ]
@@ -379,30 +377,6 @@ def test_fiber_size_formula():
         for s in range(1, n + 1):
             for sigma in permutations(range(1, n + 1)):
                 assert formulas.fiber_size_formula(sigma, s) == brute.fiber_size_bruteforce(sigma, s)
-
-
-def test_compositions():
-    assert list(formulas.compositions(3, 2)) == [(1, 2), (2, 1)]
-    assert list(formulas.compositions(4, 1)) == [(4,)]
-    listing = list(formulas.compositions(6, 3))
-    assert listing == sorted(listing)
-    assert len(listing) == comb(5, 2)
-    assert all(sum(c) == 6 and min(c) >= 1 for c in listing)
-    with pytest.raises(DomainError):
-        formulas.compositions(2, 3)
-    with pytest.raises(DomainError):
-        formulas.compositions(2, 0)
-
-
-def test_multinomial():
-    assert formulas.multinomial(4, (2, 2)) == 6
-    assert formulas.multinomial(7, (5, 2)) == 21
-    assert formulas.multinomial(5, (5,)) == 1
-    assert formulas.multinomial(3, (1, 0, 2)) == 3
-    with pytest.raises(DomainError):
-        formulas.multinomial(3, (4, -1))
-    with pytest.raises(DomainError):
-        formulas.multinomial(3, (1, 1))
 
 
 def test_mod_count_k1():

@@ -8,13 +8,15 @@ the census park that list a spot (a row) at a time.  The odometer below
 visits all |S|**n preference lists, decides each one by simulation or by
 the definition, and classifies circular streets with its own
 decomposition; it shares no code with either module.  The per-car
-references walk the same orbits through ``brute._orbits`` (which the
-odometer checks) but park every car of the sorted list on its own, so
-they reach sizes the odometer cannot.
+references walk the same orbits through ``brute._orbits`` but park every
+car of the sorted list on its own, so they reach sizes the odometer
+cannot.  The walk itself is checked by listing every sorted list and
+computing each orbit size from factorials, which it no longer uses.
 """
 
-from itertools import combinations, product
-from math import comb
+from collections import Counter
+from itertools import combinations, combinations_with_replacement, product
+from math import comb, factorial, prod
 
 import pytest
 
@@ -113,6 +115,38 @@ def per_car_min_defect(n, s):
         if parked(prefs, s) == s:
             total += size
     return total
+
+
+def orbit_cases():
+    """(n, values, need) for every n <= 8 and 1 <= r <= 5 values: no bound,
+    and the plain and strict occupancy bounds of every r-subset of [n]."""
+    for n in range(9):
+        for r in range(1, 6):
+            yield n, tuple(range(1, r + 1)), (0,) * r
+            for values in combinations(range(1, n + 1), r):
+                for strict in (False, True):
+                    yield n, values, brute._occupancy_need(n, values, strict)
+
+
+def test_orbits_yield_each_multiset_once_with_its_factorial_size():
+    # The walk carries each size as a product of binomials; here it is
+    # n!/prod(c_v!), and the multisets are filtered from every sorted list
+    # by the bound as the docstring states it.
+    for n, values, need in orbit_cases():
+        seen = Counter()
+        total = 0
+        for counts, size in brute._orbits(n, values, need):
+            seen[counts] += 1
+            assert size == factorial(n) // prod(map(factorial, counts)), (n, values, need, counts)
+            total += size
+        want = set()
+        for entries in combinations_with_replacement(range(len(values)), n):
+            counts = tuple(map(entries.count, range(len(values))))
+            if all(sum(counts[: j + 1]) >= bound for j, bound in enumerate(need)):
+                want.add(counts)
+        assert set(seen) == want and set(seen.values()) <= {1}, (n, values, need)
+        if not any(need):
+            assert total == len(values) ** n, (n, values)
 
 
 def test_count_parking_matches_odometer():

@@ -15,12 +15,34 @@ def test_library_has_no_assert():
     sources = sorted(SRC.glob("*.py"))
     assert sources
     found = [
-        f"{path.name}:{node.lineno}"
+        f"{path.name}:{line}"
         for path in sources
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
+        for line in _assertions(ast.parse(path.read_text(), filename=str(path)))
     ]
-    assert not found, f"assert statements in library code: {found}"
+    assert not found, f"assertions in library code: {found}"
+
+
+def _assertions(tree):
+    """Lines of the assert statements and of the raises of
+    ``AssertionError``: a failed check in library code names a
+    ``ParkresError`` the CLI can report, not a bare assertion."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+        or isinstance(node, ast.Raise)
+        and any(isinstance(sub, ast.Name) and sub.id == "AssertionError" for sub in ast.walk(node))
+    ]
+
+
+def test_assertion_is_detected():
+    source = (
+        "def f(x):\n    assert x\n"
+        "def g(x):\n    if x:\n        raise AssertionError('bad')\n"
+        "def h(x):\n    if x:\n        raise AssertionError\n"
+        "def k(x):\n    if x:\n        raise ValueError('bad')\n"
+    )
+    assert _assertions(ast.parse(source)) == [2, 5, 8]
 
 
 def _self_calling_closures(tree):
@@ -91,16 +113,18 @@ def test_generator_stream_is_detected():
 
 
 def test_oracles_import_nothing_from_formulas():
-    # brute is the independent check of formulas: it keeps its own
-    # argument checks rather than borrow those of the route it checks
-    path = SRC / "brute.py"
-    imported = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.ImportFrom):
-            imported.add(node.module or "")
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            imported.update(alias.name for alias in node.names)
-    assert imported and not any(name.split(".")[-1] == "formulas" for name in imported)
+    # brute and circular are the independent checks of formulas: they keep
+    # their own argument checks and helpers rather than borrow those of
+    # the route they check
+    for name in ("brute.py", "circular.py"):
+        path = SRC / name
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update(alias.name for alias in node.names)
+        assert imported and not any(part.split(".")[-1] == "formulas" for part in imported), name
 
 
 # The argument checks every formula may share; no other private helper may
@@ -166,3 +190,48 @@ def test_shared_count_helper_is_detected():
     tree = ast.parse(source)
     assert _shared_helpers(tree, [("sub", "alt")]) == {("sub", "alt"): ["_MEMO", "_power_pair"]}
     assert _shared_helpers(tree, [("sub", "other")]) == {}
+
+
+# count_min_defect is checked against count_restricted by ``verify
+# formulas``: it parks the sorted lists itself and must reach neither the
+# occupancy bounds nor the counting walk of the parking counters.
+PARKING_ROUTE = {"_occupancy_need", "_count_walk"}
+
+
+def _reached(tree, name):
+    """The private module-level names ``name`` refers to, followed through
+    every private function they name."""
+    used = _private_names_used(tree)
+    seen = set()
+    todo = [name]
+    while todo:
+        for sub in used.get(todo.pop(), ()):
+            if sub not in seen:
+                seen.add(sub)
+                todo.append(sub)
+    return seen
+
+
+def test_min_defect_does_not_reach_the_parking_route():
+    path = SRC / "brute.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reached = _reached(tree, "count_min_defect")
+    assert "_min_defect_walk" in reached
+    assert "_count_walk" in _reached(tree, "count_restricted")
+    assert "_occupancy_need" in _reached(tree, "count_restricted")
+    assert reached & PARKING_ROUTE == set()
+
+
+def test_reached_parking_route_is_detected():
+    source = (
+        "def _occupancy_need(n):\n    return (n,)\n"
+        "def _count_walk(need):\n    return need[0]\n"
+        "def _rows(n):\n    return [n]\n"
+        "def _walk(n):\n    return _count_walk(_occupancy_need(n))\n"
+        "def _direct(n):\n    return _rows(n)\n"
+        "def count_min_defect(n):\n    return _direct(n) + _walk(n)\n"
+        "def count_plain(n):\n    return _direct(n)\n"
+    )
+    tree = ast.parse(source)
+    assert _reached(tree, "count_min_defect") & PARKING_ROUTE == PARKING_ROUTE
+    assert _reached(tree, "count_plain") == {"_direct", "_rows"}
