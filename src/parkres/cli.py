@@ -3,26 +3,30 @@
 Counts are printed in full decimal.  ``--format json`` emits stable
 machine-readable objects; enumerations stream one line per list.  Exit
 codes: 0 ok, 2 usage or domain error, 3 verification mismatch.
+
+The command line is read against one table, :data:`COMMANDS`, by the few
+lines of :func:`parse`: each call is a fresh process, and importing and
+building the standard library's parser took longer than most requests
+run.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 
-# Only what every subcommand needs: ``verify``, ``circular``, ``json`` and
-# ``csv`` are imported where a request uses them, as each call is a fresh
-# process that pays for every module it loads.
-from . import __version__, brute, core, formulas
+# Each library module is imported where a request uses it (``formulas``
+# by the closed forms, ``brute`` by brute force, ``core`` by parking), as
+# each call is a fresh process that pays for every module it loads.
+from . import __version__
 from .exceptions import BudgetExceeded, EmptyRestriction, ParkresError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 
-# ``sorted(verify.SUITES) + ["all"]``, written out so that building the
-# parser imports no suite.
+# ``sorted(verify.SUITES) + ["all"]``, written out so that reading the
+# command line imports no suite.
 VERIFY_SUITES = [
     "abel", "bijections", "fibers", "formulas", "involution", "modular", "orbits", "all",
 ]
@@ -39,11 +43,9 @@ def _parse_budget(text: str) -> int:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad budget {text!r}")
+        value = math.nan
     if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError(
-            f"budget must be a finite number >= 0, got {text!r}"
-        )
+        raise ParkresError(f"--budget must be a finite number >= 0, got {text!r}")
     return int(value)
 
 
@@ -92,6 +94,8 @@ def closed_forms(kind: str, restriction: dict, n: int) -> dict:
     with 1 <= k <= g*s has the recursion.  An explicit set, a modular ppf
     and every other (n, s) have none, and are counted by brute force.
     """
+    from . import formulas
+
     if restriction["kind"] == "modular":
         g, s, k = restriction["g"], restriction["s"], restriction["k"]
         if kind == "pf" and 1 <= k <= g * s:
@@ -122,6 +126,8 @@ def _brute_force(route, n: int, allowed: tuple, budget: int):
     :class:`DomainError` and an empty restriction
     :class:`EmptyRestriction`, for pf and ppf alike.
     """
+    from . import brute
+
     allowed = brute.normalize_restriction(n, allowed)
     if n and not allowed:
         raise EmptyRestriction("no allowed preferences with cars present")
@@ -132,6 +138,8 @@ def _brute_force(route, n: int, allowed: tuple, budget: int):
 
 
 def cmd_count(args) -> int:
+    from . import brute
+
     restriction, n, allowed = _restriction_of(args)
     forms = closed_forms(args.kind, restriction, n)
     count = brute.count_restricted if args.kind == "pf" else brute.count_prime_restricted
@@ -169,6 +177,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_enum(args) -> int:
+    from . import brute, core
+
     _, n, allowed = _restriction_of(args)
     route = brute.enum_restricted if args.kind == "pf" else brute.enum_prime_restricted
     stream = _brute_force(route, n, allowed, args.budget)
@@ -232,6 +242,10 @@ def cmd_simulate(args) -> int:
             else:
                 print(f"linear: {','.join(map(str, linear)) or '()'}")
         return EXIT_OK
+    from . import core
+
+    if args.spots is not None and args.spots < 0:
+        raise ParkresError(f"--spots must be >= 0, got {args.spots}")
     spots = args.spots if args.spots is not None else len(prefs)
     result = core.park(prefs, spots)
     outcome = None
@@ -264,7 +278,7 @@ def cmd_verify(args) -> int:
             {
                 "suite": args.suite,
                 "ok": all(c.ok for c in checks),
-                "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in checks],
+                "checks": [c._asdict() for c in checks],
             }
         )
     else:
@@ -290,6 +304,8 @@ def _emit_table(rows, header, fmt) -> None:
 
 
 def cmd_table(args) -> int:
+    from . import formulas
+
     n_max = 8 if args.n_max is None else args.n_max
     if n_max < 1 and args.family != "ones":
         raise ParkresError(f"table {args.family} needs --n-max >= 1, got {n_max}")
@@ -324,77 +340,207 @@ def cmd_table(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="parkres",
-        description="Exact counting and simulation of preference-restricted parking functions",
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"parkres {__version__}"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# The command table.  A flag maps to (type or tuple of choices, default,
+# help); a positional is (name, type or choices, help).  The first
+# --format value is the default.  ``--budget`` and the list flags are
+# shared, as several commands read them.
+BUDGET = {"--budget": (_parse_budget, 10**7, "max candidate lists for brute-force work")}
+LISTS = {
+    "--n": (int, None, "number of cars"),
+    "--s": (int, None, "allowed spots 1..s (default n)"),
+    "--set": (str, None, "explicit allowed spots, e.g. 1,4,7"),
+    "--g": (int, None, "row size for modular restriction"),
+    "--k": (int, None, "missing spots for modular restriction"),
+    **BUDGET,
+}
+KIND = ("kind", ("pf", "ppf"), "parking functions or prime parking functions")
+COMMANDS = {
+    "count": {
+        "help": "count (prime) parking functions",
+        "positional": KIND,
+        "flags": {
+            **LISTS,
+            "--method": (
+                ("auto", "brute", "subtractive", "alternating"),
+                "auto",
+                "auto: the first closed form, cross-checked by brute force within --budget",
+            ),
+        },
+        "formats": ("text", "json"),
+        "run": cmd_count,
+    },
+    "enum": {
+        "help": "stream (prime) parking functions",
+        "positional": KIND,
+        "flags": LISTS,
+        "formats": ("text", "json", "csv"),
+        "run": cmd_enum,
+    },
+    "simulate": {
+        "help": "run the parking procedure",
+        "positional": ("prefs", str, "comma-separated preferences, e.g. 1,4,4,1,1,7,1"),
+        "flags": {
+            "--spots": (int, None, "number of spots (default: one per car)"),
+            "--circular": (str, None, "g,s for a circular street"),
+        },
+        "formats": ("text", "json"),
+        "run": cmd_simulate,
+    },
+    "verify": {
+        "help": "run cross-verification suites",
+        "positional": ("suite", tuple(VERIFY_SUITES), "the suite to run"),
+        "flags": {**BUDGET, "--n-max": (int, None, "largest n each suite checks")},
+        "formats": ("text", "json"),
+        "run": cmd_verify,
+    },
+    "table": {
+        "help": "emit count tables",
+        "positional": (
+            "family",
+            ("pf-restricted", "ppf-restricted", "catalan-triangle", "ones"),
+            "the table to emit",
+        ),
+        "flags": {
+            "--n-max": (int, None, "rows 1..n-max (default 8)"),
+            "--n": (int, None, "cars, for ones"),
+            "--s": (int, None, "allowed spots, for ones"),
+        },
+        "formats": ("csv", "json"),
+        "run": cmd_table,
+    },
+}
+# Flags that take no value.
+HELP = {"-h": None, "--help": None}
+TOP = {**HELP, "--version": None}
 
-    # Flags shared through argparse parents: the budget of brute-force
-    # work, and the lists that count and enum walk.
-    budget = argparse.ArgumentParser(add_help=False)
-    budget.add_argument(
-        "--budget",
-        type=_parse_budget,
-        default=10**7,
-        help="max candidate lists for brute-force work (default 1e7)",
-    )
-    lists = argparse.ArgumentParser(add_help=False, parents=[budget])
-    lists.add_argument("kind", choices=["pf", "ppf"])
-    lists.add_argument("--n", type=int)
-    lists.add_argument("--s", type=int)
-    lists.add_argument("--set", help="explicit allowed spots, e.g. 1,4,7")
-    lists.add_argument("--g", type=int, help="row size for modular restriction")
-    lists.add_argument("--k", type=int, help="missing spots for modular restriction")
 
-    # Each --format value names one output; the first is the default.
-    p_count = sub.add_parser("count", parents=[lists], help="count (prime) parking functions")
-    p_count.add_argument(
-        "--method",
-        choices=["auto", "brute", "subtractive", "alternating"],
-        default="auto",
-    )
-    p_count.add_argument("--format", choices=["text", "json"], default="text")
-    p_count.set_defaults(func=cmd_count)
+class Args:
+    """The values of one command line, by name: ``args.n_max`` for
+    ``--n-max``."""
 
-    p_enum = sub.add_parser("enum", parents=[lists], help="stream (prime) parking functions")
-    p_enum.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p_enum.set_defaults(func=cmd_enum)
+    def __init__(self, values: dict):
+        self.__dict__.update(values)
 
-    p_sim = sub.add_parser("simulate", help="run the parking procedure")
-    p_sim.add_argument("prefs", help="comma-separated preferences, e.g. 1,4,4,1,1,7,1")
-    p_sim.add_argument("--spots", type=int)
-    p_sim.add_argument("--circular", help="g,s for a circular street")
-    p_sim.add_argument("--format", choices=["text", "json"], default="text")
-    p_sim.set_defaults(func=cmd_simulate)
 
-    p_verify = sub.add_parser("verify", parents=[budget], help="run cross-verification suites")
-    p_verify.add_argument("suite", choices=VERIFY_SUITES)
-    p_verify.add_argument("--n-max", type=int, default=None)
-    p_verify.add_argument("--format", choices=["text", "json"], default="text")
-    p_verify.set_defaults(func=cmd_verify)
+def _flags(entry) -> dict:
+    """Every flag of a command: its own, --format and -h/--help."""
+    formats = entry["formats"]
+    return {**entry["flags"], "--format": (formats, formats[0], "output format"), **HELP}
 
-    p_table = sub.add_parser("table", help="emit count tables")
-    p_table.add_argument(
-        "family",
-        choices=["pf-restricted", "ppf-restricted", "catalan-triangle", "ones"],
-    )
-    p_table.add_argument("--n-max", type=int, default=None)
-    p_table.add_argument("--n", type=int)
-    p_table.add_argument("--s", type=int)
-    p_table.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_table.set_defaults(func=cmd_table)
 
-    return parser
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _is_flag(token: str) -> bool:
+    return token.startswith("-") and not token[1:2].isdigit()  # -1 is a value
+
+
+def _match(token: str, flags: dict) -> str:
+    """The flag ``token`` names in full or as a unique prefix."""
+    if token in flags:
+        return token
+    found = [flag for flag in flags if len(token) > 2 and flag.startswith(token)]
+    if len(found) > 1:
+        raise ParkresError(f"ambiguous option: {token} could match {', '.join(found)}")
+    if not found:
+        raise ParkresError(f"unrecognized arguments: {token}")
+    return found[0]
+
+
+def _convert(name: str, kind, text: str):
+    """``text`` as a value of ``name``: one of the choices ``kind``, or
+    ``kind(text)``."""
+    if isinstance(kind, tuple):
+        if text not in kind:
+            choices = ", ".join(kind)
+            raise ParkresError(f"argument {name}: invalid choice: {text!r} (choose from {choices})")
+        return text
+    try:
+        return kind(text)
+    except ValueError:
+        raise ParkresError(f"argument {name}: invalid {kind.__name__} value: {text!r}")
+
+
+def _show(text: str) -> int:
+    print(text)
+    return EXIT_OK
+
+
+def parse(argv) -> tuple:
+    """``(run, args)`` for a command line: a command's handler and its
+    values, or a printer and the help or version text asked for.
+
+    ``--flag value`` and ``--flag=value`` both set a flag, and the value
+    may start with ``-``; a unique prefix names a flag; the last of a
+    repeated flag wins.  Anything else raises :class:`ParkresError`
+    naming the token.
+    """
+    name, entry, flags = None, None, TOP
+    values = {}
+    tokens = iter(argv)
+    for token in tokens:
+        if not _is_flag(token):
+            if entry is None:
+                name = _convert("command", tuple(COMMANDS), token)
+                entry, flags = COMMANDS[name], _flags(COMMANDS[name])
+            elif entry["positional"][0] in values:
+                raise ParkresError(f"unrecognized arguments: {token}")
+            else:
+                dest, kind, _ = entry["positional"]
+                values[dest] = _convert(dest, kind, token)
+            continue
+        given, eq, text = token.partition("=")
+        flag = _match(given, flags)
+        if flags[flag] is None:
+            if eq:
+                raise ParkresError(f"argument {flag}: ignored explicit argument {text!r}")
+            return _show, f"parkres {__version__}" if flag == "--version" else _help(name)
+        if not eq:
+            text = next(tokens, None)
+            if text is None or text.startswith("--"):
+                raise ParkresError(f"argument {flag}: expected one argument")
+        values[_dest(flag)] = _convert(flag, flags[flag][0], text)
+    if entry is None:
+        raise ParkresError("the following arguments are required: command")
+    if entry["positional"][0] not in values:
+        raise ParkresError(f"the following arguments are required: {entry['positional'][0]}")
+    for flag, spec in flags.items():
+        if spec is not None:
+            values.setdefault(_dest(flag), spec[1])
+    return entry["run"], Args(values)
+
+
+def _metavar(kind, name: str) -> str:
+    return "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else name
+
+
+def _help(name) -> str:
+    """The help of the command ``name``, or of parkres when None."""
+    if name is None:
+        rows = [(command, entry["help"]) for command, entry in COMMANDS.items()]
+        rows += [("-h, --help", "show this help"), ("--version", "print the version")]
+        usage = "parkres [-h] [--version] {" + ",".join(COMMANDS) + "} ..."
+        about = "Exact counting and simulation of preference-restricted parking functions"
+    else:
+        entry = COMMANDS[name]
+        dest, kind, text = entry["positional"]
+        shown = _metavar(kind, dest)
+        rows = [(shown, text)]
+        for flag, spec in _flags(entry).items():
+            if spec is not None:
+                kind, default, text = spec
+                left = f"{flag} {_metavar(kind, flag[2:].upper())}"
+                rows.append((left, text if default is None else f"{text} (default {default})"))
+        rows.append(("-h, --help", "show this help"))
+        usage, about = f"parkres {name} {shown} [options]", entry["help"]
+    lines = [f"usage: {usage}", "", about, ""]
+    for left, right in rows:  # a long left column puts its help on the next line
+        lines += [f"  {left:<20}{right}"] if len(left) < 20 else [f"  {left}", f"{'':<22}{right}"]
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     # Counts print in full decimal at any size: lift the int-to-str digit
     # limit (absent before Python 3.10.7) while the command runs.
     lift = hasattr(sys, "set_int_max_str_digits")
@@ -402,7 +548,8 @@ def main(argv=None) -> int:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        run, args = parse(sys.argv[1:] if argv is None else argv)
+        return run(args)
     except ParkresError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,14 +7,15 @@ of :mod:`parkres.brute`, exhaustively up to the requested bounds.  The CLI
 
 Each check is one :func:`_check` fold over its outcomes: an iterable that
 yields one item per compared case, falsy when the case agrees and a
-mismatch description otherwise.  The fold counts the cases, keeps the
-last mismatch, and fails a check that compared no cases, so no check can
-pass vacuously.
+mismatch description otherwise.  The fold counts and times the cases,
+keeps the last mismatch, and fails a check that compared no cases, so no
+check can pass vacuously.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
+from time import perf_counter
 from typing import Iterable, Iterator, NamedTuple
 
 from . import bijections, brute, circular, core, formulas
@@ -27,11 +28,16 @@ class Check(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
+    cases: int = 0  # the cases compared
+    elapsed_s: float = 0.0  # the time taken to compute and compare them
 
 
 def _check(name: str, outcomes: Iterable) -> Check:
     """Fold one item per compared case (falsy: the case agrees; otherwise
-    a mismatch description) into a check that keeps the last mismatch."""
+    a mismatch description) into a check that keeps the last mismatch.
+    ``outcomes`` computes each case as the fold draws it, so the check's
+    time is the time of its cases."""
+    start = perf_counter()
     cases = 0
     detail = ""
     for outcome in outcomes:
@@ -39,8 +45,8 @@ def _check(name: str, outcomes: Iterable) -> Check:
         if outcome:
             detail = str(outcome)
     if cases == 0:
-        return Check(name, False, "compared no cases")
-    return Check(name, not detail, detail)
+        detail = "compared no cases"
+    return Check(name, not detail, detail, cases, perf_counter() - start)
 
 
 def _differ(label: str, got, want) -> str:
@@ -64,7 +70,7 @@ def check_totals(n_max: int = 6) -> list:
     return [
         _check(
             f"#{label}_{n} == {total(n)}",
-            [_differ("brute", count(n, range(1, n + 1)), total(n))],
+            (_differ("brute", count(n, range(1, n + 1)), want) for want in [total(n)]),
         )
         for label, total, count in routes
         for n in range(1, n_max + 1)
@@ -357,19 +363,20 @@ MODULAR_PAIRS = tuple(
 )
 
 
-def _modular_job(args) -> Check:
-    g, s, k, budget = args
+def _modular(g: int, s: int, k: int, budget: int) -> Iterator:
     m = g * s - k
     report = circular.verify_relation(g, s, k, budget=budget)
     allowed = [v for v in circular.preferred_spots(g, s) if v <= m]
     want = brute.count_restricted(m, allowed) if m else 1
-    outcomes = [
-        _differ("recursion vs brute", formulas.mod_count(g, s, k), want),
-        not report.ok and f"relation rows off: {[r for r in report.rows if not r.ok][:3]}",
-    ]
+    yield _differ("recursion vs brute", formulas.mod_count(g, s, k), want)
+    yield not report.ok and f"relation rows off: {[r for r in report.rows if not r.ok][:3]}"
     if k == 1:
-        outcomes.append(_differ("closed form vs brute", formulas.mod_count_k1(g, s), want))
-    return _check(f"modular relation g={g}, s={s}, k={k} ({s}^{m} lists)", outcomes)
+        yield _differ("closed form vs brute", formulas.mod_count_k1(g, s), want)
+
+
+def _modular_job(args) -> Check:
+    g, s, k, _ = args
+    return _check(f"modular relation g={g}, s={s}, k={k} ({s}^{g * s - k} lists)", _modular(*args))
 
 
 def _modular_jobs(budget: int) -> list:

@@ -1,25 +1,27 @@
-import argparse
 import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parkres import __version__, core, formulas, verify
-from parkres.cli import build_parser, main
+from parkres.cli import COMMANDS, main
+
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def run(capsys, *argv):
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse rejects the command line
-        code = exc.code
+    code = main(list(argv))  # an int for every command line, help and errors included
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -304,12 +306,9 @@ def test_restricted_tables_match_count(capsys):
 
 
 def _format_choices():
-    """The --format values each subcommand accepts, read from the parser."""
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {
-        command: next(a.choices for a in parser._actions if a.dest == "format")
-        for command, parser in sub.choices.items()
-    }
+    """The --format values each subcommand accepts, read from the command
+    table."""
+    return {command: entry["formats"] for command, entry in COMMANDS.items()}
 
 
 # One small request per subcommand, to render in each format.
@@ -432,6 +431,15 @@ def test_simulate_errors(capsys):
         assert code == 2 and err.startswith("error: --circular needs two integers")
 
 
+def test_negative_spots_is_named(capsys):
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "simulate", "1,1", "--spots", "-1", "--format", fmt)
+        assert (code, out, err) == (2, "", "error: --spots must be >= 0, got -1\n"), fmt
+    # zero spots is a street, on which no preference lies
+    code, out, err = run(capsys, "simulate", "1,1", "--spots", "0")
+    assert (code, out) == (2, "") and "outside 1..0" in err
+
+
 def test_table_ones(capsys):
     code, out, _ = run(capsys, "table", "ones", "--n", "2", "--s", "2")
     assert code == 0
@@ -483,10 +491,135 @@ def test_verify_cli(capsys):
         assert run(capsys, "verify", *argv)[0] == 0
 
 
+def test_verify_json_reports_what_each_check_did(capsys):
+    code, out, _ = run(capsys, "verify", "orbits", "--n-max", "4", "--format", "json")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert [sorted(c) for c in checks] == [["cases", "detail", "elapsed_s", "name", "ok"]] * 3
+    # the grid 1 <= s <= n <= 4, the six Catalan numbers written out, the
+    # recurrence at 1 < s < n <= 4
+    assert [c["cases"] for c in checks] == [10, 6, 3]
+    assert all(isinstance(c["elapsed_s"], float) and c["elapsed_s"] >= 0 for c in checks)
+    # the text output has neither
+    code, out, _ = run(capsys, "verify", "orbits", "--n-max", "4")
+    assert code == 0 and "cases" not in out and out.endswith("suite orbits: 3/3 checks passed\n")
+
+
 def test_version(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert out.strip() == f"parkres {__version__}" == "parkres 0.1.0"
+
+
+def test_flag_spellings_select_the_same_request(capsys):
+    want = run(capsys, "count", "pf", "--n", "5", "--s", "3", "--format", "json")
+    assert want[0] == 0
+    for argv in (
+        ("count", "pf", "--n=5", "--s=3", "--format=json"),
+        # a unique prefix names a flag; the positional may come anywhere
+        ("count", "--fo", "json", "--n", "5", "pf", "--s", "3"),
+        ("count", "pf", "--n", "5", "--s", "3", "--for=json"),
+        # the last of a repeated flag wins
+        ("count", "pf", "--n", "4", "--s", "9", "--format", "text", "--n", "5", "--s=3", "--format=json"),
+    ):
+        assert run(capsys, *argv) == want, argv
+    # --n is a prefix of --n-max where verify has no --n
+    assert run(capsys, "verify", "abel", "--n", "2") == run(capsys, "verify", "abel", "--n-max", "2")
+    # a value may start with "-", and "=" may give an empty one
+    code, out, err = run(capsys, "count", "pf", "--n", "-1")
+    assert (code, out) == (2, "") and err.startswith("error: --n must be >= 0, got -1")
+    code, out, err = run(capsys, "count", "pf", "--n", "3", "--set=")
+    assert (code, out, err) == (2, "", "error: no allowed preferences with cars present\n")
+
+
+# Command lines the parser refuses, and the token its message names.
+USAGE_ERRORS = [
+    ([], "command"),
+    (["bogus"], "'bogus'"),
+    (["count"], "kind"),
+    (["count", "ppx", "--n", "3"], "'ppx'"),
+    (["count", "pf", "--n"], "--n: expected one argument"),  # no value at the end of argv
+    (["count", "pf", "--set", "--n", "3"], "--set: expected one argument"),  # nor a flag
+    (["count", "pf", "--n", "x"], "'x'"),
+    (["count", "pf", "--n", "3", "--bogus", "1"], "--bogus"),
+    (["count", "pf", "--n", "3", "extra"], "extra"),
+    (["count", "pf", "--n", "3", "--format", "yaml"], "'yaml'"),
+    (["count", "pf", "--n", "3", "--version"], "--version"),
+    (["--version=1"], "--version"),
+    (["-x"], "-x"),
+    (["--"], "--"),
+]
+
+
+@pytest.mark.parametrize("argv, token", USAGE_ERRORS, ids=[" ".join(a) or "empty" for a, _ in USAGE_ERRORS])
+def test_usage_error_names_the_token(capsys, argv, token):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and token in err and err.count("\n") == 1
+
+
+def test_ambiguous_prefix_is_a_usage_error(capsys):
+    # no two flags of the shipped table share a prefix that is not itself a
+    # flag, so the test adds one
+    flags = {**COMMANDS["count"]["flags"], "--seed": (int, None, "unused")}
+    with mock.patch.dict(COMMANDS["count"], flags=flags):
+        code, out, err = run(capsys, "count", "pf", "--n", "3", "--se", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: ambiguous option: --se could match --set, --seed\n"
+        assert run(capsys, "count", "pf", "--n", "3", "--see", "1")[:2] == (0, "16\n")
+        assert run(capsys, "count", "pf", "--n", "3", "--set", "1")[:2] == (0, "1\n")
+
+
+def test_help_at_both_levels(capsys):
+    code, top, err = run(capsys, "-h")
+    assert (code, err) == (0, "") and top.startswith("usage: parkres ")
+    assert all(command in top for command in COMMANDS)
+    for argv in (["--help"], ["--he"], ["-h", "count", "--bogus"]):
+        assert run(capsys, *argv) == (0, top, ""), argv
+    for command, entry in COMMANDS.items():
+        code, out, err = run(capsys, command, "-h")
+        assert (code, err) == (0, "") and out.startswith(f"usage: parkres {command} "), command
+        assert all(flag in out for flag in entry["flags"])
+        assert all(value in out for value in entry["formats"]) and out != top
+        # help is printed as soon as it is read, without the positional
+        assert run(capsys, command, "--help", "--bogus") == (0, out, "")
+        assert run(capsys, command, "--format", "json", "--he") == (0, out, "")
+        code, _, err = run(capsys, command, "--help=1")
+        assert code == 2 and "--help" in err
+
+
+def _readme_examples():
+    """(argv, the output shown or None) for each ``$ parkres`` line of the
+    console block in README § CLI."""
+    text = README.read_text()
+    lines = text[text.index("```console\n", text.index("\n## CLI\n")):].splitlines(keepends=True)
+    examples = []
+    for line in lines[1:]:
+        if line.startswith("```"):
+            break
+        if line.startswith("$ parkres "):
+            examples.append((shlex.split(line[len("$ parkres "):], comments=True), []))
+        else:
+            examples[-1][1].append(line)
+    return [(argv, "".join(shown) or None) for argv, shown in examples]
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_shows_cli_examples():
+    assert len(README_EXAMPLES) >= 9
+    assert sum(shown is not None for _, shown in README_EXAMPLES) >= 7
+
+
+@pytest.mark.parametrize(
+    "argv, shown", README_EXAMPLES, ids=[" ".join(a) for a, _ in README_EXAMPLES]
+)
+def test_readme_cli_example(capsys, argv, shown):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    if shown is not None:
+        assert out == shown
 
 
 def test_import_loads_no_unused_stdlib():
@@ -511,34 +644,44 @@ def _loaded_by(argv) -> set:
     code = (
         "import sys\n"
         "from parkres.cli import main\n"
-        "try:\n"
-        f"    main({argv!r})\n"
-        "except SystemExit:\n"
-        "    pass\n"
+        f"main({argv!r})\n"
         "print(' '.join(sys.modules), file=sys.stderr)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     err = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     ).stderr
     return set(err.split())
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--version"],
-        ["count", "pf", "--n", "5", "--s", "3"],
-        ["simulate", "1,1"],
-        ["table", "catalan-triangle", "--format", "json"],
-    ],
-)
+def _module_table():
+    """The package modules each request of the modules-loaded table in
+    README § CLI loads, by argv."""
+    rows = {}
+    for line in README.read_text().splitlines():
+        cells = line.split("|")
+        if line.startswith("| `parkres") and len(cells) == 4:
+            modules = {f"parkres.{name}" for name in re.findall(r"`(\w+)`", cells[2])}
+            for command in re.findall(r"`parkres ([^`]*)`", cells[1]):
+                rows[tuple(shlex.split(command))] = modules
+    return rows
+
+
+MODULE_TABLE = _module_table()
+
+
+@pytest.mark.parametrize("argv", [list(argv) for argv in MODULE_TABLE])
 def test_request_imports_only_what_it_runs(argv):
     loaded = _loaded_by(argv)
-    assert "parkres.cli" in loaded
-    unused = {"parkres.verify", "parkres.bijections", "parkres.circular", "csv"}
-    assert not loaded & unused
+    assert {name for name in loaded if name.startswith("parkres.")} == MODULE_TABLE[tuple(argv)]
+    assert not loaded & {"argparse", "gettext", "locale"}
     assert ("json" in loaded) == ("json" in argv)
+    assert ("csv" in loaded) == (argv[0] == "table" and "json" not in argv or "csv" in argv)
+
+
+def test_module_table_covers_every_subcommand():
+    commands = {argv[0] for argv in MODULE_TABLE}
+    assert commands == set(COMMANDS) | {"--version", "-h"}
 
 
 def test_verify_request_imports_the_suites():
@@ -558,14 +701,34 @@ SMALL = [str(v) for v in range(1, 7)]
 
 
 def _flag(name, values):
-    return st.tuples(st.just(name), st.sampled_from(values + BAD))
+    """``name value`` or ``name=value``, with ``name`` spelled out or cut to
+    a prefix of four characters, which names no other flag."""
+    spelling = st.sampled_from([name, name[:4]])
+    value = st.sampled_from(values + BAD)
+    return st.one_of(
+        st.tuples(spelling, value), st.builds(lambda flag, v: (f"{flag}={v}",), spelling, value)
+    )
+
+
+# Tokens any command may meet: an unknown flag, with or without a value,
+# and help.
+STRAY = st.sampled_from([("--bogus", "1"), ("--x=1",), ("-q",), ("-h",), ("--help",)])
+# The end of an argv: nothing, or a flag whose value is missing.
+TAIL = st.sampled_from([[]] * 4 + [["--n"], ["--format"], ["--spots"], ["--budget="]])
+
+
+def _choice(valid):
+    """A valid positional half of the time, a bad token otherwise."""
+    return st.one_of(st.sampled_from(valid), st.sampled_from(BAD))
 
 
 def _command(head, positional, flags):
+    # flags are drawn with repeats, so the last of a repeated flag is used
     return st.builds(
-        lambda pos, chosen: [head, pos] + [tok for pair in chosen for tok in pair],
+        lambda pos, chosen, tail: [head, pos] + [tok for pair in chosen for tok in pair] + tail,
         positional,
-        st.lists(st.one_of(flags), max_size=4),
+        st.lists(st.one_of(st.one_of(flags), STRAY), max_size=4),
+        TAIL,
     )
 
 
@@ -580,11 +743,11 @@ def _argv():
     ]
     fmt = _flag("--format", ["text", "json", "csv"])
     budget = _flag("--budget", ["1e7", "100", "2.5"])
-    kind = st.sampled_from(["pf", "ppf"] + BAD)
+    kind = _choice(["pf", "ppf"])
     method = _flag("--method", ["auto", "brute", "subtractive", "alternating"])
     prefs = st.lists(st.sampled_from(SMALL + BAD + ["7", "x"]), max_size=6).map(",".join)
-    family = st.sampled_from(["pf-restricted", "ppf-restricted", "catalan-triangle", "ones"] + BAD)
-    suite = st.sampled_from(sorted(verify.SUITES) + ["all"] + BAD)
+    family = _choice(["pf-restricted", "ppf-restricted", "catalan-triangle", "ones"])
+    suite = _choice(sorted(verify.SUITES) + ["all"])
     return st.one_of(
         _command("count", kind, restriction + [method, fmt, budget]),
         _command("enum", kind, restriction + [fmt, budget]),
@@ -606,6 +769,10 @@ def _argv():
             _flag("--n-max", ["0", "1", "2", "3"]),
             _flag("--budget", ["100", "2.5"]),
         ),
+        # the top level: no argv, help, the version, an unknown flag
+        st.sampled_from(
+            [[], ["-h"], ["--help"], ["--he"], ["--version"], ["--vers"], ["--bogus"], ["-h", "nope"]]
+        ),
     )
 
 
@@ -614,9 +781,8 @@ def _argv():
 def test_cli_never_crashes(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    assert code in (0, 2, 3), (argv, code)
+        code = main(argv)
+    assert code in (0, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: "), argv

@@ -26,7 +26,7 @@ def test_records_are_immutable(record):
 
 def test_record_defaults():
     assert circular.RelationReport(2, 2, 1, 8).rows == ()
-    assert verify.Check("name", True).detail == ""
+    assert verify.Check("name", True) == ("name", True, "", 0, 0.0)
     assert ColoredPF((1,), (Color.INDIGO,), 1).prime is False
 
 
@@ -34,4 +34,4 @@ def test_records_are_tuples():
     result = core.park((2, 1), 2)
     occupancy, unparked = result
     assert result == ((2, 1), ()) and occupancy == (2, 1) and unparked == ()
-    assert verify.Check("name", False, "off") == ("name", False, "off")
+    assert verify.Check("name", False, "off", 2, 0.5) == ("name", False, "off", 2, 0.5)

@@ -112,19 +112,53 @@ def test_generator_stream_is_detected():
     assert _generator_streams(namespace) == ["enum_wrapped"]
 
 
+def _imported(tree):
+    """The modules and names that the import statements of ``tree`` name,
+    at any depth."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+    return imported
+
+
 def test_oracles_import_nothing_from_formulas():
     # brute and circular are the independent checks of formulas: they keep
     # their own argument checks and helpers rather than borrow those of
     # the route they check
     for name in ("brute.py", "circular.py"):
         path = SRC / name
-        imported = set()
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.ImportFrom):
-                imported.add(node.module or "")
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                imported.update(alias.name for alias in node.names)
+        imported = _imported(ast.parse(path.read_text(), filename=str(path)))
         assert imported and not any(part.split(".")[-1] == "formulas" for part in imported), name
+
+
+def _imports_argparse(tree):
+    return any(name.split(".")[0] == "argparse" for name in _imported(tree))
+
+
+def test_library_does_not_import_argparse():
+    # each CLI call is a fresh process, and argparse (with the gettext and
+    # locale it loads) costs more to import than most requests take to run
+    sources = sorted(SRC.glob("*.py"))
+    assert sources
+    found = [
+        path.name
+        for path in sources
+        if _imports_argparse(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, f"argparse imported by {found}"
+
+
+def test_argparse_import_is_detected():
+    for source in (
+        "import argparse\n",
+        "import argparse as ap\n",
+        "def f():\n    from argparse import ArgumentParser\n",
+    ):
+        assert _imports_argparse(ast.parse(source)), source
+    assert not _imports_argparse(ast.parse("import math\nfrom . import cli\n"))
 
 
 # The argument checks every formula may share; no other private helper may

@@ -1,9 +1,11 @@
 """Every verify check fails, and names the case, when one route is wrong at
 a single input; the CLI reports such a failure with exit code 3."""
 
+import time
+
 import pytest
 
-from parkres import bijections, formulas, verify
+from parkres import bijections, brute, formulas, verify
 from parkres.bijections import FIXED_POINT
 from parkres.cli import VERIFY_SUITES, main
 from parkres.exceptions import DomainError
@@ -96,10 +98,30 @@ def test_mismatch_fails_and_names_the_case(
     assert "FAIL" in out and case in out
 
 
+def _untimed(checks):
+    return [check._replace(elapsed_s=None) for check in checks]
+
+
 def test_modular_process_pool_matches_serial():
     serial = verify.check_modular(20000)
     assert serial and all(c.ok for c in serial)
-    assert verify.check_modular(20000, threads=2) == serial
+    assert _untimed(verify.check_modular(20000, threads=2)) == _untimed(serial)
+
+
+def test_check_time_covers_its_cases(monkeypatch):
+    # every check computes its cases inside the fold that times it: a
+    # slowed oracle shows in the time of each check that calls it
+    real = brute.count_restricted
+
+    def slow(*args):
+        time.sleep(0.02)
+        return real(*args)
+
+    monkeypatch.setattr(brute, "count_restricted", slow)
+    totals = [c for c in verify.check_totals(2) if c.name.startswith("#PF")]
+    modular = verify.check_modular(1)  # the s = 1 classes: one list each
+    for check in totals + modular:
+        assert check.ok and check.cases >= 1 and check.elapsed_s >= 0.02, check
 
 
 def test_small_modular_budget_is_refused_before_any_suite(monkeypatch, capsys):
