@@ -473,14 +473,19 @@ def parse(argv) -> tuple:
 
     ``--flag value`` and ``--flag=value`` both set a flag, and the value
     may start with ``-``; a unique prefix names a flag; the last of a
-    repeated flag wins.  Anything else raises :class:`ParkresError`
-    naming the token.
+    repeated flag wins; after a bare ``--`` every token but ``--`` is
+    positional.  Anything else raises :class:`ParkresError` naming the
+    token.
     """
     name, entry, flags = None, None, TOP
     values = {}
+    ended = False  # by a bare --
     tokens = iter(argv)
     for token in tokens:
-        if not _is_flag(token):
+        if token == "--":
+            ended = True
+            continue
+        if ended or not _is_flag(token):
             if entry is None:
                 name = _convert("command", tuple(COMMANDS), token)
                 entry, flags = COMMANDS[name], _flags(COMMANDS[name])

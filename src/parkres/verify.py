@@ -61,6 +61,12 @@ def _grid(n_max: int, strict: bool = False) -> Iterator[tuple]:
             yield n, s
 
 
+def _total(total, count, n: int) -> Iterator:
+    """The one case of a total: ``count`` over the spots 1..n against the
+    closed form ``total(n)``."""
+    yield _differ("brute", count(n, range(1, n + 1)), total(n))
+
+
 def check_totals(n_max: int = 6) -> list:
     """Brute-force totals against (n+1)**(n-1) and (n-1)**(n-1)."""
     routes = (
@@ -70,7 +76,7 @@ def check_totals(n_max: int = 6) -> list:
     return [
         _check(
             f"#{label}_{n} == {total(n)}",
-            (_differ("brute", count(n, range(1, n + 1)), want) for want in [total(n)]),
+            _total(total, count, n),
         )
         for label, total, count in routes
         for n in range(1, n_max + 1)

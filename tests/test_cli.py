@@ -525,6 +525,11 @@ def test_flag_spellings_select_the_same_request(capsys):
         assert run(capsys, *argv) == want, argv
     # --n is a prefix of --n-max where verify has no --n
     assert run(capsys, "verify", "abel", "--n", "2") == run(capsys, "verify", "abel", "--n-max", "2")
+    # a bare -- ends the flags, before or after the positional
+    for argv in (["count", "--n", "3", "--", "pf"], ["count", "--n", "3", "pf", "--"]):
+        assert run(capsys, *argv) == run(capsys, "count", "pf", "--n", "3"), argv
+    for argv in (["simulate", "--", "1,1"], ["simulate", "1,1", "--"]):
+        assert run(capsys, *argv) == run(capsys, "simulate", "1,1"), argv
     # a value may start with "-", and "=" may give an empty one
     code, out, err = run(capsys, "count", "pf", "--n", "-1")
     assert (code, out) == (2, "") and err.startswith("error: --n must be >= 0, got -1")
@@ -547,7 +552,7 @@ USAGE_ERRORS = [
     (["count", "pf", "--n", "3", "--version"], "--version"),
     (["--version=1"], "--version"),
     (["-x"], "-x"),
-    (["--"], "--"),
+    (["count", "--", "pf", "--n", "3"], "--n"),  # after --, --n is a second positional
 ]
 
 
@@ -711,8 +716,8 @@ def _flag(name, values):
 
 
 # Tokens any command may meet: an unknown flag, with or without a value,
-# and help.
-STRAY = st.sampled_from([("--bogus", "1"), ("--x=1",), ("-q",), ("-h",), ("--help",)])
+# help, and the bare -- that ends the flags.
+STRAY = st.sampled_from([("--bogus", "1"), ("--x=1",), ("-q",), ("-h",), ("--help",), ("--",)])
 # The end of an argv: nothing, or a flag whose value is missing.
 TAIL = st.sampled_from([[]] * 4 + [["--n"], ["--format"], ["--spots"], ["--budget="]])
 

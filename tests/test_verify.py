@@ -124,6 +124,19 @@ def test_check_time_covers_its_cases(monkeypatch):
         assert check.ok and check.cases >= 1 and check.elapsed_s >= 0.02, check
 
 
+def test_total_time_covers_its_closed_form(monkeypatch):
+    # both sides of a total are computed inside the timed fold
+    real = formulas.pf_total
+
+    def slow(n):
+        time.sleep(0.02)
+        return real(n)
+
+    monkeypatch.setattr(formulas, "pf_total", slow)
+    for check in [c for c in verify.check_totals(2) if c.name.startswith("#PF")]:
+        assert check.ok and check.elapsed_s >= 0.02, check
+
+
 def test_small_modular_budget_is_refused_before_any_suite(monkeypatch, capsys):
     def must_not_run(**kwargs):
         raise AssertionError("a suite ran before the budget was refused")
