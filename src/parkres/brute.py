@@ -22,15 +22,20 @@ The ``enum_*`` streams walk the lists in lexicographic order and extend a
 prefix only by the entries that keep it completable.  The completions of
 a prefix depend only on how many entries are left and on how far each
 occupancy count still falls short, so a stream builds the completions of
-its last few positions once per such state (at most 256 lists each) and
-emits every list as its prefix joined to a shared tail; the walk above
-the tails takes one step per tail, not one per list.  The join runs in C
-(``map`` of ``operator.add`` over the tails) and the public ``enum_*``
-functions return that iterator rather than re-yield it, so no Python
-frame runs per list.  The orbit count runs a dynamic programme over the
-last entry of the sorted prefixes, and the fiber oracle parks the cars
-one at a time and follows only the preferences that put each car where
-the outcome permutation does.
+its last ``short`` positions once per such state (its tails, at most 256
+lists each), and the ``short`` positions above them once per state too:
+a state's plan lists, in order, its middles (the entries up to a tail
+state) and the tails that follow each, at most 256 pairs, built from the
+plans below it.  The Python walk stops ``2 * short`` entries from the end
+and emits each list as its prefix, a middle and a tail joined in C
+(``map`` of ``operator.add`` over the tails, one per pair, made by an
+outer ``map``), so it expands each state once per stream rather than
+once per prefix.  The public ``enum_*`` functions return that iterator
+rather than re-yield it, so no Python frame runs per list.  The orbit
+count runs a dynamic programme over the last entry of the sorted
+prefixes, and the fiber oracle parks the cars one at a time and follows
+only the preferences that put each car where the outcome permutation
+does.
 
 These are the trusted, independent counterparts of the closed forms in
 :mod:`parkres.formulas`; the two are never allowed to share a code path.
@@ -157,7 +162,8 @@ def _count_walk(n, need, rows, j, placed):
 
 
 # A stream builds the completions of its last ``short`` positions at
-# once, where ``short`` is the largest r <= n with |S|**r <= _TAIL_LISTS.
+# once, where ``short`` is the largest r <= n with |S|**r <= _TAIL_LISTS;
+# that also bounds a plan, whose middles have at most ``short`` entries.
 _TAIL_LISTS = 256
 
 
@@ -171,7 +177,7 @@ def _stream(n: int, allowed: tuple, strict: bool) -> Iterator[tuple]:
     while short < n and len(allowed) ** (short + 1) <= _TAIL_LISTS:
         short += 1
     need = tuple(range(1 + strict, n + strict)) + (n,)
-    return chain.from_iterable(_walk((), need, allowed, short, {}))
+    return chain.from_iterable(_walk((), need, allowed, short, {}, {}))
 
 
 def _steps(need: tuple, allowed: tuple) -> Iterator[tuple]:
@@ -190,13 +196,37 @@ def _steps(need: tuple, allowed: tuple) -> Iterator[tuple]:
         yield v, need[: v - 1] + tuple([d - 1 if d else 0 for d in need[v - 1 :]])
 
 
-def _walk(prefix: tuple, need: tuple, allowed: tuple, short: int, memo: dict):
-    # Yield, in order, one iterable of lists per tail state below ``prefix``.
-    if need[-1] <= short:
-        yield map(add, repeat(prefix), _tails(need, allowed, memo))
+def _walk(prefix: tuple, need: tuple, allowed: tuple, short: int, plans: dict, memo: dict):
+    # Yield, in order, one iterable of lists per tail state below ``prefix``:
+    # within 2 * short entries of the end, the state's plan gives them, as
+    # ``prefix + middle`` joined to each tail of the middle.
+    if need[-1] <= 2 * short:
+        middles, tails = _plan(need, allowed, short, plans, memo)
+        yield from map(map, repeat(add), map(repeat, map(add, repeat(prefix), middles)), tails)
         return
     for v, after in _steps(need, allowed):
-        yield from _walk(prefix + (v,), after, allowed, short, memo)
+        yield from _walk(prefix + (v,), after, allowed, short, plans, memo)
+
+
+def _plan(need: tuple, allowed: tuple, short: int, plans: dict, memo: dict) -> tuple:
+    # The (middles, tails) of state ``need``, at most ``short`` entries
+    # above the tail states: each completion of a prefix in that state is
+    # some middles[k] followed by one of tails[k], in lexicographic order.
+    # With at most ``short`` entries in a middle there are at most
+    # |S|**short <= _TAIL_LISTS of them; ``plans`` holds them per state.
+    plan = plans.get(need)
+    if plan is None:
+        if need[-1] <= short:
+            plan = [()], [_tails(need, allowed, memo)]
+        else:
+            middles, tails = [], []
+            for v, after in _steps(need, allowed):
+                below, below_tails = _plan(after, allowed, short, plans, memo)
+                middles += map(add, repeat((v,)), below)
+                tails += below_tails
+            plan = middles, tails
+        plans[need] = plan
+    return plan
 
 
 def _tails(need: tuple, allowed: tuple, memo: dict) -> list:

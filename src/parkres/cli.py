@@ -210,6 +210,8 @@ def _occupancy_text(occupancy) -> str:
 def cmd_simulate(args) -> int:
     prefs = _parse_ints(args.prefs)
     if args.circular is not None:
+        if args.spots is not None:
+            raise ParkresError("--spots cannot be used with --circular, whose street has g*s spots")
         street = _parse_ints(args.circular)
         if len(street) != 2:
             raise ParkresError(f"--circular needs two integers g,s, got {args.circular!r}")

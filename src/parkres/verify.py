@@ -14,7 +14,9 @@ check can pass vacuously.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from collections import Counter
+from itertools import combinations, combinations_with_replacement, permutations, product
+from math import factorial, prod
 from time import perf_counter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -287,17 +289,24 @@ def _shift_bijection(n_max: int) -> Iterator:
 
 
 def _u_parking(n_max: int) -> Iterator:
+    # is_u_parking reads only the sorted list, so the u-parking lists over
+    # [|S|] are every ordering of each sorted list it accepts: the image is
+    # those lists iff, for each sorted list, it holds as many distinct
+    # lists that sort to it as the list has orderings (none if refused).
     for n in range(1, n_max + 1):
         for size in range(1, n + 1):
             for S in combinations(range(1, n + 1), size):
                 u = bijections.u_vector(S, n)
                 image = {bijections.to_u_parking(pi, S) for pi in brute.enum_restricted(n, S)}
-                target = {
-                    psi
-                    for psi in product(range(1, size + 1), repeat=n)
-                    if bijections.is_u_parking(psi, u)
-                }
-                yield image != target and f"n={n}, S={S}: u-parking image mismatch"
+                target = Counter(
+                    {
+                        w: factorial(n) // prod(map(factorial, Counter(w).values()))
+                        for w in combinations_with_replacement(range(1, size + 1), n)
+                        if bijections.is_u_parking(w, u)
+                    }
+                )
+                sortings = Counter(tuple(sorted(psi)) for psi in image)
+                yield sortings != target and f"n={n}, S={S}: u-parking image mismatch"
 
 
 def check_bijections(n_max: int = 5) -> list:

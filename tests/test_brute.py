@@ -187,19 +187,21 @@ def test_streams_with_one_allowed_spot():
 
 
 def test_stream_memory_stays_small():
-    # the shared tails are at most 256 lists per deficit state; the 57,867
-    # lists of (8, [4]) walk four prefix levels above four tail levels, and
-    # held in one memo they take over 15 MiB
-    n, S = 8, range(1, 5)
-    short = max(r for r in range(n + 1) if len(S) ** r <= brute._TAIL_LISTS)
-    assert n - short >= 4
-    tracemalloc.start()
-    try:
-        deque(brute.enum_restricted(n, S), maxlen=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20, peak
+    # the shared tails are at most 256 lists per deficit state, and the
+    # plans above them at most 256 pairs; the 57,867 lists of (8, [4]) walk
+    # four prefix levels above four tail levels, and held in one memo they
+    # take over 15 MiB.  (10, {1,3,5,7,9}) and (9, [5]) keep a plan for
+    # each of some 380 and 150 states three to six entries from the end.
+    for n, S in ((8, range(1, 5)), (10, range(1, 10, 2)), (9, range(1, 6))):
+        short = max(r for r in range(n + 1) if len(S) ** r <= brute._TAIL_LISTS)
+        assert n - short >= 4
+        tracemalloc.start()
+        try:
+            deque(brute.enum_restricted(n, S), maxlen=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, (n, S, peak)
 
 
 def test_enum_output_is_sorted_and_unique():

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parkres import __version__, core, formulas, verify
-from parkres.cli import COMMANDS, main
+from parkres import __version__, brute, core, formulas, verify
+from parkres.cli import COMMANDS, closed_forms, main
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -440,6 +440,17 @@ def test_negative_spots_is_named(capsys):
     assert (code, out) == (2, "") and "outside 1..0" in err
 
 
+def test_spots_with_circular_is_refused(capsys):
+    # a circular street has g*s spots, so --spots would be ignored
+    for spots in ("-1", "2", "6"):
+        for fmt in ("text", "json"):
+            argv = ("simulate", "1,1", "--circular", "1,2", "--spots", spots, "--format", fmt)
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+            assert "--spots" in err and "--circular" in err, argv
+
+
 def test_table_ones(capsys):
     code, out, _ = run(capsys, "table", "ones", "--n", "2", "--s", "2")
     assert code == 0
@@ -791,3 +802,40 @@ def test_cli_never_crashes(argv):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert out.getvalue() == "" and err.getvalue().startswith("error: "), argv
+
+
+@st.composite
+def _count_argv(draw):
+    """A well-formed ``count`` of [s]-restricted lists: (argv, kind, n, s,
+    method), with ``--method`` and ``--format`` each left out at times."""
+    kind = draw(st.sampled_from(["pf", "ppf"]))
+    n = draw(st.integers(1, 7))
+    s = draw(st.integers(1, n))
+    argv = ["count", kind, "--n", str(n), "--s", str(s)]
+    method = draw(st.sampled_from([None, "auto", "brute", "subtractive", "alternating"]))
+    if method is not None:
+        argv += ["--method", method]
+    fmt = draw(st.sampled_from([None, "text", "json"]))
+    if fmt is not None:
+        argv += ["--format", fmt]
+    return argv, kind, n, s, method or "auto"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_count_argv())
+def test_well_formed_count_prints_the_oracle(case):
+    argv, kind, n, s, method = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    forms = closed_forms(kind, {"kind": "segment", "s": s}, n)
+    if method not in ("auto", "brute") and method not in forms:
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: no {method} formula"), argv
+        return
+    oracle = brute.count_restricted if kind == "pf" else brute.count_prime_restricted
+    want = oracle(n, range(1, s + 1))
+    assert (code, err) == (0, ""), argv
+    value = json.loads(out)["count"] if "json" in argv else out.strip()
+    assert value == str(want), argv
