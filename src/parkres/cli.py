@@ -58,8 +58,13 @@ def _print_json(record) -> None:
 def _restriction_of(args) -> tuple:
     """Resolve flags into (restriction, n, allowed spots); the restriction
     is the object ``count --format json`` reports, of kind
-    segment|set|modular."""
+    segment|set|modular.  A flag that the restriction would not read is
+    refused, naming the flag that makes it unread."""
     if args.g is not None:
+        if args.n is not None:
+            raise ParkresError("--n cannot be used with --g, whose restriction has g*s - k cars")
+        if args.set is not None:
+            raise ParkresError("--set cannot be used with --g, whose allowed spots are 1 mod g")
         if args.s is None or args.k is None:
             raise ParkresError("modular restriction needs --g, --s and --k")
         if args.g < 1 or args.s < 1:
@@ -73,48 +78,21 @@ def _restriction_of(args) -> tuple:
 
         allowed = tuple(v for v in circular.preferred_spots(args.g, args.s) if v <= n)
         return {"kind": "modular", "g": args.g, "s": args.s, "k": args.k}, n, allowed
+    if args.k is not None:
+        raise ParkresError(
+            "--k cannot be used without --g: only a modular restriction has missing spots"
+        )
     if args.n is None:
         raise ParkresError("--n is required without --g")
     if args.n < 0:
         raise ParkresError(f"--n must be >= 0, got {args.n}")
     if args.set is not None:
+        if args.s is not None:
+            raise ParkresError("--s cannot be used with --set, which names the allowed spots")
         spots = _parse_ints(args.set)
         return {"kind": "set", "elements": list(spots)}, args.n, spots
     s = args.s if args.s is not None else args.n
     return {"kind": "segment", "s": s}, args.n, tuple(range(1, s + 1))
-
-
-def closed_forms(kind: str, restriction: dict, n: int) -> dict:
-    """The closed forms that count ``kind`` on ``restriction`` with n cars,
-    in the order ``auto`` tries them, keyed by the method name the JSON
-    reports; each value computes the count when called.
-
-    [s] with 1 <= s <= n has the subtractive and alternating pair (for
-    ppf only while s < n; at s = n its count is the total), a modular pf
-    with 1 <= k <= g*s has the recursion.  An explicit set, a modular ppf
-    and every other (n, s) have none, and are counted by brute force.
-    """
-    from . import formulas
-
-    if restriction["kind"] == "modular":
-        g, s, k = restriction["g"], restriction["s"], restriction["k"]
-        if kind == "pf" and 1 <= k <= g * s:
-            return {"recursion": lambda: formulas.mod_count(g, s, k)}
-        return {}
-    s = restriction.get("s", 0)  # an explicit set has none
-    if not 1 <= s <= n:
-        return {}
-    if kind == "pf":
-        return {
-            "subtractive": lambda: formulas.restricted_subtractive(n, s),
-            "alternating": lambda: formulas.restricted_alternating(n, s),
-        }
-    if s == n:
-        return {"total": lambda: formulas.ppf_total(n)}
-    return {
-        "subtractive": lambda: formulas.prime_subtractive(n, s),
-        "alternating": lambda: formulas.prime_alternating(n, s),
-    }
 
 
 def _brute_force(route, n: int, allowed: tuple, budget: int):
@@ -138,10 +116,10 @@ def _brute_force(route, n: int, allowed: tuple, budget: int):
 
 
 def cmd_count(args) -> int:
-    from . import brute
+    from . import brute, formulas
 
     restriction, n, allowed = _restriction_of(args)
-    forms = closed_forms(args.kind, restriction, n)
+    forms = formulas.closed_forms(args.kind, restriction, n)
     count = brute.count_restricted if args.kind == "pf" else brute.count_prime_restricted
     method = next(iter(forms), "brute") if args.method == "auto" else args.method
     if method == "brute":
@@ -315,7 +293,8 @@ def cmd_table(args) -> int:
         kind = args.family.split("-")[0]
 
         def cell(n, s):  # the first closed form, as count --method auto runs it
-            return next(iter(closed_forms(kind, {"kind": "segment", "s": s}, n).values()))()
+            forms = formulas.closed_forms(kind, {"kind": "segment", "s": s}, n)
+            return next(iter(forms.values()))()
 
         header = ["n"] + [f"s={s}" for s in range(1, n_max + 1)]
         rows = [

@@ -179,6 +179,47 @@ def prime_alternating(n: int, s: int) -> int:
     return total
 
 
+def closed_forms(kind: str, restriction: dict, n: int) -> dict:
+    """The closed forms that count ``kind`` ("pf" or "ppf") on
+    ``restriction`` with n cars, in the order ``count --method auto``
+    tries them, keyed by the method name its JSON reports; each value
+    computes the count when called, through the form's name in this
+    module.  ``count``, ``table`` and ``verify formulas`` all read it.
+
+    ``restriction`` is the object ``count --format json`` reports, of kind
+    segment (with ``s``), set or modular (with ``g``, ``s`` and ``k``).
+    [s] with 1 <= s <= n has the subtractive and alternating pair, and at
+    s = n also the pf total; for ppf the pair holds only while s < n, and
+    at s = n its count is the total.  A modular pf with 1 <= k <= g*s has
+    the recursion.  An explicit set, a modular ppf and every other (n, s)
+    have none, and are counted by brute force.
+    """
+    if kind not in ("pf", "ppf"):
+        raise DomainError(f"kind must be pf or ppf, got {kind!r}")
+    n, s = _ints(n, restriction.get("s", 0))  # an explicit set has none
+    if restriction["kind"] == "modular":
+        g, k = _ints(restriction["g"], restriction["k"])
+        if kind == "pf" and 1 <= k <= g * s:
+            return {"recursion": lambda: mod_count(g, s, k)}
+        return {}
+    if not 1 <= s <= n:
+        return {}
+    if kind == "pf":
+        forms = {
+            "subtractive": lambda: restricted_subtractive(n, s),
+            "alternating": lambda: restricted_alternating(n, s),
+        }
+        if s == n:
+            forms["total"] = lambda: pf_total(n)
+        return forms
+    if s == n:
+        return {"total": lambda: ppf_total(n)}
+    return {
+        "subtractive": lambda: prime_subtractive(n, s),
+        "alternating": lambda: prime_alternating(n, s),
+    }
+
+
 def catalan_triangle(n: int, k: int) -> int:
     """Entry (n, k) of the Catalan triangle, 0 <= k <= n-1:
 

@@ -63,33 +63,9 @@ def _grid(n_max: int, strict: bool = False) -> Iterator[tuple]:
             yield n, s
 
 
-def _total(total, count, n: int) -> Iterator:
-    """The one case of a total: ``count`` over the spots 1..n against the
-    closed form ``total(n)``."""
-    yield _differ("brute", count(n, range(1, n + 1)), total(n))
-
-
-def check_totals(n_max: int = 6) -> list:
-    """Brute-force totals against (n+1)**(n-1) and (n-1)**(n-1)."""
-    routes = (
-        ("PF", formulas.pf_total, brute.count_restricted),
-        ("PPF", formulas.ppf_total, brute.count_prime_restricted),
-    )
-    return [
-        _check(
-            f"#{label}_{n} == {total(n)}",
-            _total(total, count, n),
-        )
-        for label, total, count in routes
-        for n in range(1, n_max + 1)
-    ]
-
-
-def _on_grid(name: str, n_max: int, got, want, strict: bool = False) -> Check:
+def _on_grid(name: str, n_max: int, got, want) -> Check:
     """Compare ``got(n, s)`` with ``want(n, s)`` at every (n, s) of the grid."""
-    return _check(
-        name, (_differ(f"n={n}, s={s}", got(n, s), want(n, s)) for n, s in _grid(n_max, strict))
-    )
+    return _check(name, (_differ(f"n={n}, s={s}", got(n, s), want(n, s)) for n, s in _grid(n_max)))
 
 
 def _segment(count):
@@ -97,46 +73,38 @@ def _segment(count):
     return lambda n, s: count(n, range(1, s + 1))
 
 
+def _forms(kind: str, n: int, s: int) -> dict:
+    """The closed forms of the [s]-restricted ``kind`` count."""
+    return formulas.closed_forms(kind, {"kind": "segment", "s": s}, n)
+
+
+def _forms_agree(kind: str, n_max: int) -> Iterator:
+    # one case per form after the first, against the first
+    for n, s in _grid(n_max):
+        (first, form), *rest = _forms(kind, n, s).items()
+        want = form()
+        for method, other in rest:
+            yield _differ(f"n={n}, s={s}: {method} vs {first}", other(), want)
+
+
 # The closed forms are compared with each other up to this n, beyond the
 # reach of brute force.
 FORMULA_N_MAX = 12
 
 
-def check_restricted_formulas(n_max: int = 6) -> list:
-    """Both closed forms for the [s]-restricted count, against each other
-    and against enumeration."""
+def check_closed_forms(kind: str, n_max: int = 6) -> list:
+    """Every closed form of the [s]-restricted ``kind`` count (pf or ppf)
+    that :func:`formulas.closed_forms` gives, against the first, and the
+    first against enumeration."""
+    label = "restricted" if kind == "pf" else "prime"
+    oracle = brute.count_restricted if kind == "pf" else brute.count_prime_restricted
     return [
+        _check(f"{label} forms agree (n <= {FORMULA_N_MAX})", _forms_agree(kind, FORMULA_N_MAX)),
         _on_grid(
-            f"restricted forms agree (n <= {FORMULA_N_MAX})",
-            FORMULA_N_MAX,
-            formulas.restricted_subtractive,
-            formulas.restricted_alternating,
-        ),
-        _on_grid(
-            f"restricted forms match brute force (n <= {n_max})",
+            f"{label} forms match brute force (n <= {n_max})",
             n_max,
-            formulas.restricted_subtractive,
-            _segment(brute.count_restricted),
-        ),
-    ]
-
-
-def check_prime_formulas(n_max: int = 6) -> list:
-    """Both closed forms for the [s]-restricted prime count."""
-    return [
-        _on_grid(
-            f"prime forms agree (n <= {FORMULA_N_MAX})",
-            FORMULA_N_MAX,
-            formulas.prime_subtractive,
-            formulas.prime_alternating,
-            strict=True,
-        ),
-        _on_grid(
-            f"prime forms match brute force (n <= {n_max})",
-            n_max,
-            formulas.prime_subtractive,
-            _segment(brute.count_prime_restricted),
-            strict=True,
+            lambda n, s: next(iter(_forms(kind, n, s).values()))(),
+            _segment(oracle),
         ),
     ]
 
@@ -424,9 +392,8 @@ def check_modular(budget: int = 10**7, threads: int = 1) -> list:
 
 SUITES = {
     "formulas": lambda n_max=6, budget=None: (
-        check_totals(n_max)
-        + check_restricted_formulas(n_max)
-        + check_prime_formulas(n_max)
+        check_closed_forms("pf", n_max)
+        + check_closed_forms("ppf", n_max)
         + check_defect(n_max)
         + check_ones(n_max)
     ),
@@ -440,9 +407,8 @@ SUITES = {
 
 
 # The smallest n_max at which every check of a suite compares a case: the
-# prime brute-force check needs s < n, the orbit recurrence 1 < s < n.
-# ``modular`` takes no n_max.
-_MIN_N_MAX = {"formulas": 2, "bijections": 1, "involution": 1, "abel": 1, "orbits": 3, "fibers": 1}
+# orbit recurrence needs 1 < s < n.  ``modular`` takes no n_max.
+_MIN_N_MAX = {"formulas": 1, "bijections": 1, "involution": 1, "abel": 1, "orbits": 3, "fibers": 1}
 
 
 def run_suite(name: str, n_max=None, budget=None) -> list:

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parkres import __version__, brute, core, formulas, verify
-from parkres.cli import COMMANDS, closed_forms, main
+from parkres.cli import COMMANDS, main
+from parkres.formulas import closed_forms
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -451,6 +452,27 @@ def test_spots_with_circular_is_refused(capsys):
             assert "--spots" in err and "--circular" in err, argv
 
 
+# Restriction flags that the restriction given beside them would not read.
+UNREAD_FLAGS = [
+    (("--n", "4", "--s", "2", "--set", "1,3"), ("--s", "--set")),
+    (("--g", "2", "--s", "3", "--k", "1", "--n", "9"), ("--n", "--g")),
+    (("--g", "2", "--s", "3", "--k", "1", "--set", "1,2"), ("--set", "--g")),
+    (("--n", "4", "--k", "2"), ("--k", "--g")),
+    (("--n", "3", "--s", "1", "--set", "1,2"), ("--s", "--set")),
+]
+
+
+@pytest.mark.parametrize("flags, named", UNREAD_FLAGS)
+def test_unread_restriction_flag_is_refused(capsys, flags, named):
+    for command in ("count", "enum"):
+        for fmt in ("text", "json"):
+            argv = (command, "pf", *flags, "--format", fmt)
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+            assert all(re.search(re.escape(flag) + r"\b", err) for flag in named), argv
+
+
 def test_table_ones(capsys):
     code, out, _ = run(capsys, "table", "ones", "--n", "2", "--s", "2")
     assert code == 0
@@ -492,13 +514,12 @@ def test_verify_cli(capsys):
         (("abel", "--n-max", "0"), "--n-max >= 1"),
         (("orbits", "--n-max", "0"), "--n-max >= 3"),
         (("modular", "--budget", "0"), "the smallest needs 1"),
-        (("formulas", "--n-max", "1"), "--n-max >= 2"),
         (("orbits", "--n-max", "2"), "--n-max >= 3"),
         (("all", "--n-max", "2"), "--n-max >= 3"),
     ):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and out == "" and err.startswith("error: ") and least in err
-    for argv in (("formulas", "--n-max", "2"), ("orbits", "--n-max", "3"), ("modular", "--budget", "1")):
+    for argv in (("formulas", "--n-max", "1"), ("orbits", "--n-max", "3"), ("modular", "--budget", "1")):
         assert run(capsys, "verify", *argv)[0] == 0
 
 

@@ -21,6 +21,28 @@ def test_totals():
         formulas.pf_total(0)
 
 
+def _methods(kind, restriction, n):
+    return list(formulas.closed_forms(kind, restriction, n))
+
+
+def test_closed_forms_by_request():
+    segment = {"kind": "segment", "s": 4}
+    assert _methods("pf", segment, 5) == ["subtractive", "alternating"]
+    assert _methods("pf", segment, 4) == ["subtractive", "alternating", "total"]
+    assert _methods("ppf", segment, 5) == ["subtractive", "alternating"]
+    assert _methods("ppf", segment, 4) == ["total"]
+    for n in (0, 3):  # s outside 1..n
+        assert _methods("pf", segment, n) == [] and _methods("ppf", segment, n) == []
+    assert _methods("pf", {"kind": "set", "elements": [1, 3]}, 4) == []
+    modular = {"kind": "modular", "g": 2, "s": 3, "k": 2}
+    assert _methods("pf", modular, 4) == ["recursion"] and _methods("ppf", modular, 4) == []
+    forms = formulas.closed_forms("pf", segment, 4)
+    assert {method: form() for method, form in forms.items()} == dict.fromkeys(forms, 125)
+    assert formulas.closed_forms("pf", modular, 4)["recursion"]() == formulas.mod_count(2, 3, 2)
+    with pytest.raises(DomainError, match="pf or ppf"):
+        formulas.closed_forms("ppx", segment, 4)
+
+
 def test_restricted_subtractive_values():
     assert formulas.restricted_subtractive(5, 2) == 31
     assert formulas.restricted_subtractive(5, 3) == 206
@@ -328,6 +350,7 @@ NON_INTEGER_CALLS = [
     ("prime_alternating", (5.0, 2)),
     ("catalan_triangle", (4, 1.0)),
     ("catalan_number", (3.0,)),
+    ("closed_forms", ("pf", {"kind": "segment", "s": 2.0}, 5)),
     ("ones_poly_subtractive", (3.0, 2)),
     ("ones_poly_alternating", (3, 2.0)),
     ("abel_check", (2.0, 1, 1)),

@@ -269,3 +269,48 @@ def test_reached_parking_route_is_detected():
     tree = ast.parse(source)
     assert _reached(tree, "count_min_defect") & PARKING_ROUTE == PARKING_ROUTE
     assert _reached(tree, "count_plain") == {"_direct", "_rows"}
+
+
+# The [s]-restricted forms: the CLI and the verify suites reach them only
+# through ``formulas.closed_forms``, so a form added there is counted by
+# ``count`` and ``table`` and checked by ``verify formulas`` with no code
+# of their own.
+SEGMENT_FORMS = {
+    "restricted_subtractive", "restricted_alternating", "prime_subtractive",
+    "prime_alternating", "pf_total", "ppf_total",
+}
+
+
+def _forms_named(tree):
+    """The [s]-restricted forms that ``tree`` names: as a name, an
+    attribute or an import."""
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            named.update(alias.name for alias in node.names)
+    return sorted(named & SEGMENT_FORMS)
+
+
+def test_cli_and_verify_reach_the_forms_through_the_resolver():
+    for name in ("cli.py", "verify.py"):
+        path = SRC / name
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert _forms_named(tree) == [], name
+        attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert "closed_forms" in attributes, name
+
+
+def test_form_named_outside_the_resolver_is_detected():
+    source = (
+        "from .formulas import pf_total\n"
+        "from . import formulas\n"
+        "def count(n, s):\n    return formulas.restricted_subtractive(n, s)\n"
+        "def table(n):\n    return ppf_total(n)\n"
+        "def resolved(n, s):\n    return formulas.closed_forms('pf', {'s': s}, n)\n"
+    )
+    assert _forms_named(ast.parse(source)) == ["pf_total", "ppf_total", "restricted_subtractive"]
+    assert _forms_named(ast.parse("'pf_total'\n# restricted_subtractive\n")) == []

@@ -31,11 +31,22 @@ RECOLORED = next(
 CASES = [
     (
         formulas, "restricted_subtractive", (4, 2), _plus_one,
-        lambda: verify.check_restricted_formulas(3), ["formulas", "--n-max", "3"], "n=4, s=2",
+        lambda: verify.check_closed_forms("pf", 3), ["formulas", "--n-max", "3"], "n=4, s=2",
     ),
     (
         formulas, "prime_subtractive", (4, 2), _plus_one,
-        lambda: verify.check_prime_formulas(3), ["formulas", "--n-max", "3"], "n=4, s=2",
+        lambda: verify.check_closed_forms("ppf", 3), ["formulas", "--n-max", "3"], "n=4, s=2",
+    ),
+    # the pf total is a third form at s = n, compared with the first up
+    # to FORMULA_N_MAX; the ppf total is the only form there, so brute
+    # force checks it
+    (
+        formulas, "pf_total", (7,), _plus_one,
+        lambda: verify.check_closed_forms("pf", 3), ["formulas", "--n-max", "3"], "n=7, s=7",
+    ),
+    (
+        formulas, "ppf_total", (2,), _plus_one,
+        lambda: verify.check_closed_forms("ppf", 3), ["formulas", "--n-max", "3"], "n=2, s=2",
     ),
     (
         formulas, "fiber_size_formula", ((2, 1, 3), 2), _plus_one,
@@ -118,14 +129,15 @@ def test_check_time_covers_its_cases(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(brute, "count_restricted", slow)
-    totals = [c for c in verify.check_totals(2) if c.name.startswith("#PF")]
+    (oracle,) = [c for c in verify.check_closed_forms("pf", 2) if "brute force" in c.name]
     modular = verify.check_modular(1)  # the s = 1 classes: one list each
-    for check in totals + modular:
+    for check in [oracle] + modular:
         assert check.ok and check.cases >= 1 and check.elapsed_s >= 0.02, check
 
 
 def test_total_time_covers_its_closed_form(monkeypatch):
-    # both sides of a total are computed inside the timed fold
+    # every form is computed inside the timed fold: the pf total, a form
+    # at s = n, shows in the check that compares the forms
     real = formulas.pf_total
 
     def slow(n):
@@ -133,8 +145,8 @@ def test_total_time_covers_its_closed_form(monkeypatch):
         return real(n)
 
     monkeypatch.setattr(formulas, "pf_total", slow)
-    for check in [c for c in verify.check_totals(2) if c.name.startswith("#PF")]:
-        assert check.ok and check.elapsed_s >= 0.02, check
+    (check,) = [c for c in verify.check_closed_forms("pf", 2) if "agree" in c.name]
+    assert check.ok and check.elapsed_s >= 0.02, check
 
 
 def test_small_modular_budget_is_refused_before_any_suite(monkeypatch, capsys):
