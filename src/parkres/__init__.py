@@ -40,11 +40,11 @@ _EXPORTS = {
         "is_prime", "nondecreasing", "outcome_permutation", "park",
     ),
     "formulas": (
-        "AbelCheck", "abel_check", "catalan_number", "catalan_triangle", "closed_forms",
+        "AbelCheck", "abel_check", "catalan_number", "catalan_triangle",
         "fiber_size_formula", "max_run_length", "mod_count", "mod_count_k1",
         "ones_poly_alternating", "ones_poly_subtractive", "pf_total", "ppf_total",
         "prime_alternating", "prime_subtractive", "restricted_alternating",
-        "restricted_subtractive",
+        "restricted_subtractive", "routes",
     ),
     "polynomial": ("IntPolynomial", "ONE", "X"),
 }

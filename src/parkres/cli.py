@@ -74,10 +74,8 @@ def _restriction_of(args) -> tuple:
         n = args.g * args.s - args.k
         if n < 0:
             raise ParkresError("--k exceeds g*s")
-        from . import circular
-
-        allowed = tuple(v for v in circular.preferred_spots(args.g, args.s) if v <= n)
-        return {"kind": "modular", "g": args.g, "s": args.s, "k": args.k}, n, allowed
+        restriction = {"kind": "modular", "g": args.g, "s": args.s, "k": args.k}
+        return restriction, n, tuple(range(1, n + 1, args.g))  # the row starts up to n
     if args.k is not None:
         raise ParkresError(
             "--k cannot be used without --g: only a modular restriction has missing spots"
@@ -116,14 +114,13 @@ def _brute_force(route, n: int, allowed: tuple, budget: int):
 
 
 def cmd_count(args) -> int:
-    from . import brute, formulas
+    from . import formulas
 
     restriction, n, allowed = _restriction_of(args)
-    forms = formulas.closed_forms(args.kind, restriction, n)
-    count = brute.count_restricted if args.kind == "pf" else brute.count_prime_restricted
+    forms, oracle = formulas.routes(args.kind, restriction, n)
     method = next(iter(forms), "brute") if args.method == "auto" else args.method
     if method == "brute":
-        value = _brute_force(count, n, allowed, args.budget)
+        value = _brute_force(oracle, n, allowed, args.budget)
     elif method not in forms:
         have = ", ".join(forms) or "none"
         raise ParkresError(
@@ -133,7 +130,7 @@ def cmd_count(args) -> int:
         value = forms[method]()
         if args.method == "auto":
             try:
-                check = _brute_force(count, n, allowed, args.budget)
+                check = _brute_force(oracle, n, allowed, args.budget)
             except BudgetExceeded:  # beyond the budget the formula stands alone
                 check = value
             if check != value:
@@ -284,16 +281,26 @@ def _emit_table(rows, header, fmt) -> None:
 
 
 def cmd_table(args) -> int:
+    # ones is the one row of --n and --s; every other family has --n-max rows
+    if args.family == "ones":
+        read, unread = "--n and --s", {"--n-max": args.n_max}
+    else:
+        read, unread = "--n-max", {"--n": args.n, "--s": args.s}
+    for flag, value in unread.items():
+        if value is not None:
+            raise ParkresError(
+                f"{flag} cannot be used with table {args.family}, which reads {read}"
+            )
     from . import formulas
 
     n_max = 8 if args.n_max is None else args.n_max
-    if n_max < 1 and args.family != "ones":
+    if n_max < 1:
         raise ParkresError(f"table {args.family} needs --n-max >= 1, got {n_max}")
     if args.family in ("pf-restricted", "ppf-restricted"):
         kind = args.family.split("-")[0]
 
         def cell(n, s):  # the first closed form, as count --method auto runs it
-            forms = formulas.closed_forms(kind, {"kind": "segment", "s": s}, n)
+            forms, _ = formulas.routes(kind, {"kind": "segment", "s": s}, n)
             return next(iter(forms.values()))()
 
         header = ["n"] + [f"s={s}" for s in range(1, n_max + 1)]

@@ -2,8 +2,11 @@
 
 Each count that also has a brute-force oracle in :mod:`parkres.brute`
 is computed here from a formula alone; agreement between the two routes is
-enforced by the verification suites, never assumed.  All arithmetic is
-exact (Python ints, :class:`fractions.Fraction`, :class:`IntPolynomial`).
+enforced by the verification suites, never assumed.  :func:`routes` names,
+for one count request, its closed forms and the oracle that checks them;
+no form calls into :mod:`parkres.brute`, which is imported only when that
+oracle runs.  All arithmetic is exact (Python ints,
+:class:`fractions.Fraction`, :class:`IntPolynomial`).
 
 Conventions used throughout, chosen so every identity holds verbatim:
 0**0 == 1; the factor (i+1)**(i-1) at i == 0 is 1; the factor x*(x+i)**(i-1)
@@ -179,31 +182,45 @@ def prime_alternating(n: int, s: int) -> int:
     return total
 
 
-def closed_forms(kind: str, restriction: dict, n: int) -> dict:
-    """The closed forms that count ``kind`` ("pf" or "ppf") on
-    ``restriction`` with n cars, in the order ``count --method auto``
+def routes(kind: str, restriction: dict, n: int) -> tuple:
+    """``(forms, oracle)``: the routes that count ``kind`` ("pf" or "ppf")
+    on ``restriction`` with n cars.  ``count``, ``table`` and ``verify``
+    all read it, so a new count family is one entry here.
+
+    ``forms`` holds the closed forms in the order ``count --method auto``
     tries them, keyed by the method name its JSON reports; each value
     computes the count when called, through the form's name in this
-    module.  ``count``, ``table`` and ``verify formulas`` all read it.
+    module.  ``oracle(n, allowed)`` is the brute-force count of ``kind``
+    in :mod:`parkres.brute`, looked up there when called.
 
     ``restriction`` is the object ``count --format json`` reports, of kind
     segment (with ``s``), set or modular (with ``g``, ``s`` and ``k``).
     [s] with 1 <= s <= n has the subtractive and alternating pair, and at
     s = n also the pf total; for ppf the pair holds only while s < n, and
     at s = n its count is the total.  A modular pf with 1 <= k <= g*s has
-    the recursion.  An explicit set, a modular ppf and every other (n, s)
-    have none, and are counted by brute force.
+    the recursion, and at k = 1 with g*s >= 2 also the power s**(g*s - 2).
+    An explicit set, a modular ppf and every other (n, s) have no form,
+    and are counted by the oracle alone.
     """
     if kind not in ("pf", "ppf"):
         raise DomainError(f"kind must be pf or ppf, got {kind!r}")
+
+    def oracle(n, allowed):
+        from . import brute  # only when called: table loads formulas but never brute
+
+        return (brute.count_restricted if kind == "pf" else brute.count_prime_restricted)(n, allowed)
+
     n, s = _ints(n, restriction.get("s", 0))  # an explicit set has none
     if restriction["kind"] == "modular":
         g, k = _ints(restriction["g"], restriction["k"])
+        forms = {}
         if kind == "pf" and 1 <= k <= g * s:
-            return {"recursion": lambda: mod_count(g, s, k)}
-        return {}
+            forms["recursion"] = lambda: mod_count(g, s, k)
+            if k == 1 and g * s >= 2:
+                forms["power"] = lambda: mod_count_k1(g, s)
+        return forms, oracle
     if not 1 <= s <= n:
-        return {}
+        return {}, oracle
     if kind == "pf":
         forms = {
             "subtractive": lambda: restricted_subtractive(n, s),
@@ -211,13 +228,13 @@ def closed_forms(kind: str, restriction: dict, n: int) -> dict:
         }
         if s == n:
             forms["total"] = lambda: pf_total(n)
-        return forms
+        return forms, oracle
     if s == n:
-        return {"total": lambda: ppf_total(n)}
+        return {"total": lambda: ppf_total(n)}, oracle
     return {
         "subtractive": lambda: prime_subtractive(n, s),
         "alternating": lambda: prime_alternating(n, s),
-    }
+    }, oracle
 
 
 def catalan_triangle(n: int, k: int) -> int:

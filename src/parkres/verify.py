@@ -68,23 +68,18 @@ def _on_grid(name: str, n_max: int, got, want) -> Check:
     return _check(name, (_differ(f"n={n}, s={s}", got(n, s), want(n, s)) for n, s in _grid(n_max)))
 
 
-def _segment(count):
-    """``count(n, allowed)`` on the spots 1..s, as a function of (n, s)."""
-    return lambda n, s: count(n, range(1, s + 1))
+def _count(kind: str, n: int, s: int) -> int:
+    """The brute-force count of [s]-restricted ``kind`` lists on n cars, by
+    the oracle that :func:`formulas.routes` names for that request."""
+    return formulas.routes(kind, {"kind": "segment", "s": s}, n)[1](n, range(1, s + 1))
 
 
-def _forms(kind: str, n: int, s: int) -> dict:
-    """The closed forms of the [s]-restricted ``kind`` count."""
-    return formulas.closed_forms(kind, {"kind": "segment", "s": s}, n)
-
-
-def _forms_agree(kind: str, n_max: int) -> Iterator:
-    # one case per form after the first, against the first
-    for n, s in _grid(n_max):
-        (first, form), *rest = _forms(kind, n, s).items()
-        want = form()
-        for method, other in rest:
-            yield _differ(f"n={n}, s={s}: {method} vs {first}", other(), want)
+def _agree(case: str, forms: dict) -> Iterator:
+    """One case per form after the first, against the first."""
+    (first, form), *rest = forms.items()
+    want = form()
+    for method, other in rest:
+        yield _differ(f"{case}: {method} vs {first}", other(), want)
 
 
 # The closed forms are compared with each other up to this n, beyond the
@@ -94,17 +89,23 @@ FORMULA_N_MAX = 12
 
 def check_closed_forms(kind: str, n_max: int = 6) -> list:
     """Every closed form of the [s]-restricted ``kind`` count (pf or ppf)
-    that :func:`formulas.closed_forms` gives, against the first, and the
-    first against enumeration."""
+    that :func:`formulas.routes` gives, against the first, and the first
+    against the brute-force oracle it names."""
     label = "restricted" if kind == "pf" else "prime"
-    oracle = brute.count_restricted if kind == "pf" else brute.count_prime_restricted
+
+    def forms(n, s):
+        return formulas.routes(kind, {"kind": "segment", "s": s}, n)[0]
+
     return [
-        _check(f"{label} forms agree (n <= {FORMULA_N_MAX})", _forms_agree(kind, FORMULA_N_MAX)),
+        _check(
+            f"{label} forms agree (n <= {FORMULA_N_MAX})",
+            (d for n, s in _grid(FORMULA_N_MAX) for d in _agree(f"n={n}, s={s}", forms(n, s))),
+        ),
         _on_grid(
             f"{label} forms match brute force (n <= {n_max})",
             n_max,
-            lambda n, s: next(iter(_forms(kind, n, s).values()))(),
-            _segment(oracle),
+            lambda n, s: next(iter(forms(n, s).values()))(),
+            lambda n, s: _count(kind, n, s),
         ),
     ]
 
@@ -129,7 +130,7 @@ def check_defect(n_max: int = 6) -> list:
             f"min-defect count == restricted count (n <= {n_max})",
             n_max,
             brute.count_min_defect,
-            _segment(brute.count_restricted),
+            lambda n, s: _count("pf", n, s),
         ),
         _check(
             "defect floor n - s attained exactly on restricted lists",
@@ -209,7 +210,7 @@ def _ones(n_max: int) -> Iterator:
         poly = formulas.ones_poly_subtractive(n, s)
         want = tuple(poly.coefficient(i) for i in range(1, n + 1))
         yield _differ(f"n={n}, s={s}: brute vs formula", brute.ones_distribution(n, s), want)
-        yield _differ(f"n={n}, s={s}: value at 1", poly(1), _segment(brute.count_restricted)(n, s))
+        yield _differ(f"n={n}, s={s}: value at 1", poly(1), _count("pf", n, s))
 
 
 def check_ones(n_max: int = 6) -> list:
@@ -224,7 +225,7 @@ def _fibers(n_max: int) -> Iterator:
             want = brute.fiber_size_bruteforce(sigma, s)
             total += want
             yield _differ(f"sigma={sigma}, s={s}", formulas.fiber_size_formula(sigma, s), want)
-        yield _differ(f"n={n}, s={s}: fiber sum", total, _segment(brute.count_restricted)(n, s))
+        yield _differ(f"n={n}, s={s}: fiber sum", total, _count("pf", n, s))
 
 
 def check_fibers(n_max: int = 5) -> list:
@@ -312,8 +313,7 @@ def iter_colorings(n: int, s: int, prime: bool = False) -> Iterator[ColoredPF]:
 
 
 def _involution(n_max: int, prime: bool) -> Iterator:
-    enum = _segment(brute.enum_prime_restricted if prime else brute.enum_restricted)
-    count = _segment(brute.count_prime_restricted if prime else brute.count_restricted)
+    enum = brute.enum_prime_restricted if prime else brute.enum_restricted
     for n, s in _grid(n_max):
         signed = 0
         fixed = set()
@@ -328,8 +328,9 @@ def _involution(n_max: int, prime: bool) -> Iterator:
                 yield f"parity not flipped at {colored}"
             else:
                 yield bijections.involution(out) != colored and f"not an involution at {colored}"
-        yield _differ(f"n={n}, s={s}: signed sum", signed, count(n, s))
-        yield fixed != set(enum(n, s)) and f"n={n}, s={s}: fixed points != restricted lists"
+        yield _differ(f"n={n}, s={s}: signed sum", signed, _count("ppf" if prime else "pf", n, s))
+        lists = set(enum(n, range(1, s + 1)))
+        yield fixed != lists and f"n={n}, s={s}: fixed points != restricted lists"
 
 
 def check_involution(n_max: int = 5) -> list:
@@ -347,14 +348,14 @@ MODULAR_PAIRS = tuple(
 
 
 def _modular(g: int, s: int, k: int, budget: int) -> Iterator:
+    # each form, then the oracle on the row starts up to m, against the
+    # first form; then the relation class by class
     m = g * s - k
+    case = f"g={g}, s={s}, k={k}"
+    forms, oracle = formulas.routes("pf", {"kind": "modular", "g": g, "s": s, "k": k}, m)
+    yield from _agree(case, {**forms, "brute": lambda: oracle(m, range(1, m + 1, g))})
     report = circular.verify_relation(g, s, k, budget=budget)
-    allowed = [v for v in circular.preferred_spots(g, s) if v <= m]
-    want = brute.count_restricted(m, allowed) if m else 1
-    yield _differ("recursion vs brute", formulas.mod_count(g, s, k), want)
     yield not report.ok and f"relation rows off: {[r for r in report.rows if not r.ok][:3]}"
-    if k == 1:
-        yield _differ("closed form vs brute", formulas.mod_count_k1(g, s), want)
 
 
 def _modular_job(args) -> Check:
@@ -414,14 +415,17 @@ _MIN_N_MAX = {"formulas": 1, "bijections": 1, "involution": 1, "abel": 1, "orbit
 def run_suite(name: str, n_max=None, budget=None) -> list:
     """Run one named suite (or ``all``) and return its checks.
 
-    An unknown name, an ``n_max`` too small for every check of a suite to
-    compare a case, or a budget that no modular job fits, raises
+    An unknown name, an ``n_max`` given to ``modular`` (which checks every
+    (g, s, k) within the budget) or too small for every check of a suite
+    to compare a case, or a budget that no modular job fits, raises
     :class:`DomainError` before any check runs.
     """
     if name != "all" and name not in SUITES:
         known = ", ".join(sorted(SUITES) + ["all"])
         raise DomainError(f"unknown verify suite {name!r} (known: {known})")
     keys = list(SUITES) if name == "all" else [name]
+    if n_max is not None and keys == ["modular"]:
+        raise DomainError("--n-max cannot be used with verify modular, which reads --budget")
     if n_max is not None:
         least = max(_MIN_N_MAX.get(key, n_max) for key in keys)
         if n_max < least:

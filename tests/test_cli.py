@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from parkres import __version__, brute, core, formulas, verify
 from parkres.cli import COMMANDS, main
-from parkres.formulas import closed_forms
+from parkres.formulas import routes
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -473,6 +473,30 @@ def test_unread_restriction_flag_is_refused(capsys, flags, named):
             assert all(re.search(re.escape(flag) + r"\b", err) for flag in named), argv
 
 
+# Flags that a table family or a verify suite given beside them would not
+# read: (argv, the flag named).
+UNREAD_COMMAND_FLAGS = [
+    (("table", "catalan-triangle", "--n", "3", "--n-max", "3"), "--n"),
+    (("table", "catalan-triangle", "--s", "2"), "--s"),
+    (("table", "pf-restricted", "--s", "4", "--n-max", "2"), "--s"),
+    (("table", "ppf-restricted", "--n", "4"), "--n"),
+    (("table", "ones", "--n", "2", "--s", "2", "--n-max", "0"), "--n-max"),
+    (("table", "ones", "--n", "2", "--s", "2", "--n-max", "5"), "--n-max"),
+    (("verify", "modular", "--n-max", "0", "--budget", "2e4"), "--n-max"),
+    (("verify", "modular", "--n-max", "6"), "--n-max"),
+]
+
+
+@pytest.mark.parametrize("argv, named", UNREAD_COMMAND_FLAGS)
+def test_unread_command_flag_is_refused(capsys, argv, named):
+    formats = ("json",) + (("csv",) if argv[0] == "table" else ("text",))
+    for fmt in formats:
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert re.search(re.escape(named) + r"(?![\w-])", err), argv
+
+
 def test_table_ones(capsys):
     code, out, _ = run(capsys, "table", "ones", "--n", "2", "--s", "2")
     assert code == 0
@@ -850,7 +874,7 @@ def test_well_formed_count_prints_the_oracle(case):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     out, err = out.getvalue(), err.getvalue()
-    forms = closed_forms(kind, {"kind": "segment", "s": s}, n)
+    forms, _ = routes(kind, {"kind": "segment", "s": s}, n)
     if method not in ("auto", "brute") and method not in forms:
         assert (code, out) == (2, ""), argv
         assert err.startswith(f"error: no {method} formula"), argv

@@ -22,10 +22,15 @@ def test_totals():
 
 
 def _methods(kind, restriction, n):
-    return list(formulas.closed_forms(kind, restriction, n))
+    forms, _ = formulas.routes(kind, restriction, n)
+    return list(forms)
 
 
-def test_closed_forms_by_request():
+def _modular(g, s, k):
+    return {"kind": "modular", "g": g, "s": s, "k": k}
+
+
+def test_closed_forms_by_request(monkeypatch):
     segment = {"kind": "segment", "s": 4}
     assert _methods("pf", segment, 5) == ["subtractive", "alternating"]
     assert _methods("pf", segment, 4) == ["subtractive", "alternating", "total"]
@@ -34,13 +39,32 @@ def test_closed_forms_by_request():
     for n in (0, 3):  # s outside 1..n
         assert _methods("pf", segment, n) == [] and _methods("ppf", segment, n) == []
     assert _methods("pf", {"kind": "set", "elements": [1, 3]}, 4) == []
-    modular = {"kind": "modular", "g": 2, "s": 3, "k": 2}
+    modular = _modular(2, 3, 2)
     assert _methods("pf", modular, 4) == ["recursion"] and _methods("ppf", modular, 4) == []
-    forms = formulas.closed_forms("pf", segment, 4)
+    # k = 1 adds the power s**(g*s - 2), which needs g*s >= 2
+    assert _methods("pf", _modular(2, 3, 1), 5) == ["recursion", "power"]
+    assert _methods("pf", _modular(1, 1, 1), 0) == ["recursion"]
+    forms, _ = formulas.routes("pf", segment, 4)
     assert {method: form() for method, form in forms.items()} == dict.fromkeys(forms, 125)
-    assert formulas.closed_forms("pf", modular, 4)["recursion"]() == formulas.mod_count(2, 3, 2)
+    forms, _ = formulas.routes("pf", _modular(2, 3, 1), 5)
+    assert {method: form() for method, form in forms.items()} == dict.fromkeys(forms, 81)
     with pytest.raises(DomainError, match="pf or ppf"):
-        formulas.closed_forms("ppx", segment, 4)
+        formulas.routes("ppx", segment, 4)
+    # the oracle is the brute-force count of the kind, on the request's spots
+    for n, s in ((4, 2), (5, 5), (3, 1)):
+        allowed = range(1, s + 1)
+        _, oracle = formulas.routes("pf", {"kind": "segment", "s": s}, n)
+        assert oracle(n, allowed) == brute.count_restricted(n, allowed)
+        _, oracle = formulas.routes("ppf", {"kind": "segment", "s": s}, n)
+        assert oracle(n, allowed) == brute.count_prime_restricted(n, allowed)
+    for g, s, k in ((2, 3, 1), (2, 3, 2), (3, 2, 4)):
+        m = g * s - k
+        forms, oracle = formulas.routes("pf", _modular(g, s, k), m)
+        assert oracle(m, range(1, m + 1, g)) == forms["recursion"]() == formulas.mod_count(g, s, k)
+    # it looks brute up when called, so the verify timing tests and the
+    # benchmark tracer see a patched count
+    monkeypatch.setattr(brute, "count_restricted", lambda n, allowed: -1)
+    assert oracle(3, (1, 2)) == -1
 
 
 def test_restricted_subtractive_values():
@@ -350,7 +374,7 @@ NON_INTEGER_CALLS = [
     ("prime_alternating", (5.0, 2)),
     ("catalan_triangle", (4, 1.0)),
     ("catalan_number", (3.0,)),
-    ("closed_forms", ("pf", {"kind": "segment", "s": 2.0}, 5)),
+    ("routes", ("pf", {"kind": "segment", "s": 2.0}, 5)),
     ("ones_poly_subtractive", (3.0, 2)),
     ("ones_poly_alternating", (3, 2.0)),
     ("abel_check", (2.0, 1, 1)),

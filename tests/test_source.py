@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 from parkres import brute
@@ -271,19 +272,20 @@ def test_reached_parking_route_is_detected():
     assert _reached(tree, "count_plain") == {"_direct", "_rows"}
 
 
-# The [s]-restricted forms: the CLI and the verify suites reach them only
-# through ``formulas.closed_forms``, so a form added there is counted by
-# ``count`` and ``table`` and checked by ``verify formulas`` with no code
-# of their own.
-SEGMENT_FORMS = {
+# The count forms: the CLI and the verify suites reach them only through
+# ``formulas.routes``, so a form added there is counted by ``count`` and
+# ``table`` and checked by ``verify`` with no code of their own.
+COUNT_FORMS = {
     "restricted_subtractive", "restricted_alternating", "prime_subtractive",
-    "prime_alternating", "pf_total", "ppf_total",
+    "prime_alternating", "pf_total", "ppf_total", "mod_count", "mod_count_k1",
 }
+# The brute-force counts that ``formulas.routes`` names as the oracles.
+COUNT_ORACLES = {"count_restricted", "count_prime_restricted"}
 
 
-def _forms_named(tree):
-    """The [s]-restricted forms that ``tree`` names: as a name, an
-    attribute or an import."""
+def _named(tree, names=COUNT_FORMS):
+    """The ``names`` that ``tree`` names: as a name, an attribute or an
+    import."""
     named = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -292,16 +294,16 @@ def _forms_named(tree):
             named.add(node.attr)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             named.update(alias.name for alias in node.names)
-    return sorted(named & SEGMENT_FORMS)
+    return sorted(named & names)
 
 
 def test_cli_and_verify_reach_the_forms_through_the_resolver():
     for name in ("cli.py", "verify.py"):
         path = SRC / name
         tree = ast.parse(path.read_text(), filename=str(path))
-        assert _forms_named(tree) == [], name
+        assert _named(tree) == [], name
         attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        assert "closed_forms" in attributes, name
+        assert "routes" in attributes, name
 
 
 def test_form_named_outside_the_resolver_is_detected():
@@ -310,7 +312,77 @@ def test_form_named_outside_the_resolver_is_detected():
         "from . import formulas\n"
         "def count(n, s):\n    return formulas.restricted_subtractive(n, s)\n"
         "def table(n):\n    return ppf_total(n)\n"
-        "def resolved(n, s):\n    return formulas.closed_forms('pf', {'s': s}, n)\n"
+        "def modular(g, s):\n    return formulas.mod_count_k1(g, s)\n"
+        "def resolved(n, s):\n    return formulas.routes('pf', {'s': s}, n)\n"
     )
-    assert _forms_named(ast.parse(source)) == ["pf_total", "ppf_total", "restricted_subtractive"]
-    assert _forms_named(ast.parse("'pf_total'\n# restricted_subtractive\n")) == []
+    assert _named(ast.parse(source)) == [
+        "mod_count_k1", "pf_total", "ppf_total", "restricted_subtractive",
+    ]
+    assert _named(ast.parse("'pf_total'\n# restricted_subtractive\n")) == []
+
+
+def test_cli_and_verify_take_the_oracle_from_the_resolver():
+    for name in ("cli.py", "verify.py"):
+        path = SRC / name
+        assert _named(ast.parse(path.read_text(), filename=str(path)), COUNT_ORACLES) == [], name
+
+
+def test_oracle_named_outside_the_resolver_is_detected():
+    source = (
+        "from . import brute, formulas\n"
+        "def count(kind, n, allowed):\n"
+        "    if kind == 'pf':\n        return brute.count_restricted(n, allowed)\n"
+        "    return brute.count_prime_restricted(n, allowed)\n"
+        "def resolved(kind, n, s):\n    return formulas.routes(kind, {'s': s}, n)[1]\n"
+    )
+    found = _named(ast.parse(source), COUNT_ORACLES)
+    assert found == ["count_prime_restricted", "count_restricted"]
+    assert _named(ast.parse("'count_restricted'\n"), COUNT_ORACLES) == []
+
+
+def _names_brute(node) -> bool:
+    """Whether ``node`` names the module ``brute``: as a name, an
+    attribute, an import or a module path string such as ``".brute"``."""
+    if isinstance(node, ast.Name):
+        return node.id == "brute"
+    if isinstance(node, ast.Attribute):
+        return node.attr == "brute"
+    if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "brute":
+        return True
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return any(alias.name.split(".")[-1] == "brute" for alias in node.names)
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return re.fullmatch(r"[\w.]*\.brute|brute", node.value) is not None
+    return False
+
+
+def _brute_owners(tree):
+    """The module-level functions of ``tree`` that name ``brute``;
+    ``<module>`` for a statement outside any function."""
+    return sorted(
+        {
+            top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else "<module>"
+            for top in tree.body
+            if any(_names_brute(node) for node in ast.walk(top))
+        }
+    )
+
+
+def test_only_routes_names_brute_in_formulas():
+    # no form may reach the oracle that checks it, and loading formulas
+    # (as every ``table`` does) must not load brute
+    path = SRC / "formulas.py"
+    assert _brute_owners(ast.parse(path.read_text(), filename=str(path))) == ["routes"]
+
+
+def test_brute_named_outside_routes_is_detected():
+    source = (
+        '"""Checked against :mod:`parkres.brute` by brute force."""\n'
+        "from . import brute\n"
+        "from importlib import import_module\n"
+        "def form(n):\n    return brute.count_restricted(n, range(1, n + 1))\n"
+        "def loader():\n    return import_module('.brute', __package__)\n"
+        "def routes(kind):\n    from .brute import count_restricted\n    return count_restricted\n"
+        "def plain(n):\n    'Not a brute-force count of parkres.brute.'\n    return n\n"
+    )
+    assert _brute_owners(ast.parse(source)) == ["<module>", "form", "loader", "routes"]

@@ -65,6 +65,12 @@ CASES = [
         lambda: verify.check_modular(1000), ["modular", "--budget", "1000"],
         "g=2, s=3, k=1",
     ),
+    # the power s**(g*s - 2) is a second form at k = 1, against the recursion
+    (
+        formulas, "mod_count_k1", (2, 3), _plus_one,
+        lambda: verify.check_modular(1000), ["modular", "--budget", "1000"],
+        "g=2, s=3, k=1",
+    ),
     (
         bijections, "involution", (RECOLORED,), lambda out: FIXED_POINT,
         lambda: verify.check_involution(2), ["involution", "--n-max", "2"], "n=2, s=1",
