@@ -25,13 +25,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 
-# ``sorted(verify.SUITES) + ["all"]``, written out so that reading the
-# command line imports no suite.
-VERIFY_SUITES = [
-    "abel", "bijections", "fibers", "formulas", "involution", "modular", "orbits", "all",
-]
-
-
 def _parse_ints(text: str) -> tuple:
     try:
         return tuple(int(part) for part in text.split(",") if part != "")
@@ -281,57 +274,54 @@ def _emit_table(rows, header, fmt) -> None:
 
 
 def cmd_table(args) -> int:
-    # ones is the one row of --n and --s; every other family has --n-max rows
-    if args.family == "ones":
-        read, unread = "--n and --s", {"--n-max": args.n_max}
-    else:
-        read, unread = "--n-max", {"--n": args.n, "--s": args.s}
-    for flag, value in unread.items():
-        if value is not None:
+    from . import formulas
+
+    if args.family not in formulas.TABLES:
+        known = ", ".join(formulas.TABLES)
+        raise ParkresError(f"unknown table family {args.family!r} (known: {known})")
+    reads, build = formulas.TABLES[args.family]
+    read = " and ".join(reads)
+    values = {}
+    for flag in COMMANDS["table"]["flags"]:
+        value = getattr(args, _dest(flag))
+        if flag in reads:
+            values[_dest(flag)] = reads[flag] if value is None else value
+        elif value is not None:
             raise ParkresError(
                 f"{flag} cannot be used with table {args.family}, which reads {read}"
             )
-    from . import formulas
-
-    n_max = 8 if args.n_max is None else args.n_max
-    if n_max < 1:
-        raise ParkresError(f"table {args.family} needs --n-max >= 1, got {n_max}")
-    if args.family in ("pf-restricted", "ppf-restricted"):
-        kind = args.family.split("-")[0]
-
-        def cell(n, s):  # the first closed form, as count --method auto runs it
-            forms, _ = formulas.routes(kind, {"kind": "segment", "s": s}, n)
-            return next(iter(forms.values()))()
-
-        header = ["n"] + [f"s={s}" for s in range(1, n_max + 1)]
-        rows = [
-            [n] + [cell(n, s) for s in range(1, n + 1)] + [""] * (n_max - n)
-            for n in range(1, n_max + 1)
-        ]
-    elif args.family == "catalan-triangle":
-        header = ["n"] + [f"k={k}" for k in range(n_max)]
-        rows = [
-            [n]
-            + [formulas.catalan_triangle(n, k) for k in range(n)]
-            + [""] * (n_max - n)
-            for n in range(1, n_max + 1)
-        ]
-    elif args.family == "ones":
-        if args.n is None or args.s is None:
-            raise ParkresError("table ones needs --n and --s")
-        poly = formulas.ones_poly_subtractive(args.n, args.s)
-        header = [f"x^{k}" for k in range(args.n + 1)]
-        rows = [[poly.coefficient(k) for k in range(args.n + 1)]]
-    else:
-        raise ParkresError(f"unknown table family {args.family!r}")
+    if None in values.values():
+        raise ParkresError(f"table {args.family} needs {read}")
+    if values.get("n_max", 1) < 1:
+        raise ParkresError(f"table {args.family} needs --n-max >= 1, got {values['n_max']}")
+    header, rows, mismatches = build(**values)
+    for mismatch in mismatches:
+        print(f"MISMATCH: table {args.family} {mismatch}", file=sys.stderr)
+    if mismatches:
+        return EXIT_MISMATCH
     _emit_table(rows, header, args.format)
     return EXIT_OK
 
 
+def _suites() -> list:
+    from . import verify
+
+    return verify.suite_names()
+
+
+def _families() -> list:
+    from . import formulas
+
+    return list(formulas.TABLES)
+
+
 # The command table.  A flag maps to (type or tuple of choices, default,
-# help); a positional is (name, type or choices, help).  The first
-# --format value is the default.  ``--budget`` and the list flags are
-# shared, as several commands read them.
+# help); a positional is (name, type or choices, help).  A positional
+# that names a verify suite or a table family is read as text, which the
+# handler refuses if the owning module has no such name; ``names`` lists
+# them for the help, importing that module only then.  The first --format
+# value is the default.  ``--budget`` and the list flags are shared, as
+# several commands read them.
 BUDGET = {"--budget": (_parse_budget, 10**7, "max candidate lists for brute-force work")}
 LISTS = {
     "--n": (int, None, "number of cars"),
@@ -349,9 +339,9 @@ COMMANDS = {
         "flags": {
             **LISTS,
             "--method": (
-                ("auto", "brute", "subtractive", "alternating"),
+                str,
                 "auto",
-                "auto: the first closed form, cross-checked by brute force within --budget",
+                "auto (the cheapest form, checked by brute force within --budget), brute or a form",
             ),
         },
         "formats": ("text", "json"),
@@ -376,18 +366,16 @@ COMMANDS = {
     },
     "verify": {
         "help": "run cross-verification suites",
-        "positional": ("suite", tuple(VERIFY_SUITES), "the suite to run"),
+        "positional": ("suite", str, "the suite to run"),
+        "names": _suites,
         "flags": {**BUDGET, "--n-max": (int, None, "largest n each suite checks")},
         "formats": ("text", "json"),
         "run": cmd_verify,
     },
     "table": {
         "help": "emit count tables",
-        "positional": (
-            "family",
-            ("pf-restricted", "ppf-restricted", "catalan-triangle", "ones"),
-            "the table to emit",
-        ),
+        "positional": ("family", str, "the table to emit"),
+        "names": _families,
         "flags": {
             "--n-max": (int, None, "rows 1..n-max (default 8)"),
             "--n": (int, None, "cars, for ones"),
@@ -518,7 +506,7 @@ def _help(name) -> str:
     else:
         entry = COMMANDS[name]
         dest, kind, text = entry["positional"]
-        shown = _metavar(kind, dest)
+        shown = _metavar(tuple(entry["names"]()) if "names" in entry else kind, dest)
         rows = [(shown, text)]
         for flag, spec in _flags(entry).items():
             if spec is not None:

@@ -187,11 +187,11 @@ def routes(kind: str, restriction: dict, n: int) -> tuple:
     on ``restriction`` with n cars.  ``count``, ``table`` and ``verify``
     all read it, so a new count family is one entry here.
 
-    ``forms`` holds the closed forms in the order ``count --method auto``
-    tries them, keyed by the method name its JSON reports; each value
-    computes the count when called, through the form's name in this
-    module.  ``oracle(n, allowed)`` is the brute-force count of ``kind``
-    in :mod:`parkres.brute`, looked up there when called.
+    ``forms`` holds the closed forms cheapest first, the order in which
+    ``count --method auto`` tries them, keyed by the method name its JSON
+    reports; each value computes the count when called, through the
+    form's name in this module.  ``oracle(n, allowed)`` is the brute-force
+    count of ``kind`` in :mod:`parkres.brute`, looked up there when called.
 
     ``restriction`` is the object ``count --format json`` reports, of kind
     segment (with ``s``), set or modular (with ``g``, ``s`` and ``k``).
@@ -201,6 +201,11 @@ def routes(kind: str, restriction: dict, n: int) -> tuple:
     the recursion, and at k = 1 with g*s >= 2 also the power s**(g*s - 2).
     An explicit set, a modular ppf and every other (n, s) have no form,
     and are counted by the oracle alone.
+
+    The cost of a form is the number of terms it sums: one for the total
+    and the power, which come first; s for the subtractive form against
+    n - s + 1 for the alternating one (n - s for ppf), the shorter sum
+    first and ``subtractive`` on a tie.
     """
     if kind not in ("pf", "ppf"):
         raise DomainError(f"kind must be pf or ppf, got {kind!r}")
@@ -211,30 +216,34 @@ def routes(kind: str, restriction: dict, n: int) -> tuple:
         return (brute.count_restricted if kind == "pf" else brute.count_prime_restricted)(n, allowed)
 
     n, s = _ints(n, restriction.get("s", 0))  # an explicit set has none
+    forms = {}
     if restriction["kind"] == "modular":
         g, k = _ints(restriction["g"], restriction["k"])
-        forms = {}
         if kind == "pf" and 1 <= k <= g * s:
-            forms["recursion"] = lambda: mod_count(g, s, k)
             if k == 1 and g * s >= 2:
                 forms["power"] = lambda: mod_count_k1(g, s)
+            forms["recursion"] = lambda: mod_count(g, s, k)
         return forms, oracle
     if not 1 <= s <= n:
-        return {}, oracle
+        return forms, oracle
     if kind == "pf":
-        forms = {
-            "subtractive": lambda: restricted_subtractive(n, s),
-            "alternating": lambda: restricted_alternating(n, s),
-        }
         if s == n:
             forms["total"] = lambda: pf_total(n)
-        return forms, oracle
-    if s == n:
+        pair = [
+            ("subtractive", lambda: restricted_subtractive(n, s)),
+            ("alternating", lambda: restricted_alternating(n, s)),
+        ]
+        alternating_terms = n - s + 1
+    elif s == n:
         return {"total": lambda: ppf_total(n)}, oracle
-    return {
-        "subtractive": lambda: prime_subtractive(n, s),
-        "alternating": lambda: prime_alternating(n, s),
-    }, oracle
+    else:
+        pair = [
+            ("subtractive", lambda: prime_subtractive(n, s)),
+            ("alternating", lambda: prime_alternating(n, s)),
+        ]
+        alternating_terms = n - s
+    forms.update(pair if s <= alternating_terms else reversed(pair))
+    return forms, oracle
 
 
 def catalan_triangle(n: int, k: int) -> int:
@@ -307,6 +316,60 @@ def ones_poly_alternating(n: int, s: int) -> IntPolynomial:
         total = total + c * (s - i - 1) ** (n - i) * _ones_factor(i)
         c = c * i // (n - i + 1)
     return total
+
+
+def _restricted_table(kind: str):
+    """The builder of the [s]-restricted ``kind`` table: row n holds the
+    counts at s = 1..n by the first form :func:`routes` gives, each
+    checked against the second (the ppf diagonal has only the total)."""
+
+    def build(n_max):
+        header = ["n"] + [f"s={s}" for s in range(1, n_max + 1)]
+        rows, mismatches = [], []
+        for n in range(1, n_max + 1):
+            row = [n]
+            for s in range(1, n + 1):
+                (first, form), *rest = routes(kind, {"kind": "segment", "s": s}, n)[0].items()
+                value = form()
+                for second, other in rest[:1]:
+                    check = other()
+                    if check != value:
+                        mismatches.append(f"n={n}, s={s}: {first} {value}, {second} {check}")
+                row.append(value)
+            rows.append(row + [""] * (n_max - n))
+        return header, rows, mismatches
+
+    return build
+
+
+def _catalan_table(n_max):
+    header = ["n"] + [f"k={k}" for k in range(n_max)]
+    rows = [
+        [n] + [catalan_triangle(n, k) for k in range(n)] + [""] * (n_max - n)
+        for n in range(1, n_max + 1)
+    ]
+    return header, rows, []
+
+
+def _ones_table(n, s):
+    poly = ones_poly_subtractive(n, s)
+    check = ones_poly_alternating(n, s)
+    mismatches = [] if poly == check else [f"n={n}, s={s}: subtractive {poly}, alternating {check}"]
+    row = [poly.coefficient(k) for k in range(n + 1)]
+    return [f"x^{k}" for k in range(n + 1)], [row], mismatches
+
+
+# The families of ``parkres table``, by name.  Each maps the flags it
+# reads to their defaults (None: required), and its builder takes their
+# values by keyword (``--n-max`` as ``n_max``) and returns ``(header,
+# rows, mismatches)``, each mismatch a value whose second route disagrees:
+# every value has one but the Catalan triangle's and the ppf diagonal's.
+TABLES = {
+    "pf-restricted": ({"--n-max": 8}, _restricted_table("pf")),
+    "ppf-restricted": ({"--n-max": 8}, _restricted_table("ppf")),
+    "catalan-triangle": ({"--n-max": 8}, _catalan_table),
+    "ones": ({"--n": None, "--s": None}, _ones_table),
+}
 
 
 class AbelCheck(NamedTuple):

@@ -391,25 +391,30 @@ def check_modular(budget: int = 10**7, threads: int = 1) -> list:
     return [_modular_job(job) for job in jobs]
 
 
-SUITES = {
-    "formulas": lambda n_max=6, budget=None: (
+# Each suite: the smallest n_max at which every one of its checks compares
+# a case (the orbit recurrence needs 1 < s < n), or None for ``modular``,
+# which takes no n_max; and its run, with the suite's default bounds.
+_SUITES = {
+    "formulas": (1, lambda n_max=6, budget=None: (
         check_closed_forms("pf", n_max)
         + check_closed_forms("ppf", n_max)
         + check_defect(n_max)
         + check_ones(n_max)
-    ),
-    "bijections": lambda n_max=5, budget=None: check_bijections(min(n_max, 5)),
-    "involution": lambda n_max=5, budget=None: check_involution(min(n_max, 5)),
-    "abel": lambda n_max=10, budget=None: check_abel(n_max),
-    "orbits": lambda n_max=8, budget=None: check_orbits(n_max),
-    "fibers": lambda n_max=5, budget=None: check_fibers(min(n_max, 5)),
-    "modular": lambda n_max=None, budget=10**7: check_modular(budget),
+    )),
+    "bijections": (1, lambda n_max=5, budget=None: check_bijections(min(n_max, 5))),
+    "involution": (1, lambda n_max=5, budget=None: check_involution(min(n_max, 5))),
+    "abel": (1, lambda n_max=10, budget=None: check_abel(n_max)),
+    "orbits": (3, lambda n_max=8, budget=None: check_orbits(n_max)),
+    "fibers": (1, lambda n_max=5, budget=None: check_fibers(min(n_max, 5))),
+    "modular": (None, lambda n_max=None, budget=10**7: check_modular(budget)),
 }
+# The runs by name, which :func:`run_suite` calls and a tracer may wrap.
+SUITES = {name: run for name, (_, run) in _SUITES.items()}
 
 
-# The smallest n_max at which every check of a suite compares a case: the
-# orbit recurrence needs 1 < s < n.  ``modular`` takes no n_max.
-_MIN_N_MAX = {"formulas": 1, "bijections": 1, "involution": 1, "abel": 1, "orbits": 3, "fibers": 1}
+def suite_names() -> list:
+    """The names :func:`run_suite` takes: each suite, then ``all``."""
+    return sorted(SUITES) + ["all"]
 
 
 def run_suite(name: str, n_max=None, budget=None) -> list:
@@ -420,14 +425,13 @@ def run_suite(name: str, n_max=None, budget=None) -> list:
     to compare a case, or a budget that no modular job fits, raises
     :class:`DomainError` before any check runs.
     """
-    if name != "all" and name not in SUITES:
-        known = ", ".join(sorted(SUITES) + ["all"])
-        raise DomainError(f"unknown verify suite {name!r} (known: {known})")
+    if name not in suite_names():
+        raise DomainError(f"unknown verify suite {name!r} (known: {', '.join(suite_names())})")
     keys = list(SUITES) if name == "all" else [name]
     if n_max is not None and keys == ["modular"]:
         raise DomainError("--n-max cannot be used with verify modular, which reads --budget")
     if n_max is not None:
-        least = max(_MIN_N_MAX.get(key, n_max) for key in keys)
+        least = max(_SUITES[key][0] or n_max for key in keys)
         if n_max < least:
             raise DomainError(f"verify {name} needs --n-max >= {least}, got {n_max}")
     if "modular" in keys and budget is not None:

@@ -37,7 +37,7 @@ def test_count_modular(capsys):
     code, out, _ = run(capsys, "count", "pf", "--g", "3", "--s", "3", "--k", "1")
     assert code == 0
     assert out.strip() == "2187"
-    for method, used in (("auto", "recursion"), ("brute", "brute")):
+    for method, used in (("auto", "power"), ("recursion", "recursion"), ("brute", "brute")):
         code, out, _ = run(
             capsys, "count", "pf", "--g", "2", "--s", "2", "--k", "1",
             "--method", method, "--format", "json",
@@ -186,26 +186,36 @@ def test_count_alternating_at_large_n_prints_subtractive_value(capsys):
     assert out.strip() == str(formulas.prime_subtractive(1400, 466))
 
 
-# The closed forms each request has, in the order auto runs them, written
-# out here from the paper's ranges rather than read from the CLI.
+# The closed forms each request has, cheapest first as auto runs them (the
+# one-term total or power, then the pair with the fewer terms: s for the
+# subtractive form, n - s + 1 for the alternating one, n - s for ppf),
+# written out here from the paper's ranges rather than read from the CLI.
 # None: no route counts the request at all.
 PAIR = ["subtractive", "alternating"]
 RESTRICTIONS = {
-    "s < n": (("--n", "5", "--s", "3"), {"pf": PAIR, "ppf": PAIR}),
-    "s = n": (("--n", "4", "--s", "4"), {"pf": PAIR, "ppf": ["total"]}),
+    "s < n, s terms against n - s + 1": (("--n", "5", "--s", "3"), {"pf": PAIR, "ppf": PAIR[::-1]}),
+    "s < n, alternating shorter": (("--n", "5", "--s", "4"), {"pf": PAIR[::-1], "ppf": PAIR[::-1]}),
+    "s < n, subtractive shorter": (("--n", "5", "--s", "2"), {"pf": PAIR, "ppf": PAIR}),
+    "s = n": (("--n", "4", "--s", "4"), {"pf": ["total"] + PAIR[::-1], "ppf": ["total"]}),
     "s > n": (("--n", "4", "--s", "9"), None),
     "no cars": (("--n", "0"), {"pf": [], "ppf": []}),
     "set": (("--n", "5", "--set", "1,3"), {"pf": [], "ppf": []}),
     "modular": (("--g", "2", "--s", "3", "--k", "2"), {"pf": ["recursion"], "ppf": []}),
+    "modular, k = 1": (
+        ("--g", "2", "--s", "3", "--k", "1"), {"pf": ["power", "recursion"], "ppf": []}
+    ),
 }
 FORMULA_OF = {
     ("pf", "subtractive"): "restricted_subtractive",
     ("pf", "alternating"): "restricted_alternating",
+    ("pf", "total"): "pf_total",
     ("ppf", "subtractive"): "prime_subtractive",
     ("ppf", "alternating"): "prime_alternating",
     ("ppf", "total"): "ppf_total",
     ("pf", "recursion"): "mod_count",
+    ("pf", "power"): "mod_count_k1",
 }
+METHODS = ("auto", "brute", "subtractive", "alternating", "total", "recursion", "power")
 
 
 def test_json_method_names_the_formula_that_ran(monkeypatch, capsys):
@@ -217,7 +227,7 @@ def test_json_method_names_the_formula_that_ran(monkeypatch, capsys):
         )
     for label, (flags, forms) in RESTRICTIONS.items():
         for kind in ("pf", "ppf"):
-            for method in ("auto", "brute", "subtractive", "alternating"):
+            for method in METHODS:
                 called.clear()
                 code, out, err = run(capsys, "count", kind, *flags, "--method", method, "--format", "json")
                 case = (label, kind, method)
@@ -232,10 +242,38 @@ def test_json_method_names_the_formula_that_ran(monkeypatch, capsys):
                 if want is None:
                     assert code == 2 and out == "" and err.startswith("error:"), case
                     assert called == [], case
+                    if forms is not None:  # one line listing the forms the request has
+                        have = ", ".join(forms[kind]) or "none"
+                        assert err.endswith(f" count (closed forms here: {have})\n"), case
+                        assert err.count("\n") == 1, case
                     continue
                 assert code == 0, (case, err)
                 assert json.loads(out)["method"] == want, case
                 assert called == ([] if want == "brute" else [FORMULA_OF[kind, want]]), case
+
+
+# Every form name --method takes, on a request that has it, with the count.
+NAMED_FORMS = [
+    (("pf", "--g", "2", "--s", "3", "--k", "1"), "recursion", "81"),
+    (("pf", "--g", "2", "--s", "3", "--k", "1"), "power", "81"),
+    (("pf", "--n", "5"), "total", "1296"),
+    (("ppf", "--n", "5"), "total", "256"),
+]
+
+
+@pytest.mark.parametrize("request_, method, want", NAMED_FORMS)
+def test_method_runs_every_form_the_request_has(capsys, request_, method, want):
+    assert run(capsys, "count", *request_, "--method", method) == (0, want + "\n", "")
+    code, out, _ = run(capsys, "count", *request_, "--method", method, "--format", "json")
+    assert code == 0 and json.loads(out)["method"] == method
+
+
+def test_auto_runs_the_shorter_sum(capsys):
+    # s = 3600 subtractive terms against 401 alternating ones, and the
+    # other way round at s = 400
+    for s, want in (("3600", "alternating"), ("400", "subtractive")):
+        code, out, _ = run(capsys, "count", "pf", "--n", "4000", "--s", s, "--format", "json")
+        assert code == 0 and json.loads(out)["method"] == want, s
 
 
 def test_prime_count_beyond_n_exits_2_at_any_budget(capsys):
@@ -304,6 +342,29 @@ def test_restricted_tables_match_count(capsys):
             for s in range(1, n + 1):
                 _, count, _ = run(capsys, "count", kind, "--n", str(n), "--s", str(s))
                 assert row[s] == count.strip(), (kind, n, s)
+
+
+@pytest.mark.parametrize(
+    "argv, form",
+    [
+        (("pf-restricted", "--n-max", "4"), "restricted_alternating"),
+        (("pf-restricted", "--n-max", "4"), "restricted_subtractive"),
+        (("ppf-restricted", "--n-max", "4"), "prime_alternating"),
+        (("ppf-restricted", "--n-max", "4"), "prime_subtractive"),
+        (("ones", "--n", "4", "--s", "2"), "ones_poly_alternating"),
+        (("ones", "--n", "4", "--s", "2"), "ones_poly_subtractive"),
+    ],
+)
+def test_table_cross_check_exits_3(monkeypatch, capsys, argv, form):
+    # each value is checked by a second route: one form off by one is a
+    # mismatch, and no table is printed
+    real = getattr(formulas, form)
+    monkeypatch.setattr(formulas, form, lambda n, s: real(n, s) + 1)
+    for fmt in ("csv", "json"):
+        code, out, err = run(capsys, "table", *argv, "--format", fmt)
+        assert (code, out) == (3, ""), (argv, form)
+        lines = err.splitlines()
+        assert lines and all(line.startswith(f"MISMATCH: table {argv[0]} ") for line in lines)
 
 
 def _format_choices():
@@ -609,6 +670,9 @@ USAGE_ERRORS = [
     (["--version=1"], "--version"),
     (["-x"], "-x"),
     (["count", "--", "pf", "--n", "3"], "--n"),  # after --, --n is a second positional
+    (["verify", "nope"], "'nope'"),
+    (["table", "nope"], "'nope'"),
+    (["table", "nope", "--n-max", "3"], "'nope'"),
 ]
 
 
@@ -647,6 +711,13 @@ def test_help_at_both_levels(capsys):
         assert run(capsys, command, "--format", "json", "--he") == (0, out, "")
         code, _, err = run(capsys, command, "--help=1")
         assert code == 2 and "--help" in err
+
+
+def test_help_names_every_suite_and_family(capsys):
+    # read from the owning module, which only the help imports
+    for command, names in (("verify", verify.suite_names()), ("table", list(formulas.TABLES))):
+        code, out, err = run(capsys, command, "--help")
+        assert (code, err) == (0, "") and f"{{{','.join(names)}}}" in out, command
 
 
 def _readme_examples():
@@ -737,7 +808,8 @@ def test_request_imports_only_what_it_runs(argv):
     assert {name for name in loaded if name.startswith("parkres.")} == MODULE_TABLE[tuple(argv)]
     assert not loaded & {"argparse", "gettext", "locale"}
     assert ("json" in loaded) == ("json" in argv)
-    assert ("csv" in loaded) == (argv[0] == "table" and "json" not in argv or "csv" in argv)
+    prints_csv = argv[0] == "table" and "json" not in argv and "-h" not in argv
+    assert ("csv" in loaded) == (prints_csv or "csv" in argv)
 
 
 def test_module_table_covers_every_subcommand():
@@ -805,10 +877,10 @@ def _argv():
     fmt = _flag("--format", ["text", "json", "csv"])
     budget = _flag("--budget", ["1e7", "100", "2.5"])
     kind = _choice(["pf", "ppf"])
-    method = _flag("--method", ["auto", "brute", "subtractive", "alternating"])
+    method = _flag("--method", list(METHODS))
     prefs = st.lists(st.sampled_from(SMALL + BAD + ["7", "x"]), max_size=6).map(",".join)
-    family = _choice(["pf-restricted", "ppf-restricted", "catalan-triangle", "ones"])
-    suite = _choice(sorted(verify.SUITES) + ["all"])
+    family = _choice(list(formulas.TABLES))
+    suite = _choice(verify.suite_names())
     return st.one_of(
         _command("count", kind, restriction + [method, fmt, budget]),
         _command("enum", kind, restriction + [fmt, budget]),

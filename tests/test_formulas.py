@@ -32,9 +32,14 @@ def _modular(g, s, k):
 
 def test_closed_forms_by_request(monkeypatch):
     segment = {"kind": "segment", "s": 4}
-    assert _methods("pf", segment, 5) == ["subtractive", "alternating"]
-    assert _methods("pf", segment, 4) == ["subtractive", "alternating", "total"]
-    assert _methods("ppf", segment, 5) == ["subtractive", "alternating"]
+    # cheapest first: the one-term total, then the pair by terms summed,
+    # s for subtractive against n - s + 1 for alternating (n - s for ppf)
+    assert _methods("pf", segment, 5) == ["alternating", "subtractive"]
+    assert _methods("pf", segment, 4) == ["total", "alternating", "subtractive"]
+    assert _methods("pf", segment, 7) == ["subtractive", "alternating"]  # 4 terms each
+    assert _methods("ppf", segment, 5) == ["alternating", "subtractive"]
+    assert _methods("ppf", segment, 8) == ["subtractive", "alternating"]  # 4 terms each
+    assert _methods("ppf", segment, 7) == ["alternating", "subtractive"]
     assert _methods("ppf", segment, 4) == ["total"]
     for n in (0, 3):  # s outside 1..n
         assert _methods("pf", segment, n) == [] and _methods("ppf", segment, n) == []
@@ -42,7 +47,7 @@ def test_closed_forms_by_request(monkeypatch):
     modular = _modular(2, 3, 2)
     assert _methods("pf", modular, 4) == ["recursion"] and _methods("ppf", modular, 4) == []
     # k = 1 adds the power s**(g*s - 2), which needs g*s >= 2
-    assert _methods("pf", _modular(2, 3, 1), 5) == ["recursion", "power"]
+    assert _methods("pf", _modular(2, 3, 1), 5) == ["power", "recursion"]
     assert _methods("pf", _modular(1, 1, 1), 0) == ["recursion"]
     forms, _ = formulas.routes("pf", segment, 4)
     assert {method: form() for method, form in forms.items()} == dict.fromkeys(forms, 125)

@@ -5,7 +5,7 @@ import inspect
 import re
 from pathlib import Path
 
-from parkres import brute
+from parkres import brute, formulas, verify
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "parkres"
 
@@ -297,13 +297,51 @@ def _named(tree, names=COUNT_FORMS):
     return sorted(named & names)
 
 
+def _form_names():
+    """The names of the forms that ``formulas.routes`` gives, over requests
+    of every kind it counts."""
+    requests = [{"kind": "segment", "s": s} for s in range(1, 5)] + [
+        {"kind": "modular", "g": 2, "s": 3, "k": k} for k in (1, 2)
+    ]
+    return {
+        method
+        for kind in ("pf", "ppf")
+        for restriction in requests
+        for method in formulas.routes(kind, restriction, 4)[0]
+    }
+
+
+# The names that the CLI reads from the module that owns them, so that a
+# new suite, family or form needs no line of ``cli.py``: each verify
+# suite, each table family, and each form by its method and function name.
+OWNED_NAMES = set(verify.suite_names()) | set(formulas.TABLES) | _form_names() | COUNT_FORMS
+# Words of the CLI's own that a suite or a family shares: the modular
+# restriction of ``count --format json`` and the ones field of ``enum``.
+CLI_WORDS = {"modular", "ones"}
+
+
+def _literals(tree, names):
+    """The ``names`` that a string literal of ``tree`` spells out whole."""
+    return sorted(
+        {
+            node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        & names
+    )
+
+
 def test_cli_and_verify_reach_the_forms_through_the_resolver():
+    assert {"all", "formulas", "ones", "total", "power", "recursion"} <= OWNED_NAMES
     for name in ("cli.py", "verify.py"):
         path = SRC / name
         tree = ast.parse(path.read_text(), filename=str(path))
         assert _named(tree) == [], name
         attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert "routes" in attributes, name
+        if name == "cli.py":
+            assert _literals(tree, OWNED_NAMES - CLI_WORDS) == [], name
 
 
 def test_form_named_outside_the_resolver_is_detected():
@@ -319,6 +357,17 @@ def test_form_named_outside_the_resolver_is_detected():
         "mod_count_k1", "pf_total", "ppf_total", "restricted_subtractive",
     ]
     assert _named(ast.parse("'pf_total'\n# restricted_subtractive\n")) == []
+    # a literal that spells out a suite, a family or a form is a second
+    # owner of its name; one that only mentions it is not
+    source = (
+        '"""Counts by total, as abel checks."""\n'
+        "SUITES = ('abel', 'all')\n"
+        "def table(family):\n    return family == 'pf-restricted' or f'{family} ones'\n"
+        "def count(method):\n    return method in ('auto', 'brute', 'power', 'pf_total')\n"
+    )
+    assert _literals(ast.parse(source), OWNED_NAMES) == [
+        "abel", "all", "pf-restricted", "pf_total", "power",
+    ]
 
 
 def test_cli_and_verify_take_the_oracle_from_the_resolver():

@@ -7,7 +7,7 @@ import pytest
 
 from parkres import bijections, brute, formulas, verify
 from parkres.bijections import FIXED_POINT
-from parkres.cli import VERIFY_SUITES, main
+from parkres.cli import main
 from parkres.exceptions import DomainError
 
 
@@ -171,8 +171,3 @@ def test_small_modular_budget_is_refused_before_any_suite(monkeypatch, capsys):
 def test_unknown_suite_is_named():
     with pytest.raises(DomainError, match=r"unknown verify suite 'nope' \(known: abel, .*, all\)"):
         verify.run_suite("nope")
-
-
-def test_parser_lists_every_suite():
-    # the CLI writes the names out, so that building its parser imports no suite
-    assert VERIFY_SUITES == sorted(verify.SUITES) + ["all"]
