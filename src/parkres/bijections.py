@@ -56,7 +56,8 @@ def prime_to_restricted(prefs: Sequence[int], allowed: Iterable[int]) -> tuple:
         raise NotPrime(f"{tuple(prefs)} fails the strict occupancy condition")
     if n > 1 and n in prefs:
         # unreachable for prime lists (spot 1 is preferred twice over);
-        # asserted for safety
+        # checked anyway, so that a wrong prime test raises instead of
+        # returning a list outside the shifted set
         raise ImageContainsLastSpot(f"prime list {tuple(prefs)} prefers spot {n}")
     return tuple(1 if p == 1 else p + 1 for p in prefs)
 

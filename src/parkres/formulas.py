@@ -64,7 +64,14 @@ def _check_ns(n: int, s: int) -> tuple:
 def _power_pair(a: int, e: int, b: int, f: int) -> int:
     """a**e * b**f for e, f >= 0 (0**0 == 1) by simultaneous exponentiation
     (Straus 1964): one left-to-right square-and-multiply chain over the bits
-    of both exponents, so no full-size product of two separate powers."""
+    of both exponents, so no full-size product of two separate powers.  The
+    chain runs over the odd parts of a and b; their powers of two are
+    shifted in once at the end."""
+    # the trailing zero bits; 0 stays 0, which the chain uses only if e > 0
+    u = (a & -a).bit_length() - 1 if a else 0
+    v = (b & -b).bit_length() - 1 if b else 0
+    a >>= u
+    b >>= v
     ab = a * b
     result = 1
     for k in range(max(e, f).bit_length() - 1, -1, -1):
@@ -73,7 +80,52 @@ def _power_pair(a: int, e: int, b: int, f: int) -> int:
             result *= ab if f >> k & 1 else a
         elif f >> k & 1:
             result *= b
-    return result
+    return result << (u * e + v * f)
+
+
+def _power_product(a: int, e: int, b: int, f: int) -> int:
+    """a**e * b**f for e, f >= 0 (0**0 == 1), for the subtractive forms: one
+    left-to-right square-and-multiply chain that reads a two-bit digit, one
+    bit of each exponent, per step and multiplies by 1, a, b or a*b from a
+    table.  The chain runs over the odd parts of a and b, and the powers of
+    two come back as one shift at the end."""
+    # the trailing zero bits: none of 0, which the chain uses only if e > 0
+    i = (a ^ (a - 1)).bit_length() - 1
+    j = (b ^ (b - 1)).bit_length() - 1
+    a >>= i
+    b >>= j
+    table = (1, a, b, a * b)
+    result = 1
+    for k in range(max(e, f).bit_length() - 1, -1, -1):
+        result *= result
+        digit = (e >> k & 1) | (f >> k & 1) << 1
+        if digit:
+            result *= table[digit]
+    return result << (i * e + j * f)
+
+
+def _rising_binomial_series(n: int, lo: int, hi: int, term) -> tuple:
+    """(P, Q, T) of the terms i = lo, lo+1, ..., hi of sum C(n,i) * term(i),
+    lo <= 1, by binary splitting (Haible & Papanikolaou 1998).
+
+    Walking up from C(n, 0) = 1, C(n, i) = C(n, i-1) * p_i / q_i with
+    p_i = n-i+1 and q_i = i, and p_0 = q_0 = 1.  P and Q are the products
+    of the p_i and q_i over the range, and
+
+        T = sum_i term(i) * (p_lo * ... * p_i) * (q_{i+1} * ... * q_hi),
+
+    so the sum is T / Q.  Two adjacent ranges merge as T = T_1 * Q_2 +
+    P_1 * T_2, lower range first.  An empty range (lo > hi) sums to 0.
+    """
+    if lo >= hi:
+        if lo > hi:
+            return 1, 1, 0
+        p, q = (n - lo + 1, lo) if lo else (1, 1)
+        return p, q, term(lo) * p
+    mid = (lo + hi) // 2
+    p1, q1, t1 = _rising_binomial_series(n, lo, mid, term)
+    p2, q2, t2 = _rising_binomial_series(n, mid + 1, hi, term)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
 def restricted_subtractive(n: int, s: int) -> int:
@@ -82,16 +134,20 @@ def restricted_subtractive(n: int, s: int) -> int:
         s**n - sum_{i=0}^{s-1} C(n,i) * (i+1)**(i-1) * (s-i-1)**(n-i)
 
     obtained by subtracting the non-parking lists, classified by the first
-    unoccupied spot.
+    unoccupied spot.  The term i = s-1 holds 0**(n-s+1) and is left out.
+    Each other term's two powers come from one :func:`_power_product`
+    chain, and the binomial weights are combined by binary splitting
+    (:func:`_rising_binomial_series`), whose T / Q must divide exactly; a
+    remainder raises :class:`NonIntegerIntermediate`.
     """
     n, s = _check_ns(n, s)
-    total = s**n
-    c = 1  # C(n, i), walked up from C(n, 0)
-    for i in range(s):
-        pf_i = 1 if i == 0 else (i + 1) ** (i - 1)
-        total -= c * pf_i * (s - i - 1) ** (n - i)
-        c = c * (n - i) // (i + 1)
-    return total
+    _, q, t = _rising_binomial_series(  # (i+1)**(i-1) is 1**0 at i == 0
+        n, 0, s - 2, lambda i: _power_product(i + 1, max(i - 1, 0), s - i - 1, n - i)
+    )
+    subtracted, remainder = divmod(t, q)
+    if remainder:
+        raise NonIntegerIntermediate(f"binomial sum not integral at n={n}, s={s}")
+    return s**n - subtracted
 
 
 def _binomial_series(n: int, lo: int, hi: int, term) -> tuple:
@@ -146,17 +202,20 @@ def prime_subtractive(n: int, s: int) -> int:
         s**n - (s-1)**n - sum_{i=1}^{s} C(n,i) * (i-1)**(i-1) * (s-i)**(n-i)
 
     subtracting the non-prime lists by the position of the first failure
-    of the strict occupancy condition.
+    of the strict occupancy condition.  The term i = s holds 0**(n-s) and
+    is left out; the others are summed as in
+    :func:`restricted_subtractive`.
     """
     n, s = _ints(n, s)
     if not 1 <= s < n:
         raise DomainError(f"need 1 <= s < n, got s={s}, n={n}")
-    total = s**n - (s - 1) ** n
-    c = n  # C(n, i), walked up from C(n, 1)
-    for i in range(1, s + 1):
-        total -= c * (i - 1) ** (i - 1) * (s - i) ** (n - i)
-        c = c * (n - i) // (i + 1)
-    return total
+    _, q, t = _rising_binomial_series(
+        n, 1, s - 1, lambda i: _power_product(i - 1, i - 1, s - i, n - i)
+    )
+    subtracted, remainder = divmod(t, q)
+    if remainder:
+        raise NonIntegerIntermediate(f"binomial sum not integral at n={n}, s={s}")
+    return s**n - (s - 1) ** n - subtracted
 
 
 def prime_alternating(n: int, s: int) -> int:

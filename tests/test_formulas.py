@@ -1,7 +1,7 @@
 import inspect
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -302,19 +302,42 @@ _EXPONENTS = st.one_of(st.just(0), st.integers(0, 1500))
 
 
 # 0**0 == 1 on either side; a zero base with a positive exponent zeroes the
-# product whichever exponent is longer; exponents of unequal bit length.
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(_SMALL_BASES, _EXPONENTS, _SMALL_BASES, _EXPONENTS)
-@example(0, 0, 0, 0)
-@example(0, 0, 7, 3)
-@example(5, 2, 0, 0)
-@example(0, 1, 3, 1500)
-@example(3, 1500, 0, 1)
-@example(-2, 63, 3, 64)
-@example(3, 64, -2, 65)
-@example(-1, 1499, 1, 0)
+# product whichever exponent is longer; exponents of unequal bit length;
+# even, power-of-two and negative bases, whose odd parts the chains run over.
+POWER_EXAMPLES = [
+    (0, 0, 0, 0),
+    (0, 0, 7, 3),
+    (5, 2, 0, 0),
+    (0, 1, 3, 1500),
+    (3, 1500, 0, 1),
+    (-2, 63, 3, 64),
+    (3, 64, -2, 65),
+    (-1, 1499, 1, 0),
+    (6, 37, 10, 12),
+    (1024, 9, 8, 130),
+    (2, 1500, -4, 1499),
+    (-12, 7, -6, 64),
+    (0, 0, -8, 5),
+    (-16, 3, 0, 0),
+]
+
+
+def _with_power_examples(test):
+    test = given(_SMALL_BASES, _EXPONENTS, _SMALL_BASES, _EXPONENTS)(test)
+    test = settings(max_examples=150, deadline=None, derandomize=True)(test)
+    for args in reversed(POWER_EXAMPLES):
+        test = example(*args)(test)
+    return test
+
+
+@_with_power_examples
 def test_power_pair_matches_two_powers(a, e, b, f):
     assert formulas._power_pair(a, e, b, f) == a**e * b**f
+
+
+@_with_power_examples
+def test_power_product_matches_two_powers(a, e, b, f):
+    assert formulas._power_product(a, e, b, f) == a**e * b**f
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 50, 400])
@@ -351,12 +374,65 @@ def test_binomial_series_matches_comb_sum():
             assert t == q * sum(comb(n, i) * term(i) for i in range(lo, n + 1)), (n, lo)
 
 
+def test_rising_binomial_series_matches_comb_sum():
+    def term(i):  # negative, zero and positive values
+        return 3 * i * i - 7 * i + 2
+
+    for n in range(1, 30):
+        for lo in range(n + 1):
+            for hi in range(lo - 1, n + 1):  # the empty range first
+                p, q, t = formulas._rising_binomial_series(n, lo, hi, term)
+                span = range(lo, hi + 1)
+                assert p == prod(n - j + 1 if j else 1 for j in span), (n, lo, hi)
+                assert q == prod(j or 1 for j in span), (n, lo, hi)
+                # the walk starts at C(n, lo-1), so from lo <= 1 T / Q is the sum
+                start = comb(n, lo - 1) if lo else 1
+                want = q * sum(comb(n, i) * term(i) for i in span)
+                assert t * start == want, (n, lo, hi)
+
+
 def test_inexact_binomial_series_raises(monkeypatch):
     # T / Q is exact by construction; a remainder means a broken splitting
-    monkeypatch.setattr(formulas, "_binomial_series", lambda n, lo, hi, term: (1, 2, 3))
-    for name in ("restricted_alternating", "prime_alternating"):
+    def inexact(n, lo, hi, term):
+        return 1, 2, 3
+
+    monkeypatch.setattr(formulas, "_binomial_series", inexact)
+    monkeypatch.setattr(formulas, "_rising_binomial_series", inexact)
+    for name in ("restricted_alternating", "prime_alternating",
+                 "restricted_subtractive", "prime_subtractive"):
         with pytest.raises(NonIntegerIntermediate):
             getattr(formulas, name)(5, 2)
+
+
+def test_subtractive_forms_match_alternating_on_every_size_to_40():
+    # s = 1 leaves the subtractive splitting no nonzero term, s = 2 one
+    for n in range(1, 41):
+        for s in range(1, n + 1):
+            want = formulas.restricted_alternating(n, s)
+            assert formulas.restricted_subtractive(n, s) == want, (n, s)
+            if s < n:
+                want = formulas.prime_alternating(n, s)
+                assert formulas.prime_subtractive(n, s) == want, (n, s)
+
+
+def test_subtractive_forms_run_one_chain_per_nonzero_term(monkeypatch):
+    # the last term of each subtractive sum is zero (0**(n-s+1), 0**(n-s)):
+    # s - 1 chains, none for it and none outside the splitting
+    calls = []
+    real = formulas._power_product
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(formulas, "_power_product", counted)
+    for n, s in [(1, 1), (2, 1), (2, 2), (3, 2), (9, 5), (9, 8), (60, 20)]:
+        for name in ("restricted_subtractive", "prime_subtractive"):
+            if name == "prime_subtractive" and s == n:
+                continue
+            calls.clear()
+            getattr(formulas, name)(n, s)
+            assert len(calls) == s - 1, (name, n, s, calls)
 
 
 @pytest.mark.parametrize("subtractive, alternating", [

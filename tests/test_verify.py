@@ -11,12 +11,19 @@ from parkres.cli import main
 from parkres.exceptions import DomainError
 
 
-def _plus_one(value):
+# Each skew gets the route's value and the arguments it was called with.
+def _plus_one(value, *args):
     return value + 1
 
 
-def _bump_first(prefs):
+def _bump_first(prefs, *args):
     return (prefs[0] + 1,) + tuple(prefs[1:])
+
+
+def _drop_last_term(series, n, lo, hi, term):
+    # a splitting's (P, Q, T) without its term i = hi, which entered T times P
+    p, q, t = series
+    return p, q, t - term(hi) * p
 
 
 # The first coloring on 2 cars with s = 1 that the involution recolors.
@@ -27,7 +34,8 @@ RECOLORED = next(
 )
 
 # (module, route, the arguments it gets wrong, how it goes wrong, the check
-#  that must catch it, the CLI argv that runs that check, the case's name)
+#  that must catch it, the CLI argv that runs that check, the case's name);
+# the route is wrong wherever its arguments start with the given ones
 CASES = [
     (
         formulas, "restricted_subtractive", (4, 2), _plus_one,
@@ -36,6 +44,17 @@ CASES = [
     (
         formulas, "prime_subtractive", (4, 2), _plus_one,
         lambda: verify.check_closed_forms("ppf", 3), ["formulas", "--n-max", "3"], "n=4, s=2",
+    ),
+    # the subtractive forms' splitting without its last term, over the
+    # nonzero terms i = 0..2 of (5, 4) and i = 1..3 of the prime form: ranges
+    # that no larger s splits off, so (5, 4) is the last case they break
+    (
+        formulas, "_rising_binomial_series", (5, 0, 2), _drop_last_term,
+        lambda: verify.check_closed_forms("pf", 3), ["formulas", "--n-max", "3"], "n=5, s=4",
+    ),
+    (
+        formulas, "_rising_binomial_series", (5, 1, 3), _drop_last_term,
+        lambda: verify.check_closed_forms("ppf", 3), ["formulas", "--n-max", "3"], "n=5, s=4",
     ),
     # the pf total is a third form at s = n, compared with the first up
     # to FORMULA_N_MAX; the ppf total is the only form there, so brute
@@ -72,7 +91,7 @@ CASES = [
         "g=2, s=3, k=1",
     ),
     (
-        bijections, "involution", (RECOLORED,), lambda out: FIXED_POINT,
+        bijections, "involution", (RECOLORED,), lambda out, *args: FIXED_POINT,
         lambda: verify.check_involution(2), ["involution", "--n-max", "2"], "n=2, s=1",
     ),
     (
@@ -99,7 +118,7 @@ def test_mismatch_fails_and_names_the_case(
 
     def wrong_once(*args):
         value = real(*args)
-        return skew(value) if args == bad_args else value
+        return skew(value, *args) if args[: len(bad_args)] == bad_args else value
 
     monkeypatch.setattr(module, route, wrong_once)
 
