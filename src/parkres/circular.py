@@ -6,10 +6,12 @@ roll clockwise, wrapping around, until they find an empty spot.  With at
 most as many cars as spots everyone parks, and the empty spots always end
 immediately before a row start, so the occupancy decomposes into blocks of
 whole rows.  A row that only its first spot feeds behaves like one spot
-holding g cars, so :func:`modular_census` parks one sorted list per orbit
-a row at a time and classifies every preference list by that
-decomposition; the tally yields the counting relation checked by
-:func:`verify_relation`.
+holding g cars, so :func:`modular_census` parks one sorted list per
+orbit a row at a time.  All rows are alike, so rotating a list's row
+counts rotates its fill; the census parks one list per rotation class
+and weights it by the class size, and so classifies every preference
+list by that decomposition.  The tally yields the counting relation
+checked by :func:`verify_relation`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from math import comb, factorial
 from typing import Iterator, NamedTuple, Sequence
 
-from .brute import _orbits, count_restricted
+from .brute import _binomial_rows, count_restricted
 from .core import _ints
 from .exceptions import (
     BadModularPreference,
@@ -227,18 +229,87 @@ def _check_gsk(g: int, s: int, k: int, strict: bool) -> tuple:
     return g, s, k
 
 
+def _necklace_counts(m: int, s: int) -> Iterator[tuple]:
+    """Yield ``(counts, weight)`` for each rotation class of the ways to
+    put m cars into s rows.
+
+    ``counts`` is the class's lexicographically largest rotation, so its
+    first count c_0 is its largest: the walk cuts every branch in which a
+    later count exceeds c_0 (or the rows left cannot hold the cars left
+    at c_0 each), and a leaf is compared only with the rotations that
+    start at another count equal to c_0.  ``weight`` is the period (the
+    number of distinct rotations) times the orbit size m!/prod(c_r!), so
+    the weights sum to s**m.  The orbit size is carried down the walk as
+    a product of binomials C(rest, c_r).
+    """
+    if s == 1:
+        yield (m,), 1
+        return
+    rows = _binomial_rows(m)
+    if s == 2:
+        for top in range(-(-m // 2), m + 1):
+            counts = (top, m - top)
+            yield counts, _largest_period(counts, top) * rows[m][top]
+        return
+    counts = [0] * s
+    for top in range(-(-m // s), m + 1):
+        counts[0] = top
+        yield from _necklace_walk(s, top, rows, counts, 1, m - top, rows[m][top])
+
+
+def _necklace_walk(s, top, rows, counts, j, rest, size):
+    # counts[:j] are chosen with none above counts[0] = top, ``rest`` cars
+    # are left and ``size`` counts their orders so far; the last row takes
+    # what is left
+    row = rows[rest]
+    low = max(0, rest - top * (s - j - 1))
+    high = min(top, rest)
+    if j + 2 < s:
+        for c in range(low, high + 1):
+            counts[j] = c
+            yield from _necklace_walk(s, top, rows, counts, j + 1, rest - c, size * row[c])
+        return
+    for c in range(low, high + 1):
+        counts[j] = c
+        counts[j + 1] = rest - c
+        t = tuple(counts)
+        period = s if t.count(top) == 1 else _largest_period(t, top)
+        if period:
+            yield t, period * size * row[c]
+
+
+def _largest_period(counts: tuple, top: int) -> int:
+    """The period of ``counts`` if no rotation of it is larger, else 0.
+
+    Only a rotation that starts at another count equal to the first,
+    ``top``, can be as large; the first of them that is at least
+    ``counts`` decides.
+    """
+    for r in range(1, len(counts)):
+        if counts[r] == top:
+            turned = counts[r:] + counts[:r]
+            if turned >= counts:
+                return r if turned == counts else 0
+    return len(counts)
+
+
 def modular_census(g: int, s: int, k: int) -> dict:
     """Classify all circular preference lists by their gap decomposition.
 
-    Parks one sorted list per orbit of ``g*s - k`` cars on a circular
-    street of ``g*s`` spots, preferences limited to the first spot of each
-    row, a row at a time: a row fills from its first spot, so it holds
-    min(g, its own cars plus the overflow of the row before) and passes
-    the rest on.  With fewer cars than spots some row overflows nothing,
-    so one lap from no overflow settles what wraps into row 0 and a
-    second lap gives every row's fill.  Which spots stay empty does not
-    depend on the order the cars arrive in, so the sorted list stands for
-    its whole orbit.  The orbit sizes are tallied by fill, and each
+    Parks one sorted list of ``g*s - k`` cars on a circular street of
+    ``g*s`` spots, preferences limited to the first spot of each row, for
+    each rotation class of row counts, a row at a time: a row fills from
+    its first spot, so it holds min(g, its own cars plus the overflow of
+    the row before) and passes the rest on.  With fewer cars than spots
+    some row overflows nothing, so one lap from no overflow settles what
+    wraps into row 0 and a second lap gives every row's fill.  Which
+    spots stay empty does not depend on the order the cars arrive in, so
+    the sorted list stands for its whole orbit; and since all rows are
+    alike, rotating the row counts rotates the fill and keeps its class,
+    so one count vector (the largest rotation, from
+    :func:`_necklace_counts`) stands for all its rotations, weighted by
+    their number times the orbit size.  That visits about 1/s of the
+    C(g*s-k+s-1, s-1) orbits.  The weights are tallied by fill, and each
     distinct fill is classified once by its (gap sizes, block sizes),
     canonicalized up to cyclic rotation.  Returns ``{(lam, mu): count}``;
     the counts sum to s**(g*s - k).  Needs g, s >= 1 and 1 <= k <= g*s.
@@ -246,7 +317,7 @@ def modular_census(g: int, s: int, k: int) -> dict:
     g, s, k = _check_gsk(g, s, k, strict=False)
     length = g * s
     fills: dict = {}
-    for counts, size in _orbits(length - k, tuple(range(s)), (0,) * s):
+    for counts, weight in _necklace_counts(length - k, s):
         over = 0
         for c in counts:
             over = over + c - g if over + c > g else 0
@@ -260,14 +331,14 @@ def modular_census(g: int, s: int, k: int) -> dict:
                 fill.append(over)
                 over = 0
         fill = tuple(fill)
-        fills[fill] = fills.get(fill, 0) + size
+        fills[fill] = fills.get(fill, 0) + weight
     census: dict = {}
     full = (1 << g) - 1
-    for fill, size in fills.items():
+    for fill, weight in fills.items():
         mask = sum((full >> f) << (d * g + f) for d, f in enumerate(fill))
         lam, mu, _ = class_from_mask(mask, length, g)
         key = canonical_class(lam, mu)
-        census[key] = census.get(key, 0) + size
+        census[key] = census.get(key, 0) + weight
     return census
 
 
@@ -318,24 +389,27 @@ def verify_relation(g: int, s: int, k: int, budget: int = 10**7) -> RelationRepo
     """Exhaustively check the circular counting relation for (g, s, k).
 
     Every one of the s**(g*s-k) circular preference lists is classified by
-    its gap decomposition (up to rotation).  The census visits one sorted
-    list per orbit of the car-permuting action, C(g*s-k+s-1, s-1) of them,
-    and ``budget`` bounds that number.  For each class the observed
-    tally is compared with the predicted one,
+    its gap decomposition (up to rotation).  ``budget`` bounds the number
+    of orbits of the car-permuting action, C(g*s-k+s-1, s-1); the census
+    parks one sorted list per rotation class of those orbits' row counts,
+    about 1/s of them.  For each class the observed tally is compared
+    with the predicted one,
 
         (p*s/n) * multinomial(g*s-k; g*mu - lam) * prod_i N(g*mu_i - lam_i),
 
     where p is the primitive period of the class (the number of distinct
     layouts is p*s/n) and the per-segment counts N come from the
     brute-force oracle, so the check is independent of the closed-form
-    recursion.  Summed over classes this is exactly the relation.
+    recursion.  Each class is computed once, from the pair of compositions
+    (lam, mu) that is its least rotation.  Summed over classes this is
+    exactly the relation.
     """
     g, s, k = _check_gsk(g, s, k, strict=True)
     m = g * s - k
     total = s**m
     orbits = comb(m + s - 1, s - 1)
     if orbits > budget:
-        raise BudgetExceeded(f"{orbits} sorted lists exceed budget {budget}")
+        raise BudgetExceeded(f"{orbits} orbits exceed budget {budget}")
     observed = modular_census(g, s, k)
 
     spots = preferred_spots(g, s)
@@ -351,23 +425,28 @@ def verify_relation(g: int, s: int, k: int, budget: int = 10**7) -> RelationRepo
 
     expected: dict = {}
     for n in range(1, min(k, s) + 1):
+        mus = tuple(compositions(s, n))
         for lam in compositions(k, n):
-            for mu in compositions(s, n):
-                parts = tuple(g * b - a for a, b in zip(lam, mu))
+            if min(lam) < lam[0]:
+                continue  # a least rotation starts at a least gap
+            for mu in mus:
+                # each class once, from its least rotation: only a rotation
+                # starting at a pair no larger than the first can be smaller
+                pairs = tuple(zip(lam, mu))
+                first = pairs[0]
+                if any(pairs[r] <= first and pairs[r:] + pairs[:r] < pairs for r in range(1, n)):
+                    continue
+                parts = tuple(g * b - a for a, b in pairs)
                 if any(p <= 0 for p in parts):
                     continue
-                key = canonical_class(lam, mu)
-                if key in expected:
-                    continue
-                pairs = tuple(zip(*key))
                 p = _period(pairs)
                 layouts, rest = divmod(p * s, n)
                 if rest:
-                    raise NonIntegerIntermediate(f"non-integer layout count for class {key}")
+                    raise NonIntegerIntermediate(f"non-integer layout count for class {(lam, mu)}")
                 value = layouts * multinomial(m, parts)
                 for seg in parts:
                     value *= segment_count(seg)
-                expected[key] = value
+                expected[lam, mu] = value
 
     keys = sorted(set(observed) | set(expected))
     rows = tuple(

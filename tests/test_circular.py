@@ -186,19 +186,20 @@ def test_verify_relation_names_a_non_integer_layout_count(monkeypatch):
 
 
 def test_verify_relation_budget_counts_orbits():
-    # 4**15 = 1.07e9 lists, but the census visits C(15+3, 3) = 816 sorted ones
+    # 4**15 = 1.07e9 lists in C(15+3, 3) = 816 orbits, which the budget
+    # counts; the census parks one sorted list per rotation class, 204
     report = circular.verify_relation(4, 4, 1)
     assert report.ok and report.total == 4**15
     assert circular.verify_relation(4, 4, 1, budget=816).ok
     with pytest.raises(BudgetExceeded):
         circular.verify_relation(4, 4, 1, budget=815)
     with pytest.raises(BudgetExceeded):
-        circular.verify_relation(8, 8, 1)  # C(63+7, 7) = 1.2e9 sorted lists
+        circular.verify_relation(8, 8, 1)  # C(63+7, 7) = 1.2e9 orbits
 
 
 def test_verify_relation_errors():
     with pytest.raises(BudgetExceeded):
-        circular.verify_relation(3, 3, 1, budget=44)  # C(8+2, 2) = 45 sorted lists
+        circular.verify_relation(3, 3, 1, budget=44)  # C(8+2, 2) = 45 orbits
     with pytest.raises(DomainError):
         circular.verify_relation(3, 3, 9)  # zero cars: relation does not apply
     with pytest.raises(DomainError):
@@ -206,8 +207,9 @@ def test_verify_relation_errors():
 
 
 def test_verify_relation_five_rows_of_five():
-    # 5**24 lists in C(24 + 4, 4) = 20,475 sorted ones, each parked a row
-    # at a time; parking them car by car took several times as long
+    # 5**24 lists in C(24 + 4, 4) = 20,475 orbits; the census parks one
+    # sorted list per rotation class, 4,095, a row at a time, where
+    # parking every orbit's list car by car took many times as long
     report = circular.verify_relation(5, 5, 1)
     assert report.ok and report.total == 5**24
 

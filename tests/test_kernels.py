@@ -1,17 +1,19 @@
 """The orbit-weighted counters against a plain odometer over every list,
 and against the per-car parking of one sorted list per orbit.
 
-``parkres.brute`` counts parking, prime, ones and minimum-defect lists,
-and ``parkres.circular`` tallies its census, by visiting one sorted list
-per orbit and weighting it by the orbit size; the min-defect counter and
-the census park that list a spot (a row) at a time.  The odometer below
-visits all |S|**n preference lists, decides each one by simulation or by
-the definition, and classifies circular streets with its own
-decomposition; it shares no code with either module.  The per-car
-references walk the same orbits through ``brute._orbits`` but park every
-car of the sorted list on its own, so they reach sizes the odometer
-cannot.  The walk itself is checked by listing every sorted list and
-computing each orbit size from factorials, which it no longer uses.
+``parkres.brute`` counts parking, prime, ones and minimum-defect lists
+by visiting one sorted list per orbit and weighting it by the orbit
+size; ``parkres.circular`` tallies its census from one sorted list per
+rotation class of row counts, weighted by the class size times the orbit
+size.  The min-defect counter and the census park that list a spot (a
+row) at a time.  The odometer below visits all |S|**n preference lists,
+decides each one by simulation or by the definition, and classifies
+circular streets with its own decomposition; it shares no code with
+either module.  The per-car references walk every orbit through
+``brute._orbits`` and park every car of the sorted list on its own, so
+they reach sizes the odometer cannot.  The walks themselves are checked
+by listing every sorted list and computing each orbit size from
+factorials, and each rotation class from all its rotations.
 """
 
 from collections import Counter
@@ -23,10 +25,13 @@ import pytest
 from parkres import brute, circular
 from parkres.exceptions import NotBlockAligned
 
-# The later cases wrap overflow past the last row through several rows,
+# The middle cases wrap overflow past the last row through several rows,
 # with k < g and with k >= g, where fully empty rows merge into one gap.
+# The last ones have row counts equal to some of their rotations, such as
+# (1, 1, 1, 1) and (2, 0, 2, 0) at s = 4 or (2, 0, 0, 2, 0, 0) at s = 6,
+# and a single car.
 CENSUS_CASES = [(2, 2, 1), (2, 2, 2), (2, 3, 2), (3, 2, 4), (3, 3, 2), (1, 4, 2), (1, 5, 3), (4, 2, 3),
-                (3, 3, 1), (2, 4, 1), (4, 3, 2), (2, 5, 4)]
+                (3, 3, 1), (2, 4, 1), (4, 3, 2), (2, 5, 4), (2, 4, 4), (1, 6, 2), (3, 4, 8), (3, 4, 11)]
 
 
 def all_restrictions(n):
@@ -147,6 +152,30 @@ def test_orbits_yield_each_multiset_once_with_its_factorial_size():
         assert set(seen) == want and set(seen.values()) <= {1}, (n, values, need)
         if not any(need):
             assert total == len(values) ** n, (n, values)
+
+
+def test_necklace_counts_yield_each_rotation_class_once_with_its_size():
+    # The rotation classes of the compositions of m into s parts are built
+    # here from every composition; each class is yielded once, as its
+    # largest rotation, weighted by its size (the period) times the
+    # multinomial m!/prod(c_r!).
+    for m in range(9):
+        for s in range(1, 7):
+            classes = set()
+            for entries in combinations_with_replacement(range(s), m):
+                counts = tuple(map(entries.count, range(s)))
+                classes.add(frozenset(counts[r:] + counts[:r] for r in range(s)))
+            seen = Counter()
+            total = 0
+            for counts, weight in circular._necklace_counts(m, s):
+                rotations = frozenset(counts[r:] + counts[:r] for r in range(s))
+                seen[rotations] += 1
+                assert counts == max(rotations), (m, s, counts)
+                multinomial = factorial(m) // prod(map(factorial, counts))
+                assert weight == len(rotations) * multinomial, (m, s, counts)
+                total += weight
+            assert set(seen) == classes and set(seen.values()) <= {1}, (m, s)
+            assert total == s**m, (m, s)
 
 
 def test_count_parking_matches_odometer():

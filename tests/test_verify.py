@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from parkres import bijections, brute, formulas, verify
+from parkres import bijections, brute, circular, formulas, verify
 from parkres.bijections import FIXED_POINT
 from parkres.cli import main
 from parkres.exceptions import DomainError
@@ -18,6 +18,11 @@ def _plus_one(value, *args):
 
 def _bump_first(prefs, *args):
     return (prefs[0] + 1,) + tuple(prefs[1:])
+
+
+def _full_period(period, counts, top):
+    # a census leaf weighted by s rotations even when fewer are distinct
+    return len(counts) if period else period
 
 
 def _drop_last_term(series, n, lo, hi, term):
@@ -89,6 +94,13 @@ CASES = [
         formulas, "mod_count_k1", (2, 3), _plus_one,
         lambda: verify.check_modular(1000), ["modular", "--budget", "1000"],
         "g=2, s=3, k=1",
+    ),
+    # every periodic row-count vector of the census over-weighted; (2, 4, 4)
+    # has (1, 1, 1, 1) of period 1 and (2, 0, 2, 0) of period 2
+    (
+        circular, "_largest_period", (), _full_period,
+        lambda: verify.check_modular(20000), ["modular", "--budget", "2e4"],
+        "g=2, s=4, k=4",
     ),
     (
         bijections, "involution", (RECOLORED,), lambda out, *args: FIXED_POINT,
