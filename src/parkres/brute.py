@@ -4,19 +4,21 @@ Everything here is decided by enumeration or by direct simulation.  The
 counters rest on one observation: whether every car parks (and whether
 the list is prime), how many cars prefer spot 1, and how many cars park
 on fewer spots than cars are all unchanged when the cars are reordered.
-So :func:`_orbits` walks one non-decreasing list per orbit of the
-car-permuting action, as its multiplicity vector (c_v entries equal to
-v), and each counter adds the orbit size n!/prod(c_v!).  The walks carry
-that size down the path as a product of binomials, C(rest, c_v) for the
-c_v of the ``rest`` entries still unplaced that equal v, read from
-Pascal rows built once per call.  The parking counters decide an orbit
-by the occupancy condition (at least i entries <= i, for every i) and
-cut a prefix as soon as it fails, which discards only orbits that
-provably fail; their walk stops one value short of the orbits, where the
-orbits left add up to a suffix of one binomial row.  The min-defect
-counter instead parks the sorted list a spot at a time, counting the
-cars waiting at each spot, and cuts a prefix at the first spot that
-finds none.
+So the counters walk the multiplicity vectors of the non-decreasing
+lists (c_v entries equal to v), one per orbit of the car-permuting
+action, and weight each by the orbit size n!/prod(c_v!).  The walks
+carry that size down the path as a product of binomials, C(rest, c_v)
+for the c_v of the ``rest`` entries still unplaced that equal v, read
+from Pascal rows built once per call.  The parking counters decide an
+orbit by the occupancy condition (at least i entries <= i, for every i)
+and cut a prefix as soon as it fails, which discards only orbits that
+provably fail; their walk (:func:`_count_walk`) stops one value short of
+the orbits, where the orbits left add up to a suffix of one binomial
+row.  The ones tally reads the first level of that walk: C(n, c) ways to
+choose the c cars preferring spot 1, times the walk from spot 2 on.  The
+min-defect counter instead parks the sorted list a spot at a time,
+counting the cars waiting at each spot, and cuts a prefix at the first
+spot that finds none.
 
 The ``enum_*`` streams walk the lists in lexicographic order and extend a
 prefix only by the entries that keep it completable.  The completions of
@@ -92,41 +94,8 @@ def _binomial_rows(n: int) -> list:
     return rows
 
 
-def _orbits(n: int, values: tuple, need: tuple) -> Iterator[tuple]:
-    """Yield ``(counts, size)`` for each multiset of n entries from ``values``.
-
-    ``counts[j]`` is how many entries equal ``values[j]`` and ``size`` is
-    the number of lists with those entries, n!/prod(counts[j]!), carried
-    down the walk as the product of the binomials C(rest, counts[j]) that
-    choose which of the ``rest`` entries still unplaced equal ``values[j]``.
-    A multiset is skipped when, for some j, fewer than ``need[j]`` (at most
-    n) of its entries are <= ``values[j]``; the test runs as each count is
-    chosen, so a failing prefix is cut with everything that extends it.
-    """
-    if len(values) == 1:
-        return iter([((n,), 1)])
-    return _orbit_walk(n, need, _binomial_rows(n), [0] * len(values), 0, 0, 1)
-
-
-def _orbit_walk(n, need, rows, counts, j, placed, size):
-    # counts[:j] are chosen, ``placed`` entries in all, in ``size`` ways;
-    # the last count takes what is left
-    rest = n - placed
-    row = rows[rest]
-    low = max(0, need[j] - placed)
-    if j + 2 == len(counts):
-        for c in range(low, rest + 1):
-            counts[j] = c
-            counts[j + 1] = rest - c
-            yield tuple(counts), size * row[c]
-        return
-    for c in range(low, rest + 1):
-        counts[j] = c
-        yield from _orbit_walk(n, need, rows, counts, j + 1, placed + c, size * row[c])
-
-
 def _occupancy_need(n: int, allowed: tuple, strict: bool) -> tuple:
-    """Bounds for :func:`_orbits` from the occupancy condition.
+    """Bounds for :func:`_count_walk` from the occupancy condition.
 
     Entry j is the fewest entries <= ``allowed[j]`` a parking list has:
     each i from ``allowed[j]`` up to the next allowed value needs at least
@@ -319,12 +288,17 @@ def ones_distribution(n: int, s: int) -> tuple:
     exactly i cars preferring spot 1.
 
     No parking function avoids spot 1, so the implicit c_0 is always 0.
+    This is the first level of the parking walk: C(n, c) ways to choose
+    the c cars preferring spot 1 (at least one, and all n when s = 1),
+    times the walk over spots 2..s with those c cars placed.
     """
     n, s = _check_ns(n, s)
-    values = tuple(range(1, s + 1))
-    tally = [0] * (n + 1)
-    for counts, size in _orbits(n, values, _occupancy_need(n, values, False)):
-        tally[counts[0]] += size
+    need = _occupancy_need(n, tuple(range(1, s + 1)), False)
+    rows = _binomial_rows(n)
+    tally = [0] * need[0]
+    for c in range(need[0], n + 1):
+        # with s <= 2 the cars left all prefer spot s, in one way
+        tally.append(rows[n][c] * (_count_walk(n, need, rows, 1, c) if s > 2 else 1))
     if tally[0] != 0:
         raise ParkresError("parking function with no car preferring spot 1")
     return tuple(tally[1:])

@@ -350,16 +350,20 @@ def compositions(total: int, num_parts: int) -> Iterator[tuple]:
         raise DomainError(
             f"cannot compose {total} into {num_parts} positive parts"
         )
+    return _compositions(total, (total,) * num_parts)
 
-    return _compositions(total, num_parts)
 
-
-def _compositions(total: int, num_parts: int) -> Iterator[tuple]:
-    if num_parts == 1:
-        yield (total,)
+def _compositions(total: int, caps: tuple) -> Iterator[tuple]:
+    """The compositions of ``total`` with part i in 1..caps[i], in
+    lexicographic order.  Each part is kept within what the parts after it
+    can take and leave, so every branch reaches a composition."""
+    if len(caps) == 1:
+        if 1 <= total <= caps[0]:
+            yield (total,)
         return
-    for first in range(1, total - num_parts + 2):
-        for rest in _compositions(total - first, num_parts - 1):
+    after = caps[1:]
+    for first in range(max(1, total - sum(after)), min(caps[0], total - len(after)) + 1):
+        for rest in _compositions(total - first, after):
             yield (first,) + rest
 
 
@@ -377,12 +381,19 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
     return result
 
 
-def _period(pairs: tuple) -> int:
-    n = len(pairs)
-    for p in range(1, n + 1):
-        if n % p == 0 and pairs[p:] + pairs[:p] == pairs:
-            return p
-    return n
+def _least_period(pairs: tuple) -> int:
+    """The period of ``pairs`` if no rotation of it is smaller, else 0.
+
+    Only a rotation that starts at a pair no larger than the first can be
+    as small; the first of them that is at most ``pairs`` decides.
+    """
+    first = pairs[0]
+    for r in range(1, len(pairs)):
+        if pairs[r] <= first:
+            turned = pairs[r:] + pairs[:r]
+            if turned <= pairs:
+                return r if turned == pairs else 0
+    return len(pairs)
 
 
 def verify_relation(g: int, s: int, k: int, budget: int = 10**7) -> RelationReport:
@@ -400,9 +411,11 @@ def verify_relation(g: int, s: int, k: int, budget: int = 10**7) -> RelationRepo
     where p is the primitive period of the class (the number of distinct
     layouts is p*s/n) and the per-segment counts N come from the
     brute-force oracle, so the check is independent of the closed-form
-    recursion.  Each class is computed once, from the pair of compositions
-    (lam, mu) that is its least rotation.  Summed over classes this is
-    exactly the relation.
+    recursion.  For each composition mu of s, the walk visits only the
+    gap compositions lam of k with 1 <= lam_i <= g*mu_i - 1 (every block
+    keeps a car), so it reaches no pair that is not a class, and each
+    class is computed once, from the pair (lam, mu) that is its least
+    rotation.  Summed over classes this is exactly the relation.
     """
     g, s, k = _check_gsk(g, s, k, strict=True)
     m = g * s - k
@@ -425,24 +438,18 @@ def verify_relation(g: int, s: int, k: int, budget: int = 10**7) -> RelationRepo
 
     expected: dict = {}
     for n in range(1, min(k, s) + 1):
-        mus = tuple(compositions(s, n))
-        for lam in compositions(k, n):
-            if min(lam) < lam[0]:
-                continue  # a least rotation starts at a least gap
-            for mu in mus:
-                # each class once, from its least rotation: only a rotation
-                # starting at a pair no larger than the first can be smaller
+        for mu in compositions(s, n):
+            # a block of mu_i rows keeps at least one car, so its gap is
+            # at most g*mu_i - 1
+            for lam in _compositions(k, tuple(g * b - 1 for b in mu)):
                 pairs = tuple(zip(lam, mu))
-                first = pairs[0]
-                if any(pairs[r] <= first and pairs[r:] + pairs[:r] < pairs for r in range(1, n)):
-                    continue
-                parts = tuple(g * b - a for a, b in pairs)
-                if any(p <= 0 for p in parts):
-                    continue
-                p = _period(pairs)
+                p = _least_period(pairs)
+                if not p:
+                    continue  # each class once, from its least rotation
                 layouts, rest = divmod(p * s, n)
                 if rest:
                     raise NonIntegerIntermediate(f"non-integer layout count for class {(lam, mu)}")
+                parts = tuple(g * b - a for a, b in pairs)
                 value = layouts * multinomial(m, parts)
                 for seg in parts:
                     value *= segment_count(seg)

@@ -1,8 +1,9 @@
 """Command-line interface: count, enum, simulate, verify, table.
 
 Counts are printed in full decimal.  ``--format json`` emits stable
-machine-readable objects; enumerations stream one line per list.  Exit
-codes: 0 ok, 2 usage or domain error, 3 verification mismatch.
+machine-readable objects; enumerations stream one line per list (as
+text, in blocks of lines, one write each).  Exit codes: 0 ok, 2 usage
+or domain error, 3 verification mismatch.
 
 The command line is read against one table, :data:`COMMANDS`, by the few
 lines of :func:`parse`: each call is a fresh process, and importing and
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import islice, repeat
 
 # Each library module is imported where a request uses it (``formulas``
 # by the closed forms, ``brute`` by brute force, ``core`` by parking), as
@@ -24,6 +26,10 @@ from .exceptions import BudgetExceeded, EmptyRestriction, ParkresError
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
+# ``enum --format text`` writes its lines in blocks of at most this many,
+# one write each: on an unbuffered stdout each write is a system call.
+ENUM_BLOCK_LINES = 4096
+
 
 def _parse_ints(text: str) -> tuple:
     try:
@@ -100,9 +106,10 @@ def _brute_force(route, n: int, allowed: tuple, budget: int):
     allowed = brute.normalize_restriction(n, allowed)
     if n and not allowed:
         raise EmptyRestriction("no allowed preferences with cars present")
-    size = len(allowed) ** n
-    if size > budget:
-        raise BudgetExceeded(f"{size} candidate lists exceed --budget {budget}")
+    # With two or more spots, |allowed|**b > budget for b = budget.bit_length(),
+    # so the power past b entries need not be built to refuse it.
+    if len(allowed) ** min(n, budget.bit_length()) > budget:
+        raise BudgetExceeded(f"{len(allowed)}**{n} candidate lists exceed --budget {budget}")
     return route(n, allowed)
 
 
@@ -151,8 +158,10 @@ def cmd_enum(args) -> int:
     route = brute.enum_restricted if args.kind == "pf" else brute.enum_prime_restricted
     stream = _brute_force(route, n, allowed, args.budget)
     if args.format == "text":  # the outcome and ones are not printed
-        for prefs in stream:
-            print(",".join(map(str, prefs)))
+        lines = map(",".join, map(map, repeat(str), stream))
+        write = sys.stdout.write
+        while block := list(islice(lines, ENUM_BLOCK_LINES)):
+            write("\n".join(block) + "\n")
         return EXIT_OK
     if args.format == "csv":
         import csv

@@ -151,6 +151,43 @@ def test_compositions():
         circular.compositions(2, 0)
 
 
+def test_capped_compositions_match_a_filter_over_every_composition():
+    for parts in range(1, 5):
+        every = {
+            total: sorted(c for c in product(range(1, total + 1), repeat=parts) if sum(c) == total)
+            for total in range(11)
+        }
+        for caps in product((0, 1, 2, 3, 4, 10), repeat=parts):
+            for total, listing in every.items():
+                want = [c for c in listing if all(a <= b for a, b in zip(c, caps))]
+                assert list(circular._compositions(total, caps)) == want, (total, caps)
+
+
+def test_verify_relation_walks_only_gaps_that_leave_every_block_a_car(monkeypatch):
+    # each gap lam_i of a class lies in a block of mu_i rows that keeps a
+    # car, so some composition mu of s has g*mu_i - lam_i >= 1 for all i;
+    # a walk over every composition of k would reach 1.3M gap lists here,
+    # C(199, 3) of them in four parts
+    g, s, k = 60, 4, 200
+    real = circular._compositions
+    walked = []
+
+    def spy(total, *rest):
+        for lam in real(total, *rest):
+            if total == k:
+                walked.append(lam)
+            yield lam
+
+    monkeypatch.setattr(circular, "_compositions", spy)
+    assert circular.verify_relation(g, s, k).ok
+    assert walked
+    for lam in walked:
+        assert any(
+            all(g * b - a >= 1 for a, b in zip(lam, mu))
+            for mu in circular.compositions(s, len(lam))
+        ), lam
+
+
 def test_multinomial():
     assert circular.multinomial(4, (2, 2)) == 6
     assert circular.multinomial(7, (5, 2)) == 21
@@ -180,7 +217,8 @@ def test_verify_relation_small():
 def test_verify_relation_names_a_non_integer_layout_count(monkeypatch):
     # a class of n blocks has p*s/n layouts; a wrong period of 1 makes
     # 5/n fractional for the two-block classes of (2, 5, 4)
-    monkeypatch.setattr(circular, "_period", lambda pairs: 1)
+    real = circular._least_period
+    monkeypatch.setattr(circular, "_least_period", lambda pairs: min(real(pairs), 1))
     with pytest.raises(NonIntegerIntermediate, match="non-integer layout count"):
         circular.verify_relation(2, 5, 4)
 

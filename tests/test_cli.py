@@ -161,6 +161,28 @@ def test_count_usage_errors(capsys):
         assert code == 2 and "unrecognized arguments" in err
 
 
+def test_budget_refusal_names_the_power_without_building_it(capsys):
+    # 30000**60000 has 268,636 digits; the refusal names it as a power
+    for argv in (
+        ("count", "pf", "--n", "60000", "--s", "30000", "--method", "brute"),
+        ("enum", "pf", "--n", "60000", "--s", "30000"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1, argv
+        assert err.startswith("error: 30000**60000 candidate lists exceed --budget"), err
+        assert len(err) < 200, argv
+
+
+def test_budget_refuses_exactly_past_the_power(capsys):
+    for n in range(7):
+        for s in range(1, max(n, 1) + 1):
+            size = s**n if n else 1
+            for budget in (size - 1, size):
+                argv = ("count", "pf", "--n", str(n), "--s", str(s), "--method", "brute")
+                code, _, err = run(capsys, *argv, "--budget", str(budget))
+                assert code == (2 if budget < size else 0), (n, s, budget, err)
+
+
 def test_count_zero_cars_matches_enum(capsys):
     for kind in ("pf", "ppf"):
         _, listed, _ = run(capsys, "enum", kind, "--n", "0")
@@ -432,6 +454,48 @@ def test_enum_json_round_trip(capsys):
         assert obj["n"] == 3
         assert tuple(obj["outcome"]) == core.outcome_permutation(prefs)
         assert obj["ones"] == prefs.count(1)
+
+
+@pytest.mark.parametrize(
+    "kind, flags, n, allowed",
+    [
+        ("pf", ("--n", "6", "--s", "4"), 6, range(1, 5)),
+        ("pf", ("--n", "6"), 6, range(1, 7)),
+        ("ppf", ("--n", "6"), 6, range(1, 7)),
+        ("ppf", ("--n", "7", "--s", "5"), 7, range(1, 6)),
+        ("pf", ("--n", "0"), 0, ()),
+        ("pf", ("--g", "2", "--s", "3", "--k", "1"), 5, (1, 3, 5)),
+    ],
+)
+def test_enum_text_is_one_line_per_list(capsys, kind, flags, n, allowed):
+    # 3,130 lines for pf n=6, s=4; 16,807 for pf n=6, more than one block
+    code, out, _ = run(capsys, "enum", kind, *flags)
+    stream = brute.enum_restricted if kind == "pf" else brute.enum_prime_restricted
+    assert code == 0
+    assert out == "".join(",".join(map(str, prefs)) + "\n" for prefs in stream(n, allowed))
+
+
+def test_enum_text_writes_lazy_blocks(monkeypatch):
+    # pf n=6 has 16,807 lists: five writes of at most 4,096 lines, the
+    # first made before the stream has given more than one block
+    given = []
+    writes = []  # (lines written, lists given by then)
+    real = brute.enum_restricted
+
+    def counted(n, allowed):
+        for prefs in real(n, allowed):
+            given.append(prefs)
+            yield prefs
+
+    class Out:
+        def write(self, text):
+            writes.append((text.count("\n"), len(given)))
+
+    monkeypatch.setattr(brute, "enum_restricted", counted)
+    monkeypatch.setattr(sys, "stdout", Out())
+    assert main(["enum", "pf", "--n", "6"]) == 0
+    assert [lines for lines, _ in writes] == [4096] * 4 + [16807 - 4 * 4096]
+    assert writes[0][1] <= 4097
 
 
 def test_enum_csv(capsys):

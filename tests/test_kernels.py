@@ -9,11 +9,13 @@ size.  The min-defect counter and the census park that list a spot (a
 row) at a time.  The odometer below visits all |S|**n preference lists,
 decides each one by simulation or by the definition, and classifies
 circular streets with its own decomposition; it shares no code with
-either module.  The per-car references walk every orbit through
-``brute._orbits`` and park every car of the sorted list on its own, so
-they reach sizes the odometer cannot.  The walks themselves are checked
-by listing every sorted list and computing each orbit size from
-factorials, and each rotation class from all its rotations.
+either module.  The per-car references list every sorted list with
+``itertools.combinations_with_replacement``, compute its orbit size
+from factorials and park every car of it on its own, so they reach
+sizes the odometer cannot.  The walks themselves are checked the same
+way: the parking walk against the factorial sizes of the sorted lists
+its occupancy bounds keep, and the census walk against each rotation
+class built from all its rotations.
 """
 
 from collections import Counter
@@ -102,11 +104,18 @@ def reference_census(g, s, k):
     return census
 
 
+def sorted_lists(n, values):
+    """Each non-decreasing list of n entries from ``values``, one per orbit,
+    with its orbit size n!/prod(c_v!)."""
+    fact = [factorial(i) for i in range(n + 1)]
+    for prefs in combinations_with_replacement(values, n):
+        yield prefs, fact[n] // prod([fact[prefs.count(v)] for v in values])
+
+
 def per_car_census(g, s, k):
     """The census with every car of each orbit's sorted list parked alone."""
     census = {}
-    for counts, size in brute._orbits(g * s - k, tuple(range(s)), (0,) * s):
-        prefs = [1 + row * g for row, c in enumerate(counts) for _ in range(c)]
+    for prefs, size in sorted_lists(g * s - k, range(1, g * s + 1, g)):
         key = classify(park_circular(prefs, g, s), g, s)
         census[key] = census.get(key, 0) + size
     return census
@@ -114,44 +123,37 @@ def per_car_census(g, s, k):
 
 def per_car_min_defect(n, s):
     """Minimum-defect count with every car of each sorted list parked alone."""
-    total = 0
-    for counts, size in brute._orbits(n, tuple(range(1, s + 1)), (0,) * s):
-        prefs = [p for p, c in enumerate(counts, 1) for _ in range(c)]
-        if parked(prefs, s) == s:
-            total += size
-    return total
+    return sum(size for prefs, size in sorted_lists(n, range(1, s + 1)) if parked(prefs, s) == s)
 
 
 def orbit_cases():
-    """(n, values, need) for every n <= 8 and 1 <= r <= 5 values: no bound,
-    and the plain and strict occupancy bounds of every r-subset of [n]."""
+    """(n, values, need) for every n <= 8 and 2 <= r <= 5 values (the
+    parking walk needs two; its callers count a single value themselves):
+    no bound, and the plain and strict occupancy bounds of every r-subset
+    of [n]."""
     for n in range(9):
-        for r in range(1, 6):
+        for r in range(2, 6):
             yield n, tuple(range(1, r + 1)), (0,) * r
             for values in combinations(range(1, n + 1), r):
                 for strict in (False, True):
                     yield n, values, brute._occupancy_need(n, values, strict)
 
 
-def test_orbits_yield_each_multiset_once_with_its_factorial_size():
-    # The walk carries each size as a product of binomials; here it is
-    # n!/prod(c_v!), and the multisets are filtered from every sorted list
-    # by the bound as the docstring states it.
+def test_count_walk_sums_the_factorial_sizes_of_the_bounded_multisets():
+    # The walk carries each size as a product of binomials and sums the
+    # last value's as a binomial row suffix; here each size is n!/prod(c_v!)
+    # over the multisets filtered from every sorted list by the bound as
+    # the docstring of _occupancy_need states it.
     for n, values, need in orbit_cases():
-        seen = Counter()
-        total = 0
-        for counts, size in brute._orbits(n, values, need):
-            seen[counts] += 1
-            assert size == factorial(n) // prod(map(factorial, counts)), (n, values, need, counts)
-            total += size
-        want = set()
+        want = 0
         for entries in combinations_with_replacement(range(len(values)), n):
             counts = tuple(map(entries.count, range(len(values))))
             if all(sum(counts[: j + 1]) >= bound for j, bound in enumerate(need)):
-                want.add(counts)
-        assert set(seen) == want and set(seen.values()) <= {1}, (n, values, need)
+                want += factorial(n) // prod(map(factorial, counts))
+        got = brute._count_walk(n, need, brute._binomial_rows(n), 0, 0)
+        assert got == want, (n, values, need)
         if not any(need):
-            assert total == len(values) ** n, (n, values)
+            assert got == len(values) ** n, (n, values)
 
 
 def test_necklace_counts_yield_each_rotation_class_once_with_its_size():

@@ -174,8 +174,13 @@ COUNT_PAIRS = [
 
 def _private_names_used(tree):
     """For each module-level function, the private module-level names its
-    body refers to."""
+    body refers to, those imported from other modules included."""
     top = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    } | {
         node.name
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
@@ -270,6 +275,50 @@ def test_reached_parking_route_is_detected():
     tree = ast.parse(source)
     assert _reached(tree, "count_min_defect") & PARKING_ROUTE == PARKING_ROUTE
     assert _reached(tree, "count_plain") == {"_direct", "_rows"}
+
+
+# circular.verify_relation checks modular_census class by class: its
+# expected side may reach no private name the census reaches, other than
+# the argument checks, so that neither can share a walk or a rotation test
+# with the route it checks.
+RELATION_SHARED = {"_ints", "_check_gsk"}
+
+
+def _relation_shares(tree):
+    """The private names, other than the argument checks, that both
+    ``verify_relation`` and ``modular_census`` reach; the census is public,
+    so what the relation reaches through it is not followed."""
+    shared = _reached(tree, "verify_relation") & _reached(tree, "modular_census")
+    return sorted(shared - RELATION_SHARED)
+
+
+def test_relation_shares_no_walk_with_the_census():
+    path = SRC / "circular.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    census = _reached(tree, "modular_census")
+    relation = _reached(tree, "verify_relation")
+    assert {"_necklace_walk", "_largest_period", "_binomial_rows"} <= census
+    assert {"_compositions", "_least_period"} <= relation
+    assert _relation_shares(tree) == []
+
+
+def test_relation_sharing_with_the_census_is_detected():
+    source = (
+        "from .core import _ints\n"
+        "from .brute import _binomial_rows\n"
+        "def _check_gsk(g):\n    return _ints(g)\n"
+        "def _largest_period(c):\n    return len(c)\n"
+        "def _walk(m):\n    return _binomial_rows(m)\n"
+        "def _census(g):\n    return _walk(g) + [_largest_period(g)]\n"
+        "def modular_census(g):\n    _check_gsk(g)\n    return _census(g)\n"
+        "def _least_period(pairs):\n    return _largest_period(pairs)\n"
+        "def verify_relation(g):\n"
+        "    _check_gsk(g)\n    return modular_census(g), _least_period(g), _binomial_rows(g)\n"
+    )
+    assert _relation_shares(ast.parse(source)) == ["_binomial_rows", "_largest_period"]
+    # what the relation reaches only through the census is the census's own
+    source = source.replace(", _least_period(g), _binomial_rows(g)", "")
+    assert _relation_shares(ast.parse(source)) == []
 
 
 # The count forms: the CLI and the verify suites reach them only through

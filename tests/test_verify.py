@@ -2,6 +2,8 @@
 a single input; the CLI reports such a failure with exit code 3."""
 
 import time
+from itertools import combinations
+from operator import sub
 
 import pytest
 
@@ -20,9 +22,24 @@ def _bump_first(prefs, *args):
     return (prefs[0] + 1,) + tuple(prefs[1:])
 
 
-def _full_period(period, counts, top):
-    # a census leaf weighted by s rotations even when fewer are distinct
-    return len(counts) if period else period
+def _full_period(period, rotated, *args):
+    # a census leaf or a relation class weighted by all its rotations even
+    # when fewer are distinct
+    return len(rotated) if period else period
+
+
+def _gap_cap_one_higher(walk, total, caps):
+    # the gaps walked up to g*mu_i rather than g*mu_i - 1, so a block of
+    # mu_i rows may keep no car
+    for cuts in combinations(range(1, total), len(caps) - 1):
+        lam = tuple(map(sub, cuts + (total,), (0,) + cuts))
+        if all(a <= c + 1 for a, c in zip(lam, caps)):
+            yield lam
+
+
+def _count_late(tally, *args):
+    # the ones tally started at two cars preferring spot 1
+    return (0,) + tally[1:]
 
 
 def _drop_last_term(series, n, lo, hi, term):
@@ -73,6 +90,10 @@ CASES = [
         lambda: verify.check_closed_forms("ppf", 3), ["formulas", "--n-max", "3"], "n=2, s=2",
     ),
     (
+        brute, "ones_distribution", (3, 2), _count_late,
+        lambda: verify.check_ones(3), ["formulas", "--n-max", "3"], "n=3, s=2",
+    ),
+    (
         formulas, "fiber_size_formula", ((2, 1, 3), 2), _plus_one,
         lambda: verify.check_fibers(3), ["fibers", "--n-max", "3"], "sigma=(2, 1, 3), s=2",
     ),
@@ -101,6 +122,20 @@ CASES = [
         circular, "_largest_period", (), _full_period,
         lambda: verify.check_modular(20000), ["modular", "--budget", "2e4"],
         "g=2, s=4, k=4",
+    ),
+    # the relation's expected side over pairs that are no class: a gap of
+    # g*mu_i leaves a block no car, as at lam = (1, 1), mu = (1, 2), g = 1
+    (
+        circular, "_compositions", (), _gap_cap_one_higher,
+        lambda: verify.check_modular(20000), ["modular", "--budget", "2e4"],
+        "g=1, s=3, k=2",
+    ),
+    # every periodic relation class over-weighted; (1, 4, 2) has the class
+    # lam = (1, 1), mu = (2, 2) of period 1
+    (
+        circular, "_least_period", (), _full_period,
+        lambda: verify.check_modular(20000), ["modular", "--budget", "2e4"],
+        "g=1, s=4, k=2",
     ),
     (
         bijections, "involution", (RECOLORED,), lambda out, *args: FIXED_POINT,
