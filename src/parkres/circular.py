@@ -87,61 +87,34 @@ class Decomposition(NamedTuple):
     anchor: int  # 1-based spot where the first block starts
 
 
-def _empty_mask(occupancy: Sequence) -> int:
-    """Bit i set when 0-based spot i holds no car (``None`` or 0)."""
-    return sum(1 << i for i, car in enumerate(occupancy) if not car)
+def _blocks(fill: tuple, g: int) -> tuple:
+    """``(lam, mu, anchor)`` of a street whose row r holds ``fill[r]``
+    cars from its first spot on.
 
-
-def class_from_mask(mask: int, length: int, g: int):
-    """Decompose a circular empty-spot pattern into (gap sizes, block sizes).
-
-    ``mask`` has bit i set when 0-based spot i is empty.  Reading starts at
-    the anchor: the smallest-indexed occupied spot that immediately follows
-    an empty one.  Blocks pair each filled run with the gap after it; every
-    block length must be divisible by ``g`` (rows of g spots), otherwise
-    :class:`NotBlockAligned` is raised.
-
-    Returns ``(lam, mu, anchor)`` with ``lam`` the gap sizes, ``mu`` the
-    block lengths divided by g, and ``anchor`` the 0-based start spot.
+    A block starts at a row that holds a car after a row with an empty
+    spot; the anchor is the first such row, 0-based, and each block runs
+    to the next start, wrapping around.  ``lam`` holds each block's empty
+    spots and ``mu`` its rows.  A street with no cars is one block.
     """
-    if mask == 0:
-        raise NotBlockAligned("no empty spots: nothing to decompose")
-    if mask == (1 << length) - 1:  # no cars at all: one all-empty block
-        if length % g:
-            raise NotBlockAligned(f"empty circle of length {length} with row size {g}")
-        return (length,), (length // g,), 0
-    anchor = -1
-    for b in range(length):
-        if not (mask >> b) & 1 and (mask >> ((b - 1) % length)) & 1:
-            anchor = b
+    s = len(fill)
+    for anchor in range(s):
+        if fill[anchor] and fill[anchor - 1] < g:
             break
-    # Both empty and occupied spots exist, so the anchor does too and every
-    # run below terminates at a spot of the opposite kind.
-    if anchor % g:
-        raise NotBlockAligned(
-            f"gap ends at spot {anchor} (0-based), not before a row start"
-        )
-    lam = []
-    mu = []
-    t = anchor
-    consumed = 0
-    while consumed < length:
-        filled = 0
-        while not (mask >> t) & 1:
-            filled += 1
-            t = (t + 1) % length
-        gap = 0
-        while (mask >> t) & 1:
-            gap += 1
-            t = (t + 1) % length
-        block = filled + gap
-        if block % g:
-            raise NotBlockAligned(
-                f"block of length {block} not divisible by row size {g}"
-            )
-        lam.append(gap)
-        mu.append(block // g)
-        consumed += block
+    else:
+        return (g * s,), (s,), 0
+    lam, mu = [], []
+    gap = rows = 0
+    before = g  # so that the anchor row closes no block
+    for cars in fill[anchor:] + fill[:anchor]:
+        if cars and before < g:
+            lam.append(gap)
+            mu.append(rows)
+            gap = rows = 0
+        gap += g - cars
+        rows += 1
+        before = cars
+    lam.append(gap)
+    mu.append(rows)
     return tuple(lam), tuple(mu), anchor
 
 
@@ -151,12 +124,22 @@ def decompose(state: CircularState) -> Decomposition:
     Blocks are read clockwise from the anchor: the smallest-indexed
     occupied spot directly following a gap.  Gap sizes sum to the number
     of empty spots, block row counts sum to s.  Requires at least one
-    empty spot.
+    empty spot.  Every row must fill from its first spot, as the parking
+    procedure fills it; a row with a car after an empty spot raises
+    :class:`NotBlockAligned`.
     """
     if state.empty_count == 0:
         raise DomainError("no empty spots: nothing to decompose")
-    lam, mu, anchor = class_from_mask(_empty_mask(state.occupancy), state.spots, state.g)
-    return Decomposition(lam, mu, anchor + 1)
+    g = state.g
+    fill = []
+    for start in range(0, state.spots, g):
+        row = state.occupancy[start : start + g]
+        cars = g - row.count(None)
+        if None in row[:cars]:
+            raise NotBlockAligned(f"row from spot {start + 1} holds a car after an empty spot")
+        fill.append(cars)
+    lam, mu, anchor = _blocks(tuple(fill), g)
+    return Decomposition(lam, mu, anchor * g + 1)
 
 
 def linearize(state: CircularState):
@@ -311,13 +294,13 @@ def modular_census(g: int, s: int, k: int) -> dict:
     their number times the orbit size.  That visits about 1/s of the
     C(g*s-k+s-1, s-1) orbits.  The weights are tallied by fill, and each
     distinct fill is classified once by its (gap sizes, block sizes),
-    canonicalized up to cyclic rotation.  Returns ``{(lam, mu): count}``;
-    the counts sum to s**(g*s - k).  Needs g, s >= 1 and 1 <= k <= g*s.
+    read from the row fills by :func:`_blocks` and canonicalized up to
+    cyclic rotation.  Returns ``{(lam, mu): count}``; the counts sum to
+    s**(g*s - k).  Needs g, s >= 1 and 1 <= k <= g*s.
     """
     g, s, k = _check_gsk(g, s, k, strict=False)
-    length = g * s
     fills: dict = {}
-    for counts, weight in _necklace_counts(length - k, s):
+    for counts, weight in _necklace_counts(g * s - k, s):
         over = 0
         for c in counts:
             over = over + c - g if over + c > g else 0
@@ -333,10 +316,8 @@ def modular_census(g: int, s: int, k: int) -> dict:
         fill = tuple(fill)
         fills[fill] = fills.get(fill, 0) + weight
     census: dict = {}
-    full = (1 << g) - 1
     for fill, weight in fills.items():
-        mask = sum((full >> f) << (d * g + f) for d, f in enumerate(fill))
-        lam, mu, _ = class_from_mask(mask, length, g)
+        lam, mu, _ = _blocks(fill, g)
         key = canonical_class(lam, mu)
         census[key] = census.get(key, 0) + weight
     return census

@@ -87,7 +87,7 @@ def _restriction_of(args) -> tuple:
         if args.s is not None:
             raise ParkresError("--s cannot be used with --set, which names the allowed spots")
         spots = _parse_ints(args.set)
-        return {"kind": "set", "elements": list(spots)}, args.n, spots
+        return {"kind": "set", "elements": sorted(set(spots))}, args.n, spots
     s = args.s if args.s is not None else args.n
     return {"kind": "segment", "s": s}, args.n, tuple(range(1, s + 1))
 

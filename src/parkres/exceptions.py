@@ -50,9 +50,9 @@ class BadModularPreference(ParkresError, ValueError):
 
 
 class NotBlockAligned(ParkresError):
-    """A circular occupancy decomposed into blocks of length not divisible
-    by the row size; this indicates a simulation bug, it cannot happen for
-    states produced by the circular parking procedure."""
+    """A circular occupancy with a car after an empty spot of its row, so
+    that a gap ends inside a row; this indicates a simulation bug, it
+    cannot happen for states produced by the circular parking procedure."""
 
 
 class NonIntegerIntermediate(ParkresError):

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parkres import brute, circular, core
-from parkres.exceptions import BadModularPreference, BudgetExceeded, DomainError, NonIntegerIntermediate
+from parkres.exceptions import (
+    BadModularPreference,
+    BudgetExceeded,
+    DomainError,
+    NonIntegerIntermediate,
+    NotBlockAligned,
+)
 
 
 def test_preferred_spots():
@@ -61,6 +67,17 @@ def test_decompose_totals():
             assert sum(parts.lam) == k
             assert sum(parts.mu) == s
             assert all(v >= 1 for v in parts.lam)
+
+
+def test_decompose_alignment_guard():
+    # a row with a car after an empty spot is impossible for simulated
+    # states; the decomposer refuses it, and a full street has no gap
+    with pytest.raises(NotBlockAligned):
+        circular.decompose(circular.CircularState(2, 2, (1, 1, 3), (1, 2, None, 3)))
+    with pytest.raises(DomainError):
+        circular.decompose(circular.CircularState(2, 2, (1, 1, 3, 3), (1, 2, 3, 4)))
+    state = circular.CircularState(2, 2, (1, 3, 3), (1, None, 2, 3))
+    assert circular.decompose(state) == ((1,), (2,), 3)
 
 
 @st.composite

@@ -95,6 +95,16 @@ def test_count_set_and_methods(capsys):
         assert out.strip() == "31"
 
 
+def test_count_json_reports_the_set_it_counted(capsys):
+    # repeated or unordered spots name the set of distinct spots counted over
+    outs = [
+        run(capsys, "count", "pf", "--n", "4", "--set", spots, "--format", "json")[1]
+        for spots in ("2,1,1", "1,2")
+    ]
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["restriction"] == {"kind": "set", "elements": [1, 2]}
+
+
 def test_count_json_schema(capsys):
     code, out, _ = run(
         capsys, "count", "pf", "--g", "3", "--s", "3", "--k", "2", "--format", "json"

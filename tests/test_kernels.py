@@ -25,7 +25,6 @@ from math import comb, factorial, prod
 import pytest
 
 from parkres import brute, circular
-from parkres.exceptions import NotBlockAligned
 
 # The middle cases wrap overflow past the last row through several rows,
 # with k < g and with k >= g, where fully empty rows merge into one gap.
@@ -239,13 +238,3 @@ def test_modular_census_zero_cars():
 @pytest.mark.parametrize("g,s,k", CENSUS_CASES + [(3, 4, 1), (4, 4, 5)])
 def test_census_totals(g, s, k):
     assert sum(circular.modular_census(g, s, k).values()) == s ** (g * s - k)
-
-
-def test_class_from_mask_alignment_guard():
-    # an empty run that does not end right before a row start is impossible
-    # for simulated states; the decomposer refuses it
-    with pytest.raises(NotBlockAligned):
-        circular.class_from_mask(0b0100, 4, 2)
-    with pytest.raises(NotBlockAligned):
-        circular.class_from_mask(0, 4, 2)
-    assert circular.class_from_mask(0b0010, 4, 2) == ((1,), (2,), 2)

@@ -3,23 +3,21 @@
 import ast
 import inspect
 import re
+from itertools import combinations, product
 from pathlib import Path
 
 from parkres import brute, formulas, verify
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "parkres"
+# Each library module by name, parsed once.
+TREES = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SRC.glob("*.py")}
 
 
 def test_library_has_no_assert():
     # ``python -O`` strips assert statements, so a check written as one
     # would silently stop running; library checks raise instead.
-    sources = sorted(SRC.glob("*.py"))
-    assert sources
-    found = [
-        f"{path.name}:{line}"
-        for path in sources
-        for line in _assertions(ast.parse(path.read_text(), filename=str(path)))
-    ]
+    assert TREES
+    found = [f"{name}.py:{line}" for name, tree in TREES.items() for line in _assertions(tree)]
     assert not found, f"assertions in library code: {found}"
 
 
@@ -50,28 +48,21 @@ def _self_calling_closures(tree):
     """Names and lines of functions nested in a function that refer to
     their own name: each call makes a closure cycle only a full garbage
     collection frees."""
-    found = []
-    for outer in ast.walk(tree):
-        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for inner in ast.walk(outer):
-            if inner is outer or not isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if any(
-                isinstance(node, ast.Name) and node.id == inner.name
-                for stmt in inner.body
-                for node in ast.walk(stmt)
-            ):
-                found.append(f"{inner.name}:{inner.lineno}")
-    return found
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return [
+        f"{inner.name}:{inner.lineno}"
+        for outer in ast.walk(tree) if isinstance(outer, functions)
+        for inner in ast.walk(outer) if inner is not outer and isinstance(inner, functions)
+        if any(
+            isinstance(node, ast.Name) and node.id == inner.name
+            for stmt in inner.body
+            for node in ast.walk(stmt)
+        )
+    ]
 
 
 def test_no_self_calling_closures():
-    found = [
-        f"{path.name}:{name}"
-        for path in sorted(SRC.glob("*.py"))
-        for name in _self_calling_closures(ast.parse(path.read_text(), filename=str(path)))
-    ]
+    found = [f"{name}.py:{f}" for name, tree in TREES.items() for f in _self_calling_closures(tree)]
     assert not found, f"nested functions that refer to themselves: {found}"
 
 
@@ -116,22 +107,17 @@ def test_generator_stream_is_detected():
 def _imported(tree):
     """The modules and names that the import statements of ``tree`` name,
     at any depth."""
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            imported.add(node.module or "")
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            imported.update(alias.name for alias in node.names)
-    return imported
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    modules = {node.module or "" for node in imports if isinstance(node, ast.ImportFrom)}
+    return modules | {alias.name for node in imports for alias in node.names}
 
 
 def test_oracles_import_nothing_from_formulas():
     # brute and circular are the independent checks of formulas: they keep
     # their own argument checks and helpers rather than borrow those of
     # the route they check
-    for name in ("brute.py", "circular.py"):
-        path = SRC / name
-        imported = _imported(ast.parse(path.read_text(), filename=str(path)))
+    for name in ("brute", "circular"):
+        imported = _imported(TREES[name])
         assert imported and not any(part.split(".")[-1] == "formulas" for part in imported), name
 
 
@@ -142,13 +128,8 @@ def _imports_argparse(tree):
 def test_library_does_not_import_argparse():
     # each CLI call is a fresh process, and argparse (with the gettext and
     # locale it loads) costs more to import than most requests take to run
-    sources = sorted(SRC.glob("*.py"))
-    assert sources
-    found = [
-        path.name
-        for path in sources
-        if _imports_argparse(ast.parse(path.read_text(), filename=str(path)))
-    ]
+    assert TREES
+    found = [name for name, tree in TREES.items() if _imports_argparse(tree)]
     assert not found, f"argparse imported by {found}"
 
 
@@ -162,64 +143,141 @@ def test_argparse_import_is_detected():
     assert not _imports_argparse(ast.parse("import math\nfrom . import cli\n"))
 
 
-# The argument checks every formula may share; no other private helper may
-# serve both forms of a count, or the check of one by the other is not
-# independent.
-SHARED_CHECKS = {"_ints", "_check_ns"}
-COUNT_PAIRS = [
-    ("restricted_subtractive", "restricted_alternating"),
-    ("prime_subtractive", "prime_alternating"),
+# The routes of requests of every kind ``formulas.routes`` counts: pf and
+# ppf on the segments [1..5] with 5 cars, and modular at g = 2, s = 3.
+ROUTES = [
+    formulas.routes(kind, restriction, n)
+    for kind in ("pf", "ppf")
+    for restriction, n in [({"kind": "segment", "s": s}, 5) for s in range(1, 6)]
+    + [({"kind": "modular", "g": 2, "s": 3, "k": k}, 6 - k) for k in (1, 2)]
 ]
 
+# The route-independence audit: no two routes compared by a check may
+# reach the same package function or private module-level state, but the
+# argument checks and the shares by design below.  Each share gives its
+# reason and an audited pair in which only one side reaches it: a route
+# outside the share that also checks it.
+ALLOWED = {
+    **dict.fromkeys((
+        "core._ints", "formulas._ints", "brute._check_ns", "formulas._check_ns",
+        "brute._restriction", "brute.normalize_restriction", "circular._check_gsk",
+    ), ("argument check", None)),
+    "brute._binomial_rows": (
+        "min-defect vs count_restricted, and the census vs the relation through"
+        " count_restricted, which the closed forms check",
+        ("brute.count_restricted", "formulas.restricted_subtractive"),
+    ),
+    **dict.fromkeys(("formulas._binomial_coeffs", "formulas._ones_factor"), (
+        "the ones pair, whose two sums cover disjoint ranges of i",
+        ("brute.ones_distribution", "formulas.ones_poly_subtractive"),
+    )),
+}
+# The compared routes that ``formulas.routes`` does not name, each with
+# the ``verify`` check that compares them.
+COMPARED = {
+    ("brute.count_min_defect", "brute.count_restricted"): "check_defect",
+    ("brute.count_nondecreasing_restricted", "formulas.catalan_triangle"): "check_orbits",
+    ("formulas.ones_poly_alternating", "formulas.ones_poly_subtractive"): "check_abel",
+    ("brute.ones_distribution", "formulas.ones_poly_subtractive"): "check_ones",
+    ("brute.fiber_size_bruteforce", "formulas.fiber_size_formula"): "check_fibers",
+    ("circular.modular_census", "circular.verify_relation"): "check_modular",
+}
 
-def _private_names_used(tree):
-    """For each module-level function, the private module-level names its
-    body refers to, those imported from other modules included."""
-    top = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    } | {
-        node.name
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-    } | {
-        target.id
-        for node in tree.body
-        if isinstance(node, (ast.Assign, ast.AnnAssign))
-        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
-        if isinstance(target, ast.Name)
+
+def _defines(node):
+    """The function or private state a module-level statement defines."""
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        stored = [sub for sub in ast.walk(node) if isinstance(sub, ast.Name)]
+        return [sub.id for sub in stored if isinstance(sub.ctx, ast.Store) and sub.id[0] == "_"]
+    return [node.name] if isinstance(node, ast.FunctionDef) else []
+
+
+def _index(trees):
+    """``{"module.function": what it names}`` for each module-level
+    function of ``trees``: the package functions and private module-level
+    state that it, its nested functions and its lambdas name, through the
+    relative imports too.  Classes are not followed."""
+    own = {
+        mod: {name: f"{mod}.{name}" for top in tree.body for name in _defines(top)}
+        for mod, tree in trees.items()
     }
-    private = {name for name in top if name.startswith("_")}
-    return {
-        node.name: {
-            sub.id
-            for sub in ast.walk(node)
-            if isinstance(sub, ast.Name) and sub.id in private
-        }
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    defined = {name for names in own.values() for name in names.values()}
+    index = {}
+    for mod, tree in trees.items():
+        for top in filter(lambda node: isinstance(node, ast.FunctionDef), tree.body):
+            bound = {  # ``from . import x`` binds x, ``from .x import y`` binds x.y
+                alias.asname or alias.name: ".".join(filter(None, (node.module, alias.name)))
+                for node in [*tree.body, *ast.walk(top)]
+                if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names
+            } | own[mod]
+            named = {bound.get(sub.id) for sub in ast.walk(top) if isinstance(sub, ast.Name)}
+            named |= {
+                f"{bound.get(sub.value.id)}.{sub.attr}"
+                for sub in ast.walk(top)
+                if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+            }
+            index[f"{mod}.{top.name}"] = named & defined
+    return index
+
+
+def _closure(index, entry, stop):
+    """What ``entry`` reaches in ``index``, not through ``stop``."""
+    seen, todo = set(), [entry]
+    while todo:
+        for name in index.get(todo.pop(), set()) - seen - {stop}:
+            seen.add(name)
+            todo.append(name)
+    return seen
+
+
+def _shares(index, pairs, allowed=ALLOWED.keys()):
+    """``{(a, b): what both reach}`` less ``allowed``, neither side
+    followed through the other."""
+    both = {(a, b): _closure(index, a, b) & _closure(index, b, a) for a, b in pairs}
+    return {pair: sorted(names - allowed) for pair, names in both.items()}
+
+
+def _compared_pairs(index):
+    """``{(a, b): check}``: every two routes of one request in ``ROUTES``,
+    each form by the function its lambda calls and the oracle by the
+    ``brute`` counters its code names; then ``COMPARED``."""
+    pairs = {}
+    for forms, oracle in ROUTES:
+        routes = [("formulas", form) for form in forms.values()] + [("brute", oracle)]
+        sides = [{f"{m}.{name}" for name in f.__code__.co_names} & index.keys() for m, f in routes]
+        assert all(sides), forms
+        for one, other in combinations(sides, 2):
+            pairs.update(dict.fromkeys(map(tuple, map(sorted, product(one, other))), "routes"))
+    return {**pairs, **COMPARED}
+
+
+def test_compared_routes_share_no_code():
+    index = _index({name: tree for name, tree in TREES.items() if name != "__init__"})
+    pairs = _compared_pairs(index)
+    shares, every = _shares(index, pairs), _shares(index, pairs, allowed=set())
+    audit = "\n".join(  # each pair, what it shares, and what of that is not allowed
+        f"{pair} ({check}): {every[pair]}, not allowed {shares[pair]}"
+        for pair, check in pairs.items()
+    )
+    # every counting entry point is compared, as is every function routes resolves to
+    entries = {name for name in index if name.startswith("brute.count_")} | {
+        "brute.ones_distribution", "brute.fiber_size_bruteforce", "circular.modular_census",
     }
+    assert len(pairs) >= 27 and entries <= {name for pair in pairs for name in pair}, audit
+    assert all(_closure(index, a, b) and _closure(index, b, a) for a, b in pairs), audit
+    assert all(hasattr(verify, check) for check in COMPARED.values())
+    for name, (_, outside) in ALLOWED.items():
+        assert any(name in named for named in index.values()), name
+        if outside:
+            reach = [name in _closure(index, *outside), name in _closure(index, *outside[::-1])]
+            assert outside in pairs and reach.count(True) == 1, name
+    assert not any(shares.values()), audit
 
 
-def _shared_helpers(tree, pairs):
-    used = _private_names_used(tree)
-    shared = {(a, b): sorted((used[a] & used[b]) - SHARED_CHECKS) for a, b in pairs}
-    return {pair: names for pair, names in shared.items() if names}
-
-
-def test_count_forms_share_no_private_helper():
-    path = SRC / "formulas.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    used = _private_names_used(tree)
-    for pair in COUNT_PAIRS:
-        assert all(name in used for name in pair)
-    assert _shared_helpers(tree, COUNT_PAIRS) == {}
-
-
-def test_shared_count_helper_is_detected():
-    source = (
+def test_route_sharing_is_detected():
+    core = "def _ints(*v):\n    return v\ndef _odd_part(n):\n    return n >> 1\n"
+    memo = (
         "_MEMO = {}\n"
         "def _ints(*v):\n    return v\n"
         "def _power_pair(a, e, b, f):\n    return a**e * b**f\n"
@@ -227,43 +285,7 @@ def test_shared_count_helper_is_detected():
         "def alt(n):\n    _ints(n)\n    return _power_pair(n, 2, n, 0) + len(_MEMO)\n"
         "def other(n):\n    _ints(n)\n    return n\n"
     )
-    tree = ast.parse(source)
-    assert _shared_helpers(tree, [("sub", "alt")]) == {("sub", "alt"): ["_MEMO", "_power_pair"]}
-    assert _shared_helpers(tree, [("sub", "other")]) == {}
-
-
-# count_min_defect is checked against count_restricted by ``verify
-# formulas``: it parks the sorted lists itself and must reach neither the
-# occupancy bounds nor the counting walk of the parking counters.
-PARKING_ROUTE = {"_occupancy_need", "_count_walk"}
-
-
-def _reached(tree, name):
-    """The private module-level names ``name`` refers to, followed through
-    every private function they name."""
-    used = _private_names_used(tree)
-    seen = set()
-    todo = [name]
-    while todo:
-        for sub in used.get(todo.pop(), ()):
-            if sub not in seen:
-                seen.add(sub)
-                todo.append(sub)
-    return seen
-
-
-def test_min_defect_does_not_reach_the_parking_route():
-    path = SRC / "brute.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    reached = _reached(tree, "count_min_defect")
-    assert "_min_defect_walk" in reached
-    assert "_count_walk" in _reached(tree, "count_restricted")
-    assert "_occupancy_need" in _reached(tree, "count_restricted")
-    assert reached & PARKING_ROUTE == set()
-
-
-def test_reached_parking_route_is_detected():
-    source = (
+    parking = (
         "def _occupancy_need(n):\n    return (n,)\n"
         "def _count_walk(need):\n    return need[0]\n"
         "def _rows(n):\n    return [n]\n"
@@ -271,39 +293,9 @@ def test_reached_parking_route_is_detected():
         "def _direct(n):\n    return _rows(n)\n"
         "def count_min_defect(n):\n    return _direct(n) + _walk(n)\n"
         "def count_plain(n):\n    return _direct(n)\n"
+        "def count_restricted(n):\n    return _count_walk(_occupancy_need(n))\n"
     )
-    tree = ast.parse(source)
-    assert _reached(tree, "count_min_defect") & PARKING_ROUTE == PARKING_ROUTE
-    assert _reached(tree, "count_plain") == {"_direct", "_rows"}
-
-
-# circular.verify_relation checks modular_census class by class: its
-# expected side may reach no private name the census reaches, other than
-# the argument checks, so that neither can share a walk or a rotation test
-# with the route it checks.
-RELATION_SHARED = {"_ints", "_check_gsk"}
-
-
-def _relation_shares(tree):
-    """The private names, other than the argument checks, that both
-    ``verify_relation`` and ``modular_census`` reach; the census is public,
-    so what the relation reaches through it is not followed."""
-    shared = _reached(tree, "verify_relation") & _reached(tree, "modular_census")
-    return sorted(shared - RELATION_SHARED)
-
-
-def test_relation_shares_no_walk_with_the_census():
-    path = SRC / "circular.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    census = _reached(tree, "modular_census")
-    relation = _reached(tree, "verify_relation")
-    assert {"_necklace_walk", "_largest_period", "_binomial_rows"} <= census
-    assert {"_compositions", "_least_period"} <= relation
-    assert _relation_shares(tree) == []
-
-
-def test_relation_sharing_with_the_census_is_detected():
-    source = (
+    relation = (
         "from .core import _ints\n"
         "from .brute import _binomial_rows\n"
         "def _check_gsk(g):\n    return _ints(g)\n"
@@ -315,18 +307,53 @@ def test_relation_sharing_with_the_census_is_detected():
         "def verify_relation(g):\n"
         "    _check_gsk(g)\n    return modular_census(g), _least_period(g), _binomial_rows(g)\n"
     )
-    assert _relation_shares(ast.parse(source)) == ["_binomial_rows", "_largest_period"]
     # what the relation reaches only through the census is the census's own
-    source = source.replace(", _least_period(g), _binomial_rows(g)", "")
-    assert _relation_shares(ast.parse(source)) == []
+    through_census = relation.replace(", _least_period(g), _binomial_rows(g)", "")
+    two_deep = (
+        "def _power_product(a, e):\n    return a**e\n"
+        "def _hop(a, e):\n    return _power_product(a, e)\n"
+        "def _binomial_series(n, term):\n    return sum(map(term, range(n)))\n"
+        "def sub(n):\n    return _power_product(n, n)\n"
+        "def alt(n):\n    return _binomial_series(n, lambda i: _hop(i, n))\n"
+    )
+    allowed = (
+        "def _check_ns(n, s):\n    return n, s\n"
+        "def _binomial_coeffs(n, c):\n    return [c] * n\n"
+        "def _ones_factor(i):\n    return _binomial_coeffs(i - 1, i)\n"
+        "def sub(n, s):\n    return _check_ns(_ones_factor(n), _binomial_coeffs(n, s))\n"
+        "def alt(n, s):\n    return _check_ns(n, _ones_factor(s))\n"
+    )
+    across = {  # brute and formulas both reach a private helper of core
+        "core": core,
+        "brute": "from .core import _odd_part\ndef count(n):\n    return _odd_part(n)\n",
+        "formulas": "from . import core\ndef sub(n):\n    return core._ints(core._odd_part(n))\n",
+    }
+    rest = {"brute": "def _binomial_rows(m):\n    return [m]\n", "core": core}
+    census = ("circular.modular_census", "circular.verify_relation")
+    forms = ("formulas.sub", "formulas.alt")
+    walks = ("brute.count_min_defect", "brute.count_restricted")
+    cases = [  # the sources, and what each pair shares
+        ({"formulas": memo}, {forms: ["formulas._MEMO", "formulas._power_pair"]}),
+        ({"formulas": memo}, {("formulas.sub", "formulas.other"): []}),
+        ({"brute": parking}, {walks: ["brute._count_walk", "brute._occupancy_need"]}),
+        ({"brute": parking}, {("brute.count_plain", "brute.count_restricted"): []}),
+        ({"circular": relation, **rest}, {census: ["circular._largest_period"]}),
+        ({"circular": through_census, **rest}, {census: []}),
+        ({"formulas": two_deep}, {forms: ["formulas._power_product"]}),
+        (across, {("formulas.sub", "brute.count"): ["core._odd_part"]}),
+        ({"formulas": allowed}, {forms: []}),
+    ]
+    for sources, shared in cases:
+        index = _index({name: ast.parse(source) for name, source in sources.items()})
+        assert _shares(index, shared) == shared, sources
 
 
 # The count forms: the CLI and the verify suites reach them only through
 # ``formulas.routes``, so a form added there is counted by ``count`` and
-# ``table`` and checked by ``verify`` with no code of their own.
+# ``table`` and checked by ``verify`` with no code of their own.  Each is
+# named by the function its lambda calls.
 COUNT_FORMS = {
-    "restricted_subtractive", "restricted_alternating", "prime_subtractive",
-    "prime_alternating", "pf_total", "ppf_total", "mod_count", "mod_count_k1",
+    name for forms, _ in ROUTES for form in forms.values() for name in form.__code__.co_names
 }
 # The brute-force counts that ``formulas.routes`` names as the oracles.
 COUNT_ORACLES = {"count_restricted", "count_prime_restricted"}
@@ -335,35 +362,18 @@ COUNT_ORACLES = {"count_restricted", "count_prime_restricted"}
 def _named(tree, names=COUNT_FORMS):
     """The ``names`` that ``tree`` names: as a name, an attribute or an
     import."""
-    named = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            named.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            named.add(node.attr)
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            named.update(alias.name for alias in node.names)
+    fields = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    named = {getattr(node, fields[type(node)]) for node in ast.walk(tree) if type(node) in fields}
     return sorted(named & names)
-
-
-def _form_names():
-    """The names of the forms that ``formulas.routes`` gives, over requests
-    of every kind it counts."""
-    requests = [{"kind": "segment", "s": s} for s in range(1, 5)] + [
-        {"kind": "modular", "g": 2, "s": 3, "k": k} for k in (1, 2)
-    ]
-    return {
-        method
-        for kind in ("pf", "ppf")
-        for restriction in requests
-        for method in formulas.routes(kind, restriction, 4)[0]
-    }
 
 
 # The names that the CLI reads from the module that owns them, so that a
 # new suite, family or form needs no line of ``cli.py``: each verify
 # suite, each table family, and each form by its method and function name.
-OWNED_NAMES = set(verify.suite_names()) | set(formulas.TABLES) | _form_names() | COUNT_FORMS
+OWNED_NAMES = (
+    set(verify.suite_names()) | set(formulas.TABLES) | COUNT_FORMS
+    | {method for forms, _ in ROUTES for method in forms}
+)
 # Words of the CLI's own that a suite or a family shares: the modular
 # restriction of ``count --format json`` and the ones field of ``enum``.
 CLI_WORDS = {"modular", "ones"}
@@ -371,25 +381,18 @@ CLI_WORDS = {"modular", "ones"}
 
 def _literals(tree, names):
     """The ``names`` that a string literal of ``tree`` spells out whole."""
-    return sorted(
-        {
-            node.value
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Constant) and isinstance(node.value, str)
-        }
-        & names
-    )
+    values = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    return sorted(values & names)
 
 
 def test_cli_and_verify_reach_the_forms_through_the_resolver():
     assert {"all", "formulas", "ones", "total", "power", "recursion"} <= OWNED_NAMES
-    for name in ("cli.py", "verify.py"):
-        path = SRC / name
-        tree = ast.parse(path.read_text(), filename=str(path))
+    for name in ("cli", "verify"):
+        tree = TREES[name]
         assert _named(tree) == [], name
         attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert "routes" in attributes, name
-        if name == "cli.py":
+        if name == "cli":
             assert _literals(tree, OWNED_NAMES - CLI_WORDS) == [], name
 
 
@@ -420,9 +423,8 @@ def test_form_named_outside_the_resolver_is_detected():
 
 
 def test_cli_and_verify_take_the_oracle_from_the_resolver():
-    for name in ("cli.py", "verify.py"):
-        path = SRC / name
-        assert _named(ast.parse(path.read_text(), filename=str(path)), COUNT_ORACLES) == [], name
+    for name in ("cli", "verify"):
+        assert _named(TREES[name], COUNT_ORACLES) == [], name
 
 
 def test_oracle_named_outside_the_resolver_is_detected():
@@ -457,20 +459,17 @@ def _names_brute(node) -> bool:
 def _brute_owners(tree):
     """The module-level functions of ``tree`` that name ``brute``;
     ``<module>`` for a statement outside any function."""
-    return sorted(
-        {
-            top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else "<module>"
-            for top in tree.body
-            if any(_names_brute(node) for node in ast.walk(top))
-        }
-    )
+    return sorted({
+        top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else "<module>"
+        for top in tree.body
+        if any(_names_brute(node) for node in ast.walk(top))
+    })
 
 
 def test_only_routes_names_brute_in_formulas():
     # no form may reach the oracle that checks it, and loading formulas
     # (as every ``table`` does) must not load brute
-    path = SRC / "formulas.py"
-    assert _brute_owners(ast.parse(path.read_text(), filename=str(path))) == ["routes"]
+    assert _brute_owners(TREES["formulas"]) == ["routes"]
 
 
 def test_brute_named_outside_routes_is_detected():
