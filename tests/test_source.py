@@ -252,8 +252,12 @@ def _compared_pairs(index):
     return {**pairs, **COMPARED}
 
 
+def _package_index():
+    return _index({name: tree for name, tree in TREES.items() if name != "__init__"})
+
+
 def test_compared_routes_share_no_code():
-    index = _index({name: tree for name, tree in TREES.items() if name != "__init__"})
+    index = _package_index()
     pairs = _compared_pairs(index)
     shares, every = _shares(index, pairs), _shares(index, pairs, allowed=set())
     audit = "\n".join(  # each pair, what it shares, and what of that is not allowed
@@ -275,8 +279,57 @@ def test_compared_routes_share_no_code():
     assert not any(shares.values()), audit
 
 
-def test_route_sharing_is_detected():
-    core = "def _ints(*v):\n    return v\ndef _odd_part(n):\n    return n >> 1\n"
+# Pairs of the audit that the library's rules were first written for.
+SUMS = [
+    ("formulas.restricted_alternating", "formulas.restricted_subtractive"),
+    ("formulas.prime_alternating", "formulas.prime_subtractive"),
+]
+WALKS = ("brute.count_min_defect", "brute.count_restricted")
+CENSUS = ("circular.modular_census", "circular.verify_relation")
+
+
+def test_count_forms_share_no_private_helper():
+    index = _package_index()
+    assert set(SUMS) <= _compared_pairs(index).keys()
+    assert _shares(index, SUMS) == dict.fromkeys(SUMS, [])
+
+
+def test_min_defect_does_not_reach_the_parking_route():
+    index = _package_index()
+    assert {"brute._count_parking", "brute._count_walk"} <= _closure(index, *WALKS[::-1])
+    assert not {"brute._count_parking", "brute._count_walk"} & _closure(index, *WALKS)
+    assert _shares(index, [WALKS]) == {WALKS: []}
+
+
+def test_relation_shares_no_walk_with_the_census():
+    assert _shares(_package_index(), [CENSUS]) == {CENSUS: []}
+
+
+# Twin sources for the audit, each a small package of its own.
+FORMS = ("formulas.sub", "formulas.alt")
+CORE = "def _ints(*v):\n    return v\ndef _odd_part(n):\n    return n >> 1\n"
+RELATION = (
+    "from .core import _ints\n"
+    "from .brute import _binomial_rows\n"
+    "def _check_gsk(g):\n    return _ints(g)\n"
+    "def _largest_period(c):\n    return len(c)\n"
+    "def _walk(m):\n    return _binomial_rows(m)\n"
+    "def _census(g):\n    return _walk(g) + [_largest_period(g)]\n"
+    "def modular_census(g):\n    _check_gsk(g)\n    return _census(g)\n"
+    "def _least_period(pairs):\n    return _largest_period(pairs)\n"
+    "def verify_relation(g):\n"
+    "    _check_gsk(g)\n    return modular_census(g), _least_period(g), _binomial_rows(g)\n"
+)
+
+
+def _assert_shares(cases):
+    """Each case: the sources, and what each pair of them shares."""
+    for sources, shared in cases:
+        index = _index({name: ast.parse(source) for name, source in sources.items()})
+        assert _shares(index, shared) == shared, sources
+
+
+def test_shared_count_helper_is_detected():
     memo = (
         "_MEMO = {}\n"
         "def _ints(*v):\n    return v\n"
@@ -285,6 +338,13 @@ def test_route_sharing_is_detected():
         "def alt(n):\n    _ints(n)\n    return _power_pair(n, 2, n, 0) + len(_MEMO)\n"
         "def other(n):\n    _ints(n)\n    return n\n"
     )
+    _assert_shares([
+        ({"formulas": memo}, {FORMS: ["formulas._MEMO", "formulas._power_pair"]}),
+        ({"formulas": memo}, {("formulas.sub", "formulas.other"): []}),
+    ])
+
+
+def test_reached_parking_route_is_detected():
     parking = (
         "def _occupancy_need(n):\n    return (n,)\n"
         "def _count_walk(need):\n    return need[0]\n"
@@ -295,20 +355,23 @@ def test_route_sharing_is_detected():
         "def count_plain(n):\n    return _direct(n)\n"
         "def count_restricted(n):\n    return _count_walk(_occupancy_need(n))\n"
     )
-    relation = (
-        "from .core import _ints\n"
-        "from .brute import _binomial_rows\n"
-        "def _check_gsk(g):\n    return _ints(g)\n"
-        "def _largest_period(c):\n    return len(c)\n"
-        "def _walk(m):\n    return _binomial_rows(m)\n"
-        "def _census(g):\n    return _walk(g) + [_largest_period(g)]\n"
-        "def modular_census(g):\n    _check_gsk(g)\n    return _census(g)\n"
-        "def _least_period(pairs):\n    return _largest_period(pairs)\n"
-        "def verify_relation(g):\n"
-        "    _check_gsk(g)\n    return modular_census(g), _least_period(g), _binomial_rows(g)\n"
-    )
+    _assert_shares([
+        ({"brute": parking}, {WALKS: ["brute._count_walk", "brute._occupancy_need"]}),
+        ({"brute": parking}, {("brute.count_plain", "brute.count_restricted"): []}),
+    ])
+
+
+def test_relation_sharing_with_the_census_is_detected():
+    rest = {"brute": "def _binomial_rows(m):\n    return [m]\n", "core": CORE}
     # what the relation reaches only through the census is the census's own
-    through_census = relation.replace(", _least_period(g), _binomial_rows(g)", "")
+    through_census = RELATION.replace(", _least_period(g), _binomial_rows(g)", "")
+    _assert_shares([
+        ({"circular": RELATION, **rest}, {CENSUS: ["circular._largest_period"]}),
+        ({"circular": through_census, **rest}, {CENSUS: []}),
+    ])
+
+
+def test_route_sharing_is_detected():
     two_deep = (
         "def _power_product(a, e):\n    return a**e\n"
         "def _hop(a, e):\n    return _power_product(a, e)\n"
@@ -324,28 +387,15 @@ def test_route_sharing_is_detected():
         "def alt(n, s):\n    return _check_ns(n, _ones_factor(s))\n"
     )
     across = {  # brute and formulas both reach a private helper of core
-        "core": core,
+        "core": CORE,
         "brute": "from .core import _odd_part\ndef count(n):\n    return _odd_part(n)\n",
         "formulas": "from . import core\ndef sub(n):\n    return core._ints(core._odd_part(n))\n",
     }
-    rest = {"brute": "def _binomial_rows(m):\n    return [m]\n", "core": core}
-    census = ("circular.modular_census", "circular.verify_relation")
-    forms = ("formulas.sub", "formulas.alt")
-    walks = ("brute.count_min_defect", "brute.count_restricted")
-    cases = [  # the sources, and what each pair shares
-        ({"formulas": memo}, {forms: ["formulas._MEMO", "formulas._power_pair"]}),
-        ({"formulas": memo}, {("formulas.sub", "formulas.other"): []}),
-        ({"brute": parking}, {walks: ["brute._count_walk", "brute._occupancy_need"]}),
-        ({"brute": parking}, {("brute.count_plain", "brute.count_restricted"): []}),
-        ({"circular": relation, **rest}, {census: ["circular._largest_period"]}),
-        ({"circular": through_census, **rest}, {census: []}),
-        ({"formulas": two_deep}, {forms: ["formulas._power_product"]}),
+    _assert_shares([
+        ({"formulas": two_deep}, {FORMS: ["formulas._power_product"]}),
         (across, {("formulas.sub", "brute.count"): ["core._odd_part"]}),
-        ({"formulas": allowed}, {forms: []}),
-    ]
-    for sources, shared in cases:
-        index = _index({name: ast.parse(source) for name, source in sources.items()})
-        assert _shares(index, shared) == shared, sources
+        ({"formulas": allowed}, {FORMS: []}),
+    ])
 
 
 # The count forms: the CLI and the verify suites reach them only through
