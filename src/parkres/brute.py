@@ -1,24 +1,27 @@
 """Exhaustive oracles over restricted preference spaces.
 
-Everything here is decided by enumeration or by direct simulation.  The
-counters rest on one observation: whether every car parks (and whether
-the list is prime), how many cars prefer spot 1, and how many cars park
-on fewer spots than cars are all unchanged when the cars are reordered.
-So the counters walk the multiplicity vectors of the non-decreasing
-lists (c_v entries equal to v), one per orbit of the car-permuting
-action, and weight each by the orbit size n!/prod(c_v!).  The walks
-carry that size down the path as a product of binomials, C(rest, c_v)
-for the c_v of the ``rest`` entries still unplaced that equal v, read
-from Pascal rows built once per call.  The parking counters decide an
-orbit by the occupancy condition (at least i entries <= i, for every i)
-and cut a prefix as soon as it fails, which discards only orbits that
-provably fail; their walk (:func:`_count_walk`) stops one value short of
-the orbits, where the orbits left add up to a suffix of one binomial
-row.  The ones tally reads the first level of that walk: C(n, c) ways to
-choose the c cars preferring spot 1, times the walk from spot 2 on.  The
-min-defect counter instead parks the sorted list a spot at a time,
-counting the cars waiting at each spot, and cuts a prefix at the first
-spot that finds none.
+The streams enumerate, the fiber oracle simulates, and the counters walk
+the states of the parking procedure.  The counters rest on one
+observation: whether every car parks (and whether the list is prime),
+how many cars prefer spot 1, and how many cars park on fewer spots than
+cars are all unchanged when the cars are reordered.  So the counters
+choose how many cars prefer each allowed value in turn, c_v of the
+``rest`` cars still unplaced in C(rest, c_v) ways, read from Pascal rows
+built once per call.  The parking counters keep a choice only while the
+occupancy condition (at least i entries <= i, for every i) can still
+hold, and their walk (:func:`_count_walk`) stops one value short, where
+the choices left add up to a suffix of one binomial row.  What is left
+to count below a choice depends only on the value reached and on how
+many cars are placed, so the walk counts each such state once, in a memo
+kept for the call, rather than once per orbit (sorted list) that passes
+through it: at most (|S| - 1)(n + 1)(n + 2)/2 steps in all
+(:func:`walk_steps`), where the orbits are exponentially many.  The ones
+tally reads the first level of that walk: C(n, c) ways to choose the c
+cars preferring spot 1, times the walk from spot 2 on, all first level
+calls sharing one memo.  The min-defect counter instead parks the cars a
+spot at a time, counting the cars waiting at each spot, and drops a
+choice at the first spot that finds none; its own memo keeps each (spots
+left, cars unplaced, cars waiting) state once.
 
 The ``enum_*`` streams walk the lists in lexicographic order and extend a
 prefix only by the entries that keep it completable.  The completions of
@@ -104,29 +107,49 @@ def _occupancy_need(n: int, allowed: tuple, strict: bool) -> tuple:
     return tuple(min(v, n) if strict else v - 1 for v in allowed[1:]) + (n,)
 
 
+def walk_steps(n: int, allowed: Iterable[int]) -> int:
+    """The most inner-loop steps the walk of :func:`count_restricted` or
+    :func:`count_prime_restricted` takes for ``n`` cars over ``allowed``.
+
+    At most |allowed| - 1 levels loop (the last sums a binomial row
+    suffix), each over ``placed`` in 0..n with at most n + 1 - placed
+    steps.  :func:`count_min_defect` over [s] keeps the same bound, as the
+    cars still unplaced fix its state at each spot.
+    """
+    n, elems = _restriction(n, allowed)
+    return max(len(elems) - 1, 0) * (n + 1) * (n + 2) // 2
+
+
 def _count_parking(n: int, allowed: tuple, strict: bool) -> int:
     # n >= 1 cars over the sorted, non-empty ``allowed``
     if allowed[0] != 1:
         return 0  # spot 1 is never preferred
     if len(allowed) == 1:
         return 1  # every car prefers spot 1
-    return _count_walk(n, _occupancy_need(n, allowed, strict), _binomial_rows(n), 0, 0)
+    return _count_walk(n, _occupancy_need(n, allowed, strict), _binomial_rows(n), {}, 0, 0)
 
 
-def _count_walk(n, need, rows, j, placed):
+def _count_walk(n, need, rows, memo, j, placed):
     # The ways to give the ``rest`` cars still unplaced values from
     # allowed[j:] so that every bound in need[j:] holds, when ``placed``
     # cars already hold smaller values.  At the second last value, c >= low
     # of them take it and the last value takes the others, so the count is
-    # the suffix of the binomial row of ``rest`` from c = low.
+    # the suffix of the binomial row of ``rest`` from c = low.  The count
+    # depends only on (j, placed), so ``memo`` keeps it for the whole call.
+    key = (j, placed)
+    total = memo.get(key)
+    if total is not None:
+        return total
     rest = n - placed
     row = rows[rest]
     low = max(0, need[j] - placed)
     if j + 2 == len(need):
-        return sum(row[low:])
-    total = 0
-    for c in range(low, rest + 1):
-        total += row[c] * _count_walk(n, need, rows, j + 1, placed + c)
+        total = sum(row[low:])
+    else:
+        total = 0
+        for c in range(low, rest + 1):
+            total += row[c] * _count_walk(n, need, rows, memo, j + 1, placed + c)
+    memo[key] = total
     return total
 
 
@@ -295,10 +318,11 @@ def ones_distribution(n: int, s: int) -> tuple:
     n, s = _check_ns(n, s)
     need = _occupancy_need(n, tuple(range(1, s + 1)), False)
     rows = _binomial_rows(n)
+    memo = {}
     tally = [0] * need[0]
     for c in range(need[0], n + 1):
         # with s <= 2 the cars left all prefer spot s, in one way
-        tally.append(rows[n][c] * (_count_walk(n, need, rows, 1, c) if s > 2 else 1))
+        tally.append(rows[n][c] * (_count_walk(n, need, rows, memo, 1, c) if s > 2 else 1))
     if tally[0] != 0:
         raise ParkresError("parking function with no car preferring spot 1")
     return tuple(tally[1:])
@@ -347,22 +371,30 @@ def count_min_defect(n: int, s: int) -> int:
     1..s, the cars waiting at a spot are those preferring it plus those
     rolled on from earlier spots; the spot parks one of them, and a list
     reaches the minimum defect iff every spot finds a car waiting.  The
-    walk chooses how many cars prefer each spot in turn and cuts a prefix
-    at the first spot that finds none, so it reaches only the sorted lists
-    that fill every spot, each weighted by its orbit size.
+    walk chooses how many cars prefer each spot in turn, in binomially
+    many ways, and drops a choice at the first spot that finds none; what
+    is left to count depends only on the spots left, the cars unplaced and
+    the cars waiting, so each such state is counted once per call.
     """
     n, s = _check_ns(n, s)
-    return _min_defect_walk(_binomial_rows(n), s, n, 0)
+    return _min_defect_walk(_binomial_rows(n), {}, s, n, 0)
 
 
-def _min_defect_walk(rows, spots, rest, waiting):
+def _min_defect_walk(rows, memo, spots, rest, waiting):
     # The ways to give ``rest`` cars preferences among the last ``spots``
     # spots so that each of them finds a car, when ``waiting`` cars roll on
-    # to the first of them.  The last spot takes every car left.
+    # to the first of them.  The last spot takes every car left.  The count
+    # depends only on (spots, rest, waiting), so ``memo`` keeps it for the
+    # whole call.
     if spots == 1:
         return 1 if waiting + rest else 0
+    key = (spots, rest, waiting)
+    total = memo.get(key)
+    if total is not None:
+        return total
     row = rows[rest]
     total = 0
     for c in range(0 if waiting else 1, rest + 1):
-        total += row[c] * _min_defect_walk(rows, spots - 1, rest - c, waiting + c - 1)
+        total += row[c] * _min_defect_walk(rows, memo, spots - 1, rest - c, waiting + c - 1)
+    memo[key] = total
     return total

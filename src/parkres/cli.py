@@ -92,25 +92,34 @@ def _restriction_of(args) -> tuple:
     return {"kind": "segment", "s": s}, args.n, tuple(range(1, s + 1))
 
 
-def _brute_force(route, n: int, allowed: tuple, budget: int):
-    """``route(n, allowed)``, refused with :class:`BudgetExceeded` when the
-    walk may visit more than ``budget`` candidate lists (|allowed|^n).
-
-    The restriction is checked first, so the error names the real fault
-    at any budget: with cars present, a spot outside 1..n raises
-    :class:`DomainError` and an empty restriction
-    :class:`EmptyRestriction`, for pf and ppf alike.
-    """
+def _allowed(n: int, allowed: tuple) -> tuple:
+    """The sorted distinct spots of ``allowed``, checked before any budget
+    so that the error names the real fault at any budget: with cars
+    present, a spot outside 1..n raises :class:`DomainError` and an empty
+    restriction :class:`EmptyRestriction`, for pf and ppf alike."""
     from . import brute
 
     allowed = brute.normalize_restriction(n, allowed)
     if n and not allowed:
         raise EmptyRestriction("no allowed preferences with cars present")
-    # With two or more spots, |allowed|**b > budget for b = budget.bit_length(),
-    # so the power past b entries need not be built to refuse it.
-    if len(allowed) ** min(n, budget.bit_length()) > budget:
-        raise BudgetExceeded(f"{len(allowed)}**{n} candidate lists exceed --budget {budget}")
-    return route(n, allowed)
+    return allowed
+
+
+def _brute_count(oracle, n: int, allowed: tuple, budget: int) -> int:
+    """``oracle(n, allowed)``, refused with :class:`BudgetExceeded` when its
+    walk may take more than ``budget`` steps (:func:`brute.walk_steps`)."""
+    from . import brute
+
+    allowed = _allowed(n, allowed)
+    steps = brute.walk_steps(n, allowed)
+    if steps > budget:
+        raise BudgetExceeded(f"{steps} walk steps exceed --budget {budget}")
+    try:
+        return oracle(n, allowed)
+    except RecursionError:  # the walk recurses once per allowed spot
+        raise BudgetExceeded(
+            f"a walk over {len(allowed)} spots exceeds the interpreter's recursion limit"
+        ) from None
 
 
 def cmd_count(args) -> int:
@@ -119,8 +128,9 @@ def cmd_count(args) -> int:
     restriction, n, allowed = _restriction_of(args)
     forms, oracle = formulas.routes(args.kind, restriction, n)
     method = next(iter(forms), "brute") if args.method == "auto" else args.method
+    checked = None  # the route that agreed with the printed count
     if method == "brute":
-        value = _brute_force(oracle, n, allowed, args.budget)
+        value = _brute_count(oracle, n, allowed, args.budget)
     elif method not in forms:
         have = ", ".join(forms) or "none"
         raise ParkresError(
@@ -130,12 +140,14 @@ def cmd_count(args) -> int:
         value = forms[method]()
         if args.method == "auto":
             try:
-                check = _brute_force(oracle, n, allowed, args.budget)
+                check = _brute_count(oracle, n, allowed, args.budget)
             except BudgetExceeded:  # beyond the budget the formula stands alone
-                check = value
-            if check != value:
-                print(f"MISMATCH: formula {value}, brute force {check}", file=sys.stderr)
-                return EXIT_MISMATCH
+                pass
+            else:
+                if check != value:
+                    print(f"MISMATCH: formula {value}, brute force {check}", file=sys.stderr)
+                    return EXIT_MISMATCH
+                checked = "brute"
     if args.format == "json":
         _print_json(
             {
@@ -144,6 +156,7 @@ def cmd_count(args) -> int:
                 "restriction": restriction,
                 "count": str(value),
                 "method": method,
+                "cross_checked": checked,
             }
         )
     else:
@@ -155,8 +168,13 @@ def cmd_enum(args) -> int:
     from . import brute, core
 
     _, n, allowed = _restriction_of(args)
+    allowed = _allowed(n, allowed)
+    # With two or more spots, |allowed|**b > budget for b = budget.bit_length(),
+    # so the power past b entries need not be built to refuse it.
+    if len(allowed) ** min(n, args.budget.bit_length()) > args.budget:
+        raise BudgetExceeded(f"{len(allowed)}**{n} candidate lists exceed --budget {args.budget}")
     route = brute.enum_restricted if args.kind == "pf" else brute.enum_prime_restricted
-    stream = _brute_force(route, n, allowed, args.budget)
+    stream = route(n, allowed)
     if args.format == "text":  # the outcome and ones are not printed
         lines = map(",".join, map(map, repeat(str), stream))
         write = sys.stdout.write
@@ -331,7 +349,13 @@ def _families() -> list:
 # them for the help, importing that module only then.  The first --format
 # value is the default.  ``--budget`` and the list flags are shared, as
 # several commands read them.
-BUDGET = {"--budget": (_parse_budget, 10**7, "max candidate lists for brute-force work")}
+BUDGET = {
+    "--budget": (
+        _parse_budget,
+        10**7,
+        "brute-force work: walk steps for count, candidate lists for enum and verify",
+    )
+}
 LISTS = {
     "--n": (int, None, "number of cars"),
     "--s": (int, None, "allowed spots 1..s (default n)"),

@@ -61,6 +61,7 @@ NON_INTEGER_CALLS = [
     ("ones_distribution", (3, 2.0)),
     ("fiber_size_bruteforce", ((2, 1), 2.0)),
     ("count_min_defect", (3.0, 2)),
+    ("walk_steps", (3, (1, 2.0))),
 ]
 
 
@@ -102,6 +103,7 @@ def test_brute_rejects_negative_cars():
         brute.enum_prime_restricted,
         brute.count_restricted,
         brute.count_prime_restricted,
+        brute.walk_steps,
     ):
         with pytest.raises(DomainError, match="need n >= 0"):
             call(-1, (1,))
@@ -339,6 +341,7 @@ ORACLE_CALLS = {
     "ones_distribution": lambda: brute.ones_distribution(6, 4),
     "fiber_size_bruteforce": lambda: brute.fiber_size_bruteforce((2, 1, 4, 3), 3),
     "count_min_defect": lambda: brute.count_min_defect(6, 4),
+    "walk_steps": lambda: brute.walk_steps(7, (1, 3, 4)),
 }
 
 

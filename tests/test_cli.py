@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -53,13 +54,61 @@ def test_count_modular(capsys):
 
 
 def test_count_modular_beyond_budget(capsys):
-    # 8**16 candidate lists exceed --budget, so only the recursion runs;
-    # the value is the multiplicity-vector count of tests/test_formulas.py
-    code, out, _ = run(capsys, "count", "pf", "--g", "2", "--s", "14", "--k", "12", "--format", "json")
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["count"] == "64820487788537"
-    assert obj["method"] == "recursion"
+    # The oracle walks 16 cars over the 8 row starts in at most
+    # 7 * 17 * 18 / 2 = 1071 steps: the default budget cross-checks the
+    # recursion, and a budget one step short leaves it standing alone.
+    # The value is the multiplicity-vector count of tests/test_formulas.py.
+    argv = ("count", "pf", "--g", "2", "--s", "14", "--k", "12", "--format", "json")
+    for budget, checked in ((), "brute"), (("--budget", "1070"), None):
+        code, out, _ = run(capsys, *argv, *budget)
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["count"] == "64820487788537"
+        assert obj["method"] == "recursion"
+        assert obj["cross_checked"] == checked, budget
+
+
+def test_count_json_says_whether_brute_force_checked_it(capsys):
+    # "brute" when the oracle ran and agreed with the form, null when the
+    # budget refused it or no second route ran
+    for argv, checked in (
+        (("--n", "60", "--s", "20"), "brute"),
+        (("--n", "3000", "--s", "1000"), None),
+        (("--n", "4000", "--s", "3600"), None),
+        (("--n", "60", "--s", "20", "--method", "alternating"), None),
+        (("--n", "60", "--s", "20", "--method", "brute"), None),
+        (("--n", "7", "--set", "1,4,7"), None),
+    ):
+        code, out, err = run(capsys, "count", "pf", *argv, "--format", "json")
+        assert (code, err) == (0, ""), argv
+        assert json.loads(out)["cross_checked"] == checked, argv
+    # the text output is the count alone either way
+    _, out, _ = run(capsys, "count", "pf", "--n", "60", "--s", "20")
+    assert out == f"{formulas.restricted_subtractive(60, 20)}\n"
+
+
+def test_count_brute_force_reaches_the_walk_not_the_lists(capsys):
+    # 7**14 and 17**16 candidate lists, but 720 and 2295 walk steps
+    code, out, err = run(capsys, "count", "pf", "--n", "14", "--set", "1,3,5,7,9,11,13")
+    assert (code, err) == (0, "") and int(out) == formulas.mod_count(2, 8, 2)
+    spots = ",".join(map(str, range(1, 17)))
+    code, out, err = run(capsys, "count", "pf", "--n", "16", "--set", spots, "--method", "brute")
+    assert (code, err) == (0, "") and int(out) == 17**15
+
+
+def test_count_walk_deeper_than_the_recursion_limit_exits_2(capsys):
+    # the walk recurses once per allowed spot; past the interpreter's limit
+    # the count is refused like an over-budget one, without a traceback
+    spots = ",".join(map(str, range(1, 201)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        code, out, err = run(
+            capsys, "count", "pf", "--n", "200", "--set", spots, "--method", "brute", "--budget", "1e9"
+        )
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, out) == (2, "") and err.startswith("error: a walk over 200 spots exceeds"), err
 
 
 def test_count_prints_large_values_in_full(capsys):
@@ -122,6 +171,7 @@ def test_count_json_schema(capsys):
         "restriction": {"kind": "segment", "s": 2},
         "count": "11",
         "method": "subtractive",
+        "cross_checked": "brute",
     }
 
 
@@ -146,7 +196,8 @@ def test_count_usage_errors(capsys):
         assert code == 2 and "budget" in err
     code, _, err = run(capsys, "count", "pf", "--n", "4", "--format", "yaml")
     assert code == 2 and "--format" in err
-    # every brute-force path stops at --budget candidate lists
+    # every brute-force path stops at --budget: walk steps for count,
+    # candidate lists for enum
     for argv in (
         ("count", "pf", "--n", "7", "--s", "7", "--method", "brute", "--budget", "10"),
         ("count", "pf", "--n", "7", "--set", "1,2,3,4,5,6,7", "--budget", "10"),
@@ -172,25 +223,28 @@ def test_count_usage_errors(capsys):
 
 
 def test_budget_refusal_names_the_power_without_building_it(capsys):
-    # 30000**60000 has 268,636 digits; the refusal names it as a power
-    for argv in (
-        ("count", "pf", "--n", "60000", "--s", "30000", "--method", "brute"),
-        ("enum", "pf", "--n", "60000", "--s", "30000"),
+    # enum: 30000**60000 has 268,636 digits, so the refusal names it as a
+    # power; count: the walk's 29999 * 60001 * 60002 / 2 steps
+    for argv, size in (
+        (("count", "pf", "--n", "60000", "--s", "30000", "--method", "brute"), "54000899939999 walk steps"),
+        (("enum", "pf", "--n", "60000", "--s", "30000"), "30000**60000 candidate lists"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.count("\n") == 1, argv
-        assert err.startswith("error: 30000**60000 candidate lists exceed --budget"), err
+        assert err.startswith(f"error: {size} exceed --budget"), err
         assert len(err) < 200, argv
 
 
 def test_budget_refuses_exactly_past_the_power(capsys):
+    # count runs within (s - 1)(n + 1)(n + 2)/2 walk steps, enum within s**n lists
     for n in range(7):
         for s in range(1, max(n, 1) + 1):
-            size = s**n if n else 1
-            for budget in (size - 1, size):
-                argv = ("count", "pf", "--n", str(n), "--s", str(s), "--method", "brute")
-                code, _, err = run(capsys, *argv, "--budget", str(budget))
-                assert code == (2 if budget < size else 0), (n, s, budget, err)
+            steps = (s - 1) * (n + 1) * (n + 2) // 2
+            for command, size, extra in (("count", steps, ("--method", "brute")), ("enum", s**n, ())):
+                for budget in range(max(size - 1, 0), size + 1):
+                    argv = (command, "pf", "--n", str(n), "--s", str(s), *extra)
+                    code, _, err = run(capsys, *argv, "--budget", str(budget))
+                    assert code == (2 if budget < size else 0), (argv, budget, err)
 
 
 def test_count_zero_cars_matches_enum(capsys):

@@ -102,6 +102,26 @@ def test_restricted_matches_brute_force():
             )
 
 
+def test_oracle_matches_the_forms_at_sizes_in_the_hundreds():
+    # The walk counts states, not orbits, so the oracle reaches these sizes
+    # in well under a second each.
+    for n, s in ((60, 20), (150, 70)):
+        allowed = range(1, s + 1)
+        plain = brute.count_restricted(n, allowed)
+        assert plain == formulas.restricted_subtractive(n, s) == formulas.restricted_alternating(n, s)
+        prime = brute.count_prime_restricted(n, allowed)
+        assert prime == formulas.prime_subtractive(n, s) == formulas.prime_alternating(n, s)
+    assert brute.count_restricted(16, range(1, 17)) == formulas.pf_total(16)
+    assert brute.count_min_defect(60, 40) == formulas.restricted_subtractive(60, 40)
+    # The spots 1 mod g in [1, n] are the row starts of ceil(n/g) rows with
+    # g*rows - n spots missing, one more row when n fills its rows exactly.
+    n, g = 100, 3
+    rows = -(-n // g)
+    if g * rows == n:
+        rows += 1
+    assert brute.count_restricted(n, range(1, n + 1, g)) == formulas.mod_count(g, rows, g * rows - n)
+
+
 def test_prime_forms():
     for n in range(2, 8):
         assert formulas.prime_subtractive(n, 1) == 1

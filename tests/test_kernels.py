@@ -1,12 +1,13 @@
-"""The orbit-weighted counters against a plain odometer over every list,
-and against the per-car parking of one sorted list per orbit.
+"""The counters against a plain odometer over every list, and against
+the per-car parking of one sorted list per orbit.
 
 ``parkres.brute`` counts parking, prime, ones and minimum-defect lists
-by visiting one sorted list per orbit and weighting it by the orbit
-size; ``parkres.circular`` tallies its census from one sorted list per
+by walking the states of the parking procedure, each state once per
+call, weighting each choice by the binomial ways to make it;
+``parkres.circular`` tallies its census from one sorted list per
 rotation class of row counts, weighted by the class size times the orbit
-size.  The min-defect counter and the census park that list a spot (a
-row) at a time.  The odometer below visits all |S|**n preference lists,
+size.  The min-defect counter and the census park a spot (a row) at a
+time.  The odometer below visits all |S|**n preference lists,
 decides each one by simulation or by the definition, and classifies
 circular streets with its own decomposition; it shares no code with
 either module.  The per-car references list every sorted list with
@@ -15,7 +16,8 @@ from factorials and park every car of it on its own, so they reach
 sizes the odometer cannot.  The walks themselves are checked the same
 way: the parking walk against the factorial sizes of the sorted lists
 its occupancy bounds keep, and the census walk against each rotation
-class built from all its rotations.
+class built from all its rotations.  Call counters hold the memoized
+walks to their step bound, ``brute.walk_steps``.
 """
 
 from collections import Counter
@@ -149,10 +151,34 @@ def test_count_walk_sums_the_factorial_sizes_of_the_bounded_multisets():
             counts = tuple(map(entries.count, range(len(values))))
             if all(sum(counts[: j + 1]) >= bound for j, bound in enumerate(need)):
                 want += factorial(n) // prod(map(factorial, counts))
-        got = brute._count_walk(n, need, brute._binomial_rows(n), 0, 0)
+        got = brute._count_walk(n, need, brute._binomial_rows(n), {}, 0, 0)
         assert got == want, (n, values, need)
         if not any(need):
             assert got == len(values) ** n, (n, values)
+
+
+def test_walks_visit_each_state_once(monkeypatch):
+    # Each call is one inner-loop step (or the top call), so the memoized
+    # walks stay within walk_steps.  A walk that visits every orbit instead
+    # makes hundreds of thousands of calls; the counter fails it at the
+    # limit rather than let it run.
+    for name, count, args, allowed in (
+        ("_count_walk", brute.count_restricted, (16, range(1, 17)), range(1, 17)),
+        ("_count_walk", brute.count_prime_restricted, (40, range(1, 41, 2)), range(1, 41, 2)),
+        ("_min_defect_walk", brute.count_min_defect, (40, 30), range(1, 31)),
+    ):
+        walk, calls, limit = getattr(brute, name), [0], brute.walk_steps(args[0], allowed)
+
+        def counted(*walk_args):
+            calls[0] += 1
+            if calls[0] > limit:
+                raise AssertionError(f"{name} called more than {limit} times")
+            return walk(*walk_args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(brute, name, counted)
+            count(*args)
+        assert 1 < calls[0] <= limit, (name, args, calls[0], limit)
 
 
 def test_necklace_counts_yield_each_rotation_class_once_with_its_size():
