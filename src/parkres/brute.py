@@ -5,23 +5,25 @@ the states of the parking procedure.  The counters rest on one
 observation: whether every car parks (and whether the list is prime),
 how many cars prefer spot 1, and how many cars park on fewer spots than
 cars are all unchanged when the cars are reordered.  So the counters
-choose how many cars prefer each allowed value in turn, c_v of the
-``rest`` cars still unplaced in C(rest, c_v) ways, read from Pascal rows
-built once per call.  The parking counters keep a choice only while the
-occupancy condition (at least i entries <= i, for every i) can still
-hold, and their walk (:func:`_count_walk`) stops one value short, where
-the choices left add up to a suffix of one binomial row.  What is left
-to count below a choice depends only on the value reached and on how
-many cars are placed, so the walk counts each such state once, in a memo
-kept for the call, rather than once per orbit (sorted list) that passes
-through it: at most (|S| - 1)(n + 1)(n + 2)/2 steps in all
-(:func:`walk_steps`), where the orbits are exponentially many.  The ones
-tally reads the first level of that walk: C(n, c) ways to choose the c
-cars preferring spot 1, times the walk from spot 2 on, all first level
-calls sharing one memo.  The min-defect counter instead parks the cars a
-spot at a time, counting the cars waiting at each spot, and drops a
-choice at the first spot that finds none; its own memo keeps each (spots
-left, cars unplaced, cars waiting) state once.
+choose how many cars prefer each allowed value in turn, c of the
+``rest`` cars still unplaced in C(rest, c) ways.  What is left to count
+below a choice depends only on the value reached and on how many cars
+are placed, so each counter fills one array per value, indexed by the
+cars placed (or unplaced), from the last value back, and counts each
+state once rather than once per orbit (sorted list) that passes through
+it.  The values after a state are counted at fewer cars unplaced, so the
+walk runs from few cars unplaced to many and grows the binomial row of
+``rest`` by one as it goes: it holds one row, not the triangle.  The
+parking counters keep a choice only while the occupancy condition (at
+least i entries <= i, for every i) can still hold (:func:`_count_walk`),
+and the ones tally is the first level of that walk: C(n, c) ways to
+choose the c cars preferring spot 1, times the count over spots 2..s
+with those c cars placed.  The min-defect counter instead parks the cars
+a spot at a time, counting the cars waiting at each spot, and drops a
+choice at the first spot that finds none (:func:`_min_defect_walk`).
+Either walk, rows included, takes at most (|S| - 1)(n + 1)(n + 2)/2
+additions and multiplications (:func:`walk_steps`), where the orbits are
+exponentially many.
 
 The ``enum_*`` streams walk the lists in lexicographic order and extend a
 prefix only by the entries that keep it completable.  The completions of
@@ -49,7 +51,7 @@ These are the trusted, independent counterparts of the closed forms in
 from __future__ import annotations
 
 from itertools import accumulate, chain, repeat
-from operator import add, index
+from operator import add, index, mul
 from typing import Iterable, Iterator, Sequence
 
 from .core import _ints
@@ -108,13 +110,18 @@ def _occupancy_need(n: int, allowed: tuple, strict: bool) -> tuple:
 
 
 def walk_steps(n: int, allowed: Iterable[int]) -> int:
-    """The most inner-loop steps the walk of :func:`count_restricted` or
-    :func:`count_prime_restricted` takes for ``n`` cars over ``allowed``.
+    """The most steps the walk of :func:`count_restricted` or
+    :func:`count_prime_restricted` takes for ``n`` cars over ``allowed``:
+    the additions that build the binomial rows and the multiplications
+    that weight each choice.
 
-    At most |allowed| - 1 levels loop (the last sums a binomial row
-    suffix), each over ``placed`` in 0..n with at most n + 1 - placed
-    steps.  :func:`count_min_defect` over [s] keeps the same bound, as the
-    cars still unplaced fix its state at each spot.
+    At most |allowed| - 1 levels choose how many cars take a value, each
+    over ``placed`` in 0..n with at most n + 1 - placed choices; the first
+    level runs at ``placed`` = 0 alone, and with the n(n - 1)/2 additions
+    of rows 1..n it still fits in (n + 1)(n + 2)/2 steps.
+    :func:`count_min_defect` over [s] keeps the same bound, as the cars
+    still unplaced fix its state at each spot.  With one allowed spot (or
+    no cars) there is no walk.
     """
     n, elems = _restriction(n, allowed)
     return max(len(elems) - 1, 0) * (n + 1) * (n + 2) // 2
@@ -126,31 +133,30 @@ def _count_parking(n: int, allowed: tuple, strict: bool) -> int:
         return 0  # spot 1 is never preferred
     if len(allowed) == 1:
         return 1  # every car prefers spot 1
-    return _count_walk(n, _occupancy_need(n, allowed, strict), _binomial_rows(n), {}, 0, 0)
+    return sum(_count_walk(n, _occupancy_need(n, allowed, strict)))
 
 
-def _count_walk(n, need, rows, memo, j, placed):
-    # The ways to give the ``rest`` cars still unplaced values from
-    # allowed[j:] so that every bound in need[j:] holds, when ``placed``
-    # cars already hold smaller values.  At the second last value, c >= low
-    # of them take it and the last value takes the others, so the count is
-    # the suffix of the binomial row of ``rest`` from c = low.  The count
-    # depends only on (j, placed), so ``memo`` keeps it for the whole call.
-    key = (j, placed)
-    total = memo.get(key)
-    if total is not None:
-        return total
-    rest = n - placed
-    row = rows[rest]
-    low = max(0, need[j] - placed)
-    if j + 2 == len(need):
-        total = sum(row[low:])
-    else:
-        total = 0
-        for c in range(low, rest + 1):
-            total += row[c] * _count_walk(n, need, rows, memo, j + 1, placed + c)
-    memo[key] = total
-    return total
+def _count_walk(n: int, need: tuple) -> list:
+    # Entry c: the lists in which c cars take the first allowed value and
+    # every bound in ``need`` holds.  ways[j - 1][p] counts the ways to
+    # give the n - p cars still unplaced values from allowed[j:] so that
+    # every bound in need[j:] holds, when p cars hold smaller values: c of
+    # them take allowed[j], in C(n - p, c) ways, with p + c >= need[j],
+    # and the last value takes every car left.  A level reads the one
+    # after it at p and beyond, so p runs down from n while the binomial
+    # row of the n - p cars unplaced grows by one.  Level j is reached
+    # with at least need[j - 1] cars placed, the first level with none.
+    ways = [[0] * (n + 1) for _ in need[2:]] + [[1] * (n + 1)]
+    row = [1]
+    for p in range(n, -1, -1):
+        for j in range(len(need) - 2, 0, -1):
+            if p >= need[j - 1]:
+                low = need[j]
+                ways[j - 1][p] = sum(map(mul, row[max(low - p, 0) :], ways[j][max(p, low) :]))
+        if p:
+            row = [1, *map(add, row, row[1:]), 1]
+    low = need[0]
+    return [0] * low + list(map(mul, row[low:], ways[0][low:]))
 
 
 # A stream builds the completions of its last ``short`` positions at
@@ -316,13 +322,7 @@ def ones_distribution(n: int, s: int) -> tuple:
     times the walk over spots 2..s with those c cars placed.
     """
     n, s = _check_ns(n, s)
-    need = _occupancy_need(n, tuple(range(1, s + 1)), False)
-    rows = _binomial_rows(n)
-    memo = {}
-    tally = [0] * need[0]
-    for c in range(need[0], n + 1):
-        # with s <= 2 the cars left all prefer spot s, in one way
-        tally.append(rows[n][c] * (_count_walk(n, need, rows, memo, 1, c) if s > 2 else 1))
+    tally = _count_walk(n, _occupancy_need(n, tuple(range(1, s + 1)), False))
     if tally[0] != 0:
         raise ParkresError("parking function with no car preferring spot 1")
     return tuple(tally[1:])
@@ -373,28 +373,32 @@ def count_min_defect(n: int, s: int) -> int:
     reaches the minimum defect iff every spot finds a car waiting.  The
     walk chooses how many cars prefer each spot in turn, in binomially
     many ways, and drops a choice at the first spot that finds none; what
-    is left to count depends only on the spots left, the cars unplaced and
-    the cars waiting, so each such state is counted once per call.
+    is left to count depends only on the spot reached and the cars
+    unplaced (which fix the cars waiting), so each such state is counted
+    once.
     """
     n, s = _check_ns(n, s)
-    return _min_defect_walk(_binomial_rows(n), {}, s, n, 0)
+    if s == 1:
+        return 1  # every car prefers spot 1
+    return _min_defect_walk(n, s)
 
 
-def _min_defect_walk(rows, memo, spots, rest, waiting):
-    # The ways to give ``rest`` cars preferences among the last ``spots``
-    # spots so that each of them finds a car, when ``waiting`` cars roll on
-    # to the first of them.  The last spot takes every car left.  The count
-    # depends only on (spots, rest, waiting), so ``memo`` keeps it for the
-    # whole call.
-    if spots == 1:
-        return 1 if waiting + rest else 0
-    key = (spots, rest, waiting)
-    total = memo.get(key)
-    if total is not None:
-        return total
-    row = rows[rest]
-    total = 0
-    for c in range(0 if waiting else 1, rest + 1):
-        total += row[c] * _min_defect_walk(rows, memo, spots - 1, rest - c, waiting + c - 1)
-    memo[key] = total
-    return total
+def _min_defect_walk(n: int, s: int) -> int:
+    # ways[k][rest] counts the ways to give ``rest`` cars preferences among
+    # the last k + 1 spots so that each of them finds a car, when the
+    # n - rest cars placed, less one per spot passed, wait at the first of
+    # them.  The last spot takes every car left, at least n - s + 1 of
+    # them.  A spot keeps rest - c cars for the spots after it in
+    # C(rest, rest - c) ways, and with none waiting c is at least one.
+    # The spots after it are counted at fewer cars unplaced, so ``rest``
+    # runs up from 0 while the binomial row of ``rest`` grows by one; the
+    # first spot is reached with all n cars unplaced and none waiting.
+    ways = [[1] * (n + 1)] + [[0] * (n + 1) for _ in range(s - 2)]
+    row = [1]
+    for rest in range(n):
+        for k in range(1, s - 1):
+            waiting = n - rest - (s - 1 - k)
+            if waiting >= 0:
+                ways[k][rest] = sum(map(mul, row[: rest + 1 if waiting else rest], ways[k - 1]))
+        row = [1, *map(add, row, row[1:]), 1]
+    return sum(map(mul, row[:n], ways[s - 2]))

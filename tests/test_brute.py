@@ -206,6 +206,25 @@ def test_stream_memory_stays_small():
         assert peak < 2 * 2**20, (n, S, peak)
 
 
+def test_count_walks_hold_one_binomial_row():
+    # The walks grow the binomial row of the cars unplaced one row at a
+    # time: at 300 cars that row takes some 20 kB, where the whole triangle
+    # of rows 0..300 would take about 2 MB.
+    for count, args in (
+        (brute.count_restricted, (300, (1, 2))),
+        (brute.count_prime_restricted, (300, (1, 2))),
+        (brute.ones_distribution, (300, 2)),
+        (brute.count_min_defect, (300, 2)),
+    ):
+        tracemalloc.start()
+        try:
+            count(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**19, (count.__name__, args, peak)
+
+
 def test_enum_output_is_sorted_and_unique():
     listing = list(brute.enum_restricted(5, (1, 2, 4)))
     assert listing == sorted(set(listing))

@@ -1,5 +1,4 @@
 import contextlib
-import inspect
 import io
 import json
 import os
@@ -75,6 +74,8 @@ def test_count_json_says_whether_brute_force_checked_it(capsys):
         (("--n", "60", "--s", "20"), "brute"),
         (("--n", "3000", "--s", "1000"), None),
         (("--n", "4000", "--s", "3600"), None),
+        # the rows of 4000 cars and the one choice level take 8,006,001 steps
+        (("--n", "4000", "--s", "2", "--budget", "8006000"), None),
         (("--n", "60", "--s", "20", "--method", "alternating"), None),
         (("--n", "60", "--s", "20", "--method", "brute"), None),
         (("--n", "7", "--set", "1,4,7"), None),
@@ -94,21 +95,6 @@ def test_count_brute_force_reaches_the_walk_not_the_lists(capsys):
     spots = ",".join(map(str, range(1, 17)))
     code, out, err = run(capsys, "count", "pf", "--n", "16", "--set", spots, "--method", "brute")
     assert (code, err) == (0, "") and int(out) == 17**15
-
-
-def test_count_walk_deeper_than_the_recursion_limit_exits_2(capsys):
-    # the walk recurses once per allowed spot; past the interpreter's limit
-    # the count is refused like an over-budget one, without a traceback
-    spots = ",".join(map(str, range(1, 201)))
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
-    try:
-        code, out, err = run(
-            capsys, "count", "pf", "--n", "200", "--set", spots, "--method", "brute", "--budget", "1e9"
-        )
-    finally:
-        sys.setrecursionlimit(limit)
-    assert (code, out) == (2, "") and err.startswith("error: a walk over 200 spots exceeds"), err
 
 
 def test_count_prints_large_values_in_full(capsys):

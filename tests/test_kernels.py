@@ -16,10 +16,11 @@ from factorials and park every car of it on its own, so they reach
 sizes the odometer cannot.  The walks themselves are checked the same
 way: the parking walk against the factorial sizes of the sorted lists
 its occupancy bounds keep, and the census walk against each rotation
-class built from all its rotations.  Call counters hold the memoized
-walks to their step bound, ``brute.walk_steps``.
+class built from all its rotations.  Counted additions and
+multiplications hold the walks to their step bound, ``brute.walk_steps``.
 """
 
+import operator
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, factorial, prod
@@ -141,8 +142,8 @@ def orbit_cases():
 
 
 def test_count_walk_sums_the_factorial_sizes_of_the_bounded_multisets():
-    # The walk carries each size as a product of binomials and sums the
-    # last value's as a binomial row suffix; here each size is n!/prod(c_v!)
+    # The walk carries each size as a product of binomials, a level per
+    # value; here each size is n!/prod(c_v!)
     # over the multisets filtered from every sorted list by the bound as
     # the docstring of _occupancy_need states it.
     for n, values, need in orbit_cases():
@@ -151,34 +152,41 @@ def test_count_walk_sums_the_factorial_sizes_of_the_bounded_multisets():
             counts = tuple(map(entries.count, range(len(values))))
             if all(sum(counts[: j + 1]) >= bound for j, bound in enumerate(need)):
                 want += factorial(n) // prod(map(factorial, counts))
-        got = brute._count_walk(n, need, brute._binomial_rows(n), {}, 0, 0)
+        got = sum(brute._count_walk(n, need))
         assert got == want, (n, values, need)
         if not any(need):
             assert got == len(values) ** n, (n, values)
 
 
-def test_walks_visit_each_state_once(monkeypatch):
-    # Each call is one inner-loop step (or the top call), so the memoized
-    # walks stay within walk_steps.  A walk that visits every orbit instead
-    # makes hundreds of thousands of calls; the counter fails it at the
-    # limit rather than let it run.
-    for name, count, args, allowed in (
-        ("_count_walk", brute.count_restricted, (16, range(1, 17)), range(1, 17)),
-        ("_count_walk", brute.count_prime_restricted, (40, range(1, 41, 2)), range(1, 41, 2)),
-        ("_min_defect_walk", brute.count_min_defect, (40, 30), range(1, 31)),
+def test_walks_stay_within_their_step_bound(monkeypatch):
+    # Each step of the walks is one addition (a binomial row entry) or one
+    # multiplication (a choice weighted by its binomial), so counting both
+    # holds the walks, rows included, to walk_steps.  A walk that visits
+    # every orbit instead takes hundreds of thousands of steps; the counter
+    # fails it at the limit rather than let it run.
+    for count, args, allowed in (
+        (brute.count_restricted, (16, range(1, 17)), range(1, 17)),
+        (brute.count_prime_restricted, (40, range(1, 41, 2)), range(1, 41, 2)),
+        (brute.count_min_defect, (40, 30), range(1, 31)),
+        (brute.count_restricted, (300, (1, 2)), (1, 2)),
+        (brute.count_min_defect, (300, 2), (1, 2)),
     ):
-        walk, calls, limit = getattr(brute, name), [0], brute.walk_steps(args[0], allowed)
+        want, steps, limit = count(*args), [0], brute.walk_steps(args[0], allowed)
 
-        def counted(*walk_args):
-            calls[0] += 1
-            if calls[0] > limit:
-                raise AssertionError(f"{name} called more than {limit} times")
-            return walk(*walk_args)
+        def counted(op):
+            def step(a, b):
+                steps[0] += 1
+                if steps[0] > limit:
+                    raise AssertionError(f"{count.__name__}{args} took over {limit} steps")
+                return op(a, b)
+
+            return step
 
         with monkeypatch.context() as patch:
-            patch.setattr(brute, name, counted)
-            count(*args)
-        assert 1 < calls[0] <= limit, (name, args, calls[0], limit)
+            patch.setattr(brute, "add", counted(operator.add))
+            patch.setattr(brute, "mul", counted(operator.mul))
+            assert count(*args) == want
+        assert 0 < steps[0] <= limit, (count.__name__, args, steps[0], limit)
 
 
 def test_necklace_counts_yield_each_rotation_class_once_with_its_size():

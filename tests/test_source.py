@@ -162,11 +162,6 @@ ALLOWED = {
         "core._ints", "formulas._ints", "brute._check_ns", "formulas._check_ns",
         "brute._restriction", "brute.normalize_restriction", "circular._check_gsk",
     ), ("argument check", None)),
-    "brute._binomial_rows": (
-        "min-defect vs count_restricted, and the census vs the relation through"
-        " count_restricted, which the closed forms check",
-        ("brute.count_restricted", "formulas.restricted_subtractive"),
-    ),
     **dict.fromkeys(("formulas._binomial_coeffs", "formulas._ones_factor"), (
         "the ones pair, whose two sums cover disjoint ranges of i",
         ("brute.ones_distribution", "formulas.ones_poly_subtractive"),
@@ -366,7 +361,7 @@ def test_relation_sharing_with_the_census_is_detected():
     # what the relation reaches only through the census is the census's own
     through_census = RELATION.replace(", _least_period(g), _binomial_rows(g)", "")
     _assert_shares([
-        ({"circular": RELATION, **rest}, {CENSUS: ["circular._largest_period"]}),
+        ({"circular": RELATION, **rest}, {CENSUS: ["brute._binomial_rows", "circular._largest_period"]}),
         ({"circular": through_census, **rest}, {CENSUS: []}),
     ])
 
