@@ -46,7 +46,6 @@ _EXPORTS = {
         "prime_alternating", "prime_subtractive", "restricted_alternating",
         "restricted_subtractive", "routes",
     ),
-    "polynomial": ("IntPolynomial", "ONE", "X"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -5,8 +5,8 @@ is computed here from a formula alone; agreement between the two routes is
 enforced by the verification suites, never assumed.  :func:`routes` names,
 for one count request, its closed forms and the oracle that checks them;
 no form calls into :mod:`parkres.brute`, which is imported only when that
-oracle runs.  All arithmetic is exact (Python ints,
-:class:`fractions.Fraction`, :class:`IntPolynomial`).
+oracle runs.  All arithmetic is exact: Python ints, :class:`fractions.Fraction`,
+and the ones enumerators' coefficient tuples of ints, summed in place.
 
 Conventions used throughout, chosen so every identity holds verbatim:
 0**0 == 1; the factor (i+1)**(i-1) at i == 0 is 1; the factor x*(x+i)**(i-1)
@@ -20,7 +20,6 @@ from operator import index
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .exceptions import DomainError, NonIntegerIntermediate
-from .polynomial import ONE, IntPolynomial
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -338,43 +337,79 @@ def _binomial_coeffs(n: int, c: int) -> list:
     return coeffs
 
 
-def _ones_factor(i: int) -> IntPolynomial:
-    # x*(x+i)**(i-1), which counts parking functions of length i by their
-    # number of 1 entries.  The empty product at i == 0 is 1.
+def _ones_factor(i: int) -> list:
+    # The coefficients of x*(x+i)**(i-1), which counts parking functions of
+    # length i by their number of 1 entries.  The empty product at i == 0 is 1.
     if i == 0:
-        return ONE
-    return IntPolynomial([0] + _binomial_coeffs(i - 1, i))
+        return [1]
+    return [0] + _binomial_coeffs(i - 1, i)
 
 
-def ones_poly_subtractive(n: int, s: int) -> IntPolynomial:
-    """Generating polynomial of [s]-restricted parking functions by the
-    number of cars preferring spot 1:
+class Coefficients(tuple):
+    """A polynomial's integer coefficients, lowest degree first, with no
+    trailing zero.  It is a plain tuple, but for the three ways the
+    benchmark in ``perfbench`` reads and corrupts the ones enumerators: a
+    coefficient past the degree reads 0, a call evaluates at a point, and
+    adding an int shifts the constant coefficient."""
+
+    __slots__ = ()
+
+    def coefficient(self, k: int) -> int:
+        return self[k] if 0 <= k < len(self) else 0
+
+    def __call__(self, x):
+        """The value at ``x`` by Horner's rule."""
+        value = 0
+        for c in reversed(self):
+            value = value * x + c
+        return value
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            return Coefficients((self[0] + other,) + self[1:])
+        return super().__add__(other)
+
+
+# Both ones enumerators below are monic of degree n: every term has lower
+# degree than the leading one, (s-1+x)**n in the subtractive sum and
+# x*(x+n)**(n-1) in the alternating one.  So their n+1 coefficients end in
+# 1 and need no trimming.
+
+
+def ones_poly_subtractive(n: int, s: int) -> Coefficients:
+    """Coefficients, lowest degree first, of the generating polynomial of
+    [s]-restricted parking functions by the number of cars preferring
+    spot 1:
 
         (s-1+x)**n - sum_{i=0}^{s-1} C(n,i) * x(x+i)**(i-1) * (s-i-1)**(n-i)
     """
     n, s = _check_ns(n, s)
-    total = IntPolynomial(_binomial_coeffs(n, s - 1))
+    total = _binomial_coeffs(n, s - 1)
     c = 1  # C(n, i), walked up from C(n, 0)
-    for i in range(s):
-        total = total - c * (s - i - 1) ** (n - i) * _ones_factor(i)
+    for i in range(s - 1):  # the term i = s-1 has the factor 0**(n-s+1) = 0
+        scale = c * (s - i - 1) ** (n - i)
+        for j, f in enumerate(_ones_factor(i)):
+            total[j] -= scale * f
         c = c * (n - i) // (i + 1)
-    return total
+    return Coefficients(total)
 
 
-def ones_poly_alternating(n: int, s: int) -> IntPolynomial:
-    """The same enumerator as an alternating sum:
+def ones_poly_alternating(n: int, s: int) -> Coefficients:
+    """The same enumerator's coefficients as an alternating sum:
 
         sum_{i=s}^{n} C(n,i) * x(x+i)**(i-1) * (s-i-1)**(n-i)
 
     ``parkres verify abel`` compares it with :func:`ones_poly_subtractive`.
     """
     n, s = _check_ns(n, s)
-    total = IntPolynomial()
+    total = [0] * (n + 1)
     c = 1  # C(n, i), walked down from C(n, n)
     for i in range(n, s - 1, -1):
-        total = total + c * (s - i - 1) ** (n - i) * _ones_factor(i)
+        scale = c * (s - i - 1) ** (n - i)
+        for j, f in enumerate(_ones_factor(i)):
+            total[j] += scale * f
         c = c * i // (n - i + 1)
-    return total
+    return Coefficients(total)
 
 
 def _restricted_table(kind: str):
@@ -414,8 +449,7 @@ def _ones_table(n, s):
     poly = ones_poly_subtractive(n, s)
     check = ones_poly_alternating(n, s)
     mismatches = [] if poly == check else [f"n={n}, s={s}: subtractive {poly}, alternating {check}"]
-    row = [poly.coefficient(k) for k in range(n + 1)]
-    return [f"x^{k}" for k in range(n + 1)], [row], mismatches
+    return [f"x^{k}" for k in range(n + 1)], [list(poly)], mismatches
 
 
 # The families of ``parkres table``, by name.  Each maps the flags it

@@ -2,6 +2,7 @@ import inspect
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial, prod
+from operator import sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from parkres import brute, formulas
 from parkres.exceptions import DomainError, NonIntegerIntermediate
-from parkres.polynomial import ONE, X, IntPolynomial
 
 
 def test_totals():
@@ -185,17 +185,46 @@ def test_catalan_triangle_matches_orbit_counts():
             assert formulas.catalan_triangle(n, s - 1) == brute.count_nondecreasing_restricted(n, s)
 
 
+def _factor_coefficient(i, k):
+    """The x**k coefficient of x(x+i)**(i-1), the empty product 1 at i == 0."""
+    if i == 0:
+        return int(k == 0)
+    return comb(i - 1, k - 1) * i ** (i - k) if 1 <= k <= i else 0
+
+
+def _ones_factor_reference(i):
+    return tuple(_factor_coefficient(i, k) for k in range(i + 1))
+
+
 def test_ones_polynomials():
-    assert formulas.ones_poly_subtractive(1, 1) == X
-    assert formulas.ones_poly_alternating(1, 1) == X
-    assert formulas.ones_poly_subtractive(2, 2) == IntPolynomial((0, 2, 1))
+    assert formulas.ones_poly_subtractive(1, 1) == (0, 1)
+    assert formulas.ones_poly_alternating(1, 1) == (0, 1)
+    assert formulas.ones_poly_subtractive(2, 2) == (0, 2, 1)
     for n in range(1, 9):
         for s in range(1, n + 1):
             a = formulas.ones_poly_subtractive(n, s)
             b = formulas.ones_poly_alternating(n, s)
             assert a == b
-            assert a.coefficient(0) == 0
-        assert formulas.ones_poly_subtractive(n, n) == X * (X + n) ** (n - 1)
+            assert a[0] == 0
+        assert formulas.ones_poly_subtractive(n, n) == _ones_factor_reference(n)
+
+
+def test_ones_forms_read_as_plain_tuples():
+    # the benchmark's checks compare the forms with ==, read coefficient(k)
+    # and evaluate at 1; its tests corrupt a form by adding 1
+    for n, s in [(1, 1), (5, 2), (6, 6), (9, 4)]:
+        count = brute.count_restricted(n, range(1, s + 1))
+        for form in (formulas.ones_poly_subtractive, formulas.ones_poly_alternating):
+            coeffs = form(n, s)
+            assert isinstance(coeffs, tuple) and coeffs == tuple(coeffs)
+            assert len(coeffs) == n + 1 and coeffs[-1] != 0
+            assert [coeffs.coefficient(k) for k in (-1, n + 1, n + 5)] == [0, 0, 0]
+            assert [coeffs.coefficient(k) for k in range(n + 1)] == list(coeffs)
+            assert coeffs(1) == sum(coeffs) == count
+            half = Fraction(1, 2)
+            assert coeffs(half) == sum(c * half**k for k, c in enumerate(coeffs))
+            assert coeffs + 1 == (1,) + coeffs[1:] and (coeffs + 1)(1) == count + 1
+            assert coeffs + (7,) == tuple(coeffs) + (7,)
 
 
 # The closed forms as plain sums, one math.comb per term: the references
@@ -217,14 +246,13 @@ REFERENCE_COUNTS = {
 
 
 def _ones_reference(n, s, indices):
-    """sum over ``indices`` of C(n,i) * x(x+i)**(i-1) * (s-i-1)**(n-i)."""
-    total = IntPolynomial()
-    for i in indices:
-        factor = ONE if i == 0 else IntPolynomial(
-            [0] + [comb(i - 1, j) * i ** (i - 1 - j) for j in range(i)]
-        )
-        total = total + comb(n, i) * (s - i - 1) ** (n - i) * factor
-    return total
+    """The coefficients of degree 0..n of the sum over ``indices`` of
+    C(n,i) * x(x+i)**(i-1) * (s-i-1)**(n-i)."""
+    scales = {i: comb(n, i) * (s - i - 1) ** (n - i) for i in indices}
+    return tuple(
+        sum(scale * _factor_coefficient(i, k) for i, scale in scales.items())
+        for k in range(n + 1)
+    )
 
 
 def _large_sizes(n, strict):
@@ -244,8 +272,8 @@ def test_ones_forms_match_reference_at_large_n(n):
         # both forms are the same polynomial, so each is compared with
         # whichever reference sum has fewer terms
         if s <= n // 2:
-            base = IntPolynomial([comb(n, j) * (s - 1) ** (n - j) for j in range(n + 1)])
-            want = base - _ones_reference(n, s, range(s))
+            base = [comb(n, j) * (s - 1) ** (n - j) for j in range(n + 1)]
+            want = tuple(map(sub, base, _ones_reference(n, s, range(s))))
         else:
             want = _ones_reference(n, s, range(s, n + 1))
         assert formulas.ones_poly_subtractive(n, s) == want, (n, s)
@@ -253,15 +281,15 @@ def test_ones_forms_match_reference_at_large_n(n):
 
 
 def test_ones_factor_expansion():
-    assert formulas._ones_factor(0) == ONE
-    for i in range(1, 41):
-        assert formulas._ones_factor(i) == X * (X + i) ** (i - 1)
+    for i in range(41):
+        assert tuple(formulas._ones_factor(i)) == _ones_factor_reference(i)
 
 
 def test_binomial_coeffs_expansion():
     for n in range(1, 31):
         for s in range(1, n + 1):
-            assert IntPolynomial(formulas._binomial_coeffs(n, s - 1)) == (X + (s - 1)) ** n
+            want = tuple(comb(n, j) * (s - 1) ** (n - j) for j in range(n + 1))
+            assert tuple(formulas._binomial_coeffs(n, s - 1)) == want
 
 
 def test_ones_polynomials_match_distribution():
@@ -269,8 +297,8 @@ def test_ones_polynomials_match_distribution():
         for s in range(1, n + 1):
             poly = formulas.ones_poly_subtractive(n, s)
             dist = brute.ones_distribution(n, s)
-            assert tuple(poly.coefficient(i) for i in range(1, n + 1)) == dist
-            assert poly(1) == brute.count_restricted(n, range(1, s + 1))
+            assert poly[1:] == dist
+            assert sum(poly) == brute.count_restricted(n, range(1, s + 1))
 
 
 def test_abel_check():

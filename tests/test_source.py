@@ -281,6 +281,7 @@ SUMS = [
 ]
 WALKS = ("brute.count_min_defect", "brute.count_restricted")
 CENSUS = ("circular.modular_census", "circular.verify_relation")
+ONES = ("formulas.ones_poly_alternating", "formulas.ones_poly_subtractive")
 
 
 def test_count_forms_share_no_private_helper():
@@ -298,6 +299,20 @@ def test_min_defect_does_not_reach_the_parking_route():
 
 def test_relation_shares_no_walk_with_the_census():
     assert _shares(_package_index(), [CENSUS]) == {CENSUS: []}
+
+
+def test_ones_forms_share_only_the_allowed_helpers():
+    # each form sums its terms in a loop of its own: what the two share is
+    # the argument check and the two coefficient builders, each allowed
+    # with its reason
+    index = _package_index()
+    assert ONES in _compared_pairs(index)
+    builders = ["formulas._binomial_coeffs", "formulas._ones_factor"]
+    checks = ["formulas._check_ns", "formulas._ints"]
+    assert _shares(index, [ONES], allowed=set()) == {ONES: sorted(builders + checks)}
+    assert [ALLOWED[name][0] for name in checks] == ["argument check"] * 2
+    for name in builders:
+        assert ALLOWED[name][0].startswith("the ones pair"), name
 
 
 # Twin sources for the audit, each a small package of its own.
@@ -381,6 +396,15 @@ def test_route_sharing_is_detected():
         "def sub(n, s):\n    return _check_ns(_ones_factor(n), _binomial_coeffs(n, s))\n"
         "def alt(n, s):\n    return _check_ns(n, _ones_factor(s))\n"
     )
+    # the ones pair adding its terms through one helper, not each in its own loop
+    accumulated = (
+        "def _binomial_coeffs(n, c):\n    return [c] * n\n"
+        "def _ones_factor(i):\n    return _binomial_coeffs(i - 1, i)\n"
+        "def _add_scaled(total, scale, factor):\n"
+        "    for j, f in enumerate(factor):\n        total[j] += scale * f\n    return total\n"
+        "def sub(n, s):\n    return _add_scaled(_binomial_coeffs(n, s), -1, _ones_factor(s))\n"
+        "def alt(n, s):\n    return _add_scaled([0] * n, 1, _ones_factor(n))\n"
+    )
     across = {  # brute and formulas both reach a private helper of core
         "core": CORE,
         "brute": "from .core import _odd_part\ndef count(n):\n    return _odd_part(n)\n",
@@ -390,6 +414,7 @@ def test_route_sharing_is_detected():
         ({"formulas": two_deep}, {FORMS: ["formulas._power_product"]}),
         (across, {("formulas.sub", "brute.count"): ["core._odd_part"]}),
         ({"formulas": allowed}, {FORMS: []}),
+        ({"formulas": accumulated}, {FORMS: ["formulas._add_scaled"]}),
     ])
 
 

@@ -102,7 +102,7 @@ CASES = [
         lambda: verify.check_orbits(3), ["orbits", "--n-max", "3"], "n=3, s=2",
     ),
     (
-        formulas, "ones_poly_subtractive", (4, 2), _plus_one,
+        formulas, "ones_poly_subtractive", (4, 2), _bump_first,
         lambda: verify.check_abel(2), ["abel", "--n-max", "2"], "n=4, s=2",
     ),
     (
