@@ -25,6 +25,8 @@ from .exceptions import (
     NotInShiftedSet,
     NotPrime,
     NotRestricted,
+    PreferenceOutOfRange,
+    _ints,
 )
 
 
@@ -91,9 +93,13 @@ def u_vector(allowed: Iterable[int], n: int) -> tuple:
 
 
 def is_u_parking(prefs: Sequence[int], u: Sequence[int]) -> bool:
-    """True iff the i-th smallest preference is at most u_i for all i."""
+    """True iff the i-th smallest preference is at most u_i for all i; the
+    entries of both are integers, and the preferences at least 1."""
+    prefs, u = _ints(*prefs), _ints(*u)
     if len(prefs) != len(u):
         raise DomainError("preference list and bound vector differ in length")
+    if min(prefs, default=1) < 1:
+        raise PreferenceOutOfRange(f"preference {min(prefs)} in {prefs} is below spot 1")
     return all(p <= b for p, b in zip(sorted(prefs), u))
 
 

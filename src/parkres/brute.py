@@ -51,43 +51,23 @@ These are the trusted, independent counterparts of the closed forms in
 from __future__ import annotations
 
 from itertools import accumulate, chain, repeat
-from operator import add, index, mul
+from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
-from .core import _ints
-from .exceptions import DomainError, EmptyRestriction, ParkresError
-
-
-def _restriction(n: int, allowed: Iterable[int]) -> tuple:
-    """``n`` and the sorted, distinct allowed spots, as ints.
-
-    n must be at least 0 and, when cars are present, every spot must lie
-    inside [1, n].
-    """
-    try:
-        n = index(n)
-        elems = tuple(sorted(set(map(index, allowed))))
-    except TypeError:
-        raise DomainError(f"need integer arguments, got n={n!r}, allowed={allowed!r}") from None
-    if n < 0:
-        raise DomainError(f"need n >= 0, got {n}")
-    if n and elems and not (1 <= elems[0] and elems[-1] <= n):
-        raise DomainError(f"restriction {elems} not contained in 1..{n}")
-    return n, elems
-
-
-def _check_ns(n: int, s: int) -> tuple:
-    n, s = _ints(n, s)
-    if not 1 <= s <= n:
-        raise DomainError(f"need 1 <= s <= n, got s={s}, n={n}")
-    return n, s
+from .exceptions import (
+    EmptyRestriction,
+    ParkresError,
+    _check_ns,
+    _check_permutation,
+    _check_restriction,
+)
 
 
 def normalize_restriction(n: int, allowed: Iterable[int]) -> tuple:
     """Sorted tuple of the distinct allowed spots, checked to be integers
     inside [1, n] when cars are present; with none (n = 0) the spots are
     ignored, as the counts and streams ignore them."""
-    return _restriction(n, allowed)[1]
+    return _check_restriction(n, allowed)[1]
 
 
 def _binomial_rows(n: int) -> list:
@@ -123,7 +103,7 @@ def walk_steps(n: int, allowed: Iterable[int]) -> int:
     still unplaced fix its state at each spot.  With one allowed spot (or
     no cars) there is no walk.
     """
-    n, elems = _restriction(n, allowed)
+    n, elems = _check_restriction(n, allowed)
     return max(len(elems) - 1, 0) * (n + 1) * (n + 2) // 2
 
 
@@ -252,7 +232,7 @@ def enum_restricted(n: int, allowed: Iterable[int]) -> Iterator[tuple]:
     The arguments are checked when the function is called, before the
     first ``next()``.
     """
-    n, elems = _restriction(n, allowed)
+    n, elems = _check_restriction(n, allowed)
     if n == 0:
         return iter([()])
     if not elems:
@@ -267,7 +247,7 @@ def enum_prime_restricted(n: int, allowed: Iterable[int]) -> Iterator[tuple]:
     The arguments are checked when the function is called, before the
     first ``next()``.
     """
-    n, elems = _restriction(n, allowed)
+    n, elems = _check_restriction(n, allowed)
     if n == 0:
         return iter([()])
     if not elems:
@@ -278,7 +258,7 @@ def enum_prime_restricted(n: int, allowed: Iterable[int]) -> Iterator[tuple]:
 def count_restricted(n: int, allowed: Iterable[int]) -> int:
     """Number of parking functions with all preferences in ``allowed``,
     counted by enumeration without materializing the set."""
-    n, elems = _restriction(n, allowed)
+    n, elems = _check_restriction(n, allowed)
     if n == 0:
         return 1
     if not elems:
@@ -288,7 +268,7 @@ def count_restricted(n: int, allowed: Iterable[int]) -> int:
 
 def count_prime_restricted(n: int, allowed: Iterable[int]) -> int:
     """Number of prime parking functions with preferences in ``allowed``."""
-    n, elems = _restriction(n, allowed)
+    n, elems = _check_restriction(n, allowed)
     if n == 0:
         return 1
     if not elems:
@@ -338,12 +318,8 @@ def fiber_size_bruteforce(sigma: Sequence[int], s: int) -> int:
     ``sigma`` puts car j.  Every preference that lands it there leaves the
     same occupancy, so the numbers of such preferences multiply.
     """
-    s, *sigma = _ints(s, *sigma)
-    n = len(sigma)
-    if sorted(sigma) != list(range(1, n + 1)):
-        raise DomainError(f"{tuple(sigma)} is not a permutation of 1..{n}")
-    if not 1 <= s <= n:
-        raise DomainError(f"need 1 <= s <= n, got s={s}, n={n}")
+    sigma = _check_permutation(sigma)
+    n, s = _check_ns(len(sigma), s)
     spot_of = {car: spot for spot, car in enumerate(sigma)}
     taken = [False] * n
     total = 1

@@ -20,13 +20,14 @@ from math import comb, factorial
 from typing import Iterator, NamedTuple, Sequence
 
 from .brute import _binomial_rows, count_restricted
-from .core import _ints
 from .exceptions import (
     BadModularPreference,
     BudgetExceeded,
     DomainError,
     NonIntegerIntermediate,
     NotBlockAligned,
+    _check_gsk,
+    _ints,
 )
 
 
@@ -202,16 +203,6 @@ def canonical_class(lam: tuple, mu: tuple) -> tuple:
     return tuple(p[0] for p in best), tuple(p[1] for p in best)
 
 
-def _check_gsk(g: int, s: int, k: int, strict: bool) -> tuple:
-    """(g, s, k) as ints, with g, s >= 1 and 1 <= k <= g*s (k < g*s when
-    ``strict``: at least one car)."""
-    g, s, k = _ints(g, s, k)
-    if g < 1 or s < 1 or not 1 <= k <= g * s - strict:
-        bound = "<" if strict else "<="
-        raise DomainError(f"need g, s >= 1 and 1 <= k {bound} g*s, got g={g}, s={s}, k={k}")
-    return g, s, k
-
-
 def _necklace_counts(m: int, s: int) -> Iterator[tuple]:
     """Yield ``(counts, weight)`` for each rotation class of the ways to
     put m cars into s rows.
@@ -298,7 +289,7 @@ def modular_census(g: int, s: int, k: int) -> dict:
     cyclic rotation.  Returns ``{(lam, mu): count}``; the counts sum to
     s**(g*s - k).  Needs g, s >= 1 and 1 <= k <= g*s.
     """
-    g, s, k = _check_gsk(g, s, k, strict=False)
+    g, s, k = _check_gsk(g, s, k)
     fills: dict = {}
     for counts, weight in _necklace_counts(g * s - k, s):
         over = 0

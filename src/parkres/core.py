@@ -14,10 +14,9 @@ it needs and range-checks against it.
 
 from __future__ import annotations
 
-from operator import index
 from typing import NamedTuple, Sequence
 
-from .exceptions import DomainError, NotAParkingFunction, PreferenceOutOfRange
+from .exceptions import DomainError, NotAParkingFunction, PreferenceOutOfRange, _ints
 
 #: Marker used in occupancy sequences for a spot with no car in it.
 EMPTY = None
@@ -42,15 +41,6 @@ class ParkingResult(NamedTuple):
     @property
     def parked(self) -> int:
         return sum(1 for car in self.occupancy if car is not EMPTY)
-
-
-def _ints(*values) -> tuple:
-    """The arguments as Python ints; a float, even a whole one, or any
-    other non-integer raises :class:`DomainError`."""
-    try:
-        return tuple(map(index, values))
-    except TypeError:
-        raise DomainError(f"need integer arguments, got {values!r}") from None
 
 
 def validate_prefs(prefs: Sequence[int], limit: int) -> tuple:
@@ -110,15 +100,21 @@ def catalan_check(prefs: Sequence[int]) -> bool:
     Equivalent to :func:`is_parking_function` but decided by counting
     instead of simulation; the two are cross-checked in the test suite.
     """
+    return _occupancy(prefs, strict=False)
+
+
+def _occupancy(prefs: Sequence[int], strict: bool) -> bool:
+    # at least i entries <= i for every i up to the length, or more than i
+    # for every i below it when ``strict``
     prefs = validate_prefs(prefs, len(prefs))
     n = len(prefs)
     counts = [0] * (n + 1)
     for p in prefs:
         counts[p] += 1
     running = 0
-    for i in range(1, n + 1):
+    for i in range(1, n + 1 - strict):
         running += counts[i]
-        if running < i:
+        if running < i + strict:
             return False
     return True
 
@@ -137,17 +133,7 @@ def is_prime(prefs: Sequence[int]) -> bool:
     starts at 1 and afterwards stays strictly below its position.  The
     single list (1,) of length 1 is prime (the condition is vacuous).
     """
-    prefs = validate_prefs(prefs, len(prefs))
-    n = len(prefs)
-    counts = [0] * (n + 1)
-    for p in prefs:
-        counts[p] += 1
-    running = 0
-    for i in range(1, n):
-        running += counts[i]
-        if running <= i:
-            return False
-    return True
+    return _occupancy(prefs, strict=True)
 
 
 def outcome_permutation(prefs: Sequence[int]) -> tuple:

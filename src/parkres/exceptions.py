@@ -1,4 +1,9 @@
-"""Exception types raised by the library."""
+"""Exception types raised by the library, and the argument checks that
+raise :class:`DomainError`, each rule written once for every module.
+Arguments are integers only: a float, even a whole one, or any other
+non-integer raises :class:`DomainError`, as does an integer out of range."""
+
+from operator import index
 
 
 class ParkresError(Exception):
@@ -62,3 +67,65 @@ class NonIntegerIntermediate(ParkresError):
 
 class BudgetExceeded(ParkresError):
     """An exhaustive verification would enumerate more lists than allowed."""
+
+
+def _ints(*values) -> tuple:
+    """The arguments as Python ints; a float, even a whole one, or any
+    other non-integer raises :class:`DomainError`."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        raise DomainError(f"need integer arguments, got {values!r}") from None
+
+
+def _check_n(n: int) -> int:
+    """``n`` as an int, at least 1."""
+    (n,) = _ints(n)
+    if n < 1:
+        raise DomainError(f"need n >= 1, got n={n}")
+    return n
+
+
+def _check_ns(n: int, s: int, strict: bool = False) -> tuple:
+    """(n, s) as ints with 1 <= s <= n (s < n when ``strict``)."""
+    n, s = _ints(n, s)
+    if not 1 <= s <= n - strict:
+        raise DomainError(f"need 1 <= s {'<' if strict else '<='} n, got s={s}, n={n}")
+    return n, s
+
+
+def _check_gsk(g: int, s: int, k: int, strict: bool = False) -> tuple:
+    """(g, s, k) as ints, with g, s >= 1 and 1 <= k <= g*s (k < g*s when
+    ``strict``: at least one car)."""
+    g, s, k = _ints(g, s, k)
+    if g < 1 or s < 1 or not 1 <= k <= g * s - strict:
+        bound = "<" if strict else "<="
+        raise DomainError(f"need g, s >= 1 and 1 <= k {bound} g*s, got g={g}, s={s}, k={k}")
+    return g, s, k
+
+
+def _check_permutation(sigma) -> tuple:
+    """``sigma`` as a tuple of ints, a permutation of 1..len(sigma)."""
+    sigma = _ints(*sigma)
+    n = len(sigma)
+    if sorted(sigma) != list(range(1, n + 1)):
+        raise DomainError(f"{sigma} is not a permutation of 1..{n}")
+    return sigma
+
+
+def _check_restriction(n: int, allowed) -> tuple:
+    """``n`` and the sorted, distinct allowed spots, as ints.
+
+    n must be at least 0 and, when cars are present, every spot must lie
+    inside [1, n].
+    """
+    try:
+        n = index(n)
+        elems = tuple(sorted(set(map(index, allowed))))
+    except TypeError:
+        raise DomainError(f"need integer arguments, got n={n!r}, allowed={allowed!r}") from None
+    if n < 0:
+        raise DomainError(f"need n >= 0, got n={n}")
+    if n and elems and not (1 <= elems[0] and elems[-1] <= n):
+        raise DomainError(f"restriction {elems} not contained in 1..{n}")
+    return n, elems

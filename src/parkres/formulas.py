@@ -16,29 +16,25 @@ at i == 0 is the constant 1 (which also covers x == 0).
 from __future__ import annotations
 
 from math import comb
-from operator import index
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .exceptions import DomainError, NonIntegerIntermediate
+from .exceptions import (
+    DomainError,
+    NonIntegerIntermediate,
+    _check_gsk,
+    _check_n,
+    _check_ns,
+    _check_permutation,
+    _ints,
+)
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 
-def _ints(*values) -> tuple:
-    """The arguments as Python ints; a float, even a whole one, or any
-    other non-integer raises :class:`DomainError`."""
-    try:
-        return tuple(map(index, values))
-    except TypeError:
-        raise DomainError(f"need integer arguments, got {values!r}") from None
-
-
 def pf_total(n: int) -> int:
     """Number of parking functions on n cars: (n+1)**(n-1)."""
-    (n,) = _ints(n)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    n = _check_n(n)
     return (n + 1) ** (n - 1)
 
 
@@ -47,17 +43,8 @@ def ppf_total(n: int) -> int:
 
     For n == 1 this is 0**0 == 1, matching the single prime list (1,).
     """
-    (n,) = _ints(n)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    n = _check_n(n)
     return (n - 1) ** (n - 1)
-
-
-def _check_ns(n: int, s: int) -> tuple:
-    n, s = _ints(n, s)
-    if not 1 <= s <= n:
-        raise DomainError(f"need 1 <= s <= n, got s={s}, n={n}")
-    return n, s
 
 
 def _power_pair(a: int, e: int, b: int, f: int) -> int:
@@ -205,9 +192,7 @@ def prime_subtractive(n: int, s: int) -> int:
     is left out; the others are summed as in
     :func:`restricted_subtractive`.
     """
-    n, s = _ints(n, s)
-    if not 1 <= s < n:
-        raise DomainError(f"need 1 <= s < n, got s={s}, n={n}")
+    n, s = _check_ns(n, s, strict=True)
     _, q, t = _rising_binomial_series(
         n, 1, s - 1, lambda i: _power_product(i - 1, i - 1, s - i, n - i)
     )
@@ -228,9 +213,7 @@ def prime_alternating(n: int, s: int) -> int:
     (:func:`_binomial_series`), whose T / Q must divide exactly; a
     remainder raises :class:`NonIntegerIntermediate`.
     """
-    n, s = _ints(n, s)
-    if not 1 <= s < n:
-        raise DomainError(f"need 1 <= s < n, got s={s}, n={n}")
+    n, s = _check_ns(n, s, strict=True)
     _, q, t = _binomial_series(
         n, s + 1, n, lambda i: _power_pair(i - 1, i - 1, s - i, n - i)
     )
@@ -321,9 +304,7 @@ def catalan_triangle(n: int, k: int) -> int:
 
 def catalan_number(n: int) -> int:
     """The n-th Catalan number (diagonal of the triangle)."""
-    (n,) = _ints(n)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    n = _check_n(n)
     return catalan_triangle(n, n - 1)
 
 
@@ -490,9 +471,7 @@ def abel_check(n: int, x, y) -> AbelCheck:
     """
     from fractions import Fraction  # only here, to keep it out of every CLI start
 
-    (n,) = _ints(n)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got {n}")
+    n = _check_n(n)
     x = Fraction(x)
     y = Fraction(y)
     lhs = (x + y + n) ** n
@@ -507,27 +486,21 @@ def abel_check(n: int, x, y) -> AbelCheck:
     return AbelCheck(lhs == rhs, lhs, rhs)
 
 
-def _check_permutation(sigma: Sequence[int]) -> int:
-    n = len(sigma)
-    if sorted(sigma) != list(range(1, n + 1)):
-        raise DomainError(f"{tuple(sigma)} is not a permutation of 1..{n}")
-    return n
-
-
 def max_run_length(sigma: Sequence[int], i: int) -> int:
     """Length of the longest contiguous window of ``sigma`` ending at
     position ``i`` (1-based) whose maximum is ``sigma[i-1]``."""
-    n = _check_permutation(sigma)
+    sigma = _check_permutation(sigma)
     (i,) = _ints(i)
+    n = len(sigma)
     if not 1 <= i <= n:
         raise DomainError(f"position {i} outside 1..{n}")
+    return _run_length(sigma, i)
+
+
+def _run_length(sigma: tuple, i: int) -> int:
+    # back from position i to just after the last larger entry, or to 1
     top = sigma[i - 1]
-    length = 0
-    for j in range(i - 1, -1, -1):
-        if sigma[j] > top:
-            break
-        length += 1
-    return length
+    return next((i - j for j in range(i - 1, 0, -1) if sigma[j - 1] > top), i)
 
 
 def fiber_size_formula(sigma: Sequence[int], s: int) -> int:
@@ -540,13 +513,11 @@ def fiber_size_formula(sigma: Sequence[int], s: int) -> int:
     may have preferred any spot of the longest window ending at i that it
     dominates, minus the spots beyond s.
     """
-    n = _check_permutation(sigma)
-    (s,) = _ints(s)
-    if not 1 <= s <= n:
-        raise DomainError(f"need 1 <= s <= n, got s={s}, n={n}")
+    sigma = _check_permutation(sigma)
+    n, s = _check_ns(len(sigma), s)
     total = 1
     for i in range(1, n + 1):
-        choices = max_run_length(sigma, i) - max(0, i - s)
+        choices = _run_length(sigma, i) - max(0, i - s)
         if choices <= 0:
             return 0
         total *= choices
@@ -555,10 +526,9 @@ def fiber_size_formula(sigma: Sequence[int], s: int) -> int:
 
 def mod_count_k1(g: int, s: int) -> int:
     """Number of parking functions of length g*s - 1 whose preferences are
-    limited to the first spot of each of s rows of g spots: s**(g*s - 2)."""
-    g, s = _ints(g, s)
-    if g < 1 or s < 1 or g * s < 2:
-        raise DomainError(f"need g, s >= 1 and g*s >= 2, got g={g}, s={s}")
+    limited to the first spot of each of s rows of g spots: s**(g*s - 2).
+    That is :func:`mod_count` at k = 1, with at least one car."""
+    g, s, _ = _check_gsk(g, s, 1, strict=True)
     return s ** (g * s - 2)
 
 
@@ -603,10 +573,7 @@ def mod_count(g: int, s: int, k: int) -> int:
     raises :class:`NonIntegerIntermediate` (it would indicate a bug, the
     result is provably a nonnegative integer).
     """
-    g, s, k = _ints(g, s, k)
-    if g < 1 or s < 1 or not 1 <= k <= g * s:
-        raise DomainError(f"need g, s >= 1 and 1 <= k <= g*s, got {g}, {s}, {k}")
-    return _mod_count(g, s, k)
+    return _mod_count(*_check_gsk(g, s, k))
 
 
 def _mod_count(g: int, s: int, k: int) -> int:

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from . import bijections, brute, circular, core, formulas
 from .bijections import FIXED_POINT, ColoredPF
-from .exceptions import DomainError, ParkresError
+from .exceptions import DomainError, ParkresError, _ints
 
 
 class Check(NamedTuple):
@@ -364,7 +364,10 @@ def _modular_job(args) -> Check:
 
 def _modular_jobs(budget: int) -> list:
     """The (g, s, k, budget) jobs of :func:`check_modular`: every k within
-    budget.  Raises :class:`DomainError` when none fits."""
+    budget.  Raises :class:`DomainError` when none fits or the budget is
+    not a number."""
+    if not isinstance(budget, (int, float)):
+        raise DomainError(f"need a number for the budget, got {budget!r}")
     jobs = sorted(
         (g, s, k, budget)
         for g, s in MODULAR_PAIRS
@@ -420,9 +423,10 @@ def run_suite(name: str, n_max=None, budget=None) -> list:
     """Run one named suite (or ``all``) and return its checks.
 
     An unknown name, an ``n_max`` given to ``modular`` (which checks every
-    (g, s, k) within the budget) or too small for every check of a suite
-    to compare a case, or a budget that no modular job fits, raises
-    :class:`DomainError` before any check runs.
+    (g, s, k) within the budget), not an integer, or too small for every
+    check of a suite to compare a case, or a budget that is not a number
+    or that no modular job fits, raises :class:`DomainError` before any
+    check runs.
     """
     if name not in suite_names():
         raise DomainError(f"unknown verify suite {name!r} (known: {', '.join(suite_names())})")
@@ -430,6 +434,7 @@ def run_suite(name: str, n_max=None, budget=None) -> list:
     if n_max is not None and keys == ["modular"]:
         raise DomainError("--n-max cannot be used with verify modular, which reads --budget")
     if n_max is not None:
+        (n_max,) = _ints(n_max)
         least = max(_SUITES[key][0] or n_max for key in keys)
         if n_max < least:
             raise DomainError(f"verify {name} needs --n-max >= {least}, got {n_max}")

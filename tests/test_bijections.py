@@ -5,11 +5,13 @@ import pytest
 from parkres import bijections, brute, core
 from parkres.bijections import FIXED_POINT, Color, ColoredPF
 from parkres.exceptions import (
+    DomainError,
     InvalidColoring,
     MissingOne,
     NotInShiftedSet,
     NotPrime,
     NotRestricted,
+    PreferenceOutOfRange,
 )
 
 
@@ -96,6 +98,20 @@ def test_to_u_parking_examples():
         bijections.to_u_parking((1, 2, 2), (1, 3))
     with pytest.raises(NotRestricted):
         bijections.to_u_parking((3, 3, 3), (1, 3))
+
+
+def test_is_u_parking_rejects_bad_input():
+    # the same rules as the core predicates: integer entries, and no
+    # preference below spot 1
+    with pytest.raises(PreferenceOutOfRange):
+        bijections.is_u_parking((0, 1), (1, 2))
+    with pytest.raises(PreferenceOutOfRange):
+        core.catalan_check((0, 1))
+    for prefs, u in [((1, 1), (1.5, 2)), ((1.0, 1), (1, 2)), (("1",), (1,))]:
+        with pytest.raises(DomainError):
+            bijections.is_u_parking(prefs, u)
+    assert bijections.is_u_parking((2, 1), (1, 2))
+    assert not bijections.is_u_parking((2, 2), (1, 2))
 
 
 def test_u_parking_image_characterization():

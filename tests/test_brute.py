@@ -60,6 +60,7 @@ NON_INTEGER_CALLS = [
     ("count_nondecreasing_restricted", (3.0, 2)),
     ("ones_distribution", (3, 2.0)),
     ("fiber_size_bruteforce", ((2, 1), 2.0)),
+    ("fiber_size_bruteforce", ((1.0, 2.0, 3.0), 2)),
     ("count_min_defect", (3.0, 2)),
     ("walk_steps", (3, (1, 2.0))),
 ]

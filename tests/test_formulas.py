@@ -508,7 +508,9 @@ NON_INTEGER_CALLS = [
     ("ones_poly_alternating", (3, 2.0)),
     ("abel_check", (2.0, 1, 1)),
     ("max_run_length", ((1, 2), 2.0)),
+    ("max_run_length", ((1.0, 2.0, 3.0), 1)),
     ("fiber_size_formula", ((1, 2), 2.0)),
+    ("fiber_size_formula", ((1.0, 2.0, 3.0), 2)),
     ("mod_count_k1", (2.0, 3)),
     ("mod_count", (2, 3, 1.0)),
 ]

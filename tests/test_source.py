@@ -21,6 +21,34 @@ def test_library_has_no_assert():
     assert not found, f"assertions in library code: {found}"
 
 
+def _argument_checks(trees):
+    """Where each ``_ints`` and ``_check_*`` function of ``trees`` is
+    defined, as ``module.name``."""
+    return sorted(
+        f"{name}.{node.name}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and (node.name == "_ints" or node.name.startswith("_check_"))
+    )
+
+
+def test_argument_checks_live_in_exceptions():
+    # each argument rule is written once, beside the DomainError it raises
+    checks = _argument_checks(TREES)
+    assert "exceptions._ints" in checks
+    assert [name for name in checks if not name.startswith("exceptions.")] == []
+
+
+def test_argument_check_copy_is_detected():
+    trees = {
+        "exceptions": ast.parse("def _ints(*v):\n    return v\n"),
+        "formulas": ast.parse("def _check_ns(n, s):\n    return n, s\ndef _check(x):\n    return x\n"),
+        "brute": ast.parse("def f(n):\n    def _ints(*v):\n        return v\n    return _ints(n)\n"),
+    }
+    assert _argument_checks(trees) == ["brute._ints", "exceptions._ints", "formulas._check_ns"]
+
+
 def _assertions(tree):
     """Lines of the assert statements and of the raises of
     ``AssertionError``: a failed check in library code names a
@@ -114,8 +142,8 @@ def _imported(tree):
 
 def test_oracles_import_nothing_from_formulas():
     # brute and circular are the independent checks of formulas: they keep
-    # their own argument checks and helpers rather than borrow those of
-    # the route they check
+    # their own helpers rather than borrow those of the route they check,
+    # and share with it only the argument checks of ``exceptions``
     for name in ("brute", "circular"):
         imported = _imported(TREES[name])
         assert imported and not any(part.split(".")[-1] == "formulas" for part in imported), name
@@ -154,13 +182,15 @@ ROUTES = [
 
 # The route-independence audit: no two routes compared by a check may
 # reach the same package function or private module-level state, but the
-# argument checks and the shares by design below.  Each share gives its
-# reason and an audited pair in which only one side reaches it: a route
-# outside the share that also checks it.
+# argument checks, every function of ``exceptions``, and the shares by
+# design below.  Each share by design gives its reason and an audited pair
+# in which only one side reaches it: a route outside the share that also
+# checks it.
 ALLOWED = {
     **dict.fromkeys((
-        "core._ints", "formulas._ints", "brute._check_ns", "formulas._check_ns",
-        "brute._restriction", "brute.normalize_restriction", "circular._check_gsk",
+        f"exceptions.{node.name}"
+        for node in TREES["exceptions"].body
+        if isinstance(node, ast.FunctionDef)
     ), ("argument check", None)),
     **dict.fromkeys(("formulas._binomial_coeffs", "formulas._ones_factor"), (
         "the ones pair, whose two sums cover disjoint ranges of i",
@@ -308,7 +338,7 @@ def test_ones_forms_share_only_the_allowed_helpers():
     index = _package_index()
     assert ONES in _compared_pairs(index)
     builders = ["formulas._binomial_coeffs", "formulas._ones_factor"]
-    checks = ["formulas._check_ns", "formulas._ints"]
+    checks = ["exceptions._check_ns", "exceptions._ints"]
     assert _shares(index, [ONES], allowed=set()) == {ONES: sorted(builders + checks)}
     assert [ALLOWED[name][0] for name in checks] == ["argument check"] * 2
     for name in builders:
@@ -317,11 +347,15 @@ def test_ones_forms_share_only_the_allowed_helpers():
 
 # Twin sources for the audit, each a small package of its own.
 FORMS = ("formulas.sub", "formulas.alt")
-CORE = "def _ints(*v):\n    return v\ndef _odd_part(n):\n    return n >> 1\n"
-RELATION = (
-    "from .core import _ints\n"
-    "from .brute import _binomial_rows\n"
+CORE = "def _odd_part(n):\n    return n >> 1\n"
+EXCEPTIONS = (
+    "def _ints(*v):\n    return v\n"
+    "def _check_ns(n, s):\n    return _ints(n, s)\n"
     "def _check_gsk(g):\n    return _ints(g)\n"
+)
+RELATION = (
+    "from .exceptions import _check_gsk\n"
+    "from .brute import _binomial_rows\n"
     "def _largest_period(c):\n    return len(c)\n"
     "def _walk(m):\n    return _binomial_rows(m)\n"
     "def _census(g):\n    return _walk(g) + [_largest_period(g)]\n"
@@ -341,16 +375,17 @@ def _assert_shares(cases):
 
 def test_shared_count_helper_is_detected():
     memo = (
+        "from .exceptions import _ints\n"
         "_MEMO = {}\n"
-        "def _ints(*v):\n    return v\n"
         "def _power_pair(a, e, b, f):\n    return a**e * b**f\n"
         "def sub(n):\n    _ints(n)\n    return _power_pair(n, 1, n, 1) + len(_MEMO)\n"
         "def alt(n):\n    _ints(n)\n    return _power_pair(n, 2, n, 0) + len(_MEMO)\n"
         "def other(n):\n    _ints(n)\n    return n\n"
     )
+    sources = {"formulas": memo, "exceptions": EXCEPTIONS}
     _assert_shares([
-        ({"formulas": memo}, {FORMS: ["formulas._MEMO", "formulas._power_pair"]}),
-        ({"formulas": memo}, {("formulas.sub", "formulas.other"): []}),
+        (sources, {FORMS: ["formulas._MEMO", "formulas._power_pair"]}),
+        (sources, {("formulas.sub", "formulas.other"): []}),
     ])
 
 
@@ -372,7 +407,7 @@ def test_reached_parking_route_is_detected():
 
 
 def test_relation_sharing_with_the_census_is_detected():
-    rest = {"brute": "def _binomial_rows(m):\n    return [m]\n", "core": CORE}
+    rest = {"brute": "def _binomial_rows(m):\n    return [m]\n", "exceptions": EXCEPTIONS}
     # what the relation reaches only through the census is the census's own
     through_census = RELATION.replace(", _least_period(g), _binomial_rows(g)", "")
     _assert_shares([
@@ -390,7 +425,7 @@ def test_route_sharing_is_detected():
         "def alt(n):\n    return _binomial_series(n, lambda i: _hop(i, n))\n"
     )
     allowed = (
-        "def _check_ns(n, s):\n    return n, s\n"
+        "from .exceptions import _check_ns\n"
         "def _binomial_coeffs(n, c):\n    return [c] * n\n"
         "def _ones_factor(i):\n    return _binomial_coeffs(i - 1, i)\n"
         "def sub(n, s):\n    return _check_ns(_ones_factor(n), _binomial_coeffs(n, s))\n"
@@ -407,13 +442,15 @@ def test_route_sharing_is_detected():
     )
     across = {  # brute and formulas both reach a private helper of core
         "core": CORE,
+        "exceptions": EXCEPTIONS,
         "brute": "from .core import _odd_part\ndef count(n):\n    return _odd_part(n)\n",
-        "formulas": "from . import core\ndef sub(n):\n    return core._ints(core._odd_part(n))\n",
+        "formulas": "from . import core, exceptions\n"
+        "def sub(n):\n    return exceptions._ints(core._odd_part(n))\n",
     }
     _assert_shares([
         ({"formulas": two_deep}, {FORMS: ["formulas._power_product"]}),
         (across, {("formulas.sub", "brute.count"): ["core._odd_part"]}),
-        ({"formulas": allowed}, {FORMS: []}),
+        ({"formulas": allowed, "exceptions": EXCEPTIONS}, {FORMS: []}),
         ({"formulas": accumulated}, {FORMS: ["formulas._add_scaled"]}),
     ])
 

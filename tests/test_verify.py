@@ -234,6 +234,23 @@ def test_small_modular_budget_is_refused_before_any_suite(monkeypatch, capsys):
     assert code == 2 and out == "" and err.startswith("error: ") and "budget 0" in err
 
 
+def test_malformed_arguments_are_refused_before_any_suite(monkeypatch):
+    ran = []
+    for key in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, key, lambda **kwargs: ran.append(kwargs) or [])
+    for name, kwargs in [
+        ("orbits", {"n_max": 3.5}),
+        ("all", {"n_max": "8"}),
+        ("modular", {"budget": "x"}),
+        ("all", {"budget": [10]}),
+    ]:
+        with pytest.raises(DomainError):
+            verify.run_suite(name, **kwargs)
+    assert ran == []
+    verify.run_suite("modular", budget=1e7)  # a numeric budget need not be an int
+    assert ran == [{"budget": 1e7}]
+
+
 def test_unknown_suite_is_named():
     with pytest.raises(DomainError, match=r"unknown verify suite 'nope' \(known: abel, .*, all\)"):
         verify.run_suite("nope")
