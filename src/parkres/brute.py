@@ -55,11 +55,14 @@ from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
 from .exceptions import (
+    DomainError,
     EmptyRestriction,
     ParkresError,
+    _check_gsk,
     _check_ns,
     _check_permutation,
     _check_restriction,
+    _ints,
 )
 
 
@@ -70,13 +73,23 @@ def normalize_restriction(n: int, allowed: Iterable[int]) -> tuple:
     return _check_restriction(n, allowed)[1]
 
 
-def _binomial_rows(n: int) -> list:
-    """Rows 0..n of Pascal's triangle: ``rows[r][c]`` is C(r, c)."""
-    rows = [[1]]
-    for _ in range(n):
-        row = rows[-1]
-        rows.append([1, *map(add, row, row[1:]), 1])
-    return rows
+def restriction_spots(restriction: dict, n: int) -> tuple:
+    """The allowed spots of a count request on n cars: 1..s for a segment,
+    the elements of a set, and every g-th spot from 1 up to n (the row
+    starts) for a modular restriction.  ``restriction`` is the object
+    ``count --format json`` reports; the walk and the streams check the
+    spots against n."""
+    kind = restriction["kind"]
+    if kind == "segment":
+        n, s = _ints(n, restriction["s"])
+        return tuple(range(1, s + 1))
+    if kind == "set":
+        return _ints(n, *restriction["elements"])[1:]
+    if kind == "modular":
+        (n,) = _ints(n)
+        g, _, _ = _check_gsk(restriction["g"], restriction["s"], restriction["k"])
+        return tuple(range(1, n + 1, g))
+    raise DomainError(f"restriction kind must be segment, set or modular, got {kind!r}")
 
 
 def _occupancy_need(n: int, allowed: tuple, strict: bool) -> tuple:
@@ -272,7 +285,7 @@ def count_prime_restricted(n: int, allowed: Iterable[int]) -> int:
     if n == 0:
         return 1
     if not elems:
-        return 0
+        raise EmptyRestriction("no allowed preferences with cars present")
     return _count_parking(n, elems, True)
 
 

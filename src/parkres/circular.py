@@ -17,9 +17,10 @@ checked by :func:`verify_relation`.
 from __future__ import annotations
 
 from math import comb, factorial
+from operator import add
 from typing import Iterator, NamedTuple, Sequence
 
-from .brute import _binomial_rows, count_restricted
+from .brute import count_restricted
 from .exceptions import (
     BadModularPreference,
     BudgetExceeded,
@@ -201,6 +202,15 @@ def canonical_class(lam: tuple, mu: tuple) -> tuple:
     n = len(pairs)
     best = min(pairs[r:] + pairs[:r] for r in range(n))
     return tuple(p[0] for p in best), tuple(p[1] for p in best)
+
+
+def _binomial_rows(n: int) -> list:
+    """Rows 0..n of Pascal's triangle: ``rows[r][c]`` is C(r, c)."""
+    rows = [[1]]
+    for _ in range(n):
+        row = rows[-1]
+        rows.append([1, *map(add, row, row[1:]), 1])
+    return rows
 
 
 def _necklace_counts(m: int, s: int) -> Iterator[tuple]:

@@ -21,7 +21,7 @@ from itertools import islice, repeat
 # by the closed forms, ``brute`` by brute force, ``core`` by parking), as
 # each call is a fresh process that pays for every module it loads.
 from . import __version__
-from .exceptions import BudgetExceeded, EmptyRestriction, ParkresError
+from .exceptions import BudgetExceeded, ParkresError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -55,10 +55,10 @@ def _print_json(record) -> None:
 
 
 def _restriction_of(args) -> tuple:
-    """Resolve flags into (restriction, n, allowed spots); the restriction
-    is the object ``count --format json`` reports, of kind
-    segment|set|modular.  A flag that the restriction would not read is
-    refused, naming the flag that makes it unread."""
+    """Resolve flags into (restriction, n); the restriction is the object
+    ``count --format json`` reports, of kind segment|set|modular.  A flag
+    that the restriction would not read is refused, naming the flag that
+    makes it unread."""
     if args.g is not None:
         if args.n is not None:
             raise ParkresError("--n cannot be used with --g, whose restriction has g*s - k cars")
@@ -73,8 +73,7 @@ def _restriction_of(args) -> tuple:
         n = args.g * args.s - args.k
         if n < 0:
             raise ParkresError("--k exceeds g*s")
-        restriction = {"kind": "modular", "g": args.g, "s": args.s, "k": args.k}
-        return restriction, n, tuple(range(1, n + 1, args.g))  # the row starts up to n
+        return {"kind": "modular", "g": args.g, "s": args.s, "k": args.k}, n
     if args.k is not None:
         raise ParkresError(
             "--k cannot be used without --g: only a modular restriction has missing spots"
@@ -86,46 +85,19 @@ def _restriction_of(args) -> tuple:
     if args.set is not None:
         if args.s is not None:
             raise ParkresError("--s cannot be used with --set, which names the allowed spots")
-        spots = _parse_ints(args.set)
-        return {"kind": "set", "elements": sorted(set(spots))}, args.n, spots
-    s = args.s if args.s is not None else args.n
-    return {"kind": "segment", "s": s}, args.n, tuple(range(1, s + 1))
-
-
-def _allowed(n: int, allowed: tuple) -> tuple:
-    """The sorted distinct spots of ``allowed``, checked before any budget
-    so that the error names the real fault at any budget: with cars
-    present, a spot outside 1..n raises :class:`DomainError` and an empty
-    restriction :class:`EmptyRestriction`, for pf and ppf alike."""
-    from . import brute
-
-    allowed = brute.normalize_restriction(n, allowed)
-    if n and not allowed:
-        raise EmptyRestriction("no allowed preferences with cars present")
-    return allowed
-
-
-def _brute_count(oracle, n: int, allowed: tuple, budget: int) -> int:
-    """``oracle(n, allowed)``, refused with :class:`BudgetExceeded` when its
-    walk may take more than ``budget`` steps (:func:`brute.walk_steps`)."""
-    from . import brute
-
-    allowed = _allowed(n, allowed)
-    steps = brute.walk_steps(n, allowed)
-    if steps > budget:
-        raise BudgetExceeded(f"{steps} walk steps exceed --budget {budget}")
-    return oracle(n, allowed)
+        return {"kind": "set", "elements": sorted(set(_parse_ints(args.set)))}, args.n
+    return {"kind": "segment", "s": args.s if args.s is not None else args.n}, args.n
 
 
 def cmd_count(args) -> int:
     from . import formulas
 
-    restriction, n, allowed = _restriction_of(args)
+    restriction, n = _restriction_of(args)
     forms, oracle = formulas.routes(args.kind, restriction, n)
     method = next(iter(forms), "brute") if args.method == "auto" else args.method
     checked = None  # the route that agreed with the printed count
     if method == "brute":
-        value = _brute_count(oracle, n, allowed, args.budget)
+        value = oracle(args.budget)
     elif method not in forms:
         have = ", ".join(forms) or "none"
         raise ParkresError(
@@ -135,7 +107,7 @@ def cmd_count(args) -> int:
         value = forms[method]()
         if args.method == "auto":
             try:
-                check = _brute_count(oracle, n, allowed, args.budget)
+                check = oracle(args.budget)
             except BudgetExceeded:  # beyond the budget the formula stands alone
                 pass
             else:
@@ -162,14 +134,14 @@ def cmd_count(args) -> int:
 def cmd_enum(args) -> int:
     from . import brute, core
 
-    _, n, allowed = _restriction_of(args)
-    allowed = _allowed(n, allowed)
-    # With two or more spots, |allowed|**b > budget for b = budget.bit_length(),
-    # so the power past b entries need not be built to refuse it.
-    if len(allowed) ** min(n, args.budget.bit_length()) > args.budget:
-        raise BudgetExceeded(f"{len(allowed)}**{n} candidate lists exceed --budget {args.budget}")
+    restriction, n = _restriction_of(args)
+    spots = brute.restriction_spots(restriction, n)  # distinct, for every kind
     route = brute.enum_restricted if args.kind == "pf" else brute.enum_prime_restricted
-    stream = route(n, allowed)
+    stream = route(n, spots)  # checks the spots before any list, so before the budget
+    # With two or more spots, |spots|**b > budget for b = budget.bit_length(),
+    # so the power past b entries need not be built to refuse it.
+    if len(spots) ** min(n, args.budget.bit_length()) > args.budget:
+        raise BudgetExceeded(f"{len(spots)}**{n} candidate lists exceed --budget {args.budget}")
     if args.format == "text":  # the outcome and ones are not printed
         lines = map(",".join, map(map, repeat(str), stream))
         write = sys.stdout.write

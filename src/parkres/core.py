@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .exceptions import DomainError, NotAParkingFunction, PreferenceOutOfRange, _ints
+from .exceptions import NotAParkingFunction, PreferenceOutOfRange, _ints
 
 #: Marker used in occupancy sequences for a spot with no car in it.
 EMPTY = None
@@ -52,10 +52,12 @@ def validate_prefs(prefs: Sequence[int], limit: int) -> tuple:
         # The sum is an int only when every term is one, so a list of
         # ints skips the per-entry conversion, which costs more than the
         # simulation of a short list.
-        if type(sum(prefs, limit)) is not int:
-            (limit,), prefs = _ints(limit), _ints(*prefs)
+        ints = type(sum(prefs, limit)) is int
     except TypeError:
-        raise DomainError(f"need integer arguments, got {prefs!r}, {limit!r}") from None
+        ints = False
+    if not ints:  # one conversion, so every fault reads alike
+        limit, *prefs = _ints(limit, *prefs)
+        prefs = tuple(prefs)
     for car, p in enumerate(prefs, 1):
         if not 1 <= p <= limit:
             raise PreferenceOutOfRange(

@@ -19,6 +19,7 @@ from math import comb
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .exceptions import (
+    BudgetExceeded,
     DomainError,
     NonIntegerIntermediate,
     _check_gsk,
@@ -231,8 +232,12 @@ def routes(kind: str, restriction: dict, n: int) -> tuple:
     ``forms`` holds the closed forms cheapest first, the order in which
     ``count --method auto`` tries them, keyed by the method name its JSON
     reports; each value computes the count when called, through the
-    form's name in this module.  ``oracle(n, allowed)`` is the brute-force
-    count of ``kind`` in :mod:`parkres.brute`, looked up there when called.
+    form's name in this module.  ``oracle(budget=None)`` is the
+    brute-force count of ``kind`` in :mod:`parkres.brute` on the request's
+    own spots (:func:`brute.restriction_spots`), looked up there when
+    called.  Given a budget, it raises :class:`BudgetExceeded` when its
+    walk may take more steps (:func:`brute.walk_steps`, which checks the
+    spots first, so a bad spot is named at any budget).
 
     ``restriction`` is the object ``count --format json`` reports, of kind
     segment (with ``s``), set or modular (with ``g``, ``s`` and ``k``).
@@ -251,12 +256,16 @@ def routes(kind: str, restriction: dict, n: int) -> tuple:
     if kind not in ("pf", "ppf"):
         raise DomainError(f"kind must be pf or ppf, got {kind!r}")
 
-    def oracle(n, allowed):
+    n, s = _ints(n, restriction.get("s", 0))  # an explicit set has none
+
+    def oracle(budget=None):
         from . import brute  # only when called: table loads formulas but never brute
 
-        return (brute.count_restricted if kind == "pf" else brute.count_prime_restricted)(n, allowed)
+        spots = brute.restriction_spots(restriction, n)
+        if budget is not None and (steps := brute.walk_steps(n, spots)) > budget:
+            raise BudgetExceeded(f"{steps} walk steps exceed --budget {budget}")
+        return (brute.count_restricted if kind == "pf" else brute.count_prime_restricted)(n, spots)
 
-    n, s = _ints(n, restriction.get("s", 0))  # an explicit set has none
     forms = {}
     if restriction["kind"] == "modular":
         g, k = _ints(restriction["g"], restriction["k"])

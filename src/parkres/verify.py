@@ -70,7 +70,7 @@ def _on_grid(name: str, n_max: int, got, want) -> Check:
 def _count(kind: str, n: int, s: int) -> int:
     """The brute-force count of [s]-restricted ``kind`` lists on n cars, by
     the oracle that :func:`formulas.routes` names for that request."""
-    return formulas.routes(kind, {"kind": "segment", "s": s}, n)[1](n, range(1, s + 1))
+    return formulas.routes(kind, {"kind": "segment", "s": s}, n)[1]()
 
 
 def _agree(case: str, forms: dict) -> Iterator:
@@ -81,31 +81,21 @@ def _agree(case: str, forms: dict) -> Iterator:
         yield _differ(f"{case}: {method} vs {first}", other(), want)
 
 
-# The closed forms are compared with each other up to this n, beyond the
-# reach of brute force.
-FORMULA_N_MAX = 12
-
-
-def check_closed_forms(kind: str, n_max: int = 6) -> list:
-    """Every closed form of the [s]-restricted ``kind`` count (pf or ppf)
-    that :func:`formulas.routes` gives, against the first, and the first
-    against the brute-force oracle it names."""
+def check_closed_forms(kind: str, n_max: int = 12) -> list:
+    """Every route of the [s]-restricted ``kind`` count (pf or ppf) that
+    :func:`formulas.routes` gives, each closed form and the brute-force
+    oracle, against the first form."""
     label = "restricted" if kind == "pf" else "prime"
 
-    def forms(n, s):
-        return formulas.routes(kind, {"kind": "segment", "s": s}, n)[0]
+    def routes(n, s):
+        forms, oracle = formulas.routes(kind, {"kind": "segment", "s": s}, n)
+        return {**forms, "brute": oracle}
 
     return [
         _check(
-            f"{label} forms agree (n <= {FORMULA_N_MAX})",
-            (d for n, s in _grid(FORMULA_N_MAX) for d in _agree(f"n={n}, s={s}", forms(n, s))),
-        ),
-        _on_grid(
-            f"{label} forms match brute force (n <= {n_max})",
-            n_max,
-            lambda n, s: next(iter(forms(n, s).values()))(),
-            lambda n, s: _count(kind, n, s),
-        ),
+            f"{label} routes agree (n <= {n_max})",
+            (d for n, s in _grid(n_max) for d in _agree(f"n={n}, s={s}", routes(n, s))),
+        )
     ]
 
 
@@ -176,10 +166,6 @@ def _ones_forms(n_max: int) -> Iterator:
             yield _differ(f"n={n}: unrestricted enumerator", a, want)
 
 
-# The two ones-enumerator polynomials are compared up to this n.
-POLY_N_MAX = 8
-
-
 def check_abel(n_max: int = 10) -> list:
     """Abel's identity on a rational grid, plus the ones-enumerator pair."""
     from fractions import Fraction  # only here, to keep it out of every CLI start
@@ -201,7 +187,7 @@ def check_abel(n_max: int = 10) -> list:
             "restricted-count specializations evaluate to s**n",
             (abel(n, x, s - n - x, s**n) for n, s in _grid(n_max) for x in (1, -1)),
         ),
-        _check(f"ones enumerator forms agree (n <= {POLY_N_MAX})", _ones_forms(POLY_N_MAX)),
+        _check(f"ones enumerator forms agree (n <= {n_max})", _ones_forms(n_max)),
     ]
 
 
@@ -347,12 +333,11 @@ MODULAR_PAIRS = tuple(
 
 
 def _modular(g: int, s: int, k: int, budget: int) -> Iterator:
-    # each form, then the oracle on the row starts up to m, against the
-    # first form; then the relation class by class
-    m = g * s - k
+    # each form, then the oracle, against the first form; then the
+    # relation class by class
     case = f"g={g}, s={s}, k={k}"
-    forms, oracle = formulas.routes("pf", {"kind": "modular", "g": g, "s": s, "k": k}, m)
-    yield from _agree(case, {**forms, "brute": lambda: oracle(m, range(1, m + 1, g))})
+    forms, oracle = formulas.routes("pf", {"kind": "modular", "g": g, "s": s, "k": k}, g * s - k)
+    yield from _agree(case, {**forms, "brute": oracle})
     report = circular.verify_relation(g, s, k, budget=budget)
     yield not report.ok and f"relation rows off: {[r for r in report.rows if not r.ok][:3]}"
 
@@ -397,7 +382,7 @@ def check_modular(budget: int = 10**7, threads: int = 1) -> list:
 # a case (the orbit recurrence needs 1 < s < n), or None for ``modular``,
 # which takes no n_max; and its run, with the suite's default bounds.
 _SUITES = {
-    "formulas": (1, lambda n_max=6, budget=None: (
+    "formulas": (1, lambda n_max=12, budget=None: (
         check_closed_forms("pf", n_max)
         + check_closed_forms("ppf", n_max)
         + check_defect(n_max)

@@ -63,6 +63,7 @@ NON_INTEGER_CALLS = [
     ("fiber_size_bruteforce", ((1.0, 2.0, 3.0), 2)),
     ("count_min_defect", (3.0, 2)),
     ("walk_steps", (3, (1, 2.0))),
+    ("restriction_spots", ({"kind": "segment", "s": 2.0}, 3)),
 ]
 
 
@@ -244,7 +245,8 @@ def test_count_prime_restricted_values():
     # avoiding spot 2: only the all-ones list survives the strict condition
     assert brute.count_prime_restricted(3, (1, 3)) == 1
     assert list(brute.enum_prime_restricted(2, (1, 2))) == [(1, 1)]
-    assert brute.count_prime_restricted(2, ()) == 0
+    with pytest.raises(EmptyRestriction):
+        brute.count_prime_restricted(2, ())
 
 
 def test_count_nondecreasing_restricted():
@@ -362,6 +364,7 @@ ORACLE_CALLS = {
     "fiber_size_bruteforce": lambda: brute.fiber_size_bruteforce((2, 1, 4, 3), 3),
     "count_min_defect": lambda: brute.count_min_defect(6, 4),
     "walk_steps": lambda: brute.walk_steps(7, (1, 3, 4)),
+    "restriction_spots": lambda: brute.restriction_spots({"kind": "modular", "g": 2, "s": 3, "k": 1}, 5),
 }
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parkres import core
-from parkres.exceptions import NotAParkingFunction, PreferenceOutOfRange
+from parkres.exceptions import DomainError, NotAParkingFunction, PreferenceOutOfRange
 
 
 def test_park_all_ones():
@@ -31,6 +31,19 @@ def test_park_rejects_out_of_range():
         core.park((1, 3), 2)
     with pytest.raises(PreferenceOutOfRange):
         core.park((0, 1), 2)
+
+
+def test_non_integer_faults_read_alike():
+    # an entry, the limit or a non-number: one message naming the limit and
+    # then every entry
+    for prefs, spots, shown in (
+        ((1, 2.0), 3, "(3, 1, 2.0)"),
+        ((1, 2), 3.0, "(3.0, 1, 2)"),
+        (("a",), 3, "(3, 'a')"),
+    ):
+        with pytest.raises(DomainError) as raised:
+            core.park(prefs, spots)
+        assert str(raised.value) == f"need integer arguments, got {shown}"
 
 
 def test_park_empty_street():

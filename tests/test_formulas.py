@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parkres import brute, formulas
-from parkres.exceptions import DomainError, NonIntegerIntermediate
+from parkres.exceptions import BudgetExceeded, DomainError, EmptyRestriction, NonIntegerIntermediate
 
 
 def test_totals():
@@ -59,17 +59,46 @@ def test_closed_forms_by_request(monkeypatch):
     for n, s in ((4, 2), (5, 5), (3, 1)):
         allowed = range(1, s + 1)
         _, oracle = formulas.routes("pf", {"kind": "segment", "s": s}, n)
-        assert oracle(n, allowed) == brute.count_restricted(n, allowed)
+        assert oracle() == brute.count_restricted(n, allowed)
         _, oracle = formulas.routes("ppf", {"kind": "segment", "s": s}, n)
-        assert oracle(n, allowed) == brute.count_prime_restricted(n, allowed)
+        assert oracle() == brute.count_prime_restricted(n, allowed)
     for g, s, k in ((2, 3, 1), (2, 3, 2), (3, 2, 4)):
         m = g * s - k
         forms, oracle = formulas.routes("pf", _modular(g, s, k), m)
-        assert oracle(m, range(1, m + 1, g)) == forms["recursion"]() == formulas.mod_count(g, s, k)
+        assert oracle() == forms["recursion"]() == formulas.mod_count(g, s, k)
     # it looks brute up when called, so the verify timing tests and the
     # benchmark tracer see a patched count
     monkeypatch.setattr(brute, "count_restricted", lambda n, allowed: -1)
-    assert oracle(3, (1, 2)) == -1
+    assert oracle() == -1
+
+
+def test_oracle_counts_its_own_request_within_the_budget():
+    requests = [
+        ({"kind": "segment", "s": 3}, 5, range(1, 4)),
+        ({"kind": "set", "elements": [1, 3, 4]}, 5, (1, 3, 4)),
+        (_modular(3, 3, 2), 7, (1, 4, 7)),
+    ]
+    for restriction, n, spots in requests:
+        assert brute.restriction_spots(restriction, n) == tuple(spots)
+        steps = brute.walk_steps(n, spots)
+        for kind, count in (("pf", brute.count_restricted), ("ppf", brute.count_prime_restricted)):
+            _, oracle = formulas.routes(kind, restriction, n)
+            assert oracle() == oracle(steps) == count(n, spots), (kind, restriction)
+            with pytest.raises(BudgetExceeded, match=f"{steps} walk steps"):
+                oracle(steps - 1)
+    # the spots are checked before the budget, so at budget 0 the error
+    # names the real fault
+    for kind in ("pf", "ppf"):
+        for restriction, fault in (
+            ({"kind": "segment", "s": 5}, DomainError),
+            ({"kind": "set", "elements": [1, 5]}, DomainError),
+            ({"kind": "set", "elements": []}, EmptyRestriction),
+            ({"kind": "segment", "s": 0}, EmptyRestriction),
+        ):
+            _, oracle = formulas.routes(kind, restriction, 3)
+            with pytest.raises(fault) as raised:
+                oracle(0)
+            assert type(raised.value) is fault, (kind, restriction)
 
 
 def test_restricted_subtractive_values():

@@ -61,29 +61,28 @@ RECOLORED = next(
 CASES = [
     (
         formulas, "restricted_subtractive", (4, 2), _plus_one,
-        lambda: verify.check_closed_forms("pf", 3), ["formulas", "--n-max", "3"], "n=4, s=2",
+        lambda: verify.check_closed_forms("pf", 4), ["formulas", "--n-max", "4"], "n=4, s=2",
     ),
     (
         formulas, "prime_subtractive", (4, 2), _plus_one,
-        lambda: verify.check_closed_forms("ppf", 3), ["formulas", "--n-max", "3"], "n=4, s=2",
+        lambda: verify.check_closed_forms("ppf", 4), ["formulas", "--n-max", "4"], "n=4, s=2",
     ),
     # the subtractive forms' splitting without its last term, over the
     # nonzero terms i = 0..2 of (5, 4) and i = 1..3 of the prime form: ranges
     # that no larger s splits off, so (5, 4) is the last case they break
     (
         formulas, "_rising_binomial_series", (5, 0, 2), _drop_last_term,
-        lambda: verify.check_closed_forms("pf", 3), ["formulas", "--n-max", "3"], "n=5, s=4",
+        lambda: verify.check_closed_forms("pf", 5), ["formulas", "--n-max", "5"], "n=5, s=4",
     ),
     (
         formulas, "_rising_binomial_series", (5, 1, 3), _drop_last_term,
-        lambda: verify.check_closed_forms("ppf", 3), ["formulas", "--n-max", "3"], "n=5, s=4",
+        lambda: verify.check_closed_forms("ppf", 5), ["formulas", "--n-max", "5"], "n=5, s=4",
     ),
-    # the pf total is a third form at s = n, compared with the first up
-    # to FORMULA_N_MAX; the ppf total is the only form there, so brute
-    # force checks it
+    # the pf total is a third form at s = n, compared with the first; the
+    # ppf total is the only form there, so brute force checks it
     (
         formulas, "pf_total", (7,), _plus_one,
-        lambda: verify.check_closed_forms("pf", 3), ["formulas", "--n-max", "3"], "n=7, s=7",
+        lambda: verify.check_closed_forms("pf", 7), ["formulas", "--n-max", "7"], "n=7, s=7",
     ),
     (
         formulas, "ppf_total", (2,), _plus_one,
@@ -103,7 +102,7 @@ CASES = [
     ),
     (
         formulas, "ones_poly_subtractive", (4, 2), _bump_first,
-        lambda: verify.check_abel(2), ["abel", "--n-max", "2"], "n=4, s=2",
+        lambda: verify.check_abel(4), ["abel", "--n-max", "4"], "n=4, s=2",
     ),
     (
         formulas, "mod_count", (2, 3, 1), _plus_one,
@@ -201,9 +200,9 @@ def test_check_time_covers_its_cases(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(brute, "count_restricted", slow)
-    (oracle,) = [c for c in verify.check_closed_forms("pf", 2) if "brute force" in c.name]
+    (routes,) = [c for c in verify.check_closed_forms("pf", 2) if "routes agree" in c.name]
     modular = verify.check_modular(1)  # the s = 1 classes: one list each
-    for check in [oracle] + modular:
+    for check in [routes] + modular:
         assert check.ok and check.cases >= 1 and check.elapsed_s >= 0.02, check
 
 
