@@ -16,7 +16,6 @@ from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
 from . import core
-from .brute import normalize_restriction
 from .exceptions import (
     DomainError,
     ImageContainsLastSpot,
@@ -26,6 +25,7 @@ from .exceptions import (
     NotPrime,
     NotRestricted,
     PreferenceOutOfRange,
+    _check_restriction,
     _ints,
 )
 
@@ -37,7 +37,7 @@ def shift_restriction(allowed: Iterable[int], n: int) -> tuple:
     ordinary parking functions over this set, via the shift map below.
     Requires 1 in ``allowed``.
     """
-    elems = normalize_restriction(n, allowed)
+    elems = _check_restriction(n, allowed)[1]
     if 1 not in elems:
         raise MissingOne(f"restriction {elems} must contain spot 1")
     shifted = {1} | {i + 1 for i in elems if 1 < i < n}
@@ -51,7 +51,7 @@ def prime_to_restricted(prefs: Sequence[int], allowed: Iterable[int]) -> tuple:
     The result is a parking function over ``shift_restriction(allowed, n)``.
     """
     n = len(prefs)
-    elems = set(normalize_restriction(n, allowed))
+    elems = set(_check_restriction(n, allowed)[1])
     if any(p not in elems for p in prefs):
         raise NotRestricted(f"{tuple(prefs)} has preferences outside {sorted(elems)}")
     if not core.is_prime(prefs):
@@ -80,7 +80,7 @@ def restricted_to_prime(prefs: Sequence[int], allowed: Iterable[int]) -> tuple:
 
 def u_vector(allowed: Iterable[int], n: int) -> tuple:
     """The non-decreasing bound vector u with u_i = |allowed ∩ [i]|."""
-    elems = normalize_restriction(n, allowed)
+    elems = _check_restriction(n, allowed)[1]
     out = []
     count = 0
     idx = 0
@@ -112,7 +112,7 @@ def to_u_parking(prefs: Sequence[int], allowed: Iterable[int]) -> tuple:
     bounds translate exactly.
     """
     n = len(prefs)
-    elems = normalize_restriction(n, allowed)
+    elems = _check_restriction(n, allowed)[1]
     rank = {v: r for r, v in enumerate(elems, 1)}
     if any(p not in rank for p in prefs):
         raise NotRestricted(f"{tuple(prefs)} has preferences outside {elems}")

@@ -55,22 +55,13 @@ from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
 from .exceptions import (
-    DomainError,
-    EmptyRestriction,
     ParkresError,
-    _check_gsk,
     _check_ns,
     _check_permutation,
+    _check_request,
     _check_restriction,
-    _ints,
+    _check_spots,
 )
-
-
-def normalize_restriction(n: int, allowed: Iterable[int]) -> tuple:
-    """Sorted tuple of the distinct allowed spots, checked to be integers
-    inside [1, n] when cars are present; with none (n = 0) the spots are
-    ignored, as the counts and streams ignore them."""
-    return _check_restriction(n, allowed)[1]
 
 
 def restriction_spots(restriction: dict, n: int) -> tuple:
@@ -79,17 +70,12 @@ def restriction_spots(restriction: dict, n: int) -> tuple:
     starts) for a modular restriction.  ``restriction`` is the object
     ``count --format json`` reports; the walk and the streams check the
     spots against n."""
-    kind = restriction["kind"]
-    if kind == "segment":
-        n, s = _ints(n, restriction["s"])
-        return tuple(range(1, s + 1))
+    kind, n, values = _check_request(restriction, n)
     if kind == "set":
-        return _ints(n, *restriction["elements"])[1:]
-    if kind == "modular":
-        (n,) = _ints(n)
-        g, _, _ = _check_gsk(restriction["g"], restriction["s"], restriction["k"])
-        return tuple(range(1, n + 1, g))
-    raise DomainError(f"restriction kind must be segment, set or modular, got {kind!r}")
+        return values
+    if kind == "segment":
+        return tuple(range(1, values[0] + 1))
+    return tuple(range(1, n + 1, values[0]))
 
 
 def _occupancy_need(n: int, allowed: tuple, strict: bool) -> tuple:
@@ -121,7 +107,9 @@ def walk_steps(n: int, allowed: Iterable[int]) -> int:
 
 
 def _count_parking(n: int, allowed: tuple, strict: bool) -> int:
-    # n >= 1 cars over the sorted, non-empty ``allowed``
+    # n >= 0 cars over the sorted ``allowed``, not empty when n >= 1
+    if n == 0:
+        return 1  # the empty list
     if allowed[0] != 1:
         return 0  # spot 1 is never preferred
     if len(allowed) == 1:
@@ -159,7 +147,9 @@ _TAIL_LISTS = 256
 
 
 def _stream(n: int, allowed: tuple, strict: bool) -> Iterator[tuple]:
-    # n >= 1 cars over the sorted, non-empty ``allowed``
+    # n >= 0 cars over the sorted ``allowed``, not empty when n >= 1
+    if n == 0:
+        return iter([()])  # the empty list
     if allowed[0] != 1:
         return iter(())  # spot 1 is never preferred
     if len(allowed) == 1:
@@ -245,12 +235,7 @@ def enum_restricted(n: int, allowed: Iterable[int]) -> Iterator[tuple]:
     The arguments are checked when the function is called, before the
     first ``next()``.
     """
-    n, elems = _check_restriction(n, allowed)
-    if n == 0:
-        return iter([()])
-    if not elems:
-        raise EmptyRestriction("no allowed preferences with cars present")
-    return _stream(n, elems, strict=False)
+    return _stream(*_check_spots(n, allowed), strict=False)
 
 
 def enum_prime_restricted(n: int, allowed: Iterable[int]) -> Iterator[tuple]:
@@ -260,33 +245,18 @@ def enum_prime_restricted(n: int, allowed: Iterable[int]) -> Iterator[tuple]:
     The arguments are checked when the function is called, before the
     first ``next()``.
     """
-    n, elems = _check_restriction(n, allowed)
-    if n == 0:
-        return iter([()])
-    if not elems:
-        raise EmptyRestriction("no allowed preferences with cars present")
-    return _stream(n, elems, strict=True)
+    return _stream(*_check_spots(n, allowed), strict=True)
 
 
 def count_restricted(n: int, allowed: Iterable[int]) -> int:
     """Number of parking functions with all preferences in ``allowed``,
     counted by enumeration without materializing the set."""
-    n, elems = _check_restriction(n, allowed)
-    if n == 0:
-        return 1
-    if not elems:
-        raise EmptyRestriction("no allowed preferences with cars present")
-    return _count_parking(n, elems, False)
+    return _count_parking(*_check_spots(n, allowed), strict=False)
 
 
 def count_prime_restricted(n: int, allowed: Iterable[int]) -> int:
     """Number of prime parking functions with preferences in ``allowed``."""
-    n, elems = _check_restriction(n, allowed)
-    if n == 0:
-        return 1
-    if not elems:
-        raise EmptyRestriction("no allowed preferences with cars present")
-    return _count_parking(n, elems, True)
+    return _count_parking(*_check_spots(n, allowed), strict=True)
 
 
 def count_nondecreasing_restricted(n: int, s: int) -> int:

@@ -1,7 +1,9 @@
 """Exception types raised by the library, and the argument checks that
 raise :class:`DomainError`, each rule written once for every module.
 Arguments are integers only: a float, even a whole one, or any other
-non-integer raises :class:`DomainError`, as does an integer out of range."""
+non-integer raises :class:`DomainError`, as does an integer out of range.
+A count request's restriction object is read here alone, so its closed
+forms and its oracle count the same request."""
 
 from operator import index
 
@@ -129,3 +131,36 @@ def _check_restriction(n: int, allowed) -> tuple:
     if n and elems and not (1 <= elems[0] and elems[-1] <= n):
         raise DomainError(f"restriction {elems} not contained in 1..{n}")
     return n, elems
+
+
+def _check_spots(n: int, allowed) -> tuple:
+    """:func:`_check_restriction`; cars with no spot raise :class:`EmptyRestriction`."""
+    n, elems = _check_restriction(n, allowed)
+    if n and not elems:
+        raise EmptyRestriction("no allowed preferences with cars present")
+    return n, elems
+
+
+def _check_request(restriction: dict, n: int) -> tuple:
+    """``(kind, n, values)`` for the restriction object of a count request
+    on n cars, as ``count --format json`` reports it, reading only the
+    keys of its kind: ``(s,)`` for a segment, the elements of a set, and
+    ``(g, s, k)`` for a modular one, whose n must be g*s - k.  Any other
+    kind or a missing key raises :class:`DomainError`; the oracles check
+    the spots against n."""
+    kind = restriction.get("kind")
+    try:
+        if kind == "segment":
+            values = _ints(restriction["s"])
+        elif kind == "set":
+            values = _ints(*restriction["elements"])
+        elif kind == "modular":
+            values = _check_gsk(restriction["g"], restriction["s"], restriction["k"])
+        else:
+            raise DomainError(f"restriction kind must be segment, set or modular, got {kind!r}")
+    except KeyError as key:
+        raise DomainError(f"{kind} restriction needs the key {key}") from None
+    (n,) = _ints(n)
+    if kind == "modular" and n != values[0] * values[1] - values[2]:
+        raise DomainError(f"modular (g, s, k) = {values} has g*s - k cars, got n={n}")
+    return kind, n, values

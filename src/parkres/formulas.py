@@ -26,6 +26,7 @@ from .exceptions import (
     _check_n,
     _check_ns,
     _check_permutation,
+    _check_request,
     _ints,
 )
 
@@ -240,13 +241,14 @@ def routes(kind: str, restriction: dict, n: int) -> tuple:
     spots first, so a bad spot is named at any budget).
 
     ``restriction`` is the object ``count --format json`` reports, of kind
-    segment (with ``s``), set or modular (with ``g``, ``s`` and ``k``).
-    [s] with 1 <= s <= n has the subtractive and alternating pair, and at
-    s = n also the pf total; for ppf the pair holds only while s < n, and
-    at s = n its count is the total.  A modular pf with 1 <= k <= g*s has
-    the recursion, and at k = 1 with g*s >= 2 also the power s**(g*s - 2).
-    An explicit set, a modular ppf and every other (n, s) have no form,
-    and are counted by the oracle alone.
+    segment (with ``s``), set (with ``elements``) or modular (with ``g``,
+    ``s`` and ``k``, and n = g*s - k); any other raises
+    :class:`DomainError` at the call.  [s] with 1 <= s <= n has the
+    subtractive and alternating pair, and at s = n also the pf total; for
+    ppf the pair holds only while s < n, and at s = n its count is the
+    total.  A modular pf has the recursion, and at k = 1 with g*s >= 2
+    also the power s**(g*s - 2).  An explicit set, a modular ppf and every
+    other (n, s) have no form, and are counted by the oracle alone.
 
     The cost of a form is the number of terms it sums: one for the total
     and the power, which come first; s for the subtractive form against
@@ -255,8 +257,7 @@ def routes(kind: str, restriction: dict, n: int) -> tuple:
     """
     if kind not in ("pf", "ppf"):
         raise DomainError(f"kind must be pf or ppf, got {kind!r}")
-
-    n, s = _ints(n, restriction.get("s", 0))  # an explicit set has none
+    shape, n, values = _check_request(restriction, n)
 
     def oracle(budget=None):
         from . import brute  # only when called: table loads formulas but never brute
@@ -267,15 +268,14 @@ def routes(kind: str, restriction: dict, n: int) -> tuple:
         return (brute.count_restricted if kind == "pf" else brute.count_prime_restricted)(n, spots)
 
     forms = {}
-    if restriction["kind"] == "modular":
-        g, k = _ints(restriction["g"], restriction["k"])
-        if kind == "pf" and 1 <= k <= g * s:
-            if k == 1 and g * s >= 2:
-                forms["power"] = lambda: mod_count_k1(g, s)
-            forms["recursion"] = lambda: mod_count(g, s, k)
+    if shape == "modular" and kind == "pf":
+        g, s, k = values
+        if k == 1 and g * s >= 2:
+            forms["power"] = lambda: mod_count_k1(g, s)
+        forms["recursion"] = lambda: mod_count(g, s, k)
+    if shape != "segment" or not 1 <= values[0] <= n:
         return forms, oracle
-    if not 1 <= s <= n:
-        return forms, oracle
+    (s,) = values
     if kind == "pf":
         if s == n:
             forms["total"] = lambda: pf_total(n)

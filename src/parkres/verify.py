@@ -81,7 +81,7 @@ def _agree(case: str, forms: dict) -> Iterator:
         yield _differ(f"{case}: {method} vs {first}", other(), want)
 
 
-def check_closed_forms(kind: str, n_max: int = 12) -> list:
+def check_closed_forms(kind: str, n_max: int) -> list:
     """Every route of the [s]-restricted ``kind`` count (pf or ppf) that
     :func:`formulas.routes` gives, each closed form and the brute-force
     oracle, against the first form."""
@@ -111,7 +111,7 @@ def _defect_floor(n_max: int) -> Iterator:
                 yield ""
 
 
-def check_defect(n_max: int = 6) -> list:
+def check_defect(n_max: int) -> list:
     """Minimum-defect functions are exactly the [s]-restricted parking
     functions, and no function beats the floor n - s."""
     return [
@@ -128,7 +128,7 @@ def check_defect(n_max: int = 6) -> list:
     ]
 
 
-def check_orbits(n_max: int = 8) -> list:
+def check_orbits(n_max: int) -> list:
     """Orbit counts against the Catalan triangle."""
     orbits = brute.count_nondecreasing_restricted
     return [
@@ -166,7 +166,7 @@ def _ones_forms(n_max: int) -> Iterator:
             yield _differ(f"n={n}: unrestricted enumerator", a, want)
 
 
-def check_abel(n_max: int = 10) -> list:
+def check_abel(n_max: int) -> list:
     """Abel's identity on a rational grid, plus the ones-enumerator pair."""
     from fractions import Fraction  # only here, to keep it out of every CLI start
 
@@ -198,7 +198,7 @@ def _ones(n_max: int) -> Iterator:
         yield _differ(f"n={n}, s={s}: value at 1", sum(coeffs), _count("pf", n, s))
 
 
-def check_ones(n_max: int = 6) -> list:
+def check_ones(n_max: int) -> list:
     """Ones enumerator against the brute-force distribution."""
     return [_check(f"ones distribution matches enumerator (n <= {n_max})", _ones(n_max))]
 
@@ -213,7 +213,7 @@ def _fibers(n_max: int) -> Iterator:
         yield _differ(f"n={n}, s={s}: fiber sum", total, _count("pf", n, s))
 
 
-def check_fibers(n_max: int = 5) -> list:
+def check_fibers(n_max: int) -> list:
     """Fiber sizes of the outcome map, formula vs. enumeration."""
     return [_check(f"outcome fibers match formula (n <= {n_max})", _fibers(n_max))]
 
@@ -263,7 +263,7 @@ def _u_parking(n_max: int) -> Iterator:
                 yield sortings != target and f"n={n}, S={S}: u-parking image mismatch"
 
 
-def check_bijections(n_max: int = 5) -> list:
+def check_bijections(n_max: int) -> list:
     """Shift bijection round trips and the u-parking correspondence."""
     return [
         _check(f"prime/restricted shift bijection (n <= {n_max})", _shift_bijection(n_max)),
@@ -274,20 +274,13 @@ def check_bijections(n_max: int = 5) -> list:
 def iter_colorings(n: int, s: int, prime: bool = False) -> Iterator[ColoredPF]:
     """All valid two-colored (prime) parking functions on n cars."""
     full = tuple(range(1, n + 1))
+    enum = brute.enum_prime_restricted if prime else brute.enum_restricted
     for i in range(s, n + 1):
-        if prime:
-            indigo_lists = list(brute.enum_prime_restricted(i, range(1, i + 1)))
-            forbidden = range(s + 1, i + 1)
-        else:
-            indigo_lists = list(brute.enum_restricted(i, range(1, i + 1)))
-            forbidden = range(s + 1, i + 2)
+        indigo_lists = list(enum(i, range(1, i + 1)))
+        forbidden = range(s + 1, i + 2 - prime)  # above s, up to i + 1 (i when prime)
         for positions in combinations(full, i):
             red_positions = [c for c in full if c not in positions]
             for indigo in indigo_lists:
-                if i == n:
-                    prefs = list(indigo)
-                    yield ColoredPF.from_indigo_cars(prefs, positions, s, prime)
-                    continue
                 for reds in product(forbidden, repeat=n - i):
                     prefs = [0] * n
                     for car, p in zip(positions, indigo):
@@ -318,7 +311,7 @@ def _involution(n_max: int, prime: bool) -> Iterator:
         yield fixed != lists and f"n={n}, s={s}: fixed points != restricted lists"
 
 
-def check_involution(n_max: int = 5) -> list:
+def check_involution(n_max: int) -> list:
     """The recoloring involution: parity-flipping, self-inverse, fixed
     exactly on the all-indigo restricted lists, with the right signed sum."""
     return [
@@ -332,29 +325,30 @@ MODULAR_PAIRS = tuple(
 )
 
 
-def _modular(g: int, s: int, k: int, budget: int) -> Iterator:
+def _modular(g: int, s: int, k: int) -> Iterator:
     # each form, then the oracle, against the first form; then the
     # relation class by class
     case = f"g={g}, s={s}, k={k}"
     forms, oracle = formulas.routes("pf", {"kind": "modular", "g": g, "s": s, "k": k}, g * s - k)
     yield from _agree(case, {**forms, "brute": oracle})
-    report = circular.verify_relation(g, s, k, budget=budget)
+    report = circular.verify_relation(g, s, k)
     yield not report.ok and f"relation rows off: {[r for r in report.rows if not r.ok][:3]}"
 
 
-def _modular_job(args) -> Check:
-    g, s, k, _ = args
-    return _check(f"modular relation g={g}, s={s}, k={k} ({s}^{g * s - k} lists)", _modular(*args))
+def _modular_job(job) -> Check:
+    g, s, k = job
+    return _check(f"modular relation g={g}, s={s}, k={k} ({s}^{g * s - k} lists)", _modular(g, s, k))
 
 
 def _modular_jobs(budget: int) -> list:
-    """The (g, s, k, budget) jobs of :func:`check_modular`: every k within
-    budget.  Raises :class:`DomainError` when none fits or the budget is
-    not a number."""
+    """The (g, s, k) jobs of :func:`check_modular`: every k within budget,
+    none past :func:`circular.verify_relation`'s default orbit bound (816
+    at most, at (4, 4, 1)).  Raises :class:`DomainError` when none fits or
+    the budget is not a number."""
     if not isinstance(budget, (int, float)):
         raise DomainError(f"need a number for the budget, got {budget!r}")
     jobs = sorted(
-        (g, s, k, budget)
+        (g, s, k)
         for g, s in MODULAR_PAIRS
         for k in range(1, g * s)
         if s ** (g * s - k) <= budget
@@ -365,7 +359,7 @@ def _modular_jobs(budget: int) -> list:
     return jobs
 
 
-def check_modular(budget: int = 10**7, threads: int = 1) -> list:
+def check_modular(budget: int, threads: int = 1) -> list:
     """Per-class verification of the circular relation plus the recursion
     and the one-missing-spot closed form, for every k within budget."""
     jobs = _modular_jobs(budget)

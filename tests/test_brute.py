@@ -52,7 +52,6 @@ def test_streams_check_arguments_when_called():
 
 
 NON_INTEGER_CALLS = [
-    ("normalize_restriction", (3.0, (1,))),
     ("enum_restricted", (3, (1, 2.0))),
     ("enum_prime_restricted", (2.5, (1,))),
     ("count_restricted", (2.5, (1,))),
@@ -63,6 +62,7 @@ NON_INTEGER_CALLS = [
     ("fiber_size_bruteforce", ((1.0, 2.0, 3.0), 2)),
     ("count_min_defect", (3.0, 2)),
     ("walk_steps", (3, (1, 2.0))),
+    ("walk_steps", (3.0, (1,))),
     ("restriction_spots", ({"kind": "segment", "s": 2.0}, 3)),
 ]
 
@@ -89,18 +89,21 @@ def test_brute_rejects_non_integer_arguments():
     ):
         with pytest.raises(DomainError):
             call()
-    assert brute.normalize_restriction(3, range(3, 0, -1)) == (1, 2, 3)
+    # the spots are taken sorted and distinct
+    assert brute.walk_steps(3, (3, 1, 2, 1)) == brute.walk_steps(3, (1, 2, 3)) == 20
+    assert list(brute.enum_restricted(2, (2, 1, 2))) == [(1, 1), (1, 2), (2, 1)]
+    assert brute.count_prime_restricted(3, range(3, 0, -1)) == 4
 
 
 def test_spots_are_ignored_without_cars():
     # with no car present no spot is out of range, as the counts have it
-    assert brute.normalize_restriction(0, (3, 1, 2)) == (1, 2, 3)
-    assert brute.count_restricted(0, (1, 2, 3)) == 1
+    assert brute.walk_steps(0, (3, 1, 2)) == 2
+    assert list(brute.enum_prime_restricted(0, (5, 7))) == [()]
+    assert brute.count_restricted(0, (1, 2, 3)) == brute.count_prime_restricted(0, (9,)) == 1
 
 
 def test_brute_rejects_negative_cars():
     for call in (
-        brute.normalize_restriction,
         brute.enum_restricted,
         brute.enum_prime_restricted,
         brute.count_restricted,
@@ -354,7 +357,6 @@ def test_defect_floor():
 
 
 ORACLE_CALLS = {
-    "normalize_restriction": lambda: brute.normalize_restriction(5, (3, 1)),
     "enum_restricted": lambda: deque(brute.enum_restricted(7, (1, 2, 4, 5)), maxlen=0),
     "enum_prime_restricted": lambda: deque(brute.enum_prime_restricted(7, (1, 2, 3)), maxlen=0),
     "count_restricted": lambda: brute.count_restricted(7, (1, 3, 4)),

@@ -72,6 +72,36 @@ def test_closed_forms_by_request(monkeypatch):
     assert oracle() == -1
 
 
+# Requests that routes and its oracle once read two ways: each raises
+# DomainError at the call, except the set with an ``s`` key, counted as
+# the set by its oracle and by no form (count).
+REQUESTS_READ_ONCE = [
+    pytest.param({"kind": "bogus", "s": 3}, 4, None, id="unknown kind"),
+    pytest.param({"s": 3}, 4, None, id="no kind"),
+    pytest.param({"kind": "segment"}, 4, None, id="segment without s"),
+    pytest.param({"kind": "set", "s": 2}, 4, None, id="set without elements"),
+    pytest.param({"kind": "modular", "g": 2, "s": 3}, 5, None, id="modular without k"),
+    pytest.param(_modular(0, 3, 1), -1, None, id="modular g = 0"),
+    pytest.param(_modular(2, 3, 7), -1, None, id="modular k > g*s"),
+    pytest.param(_modular(2, 3, 1), 4, None, id="modular n != g*s - k"),
+    pytest.param({"kind": "set", "elements": [1, 2], "s": 3}, 4, 15, id="set with an s key"),
+]
+
+
+@pytest.mark.parametrize("restriction, n, count", REQUESTS_READ_ONCE)
+def test_routes_and_spots_read_a_request_alike(restriction, n, count):
+    if count is None:
+        for kind in ("pf", "ppf"):
+            with pytest.raises(DomainError):
+                formulas.routes(kind, restriction, n)
+        with pytest.raises(DomainError):
+            brute.restriction_spots(restriction, n)
+        return
+    forms, oracle = formulas.routes("pf", restriction, n)
+    assert forms == {} and oracle() == count
+    assert brute.restriction_spots(restriction, n) == (1, 2)
+
+
 def test_oracle_counts_its_own_request_within_the_budget():
     requests = [
         ({"kind": "segment", "s": 3}, 5, range(1, 4)),

@@ -196,6 +196,38 @@ def test_oracles_import_nothing_from_formulas():
         assert imported and not any(part.split(".")[-1] == "formulas" for part in imported), name
 
 
+def _restriction_readers(trees):
+    """``module.function`` for each module-level function (``<module>``
+    outside any) of ``trees`` that subscripts a name ending in
+    ``restriction``, or reads an attribute of it such as ``get``."""
+    found = set()
+    for name, tree in trees.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                read = node.value if isinstance(node, (ast.Subscript, ast.Attribute)) else None
+                if isinstance(read, ast.Name) and read.id.endswith("restriction"):
+                    found.add(f"{name}.{getattr(top, 'name', '<module>')}")
+    return sorted(found)
+
+
+def test_restriction_objects_are_read_once():
+    # a count request's forms and its oracle read its restriction object
+    # by the one reader, so they cannot count different requests
+    assert _restriction_readers(TREES) == ["exceptions._check_request"]
+
+
+def test_second_restriction_reader_is_detected():
+    source = (
+        "def _check_request(restriction, n):\n    return restriction.get('kind'), restriction['s']\n"
+        "def spots(restriction, n):\n    return range(1, restriction['s'] + 1)\n"
+        "def kind_of(count_restriction):\n    return count_restriction.get('kind')\n"
+        "def passes(restriction):\n    return print(restriction), _check_restriction(3, [1])[1]\n"
+        "LAST = default_restriction['s']\n"
+    )
+    found = _restriction_readers({"m": ast.parse(source)})
+    assert found == ["m.<module>", "m._check_request", "m.kind_of", "m.spots"]
+
+
 def _imports_argparse(tree):
     return any(name.split(".")[0] == "argparse" for name in _imported(tree))
 
