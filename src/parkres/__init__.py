@@ -42,8 +42,8 @@ _EXPORTS = {
     "formulas": (
         "AbelCheck", "abel_check", "catalan_number", "catalan_triangle",
         "fiber_size_formula", "max_run_length", "mod_count", "mod_count_k1",
-        "ones_poly_alternating", "ones_poly_subtractive", "pf_total", "ppf_total",
-        "prime_alternating", "prime_subtractive", "restricted_alternating",
+        "ones_poly_alternating", "ones_poly_subtractive", "ones_poly_total", "pf_total",
+        "ppf_total", "prime_alternating", "prime_subtractive", "restricted_alternating",
         "restricted_subtractive", "routes",
     ),
 }

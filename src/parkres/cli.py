@@ -66,14 +66,8 @@ def _restriction_of(args) -> tuple:
             raise ParkresError("--set cannot be used with --g, whose allowed spots are 1 mod g")
         if args.s is None or args.k is None:
             raise ParkresError("modular restriction needs --g, --s and --k")
-        if args.g < 1 or args.s < 1:
-            raise ParkresError(f"--g and --s must be >= 1, got g={args.g}, s={args.s}")
-        if args.k < 1:  # k <= 0 leaves no spot of the circular street missing
-            raise ParkresError(f"--k must be >= 1, got {args.k}")
-        n = args.g * args.s - args.k
-        if n < 0:
-            raise ParkresError("--k exceeds g*s")
-        return {"kind": "modular", "g": args.g, "s": args.s, "k": args.k}, n
+        # routes and brute.restriction_spots refuse g or s < 1 and k outside 1..g*s
+        return {"kind": "modular", "g": args.g, "s": args.s, "k": args.k}, args.g * args.s - args.k
     if args.k is not None:
         raise ParkresError(
             "--k cannot be used without --g: only a modular restriction has missing spots"

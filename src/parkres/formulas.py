@@ -226,14 +226,24 @@ def prime_alternating(n: int, s: int) -> int:
 
 
 def routes(kind: str, restriction: dict, n: int) -> tuple:
-    """``(forms, oracle)``: the routes that count ``kind`` ("pf" or "ppf")
-    on ``restriction`` with n cars.  ``count``, ``table`` and ``verify``
-    all read it, so a new count family is one entry here.
+    """``(forms, oracle)``: the routes that count ``kind`` on
+    ``restriction`` with n cars.  ``count``, ``table`` and ``verify`` all
+    read it, so a new count family is one entry here.
+
+    The kinds are "pf" and "ppf"; and, on a segment [s] alone, "defect"
+    (the functions [n] -> [s] of minimum defect n - s), "orbits" (of the
+    car-permuting action on the [s]-restricted parking functions) and
+    "ones" (the coefficients of :func:`ones_poly_subtractive`).  Any other
+    kind, or another restriction for the last three, raises
+    :class:`DomainError` at the call.
 
     ``forms`` holds the closed forms cheapest first, the order in which
     ``count --method auto`` tries them, keyed by the method name its JSON
     reports; each value computes the count when called, through the
-    form's name in this module.  ``oracle(budget=None)`` is the
+    form's name in this module.  The cost of a form is the number of terms
+    it sums: one for the total, the power and the triangle entry; s for
+    the subtractive form against n - s + 1 for the alternating one (n - s
+    for ppf), ``subtractive`` first on a tie.  ``oracle(budget=None)`` is the
     brute-force count of ``kind`` in :mod:`parkres.brute` on the request's
     own spots (:func:`brute.restriction_spots`), looked up there when
     called.  Given a budget, it raises :class:`BudgetExceeded` when its
@@ -244,20 +254,27 @@ def routes(kind: str, restriction: dict, n: int) -> tuple:
     segment (with ``s``), set (with ``elements``) or modular (with ``g``,
     ``s`` and ``k``, and n = g*s - k); any other raises
     :class:`DomainError` at the call.  [s] with 1 <= s <= n has the
-    subtractive and alternating pair, and at s = n also the pf total; for
-    ppf the pair holds only while s < n, and at s = n its count is the
-    total.  A modular pf has the recursion, and at k = 1 with g*s >= 2
-    also the power s**(g*s - 2).  An explicit set, a modular ppf and every
-    other (n, s) have no form, and are counted by the oracle alone.
-
-    The cost of a form is the number of terms it sums: one for the total
-    and the power, which come first; s for the subtractive form against
-    n - s + 1 for the alternating one (n - s for ppf), the shorter sum
-    first and ``subtractive`` on a tie.
+    subtractive and alternating pair, and at s = n also the total, for
+    pf, ones and defect (whose counts are pf's, by the paper's theorem);
+    for ppf the pair holds only while s < n, and at s = n its count is the
+    total.  Orbits have the Catalan triangle entry.  A modular pf has the
+    recursion, and at k = 1 with g*s >= 2 also the power s**(g*s - 2).  An
+    explicit set, a modular ppf and every other (n, s) have no form, and
+    are counted by the oracle alone.
     """
-    if kind not in ("pf", "ppf"):
-        raise DomainError(f"kind must be pf or ppf, got {kind!r}")
+    counts = {  # each kind's brute-force count, given brute and the request's spots
+        "pf": lambda brute, spots: brute.count_restricted(n, spots),
+        "ppf": lambda brute, spots: brute.count_prime_restricted(n, spots),
+        "defect": lambda brute, spots: brute.count_min_defect(n, *values),
+        "orbits": lambda brute, spots: brute.count_nondecreasing_restricted(n, *values),
+        "ones": lambda brute, spots: (0,) + brute.ones_distribution(n, *values),
+    }
+    if kind not in counts:
+        raise DomainError(f"kind must be one of {', '.join(counts)}, got {kind!r}")
     shape, n, values = _check_request(restriction, n)
+    if shape != "segment" and kind not in ("pf", "ppf"):
+        raise DomainError(f"{kind} counts need a segment restriction, got {shape}")
+    count = counts[kind]
 
     def oracle(budget=None):
         from . import brute  # only when called: table loads formulas but never brute
@@ -265,7 +282,7 @@ def routes(kind: str, restriction: dict, n: int) -> tuple:
         spots = brute.restriction_spots(restriction, n)
         if budget is not None and (steps := brute.walk_steps(n, spots)) > budget:
             raise BudgetExceeded(f"{steps} walk steps exceed --budget {budget}")
-        return (brute.count_restricted if kind == "pf" else brute.count_prime_restricted)(n, spots)
+        return count(brute, spots)
 
     forms = {}
     if shape == "modular" and kind == "pf":
@@ -276,23 +293,22 @@ def routes(kind: str, restriction: dict, n: int) -> tuple:
     if shape != "segment" or not 1 <= values[0] <= n:
         return forms, oracle
     (s,) = values
-    if kind == "pf":
+    if kind == "orbits":
+        return {"triangle": lambda: catalan_triangle(n, s - 1)}, oracle
+    if kind == "ppf":
         if s == n:
-            forms["total"] = lambda: pf_total(n)
-        pair = [
-            ("subtractive", lambda: restricted_subtractive(n, s)),
-            ("alternating", lambda: restricted_alternating(n, s)),
-        ]
-        alternating_terms = n - s + 1
-    elif s == n:
-        return {"total": lambda: ppf_total(n)}, oracle
-    else:
-        pair = [
-            ("subtractive", lambda: prime_subtractive(n, s)),
-            ("alternating", lambda: prime_alternating(n, s)),
-        ]
-        alternating_terms = n - s
-    forms.update(pair if s <= alternating_terms else reversed(pair))
+            return {"total": lambda: ppf_total(n)}, oracle
+        pair = (lambda: prime_subtractive(n, s), lambda: prime_alternating(n, s))
+    elif kind == "ones":
+        total = lambda: ones_poly_total(n)
+        pair = (lambda: ones_poly_subtractive(n, s), lambda: ones_poly_alternating(n, s))
+    else:  # pf, and defect, whose counts on [s] are pf's
+        total = lambda: pf_total(n)
+        pair = (lambda: restricted_subtractive(n, s), lambda: restricted_alternating(n, s))
+    if s == n:
+        forms["total"] = total
+    terms = list(zip(("subtractive", "alternating"), pair))
+    forms.update(terms if s <= n - s + (kind != "ppf") else reversed(terms))
     return forms, oracle
 
 
@@ -360,6 +376,14 @@ class Coefficients(tuple):
         return super().__add__(other)
 
 
+def ones_poly_total(n: int) -> Coefficients:
+    """Coefficients, lowest degree first, of the ones enumerator of all
+    parking functions on n cars (s = n), x*(x+n)**(n-1), whose x**(j+1)
+    has C(n-1, j) * n**(n-1-j) by the binomial theorem."""
+    n = _check_n(n)
+    return Coefficients((0,) + tuple(comb(n - 1, j) * n ** (n - 1 - j) for j in range(n)))
+
+
 # Both ones enumerators below are monic of degree n: every term has lower
 # degree than the leading one, (s-1+x)**n in the subtractive sum and
 # x*(x+n)**(n-1) in the alternating one.  So their n+1 coefficients end in
@@ -389,7 +413,7 @@ def ones_poly_alternating(n: int, s: int) -> Coefficients:
 
         sum_{i=s}^{n} C(n,i) * x(x+i)**(i-1) * (s-i-1)**(n-i)
 
-    ``parkres verify abel`` compares it with :func:`ones_poly_subtractive`.
+    ``parkres verify formulas`` compares it with :func:`ones_poly_subtractive`.
     """
     n, s = _check_ns(n, s)
     total = [0] * (n + 1)
@@ -402,28 +426,28 @@ def ones_poly_alternating(n: int, s: int) -> Coefficients:
     return Coefficients(total)
 
 
-def _restricted_table(kind: str):
-    """The builder of the [s]-restricted ``kind`` table: row n holds the
-    counts at s = 1..n by the first form :func:`routes` gives, each
-    checked against the second (the ppf diagonal has only the total)."""
+def _checked(kind: str, n: int, s: int, mismatches: list):
+    """The [s]-restricted ``kind`` count on n cars by the first form
+    :func:`routes` gives, checked against the second (the ppf diagonal has
+    only the total); a disagreement is appended to ``mismatches``."""
+    (first, form), *rest = routes(kind, {"kind": "segment", "s": s}, n)[0].items()
+    value = form()
+    for second, other in rest[:1]:
+        check = other()
+        if check != value:
+            mismatches.append(f"n={n}, s={s}: {first} {value}, {second} {check}")
+    return value
 
-    def build(n_max):
-        header = ["n"] + [f"s={s}" for s in range(1, n_max + 1)]
-        rows, mismatches = [], []
-        for n in range(1, n_max + 1):
-            row = [n]
-            for s in range(1, n + 1):
-                (first, form), *rest = routes(kind, {"kind": "segment", "s": s}, n)[0].items()
-                value = form()
-                for second, other in rest[:1]:
-                    check = other()
-                    if check != value:
-                        mismatches.append(f"n={n}, s={s}: {first} {value}, {second} {check}")
-                row.append(value)
-            rows.append(row + [""] * (n_max - n))
-        return header, rows, mismatches
 
-    return build
+def _restricted_table(kind: str, n_max: int):
+    """The [s]-restricted ``kind`` table: row n holds the counts at
+    s = 1..n, each by :func:`_checked`."""
+    header = ["n"] + [f"s={s}" for s in range(1, n_max + 1)]
+    rows, mismatches = [], []
+    for n in range(1, n_max + 1):
+        row = [n] + [_checked(kind, n, s, mismatches) for s in range(1, n + 1)]
+        rows.append(row + [""] * (n_max - n))
+    return header, rows, mismatches
 
 
 def _catalan_table(n_max):
@@ -436,10 +460,10 @@ def _catalan_table(n_max):
 
 
 def _ones_table(n, s):
-    poly = ones_poly_subtractive(n, s)
-    check = ones_poly_alternating(n, s)
-    mismatches = [] if poly == check else [f"n={n}, s={s}: subtractive {poly}, alternating {check}"]
-    return [f"x^{k}" for k in range(n + 1)], [list(poly)], mismatches
+    n, s = _check_ns(n, s)  # [s] outside 1..n has no form
+    mismatches = []
+    row = list(_checked("ones", n, s, mismatches))
+    return [f"x^{k}" for k in range(n + 1)], [row], mismatches
 
 
 # The families of ``parkres table``, by name.  Each maps the flags it
@@ -448,8 +472,8 @@ def _ones_table(n, s):
 # rows, mismatches)``, each mismatch a value whose second route disagrees:
 # every value has one but the Catalan triangle's and the ppf diagonal's.
 TABLES = {
-    "pf-restricted": ({"--n-max": 8}, _restricted_table("pf")),
-    "ppf-restricted": ({"--n-max": 8}, _restricted_table("ppf")),
+    "pf-restricted": ({"--n-max": 8}, lambda n_max: _restricted_table("pf", n_max)),
+    "ppf-restricted": ({"--n-max": 8}, lambda n_max: _restricted_table("ppf", n_max)),
     "catalan-triangle": ({"--n-max": 8}, _catalan_table),
     "ones": ({"--n": None, "--s": None}, _ones_table),
 }

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, permutations, product
-from math import comb, factorial, prod
+from math import factorial, prod
 from time import perf_counter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -62,14 +62,9 @@ def _grid(n_max: int, strict: bool = False) -> Iterator[tuple]:
             yield n, s
 
 
-def _on_grid(name: str, n_max: int, got, want) -> Check:
-    """Compare ``got(n, s)`` with ``want(n, s)`` at every (n, s) of the grid."""
-    return _check(name, (_differ(f"n={n}, s={s}", got(n, s), want(n, s)) for n, s in _grid(n_max)))
-
-
-def _count(kind: str, n: int, s: int) -> int:
-    """The brute-force count of [s]-restricted ``kind`` lists on n cars, by
-    the oracle that :func:`formulas.routes` names for that request."""
+def _count(kind: str, n: int, s: int):
+    """The brute-force ``kind`` count on [s] with n cars, by the oracle
+    that :func:`formulas.routes` names for that request."""
     return formulas.routes(kind, {"kind": "segment", "s": s}, n)[1]()
 
 
@@ -81,11 +76,16 @@ def _agree(case: str, forms: dict) -> Iterator:
         yield _differ(f"{case}: {method} vs {first}", other(), want)
 
 
+# The name that each kind of :func:`formulas.routes` has in its check.
+_LABELS = {
+    "pf": "restricted", "ppf": "prime", "defect": "min-defect", "orbits": "orbit", "ones": "ones",
+}
+
+
 def check_closed_forms(kind: str, n_max: int) -> list:
-    """Every route of the [s]-restricted ``kind`` count (pf or ppf) that
+    """Every route of the [s]-restricted ``kind`` count that
     :func:`formulas.routes` gives, each closed form and the brute-force
     oracle, against the first form."""
-    label = "restricted" if kind == "pf" else "prime"
 
     def routes(n, s):
         forms, oracle = formulas.routes(kind, {"kind": "segment", "s": s}, n)
@@ -93,7 +93,7 @@ def check_closed_forms(kind: str, n_max: int) -> list:
 
     return [
         _check(
-            f"{label} routes agree (n <= {n_max})",
+            f"{_LABELS[kind]} routes agree (n <= {n_max})",
             (d for n, s in _grid(n_max) for d in _agree(f"n={n}, s={s}", routes(n, s))),
         )
     ]
@@ -112,15 +112,10 @@ def _defect_floor(n_max: int) -> Iterator:
 
 
 def check_defect(n_max: int) -> list:
-    """Minimum-defect functions are exactly the [s]-restricted parking
-    functions, and no function beats the floor n - s."""
-    return [
-        _on_grid(
-            f"min-defect count == restricted count (n <= {n_max})",
-            n_max,
-            brute.count_min_defect,
-            lambda n, s: _count("pf", n, s),
-        ),
+    """Minimum-defect counts by their routes, which are the [s]-restricted
+    pf forms; and no function beats the floor n - s, which the restricted
+    lists attain exactly."""
+    return check_closed_forms("defect", n_max) + [
         _check(
             "defect floor n - s attained exactly on restricted lists",
             _defect_floor(min(n_max, 5)),
@@ -129,15 +124,12 @@ def check_defect(n_max: int) -> list:
 
 
 def check_orbits(n_max: int) -> list:
-    """Orbit counts against the Catalan triangle."""
-    orbits = brute.count_nondecreasing_restricted
-    return [
-        _on_grid(
-            f"orbit counts == Catalan triangle (n <= {n_max})",
-            n_max,
-            lambda n, s: formulas.catalan_triangle(n, s - 1),
-            orbits,
-        ),
+    """Orbit counts by their routes, the Catalan triangle's diagonal and
+    the orbit recurrence."""
+    def orbits(n, s):
+        return _count("orbits", n, s)
+
+    return check_closed_forms("orbits", n_max) + [
         _check(
             "triangle diagonal gives Catalan numbers",
             (
@@ -156,18 +148,18 @@ def check_orbits(n_max: int) -> list:
     ]
 
 
-def _ones_forms(n_max: int) -> Iterator:
-    for n, s in _grid(n_max):
-        a = formulas.ones_poly_subtractive(n, s)
-        yield _differ(f"n={n}, s={s}", a, formulas.ones_poly_alternating(n, s))
-        yield _differ(f"n={n}, s={s}: constant term", a[0], 0)
-        if s == n:  # x*(x+n)**(n-1), by the binomial theorem
-            want = (0,) + tuple(comb(n - 1, j) * n ** (n - 1 - j) for j in range(n))
-            yield _differ(f"n={n}: unrestricted enumerator", a, want)
+def check_ones_at_one(n_max: int) -> list:
+    """The ones enumerator at x = 1 counts the [s]-restricted parking functions."""
+    cases = (
+        _differ(f"n={n}, s={s}", sum(_count("ones", n, s)), _count("pf", n, s))
+        for n, s in _grid(n_max)
+    )
+    return [_check(f"ones at x = 1 == restricted count (n <= {n_max})", cases)]
 
 
 def check_abel(n_max: int) -> list:
-    """Abel's identity on a rational grid, plus the ones-enumerator pair."""
+    """Abel's identity on a rational grid and at the restricted-count
+    specializations."""
     from fractions import Fraction  # only here, to keep it out of every CLI start
 
     grid = [Fraction(v) for v in range(-3, 4)] + [Fraction(1, 2), Fraction(-1, 2)]
@@ -187,20 +179,7 @@ def check_abel(n_max: int) -> list:
             "restricted-count specializations evaluate to s**n",
             (abel(n, x, s - n - x, s**n) for n, s in _grid(n_max) for x in (1, -1)),
         ),
-        _check(f"ones enumerator forms agree (n <= {n_max})", _ones_forms(n_max)),
     ]
-
-
-def _ones(n_max: int) -> Iterator:
-    for n, s in _grid(n_max):
-        coeffs = formulas.ones_poly_subtractive(n, s)
-        yield _differ(f"n={n}, s={s}: brute vs formula", brute.ones_distribution(n, s), coeffs[1:])
-        yield _differ(f"n={n}, s={s}: value at 1", sum(coeffs), _count("pf", n, s))
-
-
-def check_ones(n_max: int) -> list:
-    """Ones enumerator against the brute-force distribution."""
-    return [_check(f"ones distribution matches enumerator (n <= {n_max})", _ones(n_max))]
 
 
 def _fibers(n_max: int) -> Iterator:
@@ -380,7 +359,8 @@ _SUITES = {
         check_closed_forms("pf", n_max)
         + check_closed_forms("ppf", n_max)
         + check_defect(n_max)
-        + check_ones(n_max)
+        + check_closed_forms("ones", n_max)
+        + check_ones_at_one(n_max)
     )),
     "bijections": (1, lambda n_max=5, budget=None: check_bijections(min(n_max, 5))),
     "involution": (1, lambda n_max=5, budget=None: check_involution(min(n_max, 5))),

@@ -176,7 +176,7 @@ def test_count_usage_errors(capsys):
             assert code == 2 and out == "" and err.startswith("error:") and method in err
     for g, s in (("0", "2"), ("2", "0"), ("-1", "-2")):
         code, out, err = run(capsys, "count", "pf", "--g", g, "--s", s, "--k", "1")
-        assert code == 2 and out == "" and err.startswith("error: --g and --s must be >= 1")
+        assert code == 2 and out == "" and err.startswith("error: need g, s >= 1 and 1 <= k <= g*s")
     for budget in ("inf", "nan", "-1", "1e400", "lots"):
         code, _, err = run(capsys, "count", "pf", "--n", "4", "--budget", budget)
         assert code == 2 and "budget" in err
@@ -365,9 +365,9 @@ def test_modular_k_below_one_exits_2(capsys):
                     "--method", method, "--format", fmt,
                 )
                 assert code == 2 and out == "", (k, method, fmt)
-                assert err.startswith("error: --k must be >= 1"), (k, method, fmt)
+                assert err.startswith("error: need g, s >= 1 and 1 <= k <= g*s"), (k, method, fmt)
         code, out, err = run(capsys, "enum", "pf", "--g", "2", "--s", "3", "--k", k)
-        assert code == 2 and out == "" and err.startswith("error: --k must be >= 1")
+        assert code == 2 and out == "" and err.startswith("error: need g, s >= 1 and 1 <= k <= g*s")
 
 
 def test_restriction_fault_is_named_at_any_budget(capsys):

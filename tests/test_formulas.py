@@ -53,7 +53,7 @@ def test_closed_forms_by_request(monkeypatch):
     assert {method: form() for method, form in forms.items()} == dict.fromkeys(forms, 125)
     forms, _ = formulas.routes("pf", _modular(2, 3, 1), 5)
     assert {method: form() for method, form in forms.items()} == dict.fromkeys(forms, 81)
-    with pytest.raises(DomainError, match="pf or ppf"):
+    with pytest.raises(DomainError, match="one of pf, ppf, defect, orbits, ones, got 'ppx'"):
         formulas.routes("ppx", segment, 4)
     # the oracle is the brute-force count of the kind, on the request's spots
     for n, s in ((4, 2), (5, 5), (3, 1)):
@@ -70,6 +70,45 @@ def test_closed_forms_by_request(monkeypatch):
     # benchmark tracer see a patched count
     monkeypatch.setattr(brute, "count_restricted", lambda n, allowed: -1)
     assert oracle() == -1
+
+
+def test_segment_kinds_by_request():
+    # defect has the pf forms on [s], ones the same pair with its own
+    # total, orbits the triangle entry; each against its own oracle
+    segment = {"kind": "segment", "s": 4}
+    for kind in ("defect", "ones"):
+        assert _methods(kind, segment, 4) == ["total", "alternating", "subtractive"]
+        assert _methods(kind, segment, 7) == ["subtractive", "alternating"]
+        assert _methods(kind, segment, 3) == []  # s outside 1..n
+    assert _methods("orbits", segment, 6) == ["triangle"]
+    assert _methods("orbits", segment, 3) == []
+    want = {  # the brute-force count, and the same count by a form
+        "defect": (brute.count_min_defect(6, 4), formulas.restricted_subtractive(6, 4)),
+        "orbits": (brute.count_nondecreasing_restricted(6, 4), formulas.catalan_triangle(6, 3)),
+        "ones": ((0,) + brute.ones_distribution(6, 4), formulas.ones_poly_subtractive(6, 4)),
+    }
+    for kind, (count, form_count) in want.items():
+        forms, oracle = formulas.routes(kind, segment, 6)
+        assert oracle() == oracle(10**6) == count == form_count, kind
+        assert [form() for form in forms.values()] == [count] * len(forms), kind
+    # s outside 1..n has no form, and the oracle raises, as pf's does
+    for kind in ("defect", "orbits", "ones"):
+        _, oracle = formulas.routes(kind, segment, 3)
+        with pytest.raises(DomainError):
+            oracle()
+
+
+@pytest.mark.parametrize("kind", ["defect", "orbits", "ones"])
+@pytest.mark.parametrize(
+    "restriction, n",
+    [({"kind": "set", "elements": [1, 2]}, 4), (_modular(2, 3, 1), 5), (_modular(2, 3, 2), 4)],
+    ids=["set", "modular k = 1", "modular k = 2"],
+)
+def test_segment_kinds_refuse_other_restrictions(kind, restriction, n):
+    # a set or modular request of a kind counted on [s] alone raises at the
+    # call, before any form or oracle runs
+    with pytest.raises(DomainError, match=f"{kind} counts need a segment restriction"):
+        formulas.routes(kind, restriction, n)
 
 
 # Requests that routes and its oracle once read two ways: each raises
@@ -266,6 +305,7 @@ def test_ones_polynomials():
             assert a == b
             assert a[0] == 0
         assert formulas.ones_poly_subtractive(n, n) == _ones_factor_reference(n)
+        assert formulas.ones_poly_total(n) == _ones_factor_reference(n)
 
 
 def test_ones_forms_read_as_plain_tuples():
@@ -565,6 +605,7 @@ NON_INTEGER_CALLS = [
     ("routes", ("pf", {"kind": "segment", "s": 2.0}, 5)),
     ("ones_poly_subtractive", (3.0, 2)),
     ("ones_poly_alternating", (3, 2.0)),
+    ("ones_poly_total", (3.0,)),
     ("abel_check", (2.0, 1, 1)),
     ("max_run_length", ((1, 2), 2.0)),
     ("max_run_length", ((1.0, 2.0, 3.0), 1)),

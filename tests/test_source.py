@@ -250,14 +250,26 @@ def test_argparse_import_is_detected():
     assert not _imports_argparse(ast.parse("import math\nfrom . import cli\n"))
 
 
-# The routes of requests of every kind ``formulas.routes`` counts: pf and
-# ppf on the segments [1..5] with 5 cars, and modular at g = 2, s = 3.
+# The routes of requests of every kind ``formulas.routes`` counts: each
+# kind on the segments [1..5] with 5 cars, and pf and ppf modular at
+# g = 2, s = 3.
 ROUTES = [
-    formulas.routes(kind, restriction, n)
+    formulas.routes(kind, {"kind": "segment", "s": s}, 5)
+    for kind in ("pf", "ppf", "defect", "orbits", "ones")
+    for s in range(1, 6)
+] + [
+    formulas.routes(kind, {"kind": "modular", "g": 2, "s": 3, "k": k}, 6 - k)
     for kind in ("pf", "ppf")
-    for restriction, n in [({"kind": "segment", "s": s}, 5) for s in range(1, 6)]
-    + [({"kind": "modular", "g": 2, "s": 3, "k": k}, 6 - k) for k in (1, 2)]
+    for k in (1, 2)
 ]
+
+
+def _oracle_count(oracle):
+    """The ``brute`` function that an oracle's ``count`` calls, the
+    brute-force count of its kind, as a set of one name."""
+    count = inspect.getclosurevars(oracle).nonlocals["count"]
+    return {f"brute.{name}" for name in count.__code__.co_names}
+
 
 # The route-independence audit: no two routes compared by a check may
 # reach the same package function or private module-level state, but the
@@ -279,12 +291,12 @@ ALLOWED = {
 # The compared routes that ``formulas.routes`` does not name, each with
 # the ``verify`` check that compares them.
 COMPARED = {
-    ("brute.count_min_defect", "brute.count_restricted"): "check_defect",
-    ("brute.count_nondecreasing_restricted", "formulas.catalan_triangle"): "check_orbits",
-    ("formulas.ones_poly_alternating", "formulas.ones_poly_subtractive"): "check_abel",
-    ("brute.ones_distribution", "formulas.ones_poly_subtractive"): "check_ones",
     ("brute.fiber_size_bruteforce", "formulas.fiber_size_formula"): "check_fibers",
+    # the fibers of the outcome map partition the [s]-restricted lists
+    ("brute.count_restricted", "brute.fiber_size_bruteforce"): "check_fibers",
     ("circular.modular_census", "circular.verify_relation"): "check_modular",
+    # the relation predicts each class from brute-force counts of its blocks
+    ("brute.count_restricted", "circular.modular_census"): "check_modular",
 }
 
 
@@ -345,11 +357,11 @@ def _shares(index, pairs, allowed=ALLOWED.keys()):
 def _compared_pairs(index):
     """``{(a, b): check}``: every two routes of one request in ``ROUTES``,
     each form by the function its lambda calls and the oracle by the
-    ``brute`` counters its code names; then ``COMPARED``."""
+    ``brute`` count of its kind; then ``COMPARED``."""
     pairs = {}
     for forms, oracle in ROUTES:
         named = [{f"formulas.{name}" for name in form.__code__.co_names} for form in forms.values()]
-        named.append({f"brute.{name}" for name in oracle.__code__.co_names if name.startswith("count_")})
+        named.append(_oracle_count(oracle))
         sides = [side & index.keys() for side in named]
         assert all(sides), forms
         for one, other in combinations(sides, 2):
@@ -420,6 +432,8 @@ def test_ones_forms_share_only_the_allowed_helpers():
     builders = ["formulas._binomial_coeffs", "formulas._ones_factor"]
     checks = ["exceptions._check_ns", "exceptions._ints"]
     assert _shares(index, [ONES], allowed=set()) == {ONES: sorted(builders + checks)}
+    # the total, a third form at s = n, is built from math.comb alone
+    assert not set(builders) & _closure(index, "formulas.ones_poly_total", None)
     assert [ALLOWED[name][0] for name in checks] == ["argument check"] * 2
     for name in builders:
         assert ALLOWED[name][0].startswith("the ones pair"), name
@@ -543,7 +557,7 @@ COUNT_FORMS = {
     name for forms, _ in ROUTES for form in forms.values() for name in form.__code__.co_names
 }
 # The brute-force counts that ``formulas.routes`` names as the oracles.
-COUNT_ORACLES = {"count_restricted", "count_prime_restricted"}
+COUNT_ORACLES = {name.split(".")[1] for _, oracle in ROUTES for name in _oracle_count(oracle)}
 
 
 def _named(tree, names=COUNT_FORMS):
@@ -573,7 +587,8 @@ def _literals(tree, names):
 
 
 def test_cli_and_verify_reach_the_forms_through_the_resolver():
-    assert {"all", "formulas", "ones", "total", "power", "recursion"} <= OWNED_NAMES
+    assert {"all", "formulas", "ones", "total", "power", "recursion", "triangle"} <= OWNED_NAMES
+    assert {"catalan_triangle", "ones_poly_subtractive", "ones_poly_total"} < COUNT_FORMS
     for name in ("cli", "verify"):
         tree = TREES[name]
         assert _named(tree) == [], name
@@ -610,6 +625,7 @@ def test_form_named_outside_the_resolver_is_detected():
 
 
 def test_cli_and_verify_take_the_oracle_from_the_resolver():
+    assert {"count_min_defect", "count_nondecreasing_restricted", "ones_distribution"} < COUNT_ORACLES
     for name in ("cli", "verify"):
         assert _named(TREES[name], COUNT_ORACLES) == [], name
 

@@ -1,9 +1,11 @@
 """Every verify check fails, and names the case, when one route is wrong at
 a single input; the CLI reports such a failure with exit code 3."""
 
+import ast
 import time
 from itertools import combinations
 from operator import sub
+from pathlib import Path
 
 import pytest
 
@@ -90,7 +92,11 @@ CASES = [
     ),
     (
         brute, "ones_distribution", (3, 2), _count_late,
-        lambda: verify.check_ones(3), ["formulas", "--n-max", "3"], "n=3, s=2",
+        lambda: verify.check_closed_forms("ones", 3), ["formulas", "--n-max", "3"], "n=3, s=2",
+    ),
+    (
+        brute, "count_min_defect", (4, 2), _plus_one,
+        lambda: verify.check_closed_forms("defect", 4), ["formulas", "--n-max", "4"], "n=4, s=2",
     ),
     (
         formulas, "fiber_size_formula", ((2, 1, 3), 2), _plus_one,
@@ -98,11 +104,17 @@ CASES = [
     ),
     (
         formulas, "catalan_triangle", (3, 1), _plus_one,
-        lambda: verify.check_orbits(3), ["orbits", "--n-max", "3"], "n=3, s=2",
+        lambda: verify.check_closed_forms("orbits", 3), ["orbits", "--n-max", "3"], "n=3, s=2",
     ),
     (
         formulas, "ones_poly_subtractive", (4, 2), _bump_first,
-        lambda: verify.check_abel(4), ["abel", "--n-max", "4"], "n=4, s=2",
+        lambda: verify.check_closed_forms("ones", 4), ["formulas", "--n-max", "4"], "n=4, s=2",
+    ),
+    # the ones total is the first form at s = n, and the pair is checked
+    # against it
+    (
+        formulas, "ones_poly_total", (4,), _bump_first,
+        lambda: verify.check_closed_forms("ones", 4), ["formulas", "--n-max", "4"], "n=4, s=4",
     ),
     (
         formulas, "mod_count", (2, 3, 1), _plus_one,
@@ -248,6 +260,20 @@ def test_malformed_arguments_are_refused_before_any_suite(monkeypatch):
     assert ran == []
     verify.run_suite("modular", budget=1e7)  # a numeric budget need not be an int
     assert ran == [{"budget": 1e7}]
+
+
+def test_suites_are_the_benchmark_cli_suites():
+    # the benchmark's cli mix runs each suite by name from CLI_SUITES in
+    # perfbench/workloads.py (read here, not imported): a suite renamed or
+    # added must show here first
+    source = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    (cli_suites,) = [
+        node.value
+        for node in ast.parse(source.read_text()).body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["CLI_SUITES"]
+    ]
+    assert set(verify.suite_names()) - {"all"} == set(ast.literal_eval(cli_suites))
 
 
 def test_unknown_suite_is_named():
