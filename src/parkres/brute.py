@@ -275,6 +275,15 @@ def count_nondecreasing_restricted(n: int, s: int) -> int:
     return sum(ways)
 
 
+def orbit_steps(n: int, s: int) -> int:
+    """The steps :func:`count_nondecreasing_restricted` takes for ``n``
+    cars over [s]: one per entry of its running sums, min(i, s) at each
+    i from 2 to n, s(s+1)/2 - 1 + (n - s)s in all.  [s] is checked
+    against n first, so a bad request is named at any budget."""
+    n, s = _check_ns(n, s)
+    return s * (s + 1) // 2 - 1 + (n - s) * s
+
+
 def ones_distribution(n: int, s: int) -> tuple:
     """Counts (c_1, ..., c_n) of [s]-restricted parking functions with
     exactly i cars preferring spot 1.

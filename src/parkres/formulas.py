@@ -92,13 +92,15 @@ def _power_product(a: int, e: int, b: int, f: int) -> int:
     return result << (i * e + j * f)
 
 
-def _rising_binomial_series(n: int, lo: int, hi: int, term) -> tuple:
-    """(P, Q, T) of the terms i = lo, lo+1, ..., hi of sum C(n,i) * term(i),
-    lo <= 1, by binary splitting (Haible & Papanikolaou 1998).
+def _rising_binomial_series(n: int, lo: int, hi: int, term, a: int = 1, b: int = 1) -> tuple:
+    """(P, Q, T) of the terms i = lo, lo+1, ..., hi of
+    sum C(n,i) * a**i / b**i * term(i), lo <= 1, by binary splitting
+    (Haible & Papanikolaou 1998).
 
-    Walking up from C(n, 0) = 1, C(n, i) = C(n, i-1) * p_i / q_i with
-    p_i = n-i+1 and q_i = i, and p_0 = q_0 = 1.  P and Q are the products
-    of the p_i and q_i over the range, and
+    Walking up from the weight 1 at i = 0, each weight is the one before
+    it times p_i / q_i with p_i = (n-i+1) * a and q_i = i * b, and
+    p_0 = q_0 = 1.  P and Q are the products of the p_i and q_i over the
+    range, and
 
         T = sum_i term(i) * (p_lo * ... * p_i) * (q_{i+1} * ... * q_hi),
 
@@ -108,11 +110,11 @@ def _rising_binomial_series(n: int, lo: int, hi: int, term) -> tuple:
     if lo >= hi:
         if lo > hi:
             return 1, 1, 0
-        p, q = (n - lo + 1, lo) if lo else (1, 1)
+        p, q = ((n - lo + 1) * a, lo * b) if lo else (1, 1)
         return p, q, term(lo) * p
     mid = (lo + hi) // 2
-    p1, q1, t1 = _rising_binomial_series(n, lo, mid, term)
-    p2, q2, t2 = _rising_binomial_series(n, mid + 1, hi, term)
+    p1, q1, t1 = _rising_binomial_series(n, lo, mid, term, a, b)
+    p2, q2, t2 = _rising_binomial_series(n, mid + 1, hi, term, a, b)
     return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
@@ -248,7 +250,8 @@ def routes(kind: str, restriction: dict, n: int) -> tuple:
     own spots (:func:`brute.restriction_spots`), looked up there when
     called.  Given a budget, it raises :class:`BudgetExceeded` when its
     walk may take more steps (:func:`brute.walk_steps`, which checks the
-    spots first, so a bad spot is named at any budget).
+    spots first, so a bad spot is named at any budget); the orbit count
+    is held to the steps of its own recurrence (:func:`brute.orbit_steps`).
 
     ``restriction`` is the object ``count --format json`` reports, of kind
     segment (with ``s``), set (with ``elements``) or modular (with ``g``,
@@ -280,8 +283,13 @@ def routes(kind: str, restriction: dict, n: int) -> tuple:
         from . import brute  # only when called: table loads formulas but never brute
 
         spots = brute.restriction_spots(restriction, n)
-        if budget is not None and (steps := brute.walk_steps(n, spots)) > budget:
-            raise BudgetExceeded(f"{steps} walk steps exceed --budget {budget}")
+        if budget is not None:
+            if kind == "orbits":  # a running-sum recurrence, not the parking walk
+                steps, name = brute.orbit_steps(n, *values), "recurrence"
+            else:
+                steps, name = brute.walk_steps(n, spots), "walk"
+            if steps > budget:
+                raise BudgetExceeded(f"{steps} {name} steps exceed --budget {budget}")
         return count(brute, spots)
 
     forms = {}
@@ -343,14 +351,6 @@ def _binomial_coeffs(n: int, c: int) -> list:
     return coeffs
 
 
-def _ones_factor(i: int) -> list:
-    # The coefficients of x*(x+i)**(i-1), which counts parking functions of
-    # length i by their number of 1 entries.  The empty product at i == 0 is 1.
-    if i == 0:
-        return [1]
-    return [0] + _binomial_coeffs(i - 1, i)
-
-
 class Coefficients(tuple):
     """A polynomial's integer coefficients, lowest degree first, with no
     trailing zero.  It is a plain tuple, but for the three ways the
@@ -388,6 +388,12 @@ def ones_poly_total(n: int) -> Coefficients:
 # degree than the leading one, (s-1+x)**n in the subtractive sum and
 # x*(x+n)**(n-1) in the alternating one.  So their n+1 coefficients end in
 # 1 and need no trimming.
+#
+# Term i of either sum has at x**j the coefficient
+# t_j = scale_i * C(i-1, j-1) * i**(i-j), where scale_i = C(n,i) * (s-i-1)**(n-i)
+# is t_i (and the constant at i = 0).  Each lower one is
+# t_j = t_{j+1} * i*j / (i-j), an exact division by a small integer, so no
+# coefficient costs a full-size product.
 
 
 def ones_poly_subtractive(n: int, s: int) -> Coefficients:
@@ -396,14 +402,18 @@ def ones_poly_subtractive(n: int, s: int) -> Coefficients:
     spot 1:
 
         (s-1+x)**n - sum_{i=0}^{s-1} C(n,i) * x(x+i)**(i-1) * (s-i-1)**(n-i)
-    """
+
+    C(n, i) is walked up from C(n, 0), and each term's coefficients down
+    from x**i (see above)."""
     n, s = _check_ns(n, s)
     total = _binomial_coeffs(n, s - 1)
     c = 1  # C(n, i), walked up from C(n, 0)
     for i in range(s - 1):  # the term i = s-1 has the factor 0**(n-s+1) = 0
-        scale = c * (s - i - 1) ** (n - i)
-        for j, f in enumerate(_ones_factor(i)):
-            total[j] -= scale * f
+        t = c * (s - i - 1) ** (n - i)
+        total[i] -= t
+        for j in range(i - 1, 0, -1):
+            t = t * (i * j) // (i - j)
+            total[j] -= t
         c = c * (n - i) // (i + 1)
     return Coefficients(total)
 
@@ -413,15 +423,19 @@ def ones_poly_alternating(n: int, s: int) -> Coefficients:
 
         sum_{i=s}^{n} C(n,i) * x(x+i)**(i-1) * (s-i-1)**(n-i)
 
-    ``parkres verify formulas`` compares it with :func:`ones_poly_subtractive`.
+    C(n, i) is walked down from C(n, n), and each term's coefficients down
+    from x**i, in a loop of its own.  ``parkres verify formulas`` compares
+    it with :func:`ones_poly_subtractive`.
     """
     n, s = _check_ns(n, s)
     total = [0] * (n + 1)
     c = 1  # C(n, i), walked down from C(n, n)
     for i in range(n, s - 1, -1):
-        scale = c * (s - i - 1) ** (n - i)
-        for j, f in enumerate(_ones_factor(i)):
-            total[j] += scale * f
+        t = c * (s - i - 1) ** (n - i)
+        total[i] += t
+        for j in range(i - 1, 0, -1):
+            t = t * (i * j) // (i - j)
+            total[j] += t
         c = c * i // (n - i + 1)
     return Coefficients(total)
 
@@ -494,13 +508,17 @@ def abel_check(n: int, x, y) -> AbelCheck:
     singularity at x == 0.  Returns the equality flag and both values.
 
     The left side is a :class:`~fractions.Fraction` power.  The right side
-    is summed in integers over the common denominator q**n * v**n, where
-    x = p/q and y = u/v in lowest terms: term i is
+    is summed in integers: with x = p/q and y = u/v in lowest terms, term
+    i is C(n,i) * (v/q)**i * X_i / v**n, where
 
-        C(n,i) * p(p+iq)**(i-1) * q**(n-i) * (u+(n-i)v)**(n-i) * v**i
+        X_i = p(p+iq)**(i-1) * (u+(n-i)v)**(n-i)
 
-    (q**n * (u+nv)**n at i == 0), and the total is reduced to one
-    Fraction at the end.
+    ((u+nv)**n at i == 0) comes from one :func:`_power_pair` chain.  The
+    weights C(n,i) * (v/q)**i are walked up from i == 0 by the ratios
+    (n-i+1)v / (iq) and combined by binary splitting
+    (:func:`_rising_binomial_series`), so each X_i is multiplied only by
+    small factors and products of them, and the sum T / Q gives the right
+    side T / (Q * v**n), reduced to one Fraction at the end.
     """
     from fractions import Fraction  # only here, to keep it out of every CLI start
 
@@ -510,12 +528,14 @@ def abel_check(n: int, x, y) -> AbelCheck:
     lhs = (x + y + n) ** n
     p, q = x.numerator, x.denominator
     u, v = y.numerator, y.denominator
-    w = q**n  # C(n, i) * q**(n-i) * v**i, walked up from i == 0
-    total = w * (u + n * v) ** n
-    for i in range(1, n + 1):
-        w = w * (n - i + 1) * v // (i * q)
-        total += w * p * (p + i * q) ** (i - 1) * (u + (n - i) * v) ** (n - i)
-    rhs = Fraction(total, (q * v) ** n)
+
+    def leaf(i):  # X_i, whose factor x(x+i)**(i-1) is 1 at i == 0
+        if i == 0:
+            return (u + n * v) ** n
+        return p * _power_pair(p + i * q, i - 1, u + (n - i) * v, n - i)
+
+    _, den, t = _rising_binomial_series(n, 0, n, leaf, v, q)
+    rhs = Fraction(t, den * v**n)
     return AbelCheck(lhs == rhs, lhs, rhs)
 
 

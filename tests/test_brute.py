@@ -2,7 +2,7 @@ import gc
 import inspect
 import tracemalloc
 from collections import Counter, deque
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import accumulate, combinations, combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +63,7 @@ NON_INTEGER_CALLS = [
     ("count_min_defect", (3.0, 2)),
     ("walk_steps", (3, (1, 2.0))),
     ("walk_steps", (3.0, (1,))),
+    ("orbit_steps", (3, 2.0)),
     ("restriction_spots", ({"kind": "segment", "s": 2.0}, 3)),
 ]
 
@@ -298,6 +299,24 @@ def test_count_nondecreasing_matches_walk():
             assert brute.count_nondecreasing_restricted(n, s) == nondecreasing_walk(n, s), (n, s)
 
 
+def test_orbit_count_takes_its_recurrence_steps(monkeypatch):
+    # each entry a running sum yields is one step, and orbit_steps counts
+    # them all: the bound the routes oracle holds the orbit count to
+    steps = [0]
+
+    def counted(values):
+        for value in accumulate(values):
+            steps[0] += 1
+            yield value
+
+    monkeypatch.setattr(brute, "accumulate", counted)
+    for n in range(1, 30):
+        for s in range(1, n + 1):
+            steps[0] = 0
+            brute.count_nondecreasing_restricted(n, s)
+            assert steps[0] == brute.orbit_steps(n, s), (n, s)
+
+
 def test_ones_distribution():
     assert brute.ones_distribution(2, 2) == (2, 1)
     assert brute.ones_distribution(1, 1) == (1,)
@@ -366,6 +385,7 @@ ORACLE_CALLS = {
     "fiber_size_bruteforce": lambda: brute.fiber_size_bruteforce((2, 1, 4, 3), 3),
     "count_min_defect": lambda: brute.count_min_defect(6, 4),
     "walk_steps": lambda: brute.walk_steps(7, (1, 3, 4)),
+    "orbit_steps": lambda: brute.orbit_steps(9, 4),
     "restriction_spots": lambda: brute.restriction_spots({"kind": "modular", "g": 2, "s": 3, "k": 1}, 5),
 }
 

@@ -170,6 +170,21 @@ def test_oracle_counts_its_own_request_within_the_budget():
             assert type(raised.value) is fault, (kind, restriction)
 
 
+def test_orbits_oracle_is_held_to_its_recurrence():
+    # the orbit count is an O(n*s) running sum, held to its own steps and
+    # not to the parking walk's 32,159,799
+    segment = {"kind": "segment", "s": 400}
+    forms, oracle = formulas.routes("orbits", segment, 400)
+    steps = brute.orbit_steps(400, 400)
+    assert steps < 10**7 < brute.walk_steps(400, range(1, 401))
+    assert oracle(10**7) == oracle(steps) == forms["triangle"]()
+    with pytest.raises(BudgetExceeded, match=f"{steps} recurrence steps"):
+        oracle(steps - 1)
+    # [s] is checked before the budget
+    with pytest.raises(DomainError):
+        formulas.routes("orbits", {"kind": "segment", "s": 5}, 3)[1](0)
+
+
 def test_restricted_subtractive_values():
     assert formulas.restricted_subtractive(5, 2) == 31
     assert formulas.restricted_subtractive(5, 3) == 206
@@ -290,10 +305,6 @@ def _factor_coefficient(i, k):
     return comb(i - 1, k - 1) * i ** (i - k) if 1 <= k <= i else 0
 
 
-def _ones_factor_reference(i):
-    return tuple(_factor_coefficient(i, k) for k in range(i + 1))
-
-
 def test_ones_polynomials():
     assert formulas.ones_poly_subtractive(1, 1) == (0, 1)
     assert formulas.ones_poly_alternating(1, 1) == (0, 1)
@@ -304,8 +315,9 @@ def test_ones_polynomials():
             b = formulas.ones_poly_alternating(n, s)
             assert a == b
             assert a[0] == 0
-        assert formulas.ones_poly_subtractive(n, n) == _ones_factor_reference(n)
-        assert formulas.ones_poly_total(n) == _ones_factor_reference(n)
+        want = tuple(_factor_coefficient(n, k) for k in range(n + 1))
+        assert formulas.ones_poly_subtractive(n, n) == want
+        assert formulas.ones_poly_total(n) == want
 
 
 def test_ones_forms_read_as_plain_tuples():
@@ -379,11 +391,6 @@ def test_ones_forms_match_reference_at_large_n(n):
         assert formulas.ones_poly_alternating(n, s) == want, (n, s)
 
 
-def test_ones_factor_expansion():
-    for i in range(41):
-        assert tuple(formulas._ones_factor(i)) == _ones_factor_reference(i)
-
-
 def test_binomial_coeffs_expansion():
     for n in range(1, 31):
         for s in range(1, n + 1):
@@ -442,6 +449,24 @@ def test_abel_check_matches_fraction_sum(data):
     assert res.rhs == _abel_reference(n, x, y)
     assert res.lhs == (Fraction(x) + Fraction(y) + n) ** n
     assert res.equal and res.lhs == res.rhs
+
+
+@pytest.mark.parametrize("n", [100, 257])
+def test_abel_check_matches_fraction_sum_at_split_depth(n):
+    # the right side's binary splitting several levels deep, and unevenly
+    # at 257 = 128 + 129 terms: x = 0, the zero base x + i at x = -i,
+    # negative y, and denominators given with either sign
+    for x, y in [
+        (0, Fraction(5, 3)),
+        (-7, -n),
+        (-n, Fraction(-412, 59)),
+        (Fraction(537, -83), Fraction(-1, 2)),
+        (Fraction(-3, -7), Fraction(9, -11)),
+        (Fraction(2, 5), 0),
+    ]:
+        res = formulas.abel_check(n, x, y)
+        assert res.rhs == _abel_reference(n, x, y), (n, x, y)
+        assert res.equal and res.lhs == (Fraction(x) + Fraction(y) + n) ** n, (n, x, y)
 
 
 _SMALL_BASES = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-40, 40))

@@ -273,20 +273,11 @@ def _oracle_count(oracle):
 
 # The route-independence audit: no two routes compared by a check may
 # reach the same package function or private module-level state, but the
-# argument checks, every function of ``exceptions``, and the shares by
-# design below.  Each share by design gives its reason and an audited pair
-# in which only one side reaches it: a route outside the share that also
-# checks it.
+# argument checks: the functions of ``exceptions``.
 ALLOWED = {
-    **dict.fromkeys((
-        f"exceptions.{node.name}"
-        for node in TREES["exceptions"].body
-        if isinstance(node, ast.FunctionDef)
-    ), ("argument check", None)),
-    **dict.fromkeys(("formulas._binomial_coeffs", "formulas._ones_factor"), (
-        "the ones pair, whose two sums cover disjoint ranges of i",
-        ("brute.ones_distribution", "formulas.ones_poly_subtractive"),
-    )),
+    f"exceptions.{node.name}"
+    for node in TREES["exceptions"].body
+    if isinstance(node, ast.FunctionDef)
 }
 # The compared routes that ``formulas.routes`` does not name, each with
 # the ``verify`` check that compares them.
@@ -347,7 +338,7 @@ def _closure(index, entry, stop):
     return seen
 
 
-def _shares(index, pairs, allowed=ALLOWED.keys()):
+def _shares(index, pairs, allowed=ALLOWED):
     """``{(a, b): what both reach}`` less ``allowed``, neither side
     followed through the other."""
     both = {(a, b): _closure(index, a, b) & _closure(index, b, a) for a, b in pairs}
@@ -388,11 +379,8 @@ def test_compared_routes_share_no_code():
     assert len(pairs) >= 27 and entries <= {name for pair in pairs for name in pair}, audit
     assert all(_closure(index, a, b) and _closure(index, b, a) for a, b in pairs), audit
     assert all(hasattr(verify, check) for check in COMPARED.values())
-    for name, (_, outside) in ALLOWED.items():
+    for name in ALLOWED:
         assert any(name in named for named in index.values()), name
-        if outside:
-            reach = [name in _closure(index, *outside), name in _closure(index, *outside[::-1])]
-            assert outside in pairs and reach.count(True) == 1, name
     assert not any(shares.values()), audit
 
 
@@ -424,19 +412,13 @@ def test_relation_shares_no_walk_with_the_census():
 
 
 def test_ones_forms_share_only_the_allowed_helpers():
-    # each form sums its terms in a loop of its own: what the two share is
-    # the argument check and the two coefficient builders, each allowed
-    # with its reason
+    # each form builds its terms' coefficients in a loop of its own: what
+    # the two share is the argument check alone
     index = _package_index()
     assert ONES in _compared_pairs(index)
-    builders = ["formulas._binomial_coeffs", "formulas._ones_factor"]
     checks = ["exceptions._check_ns", "exceptions._ints"]
-    assert _shares(index, [ONES], allowed=set()) == {ONES: sorted(builders + checks)}
-    # the total, a third form at s = n, is built from math.comb alone
-    assert not set(builders) & _closure(index, "formulas.ones_poly_total", None)
-    assert [ALLOWED[name][0] for name in checks] == ["argument check"] * 2
-    for name in builders:
-        assert ALLOWED[name][0].startswith("the ones pair"), name
+    assert _shares(index, [ONES], allowed=set()) == {ONES: checks}
+    assert set(checks) <= ALLOWED
 
 
 # Twin sources for the audit, each a small package of its own.
@@ -518,7 +500,9 @@ def test_route_sharing_is_detected():
         "def sub(n):\n    return _power_product(n, n)\n"
         "def alt(n):\n    return _binomial_series(n, lambda i: _hop(i, n))\n"
     )
-    allowed = (
+    # the ones pair building its terms' coefficients through shared helpers:
+    # only the argument check is allowed
+    builders = (
         "from .exceptions import _check_ns\n"
         "def _binomial_coeffs(n, c):\n    return [c] * n\n"
         "def _ones_factor(i):\n    return _binomial_coeffs(i - 1, i)\n"
@@ -527,12 +511,10 @@ def test_route_sharing_is_detected():
     )
     # the ones pair adding its terms through one helper, not each in its own loop
     accumulated = (
-        "def _binomial_coeffs(n, c):\n    return [c] * n\n"
-        "def _ones_factor(i):\n    return _binomial_coeffs(i - 1, i)\n"
         "def _add_scaled(total, scale, factor):\n"
         "    for j, f in enumerate(factor):\n        total[j] += scale * f\n    return total\n"
-        "def sub(n, s):\n    return _add_scaled(_binomial_coeffs(n, s), -1, _ones_factor(s))\n"
-        "def alt(n, s):\n    return _add_scaled([0] * n, 1, _ones_factor(n))\n"
+        "def sub(n, s):\n    return _add_scaled([1] * n, -1, [s])\n"
+        "def alt(n, s):\n    return _add_scaled([0] * n, 1, [n])\n"
     )
     across = {  # brute and formulas both reach a private helper of core
         "core": CORE,
@@ -544,7 +526,8 @@ def test_route_sharing_is_detected():
     _assert_shares([
         ({"formulas": two_deep}, {FORMS: ["formulas._power_product"]}),
         (across, {("formulas.sub", "brute.count"): ["core._odd_part"]}),
-        ({"formulas": allowed, "exceptions": EXCEPTIONS}, {FORMS: []}),
+        ({"formulas": builders, "exceptions": EXCEPTIONS},
+         {FORMS: ["formulas._binomial_coeffs", "formulas._ones_factor"]}),
         ({"formulas": accumulated}, {FORMS: ["formulas._add_scaled"]}),
     ])
 
