@@ -126,18 +126,19 @@ def _count_walk(n: int, need: tuple) -> list:
     # and the last value takes every car left.  A level reads the one
     # after it at p and beyond, so p runs down from n while the binomial
     # row of the n - p cars unplaced grows by one.  Level j is reached
-    # with at least need[j - 1] cars placed, the first level with none.
-    ways = [[0] * (n + 1) for _ in need[2:]] + [[1] * (n + 1)]
+    # with at least need[j - 1] cars placed, the first level with none,
+    # and holds zero below that, so a step may sum over every choice.
+    last = need[max(len(need) - 2, 0)]
+    ways = [[0] * (n + 1) for _ in need[2:]] + [[0] * last + [1] * (n + 1 - last)]
+    levels = [(ways[j - 1], ways[j], need[j - 1]) for j in range(len(need) - 2, 0, -1)]
     row = [1]
     for p in range(n, -1, -1):
-        for j in range(len(need) - 2, 0, -1):
-            if p >= need[j - 1]:
-                low = need[j]
-                ways[j - 1][p] = sum(map(mul, row[max(low - p, 0) :], ways[j][max(p, low) :]))
+        for out, after, reached in levels:
+            if p >= reached:
+                out[p] = sum(map(mul, row, after[p:]))
         if p:
             row = [1, *map(add, row, row[1:]), 1]
-    low = need[0]
-    return [0] * low + list(map(mul, row[low:], ways[0][low:]))
+    return list(map(mul, row, ways[0]))
 
 
 # A stream builds the completions of its last ``short`` positions at
@@ -364,9 +365,10 @@ def _min_defect_walk(n: int, s: int) -> int:
     ways = [[1] * (n + 1)] + [[0] * (n + 1) for _ in range(s - 2)]
     row = [1]
     for rest in range(n):
-        for k in range(1, s - 1):
-            waiting = n - rest - (s - 1 - k)
-            if waiting >= 0:
-                ways[k][rest] = sum(map(mul, row[: rest + 1 if waiting else rest], ways[k - 1]))
+        empty = rest + s - 1 - n  # the k at which no car waits
+        if 1 <= empty < s - 1:
+            ways[empty][rest] = sum(map(mul, row[:rest], ways[empty - 1]))
+        for k in range(max(empty + 1, 1), s - 1):
+            ways[k][rest] = sum(map(mul, row, ways[k - 1]))
         row = [1, *map(add, row, row[1:]), 1]
     return sum(map(mul, row[:n], ways[s - 2]))

@@ -38,10 +38,6 @@ class ParkingResult(NamedTuple):
         """Number of cars that failed to park."""
         return len(self.unparked)
 
-    @property
-    def parked(self) -> int:
-        return sum(1 for car in self.occupancy if car is not EMPTY)
-
 
 def validate_prefs(prefs: Sequence[int], limit: int) -> tuple:
     """``prefs`` as a tuple of ints.  A non-integer entry or limit raises

@@ -55,10 +55,10 @@ def _differ(label: str, got, want) -> str:
     return "" if got == want else f"{label}: {got} != {want}"
 
 
-def _grid(n_max: int, strict: bool = False) -> Iterator[tuple]:
-    """Every (n, s) with 1 <= s <= n <= n_max, or s < n when ``strict``."""
+def _grid(n_max: int) -> Iterator[tuple]:
+    """Every (n, s) with 1 <= s <= n <= n_max."""
     for n in range(1, n_max + 1):
-        for s in range(1, n if strict else n + 1):
+        for s in range(1, n + 1):
             yield n, s
 
 
@@ -124,11 +124,8 @@ def check_defect(n_max: int) -> list:
 
 
 def check_orbits(n_max: int) -> list:
-    """Orbit counts by their routes, the Catalan triangle's diagonal and
-    the orbit recurrence."""
-    def orbits(n, s):
-        return _count("orbits", n, s)
-
+    """Orbit counts by their routes, and the Catalan triangle's diagonal
+    against the Catalan numbers written out."""
     return check_closed_forms("orbits", n_max) + [
         _check(
             "triangle diagonal gives Catalan numbers",
@@ -137,38 +134,19 @@ def check_orbits(n_max: int) -> list:
                 for n, want in enumerate([1, 2, 5, 14, 42, 132], start=1)
             ),
         ),
-        _check(
-            "orbit recurrence holds",
-            (
-                _differ(f"n={n}, s={s}", orbits(n, s), orbits(n - 1, s) + orbits(n, s - 1))
-                for n, s in _grid(n_max, strict=True)
-                if s > 1
-            ),
-        ),
     ]
-
-
-def check_ones_at_one(n_max: int) -> list:
-    """The ones enumerator at x = 1 counts the [s]-restricted parking functions."""
-    cases = (
-        _differ(f"n={n}, s={s}", sum(_count("ones", n, s)), _count("pf", n, s))
-        for n, s in _grid(n_max)
-    )
-    return [_check(f"ones at x = 1 == restricted count (n <= {n_max})", cases)]
 
 
 def check_abel(n_max: int) -> list:
     """Abel's identity on a rational grid and at the restricted-count
-    specializations."""
+    specializations y = s - n - x, where its left side is s**n."""
     from fractions import Fraction  # only here, to keep it out of every CLI start
 
     grid = [Fraction(v) for v in range(-3, 4)] + [Fraction(1, 2), Fraction(-1, 2)]
 
-    def abel(n, x, y, want=None):
+    def abel(n, x, y):
         res = formulas.abel_check(n, x, y)
-        return _differ(f"n={n}, x={x}, y={y}", res.lhs, res.rhs) or (
-            want is not None and _differ(f"n={n}, x={x}, y={y}: value", res.lhs, want)
-        )
+        return _differ(f"n={n}, x={x}, y={y}", res.lhs, res.rhs)
 
     return [
         _check(
@@ -177,7 +155,7 @@ def check_abel(n_max: int) -> list:
         ),
         _check(
             "restricted-count specializations evaluate to s**n",
-            (abel(n, x, s - n - x, s**n) for n, s in _grid(n_max) for x in (1, -1)),
+            (abel(n, x, s - n - x) for n, s in _grid(n_max) for x in (1, -1)),
         ),
     ]
 
@@ -351,26 +329,22 @@ def check_modular(budget: int, threads: int = 1) -> list:
     return [_modular_job(job) for job in jobs]
 
 
-# Each suite: the smallest n_max at which every one of its checks compares
-# a case (the orbit recurrence needs 1 < s < n), or None for ``modular``,
-# which takes no n_max; and its run, with the suite's default bounds.
-_SUITES = {
-    "formulas": (1, lambda n_max=12, budget=None: (
+# Each suite's run, with the suite's default bounds, by name: :func:`run_suite`
+# calls these and a tracer may wrap them.
+SUITES = {
+    "formulas": lambda n_max=12, budget=None: (
         check_closed_forms("pf", n_max)
         + check_closed_forms("ppf", n_max)
         + check_defect(n_max)
         + check_closed_forms("ones", n_max)
-        + check_ones_at_one(n_max)
-    )),
-    "bijections": (1, lambda n_max=5, budget=None: check_bijections(min(n_max, 5))),
-    "involution": (1, lambda n_max=5, budget=None: check_involution(min(n_max, 5))),
-    "abel": (1, lambda n_max=10, budget=None: check_abel(n_max)),
-    "orbits": (3, lambda n_max=8, budget=None: check_orbits(n_max)),
-    "fibers": (1, lambda n_max=5, budget=None: check_fibers(min(n_max, 5))),
-    "modular": (None, lambda n_max=None, budget=10**7: check_modular(budget)),
+    ),
+    "bijections": lambda n_max=5, budget=None: check_bijections(min(n_max, 5)),
+    "involution": lambda n_max=5, budget=None: check_involution(min(n_max, 5)),
+    "abel": lambda n_max=10, budget=None: check_abel(n_max),
+    "orbits": lambda n_max=8, budget=None: check_orbits(n_max),
+    "fibers": lambda n_max=5, budget=None: check_fibers(min(n_max, 5)),
+    "modular": lambda n_max=None, budget=10**7: check_modular(budget),
 }
-# The runs by name, which :func:`run_suite` calls and a tracer may wrap.
-SUITES = {name: run for name, (_, run) in _SUITES.items()}
 
 
 def suite_names() -> list:
@@ -382,10 +356,9 @@ def run_suite(name: str, n_max=None, budget=None) -> list:
     """Run one named suite (or ``all``) and return its checks.
 
     An unknown name, an ``n_max`` given to ``modular`` (which checks every
-    (g, s, k) within the budget), not an integer, or too small for every
-    check of a suite to compare a case, or a budget that is not a number
-    or that no modular job fits, raises :class:`DomainError` before any
-    check runs.
+    (g, s, k) within the budget), not an integer, or below 1, or a budget
+    that is not a number or that no modular job fits, raises
+    :class:`DomainError` before any check runs.
     """
     if name not in suite_names():
         raise DomainError(f"unknown verify suite {name!r} (known: {', '.join(suite_names())})")
@@ -394,9 +367,8 @@ def run_suite(name: str, n_max=None, budget=None) -> list:
         raise DomainError("--n-max cannot be used with verify modular, which reads --budget")
     if n_max is not None:
         (n_max,) = _ints(n_max)
-        least = max(_SUITES[key][0] or n_max for key in keys)
-        if n_max < least:
-            raise DomainError(f"verify {name} needs --n-max >= {least}, got {n_max}")
+        if n_max < 1:
+            raise DomainError(f"verify {name} needs --n-max >= 1, got {n_max}")
     if "modular" in keys and budget is not None:
         _modular_jobs(budget)
     kwargs = {"n_max": n_max, "budget": budget}

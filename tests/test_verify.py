@@ -279,3 +279,8 @@ def test_suites_are_the_benchmark_cli_suites():
 def test_unknown_suite_is_named():
     with pytest.raises(DomainError, match=r"unknown verify suite 'nope' \(known: abel, .*, all\)"):
         verify.run_suite("nope")
+
+
+def test_a_check_that_compares_no_cases_fails():
+    check = verify._check("nothing", iter(()))
+    assert (check.ok, check.detail, check.cases) == (False, "compared no cases", 0)
