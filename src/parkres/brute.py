@@ -28,16 +28,20 @@ exponentially many.
 The ``enum_*`` streams walk the lists in lexicographic order and extend a
 prefix only by the entries that keep it completable.  The completions of
 a prefix depend only on how many entries are left and on how far each
-occupancy count still falls short, so a stream builds the completions of
-its last ``short`` positions once per such state (its tails, at most 256
-lists each), and the ``short`` positions above them once per state too:
-a state's plan lists, in order, its middles (the entries up to a tail
-state) and the tails that follow each, at most 256 pairs, built from the
-plans below it.  The Python walk stops ``2 * short`` entries from the end
-and emits each list as its prefix, a middle and a tail joined in C
-(``map`` of ``operator.add`` over the tails, one per pair, made by an
-outer ``map``), so it expands each state once per stream rather than
-once per prefix.  The public ``enum_*`` functions return that iterator
+occupancy count still falls short.  A prefix that still needs d entries
+<= j needs d entries <= i for every i >= j too, so the state holds each
+shortfall at the largest one before it: a nondecreasing running maximum
+that ends with the entries left, one state per set of completions.  A
+stream builds the completions of its last ``short`` positions once per
+such state (its tails, at most 256 lists each), and the ``short``
+positions above them once per state too: a state's plan lists, in
+order, its middles (the entries up to a tail state) and the tails that
+follow each, at most 256 pairs, built from the plans below it.  The
+Python walk stops ``2 * short`` entries from the end and emits each list
+as its prefix, a middle and a tail joined in C (``map`` of
+``operator.add`` over the tails, one per pair, made by an outer
+``map``), so it expands each state once per stream rather than once per
+prefix.  The public ``enum_*`` functions return that iterator
 rather than re-yield it, so no Python frame runs per list.  The orbit
 count runs a dynamic programme over the last entry of the sorted
 prefixes, and the fiber oracle parks the cars one at a time and follows
@@ -165,17 +169,22 @@ def _stream(n: int, allowed: tuple, strict: bool) -> Iterator[tuple]:
 def _steps(need: tuple, allowed: tuple) -> Iterator[tuple]:
     # Yield (v, need after v) for each entry v that keeps the prefix
     # completable.  ``need[i-1]`` is how many more entries <= i the prefix
-    # needs, at least 0: a list needs i of them (i + 1 when strict and
-    # i < n), so ``need[-1]`` is the number of entries still to come.  As
-    # 1 is allowed, the prefix is completable iff no need exceeds that.
-    # An entry v lowers need[i-1] for every i >= v, so it keeps the prefix
-    # completable iff it is at most the first i whose need equals the
-    # entries to come.
+    # needs: a list needs i of them (i + 1 when strict and i < n), and
+    # needing d entries <= j means needing d entries <= i for every i >= j,
+    # so each need is held at the largest one before it.  The state is
+    # nondecreasing, ``need[-1]`` is the number of entries still to come,
+    # and a need implied by a larger one before it no longer tells two
+    # states apart.  As 1 is allowed, the prefix is completable iff no need
+    # exceeds the entries to come.  An entry v lowers need[i-1] for every
+    # i >= v, down to the need before v (0 when v = 1), so it keeps the
+    # prefix completable iff it is at most the first i whose need equals
+    # the entries to come.
     top = need.index(need[-1]) + 1
     for v in allowed:
         if v > top:
             return
-        yield v, need[: v - 1] + tuple([d - 1 if d else 0 for d in need[v - 1 :]])
+        held = need[v - 2] if v > 1 else 0
+        yield v, need[: v - 1] + tuple([d - 1 if d > held else held for d in need[v - 1 :]])
 
 
 def _walk(prefix: tuple, need: tuple, allowed: tuple, short: int, plans: dict, memo: dict):

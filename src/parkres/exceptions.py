@@ -80,6 +80,15 @@ def _ints(*values) -> tuple:
         raise DomainError(f"need integer arguments, got {values!r}") from None
 
 
+def _int_tuple(values) -> tuple:
+    """The entries of the iterable ``values`` as :func:`_ints`; a
+    non-iterable raises :class:`DomainError` too."""
+    try:
+        return _ints(*values)
+    except TypeError:
+        raise DomainError(f"need an iterable of integers, got {values!r}") from None
+
+
 def _check_n(n: int) -> int:
     """``n`` as an int, at least 1."""
     (n,) = _ints(n)
@@ -108,7 +117,7 @@ def _check_gsk(g: int, s: int, k: int, strict: bool = False) -> tuple:
 
 def _check_permutation(sigma) -> tuple:
     """``sigma`` as a tuple of ints, a permutation of 1..len(sigma)."""
-    sigma = _ints(*sigma)
+    sigma = _int_tuple(sigma)
     n = len(sigma)
     if sorted(sigma) != list(range(1, n + 1)):
         raise DomainError(f"{sigma} is not a permutation of 1..{n}")
@@ -146,14 +155,16 @@ def _check_request(restriction: dict, n: int) -> tuple:
     on n cars, as ``count --format json`` reports it, reading only the
     keys of its kind: ``(s,)`` for a segment, the elements of a set, and
     ``(g, s, k)`` for a modular one, whose n must be g*s - k.  Any other
-    kind or a missing key raises :class:`DomainError`; the oracles check
-    the spots against n."""
+    kind, a missing key, or a restriction that is not a dict raises
+    :class:`DomainError`; the oracles check the spots against n."""
+    if not isinstance(restriction, dict):
+        raise DomainError(f"a restriction is a dict, got {restriction!r}")
     kind = restriction.get("kind")
     try:
         if kind == "segment":
             values = _ints(restriction["s"])
         elif kind == "set":
-            values = _ints(*restriction["elements"])
+            values = _int_tuple(restriction["elements"])
         elif kind == "modular":
             values = _check_gsk(restriction["g"], restriction["s"], restriction["k"])
         else:

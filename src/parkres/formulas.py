@@ -272,7 +272,7 @@ def routes(kind: str, restriction: dict, n: int) -> tuple:
         "orbits": lambda brute, spots: brute.count_nondecreasing_restricted(n, *values),
         "ones": lambda brute, spots: (0,) + brute.ones_distribution(n, *values),
     }
-    if kind not in counts:
+    if not isinstance(kind, str) or kind not in counts:
         raise DomainError(f"kind must be one of {', '.join(counts)}, got {kind!r}")
     shape, n, values = _check_request(restriction, n)
     if shape != "segment" and kind not in ("pf", "ppf"):

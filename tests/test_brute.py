@@ -87,6 +87,9 @@ def test_brute_rejects_non_integer_arguments():
         lambda: brute.enum_restricted(0, ("1",)),
         lambda: brute.enum_prime_restricted(3, (1, None)),
         lambda: brute.fiber_size_bruteforce((2.0, 1), 2),
+        lambda: brute.fiber_size_bruteforce(None, 2),
+        lambda: brute.restriction_spots(None, 2),
+        lambda: brute.restriction_spots({"kind": "set", "elements": 5}, 3),
     ):
         with pytest.raises(DomainError):
             call()
@@ -199,7 +202,7 @@ def test_stream_memory_stays_small():
     # plans above them at most 256 pairs; the 57,867 lists of (8, [4]) walk
     # four prefix levels above four tail levels, and held in one memo they
     # take over 15 MiB.  (10, {1,3,5,7,9}) and (9, [5]) keep a plan for
-    # each of some 380 and 150 states three to six entries from the end.
+    # each of some 171 and 62 states three to six entries from the end.
     for n, S in ((8, range(1, 5)), (10, range(1, 10, 2)), (9, range(1, 6))):
         short = max(r for r in range(n + 1) if len(S) ** r <= brute._TAIL_LISTS)
         assert n - short >= 4
@@ -210,6 +213,41 @@ def test_stream_memory_stays_small():
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20, (n, S, peak)
+
+
+def test_stream_states_are_canonical(monkeypatch):
+    # Each deficit is held at the largest one before it, so every state a
+    # stream memoises is nondecreasing, ends with the entries to come, and
+    # stands for one set of completions: no two tail states share tails.
+    tails, plans = {}, {}
+    build_tails, build_plan = brute._tails, brute._plan
+
+    def record_tails(need, allowed, memo):
+        tails[need] = build_tails(need, allowed, memo)
+        return tails[need]
+
+    def record_plan(need, allowed, short, plan_memo, memo):
+        plans[need] = build_plan(need, allowed, short, plan_memo, memo)
+        return plans[need]
+
+    monkeypatch.setattr(brute, "_tails", record_tails)
+    monkeypatch.setattr(brute, "_plan", record_plan)
+    for n in range(1, 7):
+        for S in all_subsets(n):
+            if S[0] != 1:
+                continue
+            for enum in (brute.enum_restricted, brute.enum_prime_restricted):
+                tails.clear()
+                plans.clear()
+                deque(enum(n, S), maxlen=0)
+                for need in {*tails, *plans}:
+                    assert list(need) == sorted(need), (enum, n, S, need)
+                for need, lists in tails.items():
+                    assert {len(tail) for tail in lists} == {need[-1]}, (enum, n, S, need)
+                for need, (middles, below) in plans.items():
+                    lengths = {len(m) + len(t) for m, ts in zip(middles, below) for t in ts}
+                    assert lengths == {need[-1]}, (enum, n, S, need)
+                assert len({tuple(lists) for lists in tails.values()}) == len(tails), (enum, n, S)
 
 
 def test_count_walks_hold_one_binomial_row():
@@ -285,6 +323,11 @@ def nondecreasing_walk(n, s):
         top = min(i, s)
         if i == n:
             return top - low + 1
+        if i == n - 1:
+            # each entry v in low..top leaves min(n, s) - v + 1 last
+            # entries: one arithmetic series, summed without a call per leaf
+            last = min(n, s)
+            return (2 * last - low - top + 2) * (top - low + 1) // 2
         total = 0
         for v in range(low, top + 1):
             total += extend(i + 1, v)

@@ -123,6 +123,9 @@ REQUESTS_READ_ONCE = [
     pytest.param(_modular(0, 3, 1), -1, None, id="modular g = 0"),
     pytest.param(_modular(2, 3, 7), -1, None, id="modular k > g*s"),
     pytest.param(_modular(2, 3, 1), 4, None, id="modular n != g*s - k"),
+    pytest.param(None, 3, None, id="no restriction"),
+    pytest.param(["segment"], 3, None, id="list restriction"),
+    pytest.param({"kind": "set", "elements": 5}, 3, None, id="set of one int"),
     pytest.param({"kind": "set", "elements": [1, 2], "s": 3}, 4, 15, id="set with an s key"),
 ]
 
@@ -139,6 +142,51 @@ def test_routes_and_spots_read_a_request_alike(restriction, n, count):
     forms, oracle = formulas.routes("pf", restriction, n)
     assert forms == {} and oracle() == count
     assert brute.restriction_spots(restriction, n) == (1, 2)
+
+
+# JSON-like values: ints stay small, so no request asks for a long spot range
+_SMALL = st.integers(-3, 12)
+_JSON = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        _SMALL,
+        st.floats(),
+        st.text(max_size=4),
+        st.sampled_from(["segment", "set", "modular", "pf", "ppf", "defect", "orbits", "ones"]),
+    ),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=6,
+)
+# requests of each kind, with well-formed or arbitrary values, then any
+# dict over the request keys, then any value at all
+_REQUESTS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("segment"), "s": st.one_of(_SMALL, _JSON)}),
+    st.fixed_dictionaries(
+        {"kind": st.just("set"), "elements": st.one_of(st.lists(_SMALL, max_size=4), _JSON)}
+    ),
+    st.fixed_dictionaries({"kind": st.just("modular"), **dict.fromkeys("gsk", st.one_of(_SMALL, _JSON))}),
+    st.dictionaries(st.sampled_from(["kind", "s", "elements", "g", "k"]), _JSON),
+    _JSON,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.one_of(st.sampled_from(["pf", "ppf", "defect", "orbits", "ones"]), _JSON),
+    _REQUESTS,
+    st.one_of(_SMALL, _JSON),
+)
+def test_request_reader_returns_or_raises_domain_error(kind, restriction, n):
+    # whatever the request, each reader returns or raises DomainError
+    for read in (
+        lambda: formulas.routes(kind, restriction, n),
+        lambda: brute.restriction_spots(restriction, n),
+    ):
+        try:
+            read()
+        except DomainError:
+            pass
 
 
 def test_oracle_counts_its_own_request_within_the_budget():
