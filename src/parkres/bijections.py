@@ -26,7 +26,7 @@ from .exceptions import (
     NotRestricted,
     PreferenceOutOfRange,
     _check_restriction,
-    _ints,
+    _int_tuple,
 )
 
 
@@ -50,31 +50,33 @@ def prime_to_restricted(prefs: Sequence[int], allowed: Iterable[int]) -> tuple:
 
     The result is a parking function over ``shift_restriction(allowed, n)``.
     """
+    prefs = _int_tuple(prefs)
     n = len(prefs)
     elems = set(_check_restriction(n, allowed)[1])
     if any(p not in elems for p in prefs):
-        raise NotRestricted(f"{tuple(prefs)} has preferences outside {sorted(elems)}")
+        raise NotRestricted(f"{prefs} has preferences outside {sorted(elems)}")
     if not core.is_prime(prefs):
-        raise NotPrime(f"{tuple(prefs)} fails the strict occupancy condition")
+        raise NotPrime(f"{prefs} fails the strict occupancy condition")
     if n > 1 and n in prefs:
         # unreachable for prime lists (spot 1 is preferred twice over);
         # checked anyway, so that a wrong prime test raises instead of
         # returning a list outside the shifted set
-        raise ImageContainsLastSpot(f"prime list {tuple(prefs)} prefers spot {n}")
+        raise ImageContainsLastSpot(f"prime list {prefs} prefers spot {n}")
     return tuple(1 if p == 1 else p + 1 for p in prefs)
 
 
 def restricted_to_prime(prefs: Sequence[int], allowed: Iterable[int]) -> tuple:
     """Inverse of :func:`prime_to_restricted`: pull a parking function over
     the shifted set back to a prime parking function over ``allowed``."""
+    prefs = _int_tuple(prefs)
     n = len(prefs)
     shifted = set(shift_restriction(allowed, n))
     if any(p not in shifted for p in prefs):
         raise NotInShiftedSet(
-            f"{tuple(prefs)} has preferences outside {sorted(shifted)}"
+            f"{prefs} has preferences outside {sorted(shifted)}"
         )
     if not core.is_parking_function(prefs):
-        raise NotInShiftedSet(f"{tuple(prefs)} is not a parking function")
+        raise NotInShiftedSet(f"{prefs} is not a parking function")
     return tuple(1 if p == 1 else p - 1 for p in prefs)
 
 
@@ -95,7 +97,7 @@ def u_vector(allowed: Iterable[int], n: int) -> tuple:
 def is_u_parking(prefs: Sequence[int], u: Sequence[int]) -> bool:
     """True iff the i-th smallest preference is at most u_i for all i; the
     entries of both are integers, and the preferences at least 1."""
-    prefs, u = _ints(*prefs), _ints(*u)
+    prefs, u = _int_tuple(prefs), _int_tuple(u)
     if len(prefs) != len(u):
         raise DomainError("preference list and bound vector differ in length")
     if min(prefs, default=1) < 1:
@@ -111,13 +113,14 @@ def to_u_parking(prefs: Sequence[int], allowed: Iterable[int]) -> tuple:
     :func:`u_vector`: relabelling is order-preserving, so the sorted-entry
     bounds translate exactly.
     """
+    prefs = _int_tuple(prefs)
     n = len(prefs)
     elems = _check_restriction(n, allowed)[1]
     rank = {v: r for r, v in enumerate(elems, 1)}
     if any(p not in rank for p in prefs):
-        raise NotRestricted(f"{tuple(prefs)} has preferences outside {elems}")
+        raise NotRestricted(f"{prefs} has preferences outside {elems}")
     if not core.is_parking_function(prefs):
-        raise NotRestricted(f"{tuple(prefs)} is not a parking function")
+        raise NotRestricted(f"{prefs} is not a parking function")
     return tuple(rank[p] for p in prefs)
 
 

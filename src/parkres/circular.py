@@ -28,6 +28,7 @@ from .exceptions import (
     NonIntegerIntermediate,
     NotBlockAligned,
     _check_gsk,
+    _int_tuple,
     _ints,
 )
 
@@ -65,7 +66,7 @@ class CircularState(NamedTuple):
 def circular_park(prefs: Sequence[int], g: int, s: int) -> CircularState:
     """Park ``prefs`` on the circular street; every car parks."""
     spots = set(preferred_spots(g, s))
-    g, s, *prefs = _ints(g, s, *prefs)
+    (g, s), prefs = _ints(g, s), _int_tuple(prefs)
     length = g * s
     if len(prefs) > length:
         raise DomainError(f"{len(prefs)} cars exceed {length} spots")
@@ -80,7 +81,7 @@ def circular_park(prefs: Sequence[int], g: int, s: int) -> CircularState:
         while occupancy[t] is not None:
             t = (t + 1) % length
         occupancy[t] = car
-    return CircularState(g, s, tuple(prefs), tuple(occupancy))
+    return CircularState(g, s, prefs, tuple(occupancy))
 
 
 class Decomposition(NamedTuple):
@@ -352,11 +353,11 @@ def _compositions(total: int, caps: tuple) -> Iterator[tuple]:
 def multinomial(n: int, parts: Sequence[int]) -> int:
     """Number of ways to split n labelled items into blocks of the given
     sizes.  Parts must be nonnegative and sum to n."""
-    n, *parts = _ints(n, *parts)
+    (n,), parts = _ints(n), _int_tuple(parts)
     if any(p < 0 for p in parts):
-        raise DomainError(f"negative part in {tuple(parts)}")
+        raise DomainError(f"negative part in {parts}")
     if sum(parts) != n:
-        raise DomainError(f"parts {tuple(parts)} do not sum to {n}")
+        raise DomainError(f"parts {parts} do not sum to {n}")
     result = factorial(n)
     for p in parts:
         result //= factorial(p)

@@ -16,6 +16,7 @@ at i == 0 is the constant 1 (which also covers x == 0).
 from __future__ import annotations
 
 from math import comb
+from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .exceptions import (
@@ -585,8 +586,7 @@ def mod_count_k1(g: int, s: int) -> int:
     return s ** (g * s - 2)
 
 
-_MOD_MEMO: dict = {}  # (g, m) -> N(m), the count of length m for row size g
-_BLOCK_MEMO: dict = {}  # (g, a, b) -> T(a, b), the block table
+_MOD_TABLES: dict = {}  # g -> [N, T columns, binomial row], see _mod_count
 
 
 def mod_count(g: int, s: int, k: int) -> int:
@@ -619,64 +619,49 @@ def mod_count(g: int, s: int, k: int) -> int:
         T(0, 0) = 1,
         T(a, b) = sum_{a1, b1} C(g*b - a, g*b1 - a1) * N(g*b1 - a1) * T(a - a1, b - b1).
 
-    Both are filled bottom-up by increasing length g*b - a, all in
-    integers, so N(m) costs O(k**2 * s**2) big-integer products; the
-    memos are kept per g.  A length of 0 (k == g*s) counts as 1, the
-    empty list.  A remainder not divisible by s, or a negative count,
-    raises :class:`NonIntegerIntermediate` (it would indicate a bug, the
-    result is provably a nonnegative integer).
+    N(m) depends on g and m only, so every length L = 1, ..., m is solved
+    on the smallest street that holds L cars: L//g + 1 rows, leaving
+    1 to g gaps.  There every first block has a1 < g gaps, so T is needed
+    only in the columns a = 1, ..., g-1, and length L adds one entry to
+    them, T(gaps, rows), when it leaves fewer than g gaps.  Both are filled
+    by increasing length, all in integers, from fewer than L terms at
+    length L, so N(m) costs O(m**2) big-integer products whatever k is.
+    One table per g keeps N, the T columns and the binomial row C(L, .)
+    and grows as longer lengths are asked for.  A length of 0
+    (k == g*s) counts as 1, the empty list.  A remainder not divisible by
+    the row count, or a negative count, raises
+    :class:`NonIntegerIntermediate` (it would indicate a bug, the result is
+    provably a nonnegative integer).
     """
-    return _mod_count(*_check_gsk(g, s, k))
+    g, s, k = _check_gsk(g, s, k)
+    return _mod_count(g, g * s - k)
 
 
-def _mod_count(g: int, s: int, k: int) -> int:
-    m = g * s - k
-    if m == 0:
-        return 1
-    cached = _MOD_MEMO.get((g, m))
-    if cached is not None:
-        return cached
-    # An entry of length L needs only shorter entries, and T(a, b) also
-    # N(L) itself, so fill by length: N(L) first, solved at the fewest rows
-    # that hold L (at most g gaps), then T at every (gaps, rows) of length L
-    # that a solve here or there splits off.
-    gaps = max(k, g)
-    for length in range(1, m):
-        if (g, length) not in _MOD_MEMO:
-            rows = length // g + 1
-            _MOD_MEMO[(g, length)] = _solve(g, rows, g * rows - length)
-        for b in range(1, s):
-            a = g * b - length
-            if 1 <= a < gaps and (g, a, b) not in _BLOCK_MEMO:
-                _BLOCK_MEMO[(g, a, b)] = _MOD_MEMO[(g, length)] + _split(g, a, b, False)
-    value = _solve(g, s, k)
-    _MOD_MEMO[(g, m)] = value
-    return value
-
-
-def _solve(g: int, s: int, k: int) -> int:
-    """N(g*s - k) from the relation at (g, s, k); needs every shorter entry."""
-    m = g * s - k
-    remainder = s**m - _split(g, k, s, True)
-    if remainder % s:
-        raise NonIntegerIntermediate(
-            f"total not divisible by s={s} at g={g}, s={s}, k={k}"
-        )
-    value = remainder // s
-    if value < 0:
-        raise NonIntegerIntermediate(f"negative count at g={g}, s={s}, k={k}")
-    return value
-
-
-def _split(g: int, a: int, b: int, weighted: bool) -> int:
-    """Sum over the first block (a1, b1) of the sequences with a gaps and
-    b rows that have more blocks after it, weighted by b1 if asked."""
-    length = g * b - a
-    total = 0
-    for b1 in range(1, b):
-        # the first block and the rest must both hold at least one car
-        for a1 in range(max(1, a - g * (b - b1) + 1), min(a, g * b1)):
-            part = g * b1 - a1
-            term = comb(length, part) * _MOD_MEMO[(g, part)] * _BLOCK_MEMO[(g, a - a1, b - b1)]
-            total += b1 * term if weighted else term
-    return total
+def _mod_count(g: int, m: int) -> int:
+    table = _MOD_TABLES.get(g)
+    if table is None:
+        # N(0) = 1; T(a, b) at blocks[a][b], with T(a, 0) = 0; C(0, .)
+        table = _MOD_TABLES[g] = [[1], [[0] for _ in range(g)], [1]]
+    counts, blocks, row = table
+    for length in range(len(counts), m + 1):
+        row = [1, *map(add, row, row[1:]), 1]
+        rows, gaps = length // g + 1, g - length % g
+        plain = weighted = 0
+        for a1 in range(1, gaps):
+            # b1 = 1, ..., rows - 1: parts g*b1 - a1 against T(gaps - a1, rows - b1)
+            part = g - a1
+            weights = map(mul, row[part::g], counts[part::g])
+            terms = list(map(mul, weights, blocks[gaps - a1][rows - 1:0:-1]))
+            plain += sum(terms)
+            weighted += sum(map(mul, terms, range(1, rows)))
+        remainder = rows**length - weighted
+        if remainder % rows:
+            raise NonIntegerIntermediate(f"total not divisible by s at g={g}, s={rows}, k={gaps}")
+        value = remainder // rows
+        if value < 0:
+            raise NonIntegerIntermediate(f"negative count at g={g}, s={rows}, k={gaps}")
+        counts.append(value)
+        if gaps < g:
+            blocks[gaps].append(value + plain)
+        table[2] = row
+    return counts[m]

@@ -107,9 +107,17 @@ def test_is_u_parking_rejects_bad_input():
         bijections.is_u_parking((0, 1), (1, 2))
     with pytest.raises(PreferenceOutOfRange):
         core.catalan_check((0, 1))
-    for prefs, u in [((1, 1), (1.5, 2)), ((1.0, 1), (1, 2)), (("1",), (1,))]:
+    for prefs, u in [
+        ((1, 1), (1.5, 2)), ((1.0, 1), (1, 2)), (("1",), (1,)), (None, (1,)), ((1,), 5),
+    ]:
         with pytest.raises(DomainError):
             bijections.is_u_parking(prefs, u)
+    # the maps read their lists the same way
+    maps = (bijections.prime_to_restricted, bijections.restricted_to_prime, bijections.to_u_parking)
+    for bijection in maps:
+        for prefs in (None, (1, 1.5)):
+            with pytest.raises(DomainError):
+                bijection(prefs, (1, 2))
     assert bijections.is_u_parking((2, 1), (1, 2))
     assert not bijections.is_u_parking((2, 2), (1, 2))
 

@@ -282,6 +282,8 @@ def test_sizes_and_preferences_must_be_integers_in_range():
         (circular.modular_census, (2, 3, 0)),
         (circular.compositions, (3.0, 2)),
         (circular.multinomial, (3, (1.0, 2))),
+        (circular.multinomial, (3, None)),
+        (circular.circular_park, (None, 2, 2)),
         (core.park, ((1, 2), 2.5)),
         (core.park, ((1.0, 2), 2)),
         (core.is_prime, ((1, 1.0),)),

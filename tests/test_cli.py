@@ -67,6 +67,17 @@ def test_count_modular_beyond_budget(capsys):
         assert obj["cross_checked"] == checked, budget
 
 
+def test_count_modular_with_many_gaps(capsys):
+    # 150 cars with 50 empty spots: the recursion solves each length on the
+    # smallest street that holds it, so auto runs it and the oracle checks it
+    argv = ("count", "pf", "--g", "2", "--s", "100", "--k", "50", "--format", "json")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert (obj["method"], obj["cross_checked"]) == ("recursion", "brute")
+    assert obj["count"] == str(formulas.mod_count(2, 100, 50))
+
+
 def test_count_json_says_whether_brute_force_checked_it(capsys):
     # "brute" when the oracle ran and agreed with the form, null when the
     # budget refused it or no second route ran

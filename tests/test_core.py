@@ -31,6 +31,15 @@ def test_park_rejects_out_of_range():
         core.park((1, 3), 2)
     with pytest.raises(PreferenceOutOfRange):
         core.park((0, 1), 2)
+    # a non-iterable list is a domain fault too, not a bare TypeError
+    for call, args in (
+        (core.park, (None, 3)),
+        (core.is_parking_function, (None,)),
+        (core.catalan_check, (5,)),
+        (core.outcome_permutation, (None,)),
+    ):
+        with pytest.raises(DomainError):
+            call(*args)
 
 
 def test_non_integer_faults_read_alike():

@@ -823,10 +823,9 @@ def _row_start_count(g, m):
 
 
 def _cold_mod_count(g, s, k):
-    # with empty memos the relation is solved at (g, s, k) itself, not
-    # looked up from an earlier call with the same length g*s - k
-    formulas._MOD_MEMO.clear()
-    formulas._BLOCK_MEMO.clear()
+    # with the per-g table cleared every length up to g*s - k is solved
+    # anew, not read from an earlier call that reached it
+    formulas._MOD_TABLES.clear()
     return formulas.mod_count(g, s, k)
 
 
@@ -852,7 +851,10 @@ def test_mod_count_matches_composition_pair_sum():
 
 @pytest.mark.parametrize(
     "g, s, k, want",
-    [(2, 14, 12, 64820487788537), (2, 30, 25, None), (4, 12, 10, None), (10, 10, 9, None)],
+    [
+        (2, 14, 12, 64820487788537), (2, 30, 25, None), (4, 12, 10, None), (10, 10, 9, None),
+        (2, 100, 50, None), (5, 40, 100, None), (3, 60, 40, None),
+    ],
 )
 def test_mod_count_beyond_composition_pairs(g, s, k, want):
     reference = _row_start_count(g, g * s - k)
