@@ -39,17 +39,19 @@ class ParkingResult(NamedTuple):
         return len(self.unparked)
 
 
-def validate_prefs(prefs: Sequence[int], limit: int | None = None) -> tuple:
-    """``prefs`` as a tuple of ints.  A non-iterable ``prefs``, a
-    non-integer entry or limit raises :class:`DomainError`, an entry
-    outside [1, limit] :class:`PreferenceOutOfRange`; the limit defaults to
-    the number of entries."""
+def _tuple(prefs: Sequence[int]) -> tuple:
+    """``prefs`` as a tuple; a non-iterable raises :class:`DomainError`."""
     try:
-        prefs = tuple(prefs)
+        return tuple(prefs)
     except TypeError:
         raise DomainError(f"need an iterable of integers, got {prefs!r}") from None
-    if limit is None:
-        limit = len(prefs)
+
+
+def validate_prefs(prefs: Sequence[int], limit: int) -> tuple:
+    """``prefs`` as a tuple of ints.  A non-iterable ``prefs``, a
+    non-integer entry or limit raises :class:`DomainError`, an entry
+    outside [1, limit] :class:`PreferenceOutOfRange`."""
+    prefs = _tuple(prefs)
     try:
         # The sum is an int only when every term is one, so a list of
         # ints skips the per-entry conversion, which costs more than the
@@ -68,16 +70,13 @@ def validate_prefs(prefs: Sequence[int], limit: int | None = None) -> tuple:
     return prefs
 
 
-def park(prefs: Sequence[int], num_spots: int | None = None) -> ParkingResult:
-    """Simulate the parking procedure for ``prefs`` on ``num_spots`` spots,
-    one per car by default.
+def park(prefs: Sequence[int], num_spots: int) -> ParkingResult:
+    """Simulate the parking procedure for ``prefs`` on ``num_spots`` spots.
 
     Deterministic: cars enter in index order, park at their preference if
     it is empty and otherwise at the first empty spot after it.
     """
     prefs = validate_prefs(prefs, num_spots)
-    if num_spots is None:
-        num_spots = len(prefs)
     occupancy = [EMPTY] * num_spots
     unparked = []
     for car, p in enumerate(prefs, 1):
@@ -98,7 +97,8 @@ def defect(prefs: Sequence[int], num_spots: int) -> int:
 
 def is_parking_function(prefs: Sequence[int]) -> bool:
     """True iff every car parks on a street with one spot per car."""
-    return park(prefs).defect == 0
+    prefs = _tuple(prefs)
+    return park(prefs, len(prefs)).defect == 0
 
 
 def catalan_check(prefs: Sequence[int]) -> bool:
@@ -113,7 +113,8 @@ def catalan_check(prefs: Sequence[int]) -> bool:
 def _occupancy(prefs: Sequence[int], strict: bool) -> bool:
     # at least i entries <= i for every i up to the length, or more than i
     # for every i below it when ``strict``
-    prefs = validate_prefs(prefs)
+    prefs = _tuple(prefs)
+    prefs = validate_prefs(prefs, len(prefs))
     n = len(prefs)
     counts = [0] * (n + 1)
     for p in prefs:
@@ -149,7 +150,8 @@ def outcome_permutation(prefs: Sequence[int]) -> tuple:
     Only defined for parking functions; raises :class:`NotAParkingFunction`
     if any car fails to park.
     """
-    result = park(prefs)
+    prefs = _tuple(prefs)
+    result = park(prefs, len(prefs))
     if result.unparked:
         raise NotAParkingFunction(
             f"cars {result.unparked} fail to park; no outcome permutation"

@@ -586,7 +586,7 @@ def mod_count_k1(g: int, s: int) -> int:
     return s ** (g * s - 2)
 
 
-_MOD_TABLES: dict = {}  # g -> [N, T columns, binomial row], see _mod_count
+_MOD_TABLES: dict = {}  # g -> [N, T columns by gap count, binomial row], see _mod_count
 
 
 def mod_count(g: int, s: int, k: int) -> int:
@@ -640,28 +640,35 @@ def mod_count(g: int, s: int, k: int) -> int:
 def _mod_count(g: int, m: int) -> int:
     table = _MOD_TABLES.get(g)
     if table is None:
-        # N(0) = 1; T(a, b) at blocks[a][b], with T(a, 0) = 0; C(0, .)
-        table = _MOD_TABLES[g] = [[1], [[0] for _ in range(g)], [1]]
+        # N(0) = 1; T(a, b) at blocks[a][b], a column made when first
+        # filled, with T(a, 0) = 0; C(0, .)
+        table = _MOD_TABLES[g] = [[1], {}, [1]]
     counts, blocks, row = table
-    for length in range(len(counts), m + 1):
-        row = [1, *map(add, row, row[1:]), 1]
-        rows, gaps = length // g + 1, g - length % g
-        plain = weighted = 0
-        for a1 in range(1, gaps):
-            # b1 = 1, ..., rows - 1: parts g*b1 - a1 against T(gaps - a1, rows - b1)
-            part = g - a1
-            weights = map(mul, row[part::g], counts[part::g])
-            terms = list(map(mul, weights, blocks[gaps - a1][rows - 1:0:-1]))
-            plain += sum(terms)
-            weighted += sum(map(mul, terms, range(1, rows)))
-        remainder = rows**length - weighted
-        if remainder % rows:
-            raise NonIntegerIntermediate(f"total not divisible by s at g={g}, s={rows}, k={gaps}")
-        value = remainder // rows
-        if value < 0:
-            raise NonIntegerIntermediate(f"negative count at g={g}, s={rows}, k={gaps}")
-        counts.append(value)
-        if gaps < g:
-            blocks[gaps].append(value + plain)
-        table[2] = row
+    try:
+        for length in range(len(counts), m + 1):
+            row = [1, *map(add, row, row[1:]), 1]
+            rows, gaps = length // g + 1, g - length % g
+            plain = weighted = 0
+            # on one row a first block leaves no rows behind: nothing to sum
+            for a1 in range(1, gaps if rows > 1 else 1):
+                # b1 = 1, ..., rows - 1: parts g*b1 - a1 against T(gaps - a1, rows - b1)
+                part = g - a1
+                weights = map(mul, row[part::g], counts[part::g])
+                terms = list(map(mul, weights, blocks[gaps - a1][rows - 1:0:-1]))
+                plain += sum(terms)
+                weighted += sum(map(mul, terms, range(1, rows)))
+            remainder = rows**length - weighted
+            if remainder % rows:
+                raise NonIntegerIntermediate(f"total not divisible by s at g={g}, s={rows}, k={gaps}")
+            value = remainder // rows
+            if value < 0:
+                raise NonIntegerIntermediate(f"negative count at g={g}, s={rows}, k={gaps}")
+            counts.append(value)
+            if gaps < g:
+                blocks.setdefault(gaps, [0]).append(value + plain)
+            table[2] = row
+    except BaseException:
+        # a length left half written would corrupt every later count for g
+        del _MOD_TABLES[g]
+        raise
     return counts[m]

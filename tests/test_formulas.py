@@ -863,6 +863,35 @@ def test_mod_count_beyond_composition_pairs(g, s, k, want):
     assert _cold_mod_count(g, s, k) == reference
 
 
+def test_mod_count_table_grows_with_cars_not_row_size():
+    # one car on a street of 10**8 spots, and five on 10**6: each length
+    # below g is a single list, and the table keeps one column per length
+    assert _cold_mod_count(10**8, 1, 10**8 - 1) == 1
+    assert formulas.mod_count(10**6, 1, 10**6 - 5) == 1
+    assert len(formulas._MOD_TABLES[10**6][1]) == 5
+
+
+def test_mod_count_interrupted_fill_leaves_no_table(monkeypatch):
+    want = _cold_mod_count(3, 20, 7)
+    formulas._MOD_TABLES.clear()
+    formulas.mod_count(3, 5, 1)
+    calls = 0
+
+    def failing_mul(a, b):
+        nonlocal calls
+        calls += 1
+        if calls == 100:
+            raise KeyboardInterrupt
+        return a * b
+
+    monkeypatch.setattr(formulas, "mul", failing_mul)
+    with pytest.raises(KeyboardInterrupt):
+        formulas.mod_count(3, 20, 7)
+    assert 3 not in formulas._MOD_TABLES
+    monkeypatch.undo()
+    assert formulas.mod_count(3, 20, 7) == want
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.data())
 def test_mod_count_random_sizes(data):
