@@ -27,6 +27,8 @@ from .exceptions import (
     PreferenceOutOfRange,
     _check_restriction,
     _int_tuple,
+    _ints,
+    _tuple,
 )
 
 
@@ -166,8 +168,7 @@ class ColoredPF(_ColoredFields):
     __slots__ = ()
 
     def __new__(cls, prefs, colors, s, prime=False):
-        prefs = tuple(prefs)
-        colors = tuple(colors)
+        prefs, colors, (s,) = _int_tuple(prefs), _tuple(colors), _ints(s)
         if len(prefs) != len(colors):
             raise InvalidColoring("one color per car required")
         indigo = []

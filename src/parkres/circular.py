@@ -198,7 +198,10 @@ class RelationReport(NamedTuple):
 
 
 def canonical_class(lam: tuple, mu: tuple) -> tuple:
-    """Lexicographically minimal cyclic rotation of the paired sequence."""
+    """Lexicographically minimal cyclic rotation of the paired integer sequence."""
+    lam, mu = _int_tuple(lam), _int_tuple(mu)
+    if len(lam) != len(mu):
+        raise DomainError(f"gap sizes {lam} and block rows {mu} differ in length")
     pairs = tuple(zip(lam, mu))
     n = len(pairs)
     best = min(pairs[r:] + pairs[:r] for r in range(n))
@@ -401,6 +404,7 @@ def verify_relation(g: int, s: int, k: int, budget: int = 10**7) -> RelationRepo
     rotation.  Summed over classes this is exactly the relation.
     """
     g, s, k = _check_gsk(g, s, k, strict=True)
+    (budget,) = _ints(budget)
     m = g * s - k
     total = s**m
     orbits = comb(m + s - 1, s - 1)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .exceptions import DomainError, NotAParkingFunction, PreferenceOutOfRange, _ints
+from .exceptions import NotAParkingFunction, PreferenceOutOfRange, _int_tuple, _ints, _tuple
 
 #: Marker used in occupancy sequences for a spot with no car in it.
 EMPTY = None
@@ -37,14 +37,6 @@ class ParkingResult(NamedTuple):
     def defect(self) -> int:
         """Number of cars that failed to park."""
         return len(self.unparked)
-
-
-def _tuple(prefs: Sequence[int]) -> tuple:
-    """``prefs`` as a tuple; a non-iterable raises :class:`DomainError`."""
-    try:
-        return tuple(prefs)
-    except TypeError:
-        raise DomainError(f"need an iterable of integers, got {prefs!r}") from None
 
 
 def validate_prefs(prefs: Sequence[int], limit: int) -> tuple:
@@ -128,7 +120,11 @@ def _occupancy(prefs: Sequence[int], strict: bool) -> bool:
 
 
 def nondecreasing(prefs: Sequence[int]) -> tuple:
-    """The unique order-preserving rearrangement (the sorted list)."""
+    """The unique order-preserving rearrangement (the sorted list) of
+    integer preferences, each at least 1."""
+    prefs = _int_tuple(prefs)
+    if min(prefs, default=1) < 1:
+        raise PreferenceOutOfRange(f"preference {min(prefs)} in {prefs} is below spot 1")
     return tuple(sorted(prefs))
 
 

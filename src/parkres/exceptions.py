@@ -80,13 +80,27 @@ def _ints(*values) -> tuple:
         raise DomainError(f"need integer arguments, got {values!r}") from None
 
 
+def _tuple(values) -> tuple:
+    """``values`` as a tuple; a non-iterable raises :class:`DomainError`."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise DomainError(f"need an iterable, got {values!r}") from None
+
+
+def _rationals(*values) -> tuple:
+    """The arguments as Fractions; anything but an int or a Fraction raises :class:`DomainError`."""
+    from fractions import Fraction  # only here, to keep it out of every CLI start
+
+    if not all(isinstance(value, (int, Fraction)) for value in values):
+        raise DomainError(f"need int or Fraction arguments, got {values!r}")
+    return tuple(map(Fraction, values))
+
+
 def _int_tuple(values) -> tuple:
     """The entries of the iterable ``values`` as :func:`_ints`; a
     non-iterable raises :class:`DomainError` too."""
-    try:
-        return _ints(*values)
-    except TypeError:
-        raise DomainError(f"need an iterable of integers, got {values!r}") from None
+    return _ints(*_tuple(values))
 
 
 def _check_n(n: int) -> int:

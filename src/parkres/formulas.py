@@ -2,10 +2,11 @@
 
 Each count that also has a brute-force oracle in :mod:`parkres.brute`
 is computed here from a formula alone; agreement between the two routes is
-enforced by the verification suites, never assumed.  :func:`routes` names,
-for one count request, its closed forms and the oracle that checks them;
-no form calls into :mod:`parkres.brute`, which is imported only when that
-oracle runs.  All arithmetic is exact: Python ints, :class:`fractions.Fraction`,
+enforced by the verification suites, never assumed.  Each count kind is
+one entry of :data:`FAMILIES`, from which :func:`routes` names, for one
+count request, its closed forms and the oracle that checks them; no form
+calls into :mod:`parkres.brute`, which is imported only when that oracle
+runs.  All arithmetic is exact: Python ints, :class:`fractions.Fraction`,
 and the ones enumerators' coefficient tuples of ints, summed in place.
 
 Conventions used throughout, chosen so every identity holds verbatim:
@@ -15,9 +16,10 @@ at i == 0 is the constant 1 (which also covers x == 0).
 
 from __future__ import annotations
 
+from functools import partial
 from math import comb
-from operator import add, mul
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from operator import add, itemgetter, mul
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .exceptions import (
     BudgetExceeded,
@@ -29,6 +31,7 @@ from .exceptions import (
     _check_permutation,
     _check_request,
     _ints,
+    _rationals,
 )
 
 if TYPE_CHECKING:
@@ -228,99 +231,6 @@ def prime_alternating(n: int, s: int) -> int:
     return total
 
 
-def routes(kind: str, restriction: dict, n: int) -> tuple:
-    """``(forms, oracle)``: the routes that count ``kind`` on
-    ``restriction`` with n cars.  ``count``, ``table`` and ``verify`` all
-    read it, so a new count family is one entry here.
-
-    The kinds are "pf" and "ppf"; and, on a segment [s] alone, "defect"
-    (the functions [n] -> [s] of minimum defect n - s), "orbits" (of the
-    car-permuting action on the [s]-restricted parking functions) and
-    "ones" (the coefficients of :func:`ones_poly_subtractive`).  Any other
-    kind, or another restriction for the last three, raises
-    :class:`DomainError` at the call.
-
-    ``forms`` holds the closed forms cheapest first, the order in which
-    ``count --method auto`` tries them, keyed by the method name its JSON
-    reports; each value computes the count when called, through the
-    form's name in this module.  The cost of a form is the number of terms
-    it sums: one for the total, the power and the triangle entry; s for
-    the subtractive form against n - s + 1 for the alternating one (n - s
-    for ppf), ``subtractive`` first on a tie.  ``oracle(budget=None)`` is the
-    brute-force count of ``kind`` in :mod:`parkres.brute` on the request's
-    own spots (:func:`brute.restriction_spots`), looked up there when
-    called.  Given a budget, it raises :class:`BudgetExceeded` when its
-    walk may take more steps (:func:`brute.walk_steps`, which checks the
-    spots first, so a bad spot is named at any budget); the orbit count
-    is held to the steps of its own recurrence (:func:`brute.orbit_steps`).
-
-    ``restriction`` is the object ``count --format json`` reports, of kind
-    segment (with ``s``), set (with ``elements``) or modular (with ``g``,
-    ``s`` and ``k``, and n = g*s - k); any other raises
-    :class:`DomainError` at the call.  [s] with 1 <= s <= n has the
-    subtractive and alternating pair, and at s = n also the total, for
-    pf, ones and defect (whose counts are pf's, by the paper's theorem);
-    for ppf the pair holds only while s < n, and at s = n its count is the
-    total.  Orbits have the Catalan triangle entry.  A modular pf has the
-    recursion, and at k = 1 with g*s >= 2 also the power s**(g*s - 2).  An
-    explicit set, a modular ppf and every other (n, s) have no form, and
-    are counted by the oracle alone.
-    """
-    counts = {  # each kind's brute-force count, given brute and the request's spots
-        "pf": lambda brute, spots: brute.count_restricted(n, spots),
-        "ppf": lambda brute, spots: brute.count_prime_restricted(n, spots),
-        "defect": lambda brute, spots: brute.count_min_defect(n, *values),
-        "orbits": lambda brute, spots: brute.count_nondecreasing_restricted(n, *values),
-        "ones": lambda brute, spots: (0,) + brute.ones_distribution(n, *values),
-    }
-    if not isinstance(kind, str) or kind not in counts:
-        raise DomainError(f"kind must be one of {', '.join(counts)}, got {kind!r}")
-    shape, n, values = _check_request(restriction, n)
-    if shape != "segment" and kind not in ("pf", "ppf"):
-        raise DomainError(f"{kind} counts need a segment restriction, got {shape}")
-    count = counts[kind]
-
-    def oracle(budget=None):
-        from . import brute  # only when called: table loads formulas but never brute
-
-        spots = brute.restriction_spots(restriction, n)
-        if budget is not None:
-            if kind == "orbits":  # a running-sum recurrence, not the parking walk
-                steps, name = brute.orbit_steps(n, *values), "recurrence"
-            else:
-                steps, name = brute.walk_steps(n, spots), "walk"
-            if steps > budget:
-                raise BudgetExceeded(f"{steps} {name} steps exceed --budget {budget}")
-        return count(brute, spots)
-
-    forms = {}
-    if shape == "modular" and kind == "pf":
-        g, s, k = values
-        if k == 1 and g * s >= 2:
-            forms["power"] = lambda: mod_count_k1(g, s)
-        forms["recursion"] = lambda: mod_count(g, s, k)
-    if shape != "segment" or not 1 <= values[0] <= n:
-        return forms, oracle
-    (s,) = values
-    if kind == "orbits":
-        return {"triangle": lambda: catalan_triangle(n, s - 1)}, oracle
-    if kind == "ppf":
-        if s == n:
-            return {"total": lambda: ppf_total(n)}, oracle
-        pair = (lambda: prime_subtractive(n, s), lambda: prime_alternating(n, s))
-    elif kind == "ones":
-        total = lambda: ones_poly_total(n)
-        pair = (lambda: ones_poly_subtractive(n, s), lambda: ones_poly_alternating(n, s))
-    else:  # pf, and defect, whose counts on [s] are pf's
-        total = lambda: pf_total(n)
-        pair = (lambda: restricted_subtractive(n, s), lambda: restricted_alternating(n, s))
-    if s == n:
-        forms["total"] = total
-    terms = list(zip(("subtractive", "alternating"), pair))
-    forms.update(terms if s <= n - s + (kind != "ppf") else reversed(terms))
-    return forms, oracle
-
-
 def catalan_triangle(n: int, k: int) -> int:
     """Entry (n, k) of the Catalan triangle, 0 <= k <= n-1:
 
@@ -441,6 +351,102 @@ def ones_poly_alternating(n: int, s: int) -> Coefficients:
     return Coefficients(total)
 
 
+class Family(NamedTuple):
+    """A count kind: ``label`` names its check, which the ``verify`` suite
+    ``suite`` runs; ``forms`` maps each restriction shape it is counted on
+    to its closed forms there, ``(method, form, cost)``, with ``form(n,
+    *values)`` the count and ``cost(n, *values)`` the terms it sums (0: no
+    value there); ``count(oracles, n, spots, *values)`` is the brute-force
+    count, given :mod:`parkres.brute` as ``oracles``, and ``steps`` its
+    bound in ``unit`` steps, which a budget holds."""
+
+    label: str
+    forms: dict
+    count: Callable
+    suite: str = "formulas"
+    steps: Callable = lambda oracles, n, spots, *values: oracles.walk_steps(n, spots)
+    unit: str = "walk"
+
+
+def _segment(total, subtractive, alternating, strict: int = 0) -> tuple:
+    """A kind's forms on [s], of (n, s): the total at s = n, and the
+    subtractive sum of s terms against the alternating one of n - s + 1
+    (n - s when ``strict``: the pair then has no value at s = n)."""
+    return (
+        ("total", total, lambda n, s: int(s == n)),
+        ("subtractive", subtractive, lambda n, s: s if s + strict <= n else 0),
+        ("alternating", alternating, lambda n, s: n - s + 1 - strict),
+    )
+
+
+# Each form calls its function by its name here when it runs, so that a
+# function patched here (by a test or a tracer) is the one that runs.
+_PF = _segment(lambda n, s: pf_total(n), lambda n, s: restricted_subtractive(n, s),
+               lambda n, s: restricted_alternating(n, s))
+_PPF = _segment(lambda n, s: ppf_total(n), lambda n, s: prime_subtractive(n, s),
+                lambda n, s: prime_alternating(n, s), strict=1)
+_ONES = _segment(lambda n, s: ones_poly_total(n), lambda n, s: ones_poly_subtractive(n, s),
+                 lambda n, s: ones_poly_alternating(n, s))
+_MODULAR = (  # the recursion solves the n + 1 lengths 0..n
+    ("power", lambda n, g, s, k: mod_count_k1(g, s), lambda n, g, s, k: int(k == 1 and g * s >= 2)),
+    ("recursion", lambda n, g, s, k: mod_count(g, s, k), lambda n, g, s, k: n + 1),
+)
+_TRIANGLE = (("triangle", lambda n, s: catalan_triangle(n, s - 1), lambda n, s: 1),)
+
+# Every count kind, by the name that ``count`` and :func:`routes` take: the
+# minimum-defect counts on [s] are pf's, by the paper's theorem; the orbits
+# are those of the car-permuting action, counted by a running sum; and ones
+# are the enumerator's coefficients by the cars preferring spot 1.
+FAMILIES = {
+    "pf": Family("restricted", {"segment": _PF, "set": (), "modular": _MODULAR},
+                 lambda oracles, n, spots, *values: oracles.count_restricted(n, spots)),
+    "ppf": Family("prime", {"segment": _PPF, "set": (), "modular": ()},
+                  lambda oracles, n, spots, *values: oracles.count_prime_restricted(n, spots)),
+    "defect": Family("min-defect", {"segment": _PF},
+                     lambda oracles, n, spots, s: oracles.count_min_defect(n, s)),
+    "orbits": Family("orbit", {"segment": _TRIANGLE},
+                     lambda oracles, n, spots, s: oracles.count_nondecreasing_restricted(n, s),
+                     "orbits", lambda oracles, n, spots, s: oracles.orbit_steps(n, s), "recurrence"),
+    "ones": Family("ones", {"segment": _ONES},
+                   lambda oracles, n, spots, s: (0,) + oracles.ones_distribution(n, s)),
+}
+
+
+def routes(kind: str, restriction: dict, n: int) -> tuple:
+    """``(forms, oracle)``: the routes that count ``kind`` on
+    ``restriction``, the object ``count --format json`` reports, with n
+    cars, by the kind's entry of :data:`FAMILIES`.  An unknown kind or
+    restriction, or a shape the kind is not counted on, raises
+    :class:`DomainError` at the call.  ``forms`` holds the forms with a
+    value here by method, cheapest first (in declared order on a tie), as
+    ``count --method auto`` tries them; [s] outside 1..n has none.
+    ``oracle(budget=None)`` is the brute-force count on the spots of
+    :func:`brute.restriction_spots`, which checks them; given a budget, it
+    raises :class:`BudgetExceeded` when the count's steps may exceed it.
+    """
+    if not isinstance(kind, str) or kind not in FAMILIES:
+        raise DomainError(f"kind must be one of {', '.join(FAMILIES)}, got {kind!r}")
+    family = FAMILIES[kind]
+    shape, n, values = _check_request(restriction, n)
+    if shape not in family.forms:
+        shapes = " or ".join(family.forms)
+        raise DomainError(f"{kind} counts need a {shapes} restriction, got {shape}")
+
+    def oracle(budget=None):
+        from . import brute  # only when called: table loads formulas but never brute
+
+        spots = brute.restriction_spots(restriction, n)
+        if budget is not None and (steps := family.steps(brute, n, spots, *values)) > budget:
+            raise BudgetExceeded(f"{steps} {family.unit} steps exceed --budget {budget}")
+        return family.count(brute, n, spots, *values)
+
+    if shape == "segment" and not 1 <= values[0] <= n:
+        return {}, oracle
+    costed = [(cost(n, *values), method, form) for method, form, cost in family.forms[shape]]
+    costed.sort(key=itemgetter(0))
+    return {method: partial(form, n, *values) for cost, method, form in costed if cost}, oracle
+
+
 def _checked(kind: str, n: int, s: int, mismatches: list):
     """The [s]-restricted ``kind`` count on n cars by the first form
     :func:`routes` gives, checked against the second (the ppf diagonal has
@@ -454,24 +460,15 @@ def _checked(kind: str, n: int, s: int, mismatches: list):
     return value
 
 
-def _restricted_table(kind: str, n_max: int):
-    """The [s]-restricted ``kind`` table: row n holds the counts at
-    s = 1..n, each by :func:`_checked`."""
-    header = ["n"] + [f"s={s}" for s in range(1, n_max + 1)]
+def _grid_table(kind: str, column, n_max: int) -> tuple:
+    """The [s]-restricted ``kind`` counts: row n holds them at s = 1..n,
+    each by :func:`_checked`, under the header ``column(s)``."""
+    header = ["n"] + [column(s) for s in range(1, n_max + 1)]
     rows, mismatches = [], []
     for n in range(1, n_max + 1):
         row = [n] + [_checked(kind, n, s, mismatches) for s in range(1, n + 1)]
         rows.append(row + [""] * (n_max - n))
     return header, rows, mismatches
-
-
-def _catalan_table(n_max):
-    header = ["n"] + [f"k={k}" for k in range(n_max)]
-    rows = [
-        [n] + [catalan_triangle(n, k) for k in range(n)] + [""] * (n_max - n)
-        for n in range(1, n_max + 1)
-    ]
-    return header, rows, []
 
 
 def _ones_table(n, s):
@@ -481,15 +478,16 @@ def _ones_table(n, s):
     return [f"x^{k}" for k in range(n + 1)], [row], mismatches
 
 
-# The families of ``parkres table``, by name.  Each maps the flags it
-# reads to their defaults (None: required), and its builder takes their
-# values by keyword (``--n-max`` as ``n_max``) and returns ``(header,
-# rows, mismatches)``, each mismatch a value whose second route disagrees:
-# every value has one but the Catalan triangle's and the ppf diagonal's.
+# The families of ``parkres table``, by name: each maps the flags it reads
+# to their defaults (None: required), and its builder takes their values by
+# keyword (``--n-max`` as ``n_max``) and returns ``(header, rows,
+# mismatches)``, each mismatch a value whose second route disagrees (all
+# have one but the triangle's and the ppf diagonal's).  The triangle's
+# column k holds the orbits on [s] with s = k+1.
 TABLES = {
-    "pf-restricted": ({"--n-max": 8}, lambda n_max: _restricted_table("pf", n_max)),
-    "ppf-restricted": ({"--n-max": 8}, lambda n_max: _restricted_table("ppf", n_max)),
-    "catalan-triangle": ({"--n-max": 8}, _catalan_table),
+    "pf-restricted": ({"--n-max": 8}, partial(_grid_table, "pf", "s={}".format)),
+    "ppf-restricted": ({"--n-max": 8}, partial(_grid_table, "ppf", "s={}".format)),
+    "catalan-triangle": ({"--n-max": 8}, partial(_grid_table, "orbits", lambda s: f"k={s - 1}")),
     "ones": ({"--n": None, "--s": None}, _ones_table),
 }
 
@@ -501,7 +499,8 @@ class AbelCheck(NamedTuple):
 
 
 def abel_check(n: int, x, y) -> AbelCheck:
-    """Evaluate both sides of Abel's binomial identity at exact rationals:
+    """Evaluate both sides of Abel's binomial identity at exact rationals
+    x and y, each an int or a :class:`~fractions.Fraction`:
 
         (x + y + n)**n == sum_{i=0}^{n} C(n,i) * x(x+i)**(i-1) * (y+n-i)**(n-i)
 
@@ -524,8 +523,7 @@ def abel_check(n: int, x, y) -> AbelCheck:
     from fractions import Fraction  # only here, to keep it out of every CLI start
 
     n = _check_n(n)
-    x = Fraction(x)
-    y = Fraction(y)
+    x, y = _rationals(x, y)
     lhs = (x + y + n) ** n
     p, q = x.numerator, x.denominator
     u, v = y.numerator, y.denominator

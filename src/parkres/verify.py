@@ -62,10 +62,11 @@ def _grid(n_max: int) -> Iterator[tuple]:
             yield n, s
 
 
-def _count(kind: str, n: int, s: int):
-    """The brute-force ``kind`` count on [s] with n cars, by the oracle
-    that :func:`formulas.routes` names for that request."""
-    return formulas.routes(kind, {"kind": "segment", "s": s}, n)[1]()
+def _routes(kind: str, n: int, s: int) -> dict:
+    """The closed forms that :func:`formulas.routes` gives for the
+    [s]-restricted ``kind`` count on n cars, and its oracle as ``brute``."""
+    forms, oracle = formulas.routes(kind, {"kind": "segment", "s": s}, n)
+    return {**forms, "brute": oracle}
 
 
 def _agree(case: str, forms: dict) -> Iterator:
@@ -76,31 +77,20 @@ def _agree(case: str, forms: dict) -> Iterator:
         yield _differ(f"{case}: {method} vs {first}", other(), want)
 
 
-# The name that each kind of :func:`formulas.routes` has in its check.
-_LABELS = {
-    "pf": "restricted", "ppf": "prime", "defect": "min-defect", "orbits": "orbit", "ones": "ones",
-}
-
-
 def check_closed_forms(kind: str, n_max: int) -> list:
     """Every route of the [s]-restricted ``kind`` count that
     :func:`formulas.routes` gives, each closed form and the brute-force
     oracle, against the first form."""
-
-    def routes(n, s):
-        forms, oracle = formulas.routes(kind, {"kind": "segment", "s": s}, n)
-        return {**forms, "brute": oracle}
-
     return [
         _check(
-            f"{_LABELS[kind]} routes agree (n <= {n_max})",
-            (d for n, s in _grid(n_max) for d in _agree(f"n={n}, s={s}", routes(n, s))),
+            f"{formulas.FAMILIES[kind].label} routes agree (n <= {n_max})",
+            (d for n, s in _grid(n_max) for d in _agree(f"n={n}, s={s}", _routes(kind, n, s))),
         )
     ]
 
 
 def _defect_floor(n_max: int) -> Iterator:
-    for n, s in _grid(n_max):
+    for n, s in _grid(min(n_max, 5)):
         for prefs in product(range(1, s + 1), repeat=n):
             d = core.defect(prefs, s)
             if d < n - s:
@@ -111,30 +101,30 @@ def _defect_floor(n_max: int) -> Iterator:
                 yield ""
 
 
-def check_defect(n_max: int) -> list:
-    """Minimum-defect counts by their routes, which are the [s]-restricted
-    pf forms; and no function beats the floor n - s, which the restricted
-    lists attain exactly."""
-    return check_closed_forms("defect", n_max) + [
-        _check(
-            "defect floor n - s attained exactly on restricted lists",
-            _defect_floor(min(n_max, 5)),
-        ),
-    ]
+def _catalan_diagonal(n_max: int) -> Iterator:
+    for n, want in enumerate([1, 2, 5, 14, 42, 132], start=1):
+        yield _differ(f"n={n}", formulas.catalan_number(n), want)
 
 
-def check_orbits(n_max: int) -> list:
-    """Orbit counts by their routes, and the Catalan triangle's diagonal
-    against the Catalan numbers written out."""
-    return check_closed_forms("orbits", n_max) + [
-        _check(
-            "triangle diagonal gives Catalan numbers",
-            (
-                _differ(f"n={n}", formulas.catalan_number(n), want)
-                for n, want in enumerate([1, 2, 5, 14, 42, 132], start=1)
-            ),
-        ),
-    ]
+# The checks of a kind beyond its routes, by kind: each one's outcomes at
+# ``n_max``, by its name.
+_OWN_CHECKS = {
+    "defect": {"defect floor n - s attained exactly on restricted lists": _defect_floor},
+    "orbits": {"triangle diagonal gives Catalan numbers": _catalan_diagonal},
+}
+
+
+def check_families(suite: str, n_max: int) -> list:
+    """The checks of each kind of :data:`formulas.FAMILIES` that ``suite``
+    runs, in the table's order: its routes (:func:`check_closed_forms`),
+    then its own checks, if it has any."""
+    checks = []
+    for kind, family in formulas.FAMILIES.items():
+        if family.suite == suite:
+            checks += check_closed_forms(kind, n_max)
+            own = _OWN_CHECKS.get(kind, {})
+            checks += [_check(name, outcomes(n_max)) for name, outcomes in own.items()]
+    return checks
 
 
 def check_abel(n_max: int) -> list:
@@ -167,7 +157,7 @@ def _fibers(n_max: int) -> Iterator:
             want = brute.fiber_size_bruteforce(sigma, s)
             total += want
             yield _differ(f"sigma={sigma}, s={s}", formulas.fiber_size_formula(sigma, s), want)
-        yield _differ(f"n={n}, s={s}: fiber sum", total, _count("pf", n, s))
+        yield _differ(f"n={n}, s={s}: fiber sum", total, _routes("pf", n, s)["brute"]())
 
 
 def check_fibers(n_max: int) -> list:
@@ -249,6 +239,7 @@ def iter_colorings(n: int, s: int, prime: bool = False) -> Iterator[ColoredPF]:
 
 def _involution(n_max: int, prime: bool) -> Iterator:
     enum = brute.enum_prime_restricted if prime else brute.enum_restricted
+    kind = "ppf" if prime else "pf"
     for n, s in _grid(n_max):
         signed = 0
         fixed = set()
@@ -263,7 +254,7 @@ def _involution(n_max: int, prime: bool) -> Iterator:
                 yield f"parity not flipped at {colored}"
             else:
                 yield bijections.involution(out) != colored and f"not an involution at {colored}"
-        yield _differ(f"n={n}, s={s}: signed sum", signed, _count("ppf" if prime else "pf", n, s))
+        yield _differ(f"n={n}, s={s}: signed sum", signed, _routes(kind, n, s)["brute"]())
         lists = set(enum(n, range(1, s + 1)))
         yield fixed != lists and f"n={n}, s={s}: fixed points != restricted lists"
 
@@ -332,16 +323,11 @@ def check_modular(budget: int, threads: int = 1) -> list:
 # Each suite's run, with the suite's default bounds, by name: :func:`run_suite`
 # calls these and a tracer may wrap them.
 SUITES = {
-    "formulas": lambda n_max=12, budget=None: (
-        check_closed_forms("pf", n_max)
-        + check_closed_forms("ppf", n_max)
-        + check_defect(n_max)
-        + check_closed_forms("ones", n_max)
-    ),
+    "formulas": lambda n_max=12, budget=None: check_families("formulas", n_max),
     "bijections": lambda n_max=5, budget=None: check_bijections(min(n_max, 5)),
     "involution": lambda n_max=5, budget=None: check_involution(min(n_max, 5)),
     "abel": lambda n_max=10, budget=None: check_abel(n_max),
-    "orbits": lambda n_max=8, budget=None: check_orbits(n_max),
+    "orbits": lambda n_max=8, budget=None: check_families("orbits", n_max),
     "fibers": lambda n_max=5, budget=None: check_fibers(min(n_max, 5)),
     "modular": lambda n_max=None, budget=10**7: check_modular(budget),
 }

@@ -903,11 +903,20 @@ def test_readme_shows_cli_examples():
 @pytest.mark.parametrize(
     "argv, shown", README_EXAMPLES, ids=[" ".join(a) for a, _ in README_EXAMPLES]
 )
-def test_readme_cli_example(capsys, argv, shown):
+def test_readme_cli_example(capsys, monkeypatch, request, argv, shown):
+    calls = []
+    if argv == ["verify", "all"]:
+        # the CLI prints the one run of every suite at default bounds that
+        # the inventory test of test_verify reads too (the CLI's default
+        # budget is the modular suite's)
+        checks = request.getfixturevalue("verify_all_checks")
+        monkeypatch.setattr(verify, "run_suite", lambda *args, **kwargs: calls.append((args, kwargs)) or checks)
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     if shown is not None:
         assert out == shown
+    if calls:
+        assert calls == [(("all",), {"n_max": None, "budget": 10**7})]
 
 
 def test_import_loads_no_unused_stdlib():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parkres import core
+from parkres import bijections, circular, core, formulas
 from parkres.exceptions import DomainError, NotAParkingFunction, PreferenceOutOfRange
 
 
@@ -79,6 +79,33 @@ def test_nondecreasing():
     assert core.nondecreasing((1, 1, 1)) == (1, 1, 1)
     assert core.nondecreasing((2, 1)) == (1, 2)
     assert core.nondecreasing(()) == ()
+
+
+# Calls that once raised a bare TypeError or ValueError, or returned a
+# list of non-spots, where the argument readers of ``exceptions`` refuse
+# them: each fault is a DomainError, and a preference below spot 1
+# PreferenceOutOfRange, as in is_u_parking.
+@pytest.mark.parametrize(
+    "call, args, kwargs, fault",
+    [
+        (core.nondecreasing, (None,), {}, DomainError),
+        (core.nondecreasing, ((1.5, "a"),), {}, DomainError),
+        (core.nondecreasing, ((2, 1.5),), {}, DomainError),
+        (core.nondecreasing, ((0, -3),), {}, PreferenceOutOfRange),
+        (bijections.ColoredPF, (None, None, 1), {}, DomainError),
+        (bijections.ColoredPF, (("a",), (bijections.Color.INDIGO,), 1), {}, DomainError),
+        (circular.canonical_class, (None, (1,)), {}, DomainError),
+        (circular.canonical_class, ((1, 2), (1,)), {}, DomainError),
+        (formulas.abel_check, (3, "x", 1), {}, DomainError),
+        (formulas.abel_check, (3, None, 1), {}, DomainError),
+        (circular.verify_relation, (2, 2, 1), {"budget": None}, DomainError),
+    ],
+    ids=lambda value: getattr(value, "__name__", None),
+)
+def test_malformed_arguments_are_refused_by_the_readers(call, args, kwargs, fault):
+    with pytest.raises(fault) as raised:
+        call(*args, **kwargs)
+    assert type(raised.value) is fault
 
 
 def test_is_prime_examples():

@@ -49,6 +49,17 @@ def test_closed_forms_by_request(monkeypatch):
     # k = 1 adds the power s**(g*s - 2), which needs g*s >= 2
     assert _methods("pf", _modular(2, 3, 1), 5) == ["power", "recursion"]
     assert _methods("pf", _modular(1, 1, 1), 0) == ["recursion"]
+    # the edges no verify suite visits: g*s = 2, the least street with the
+    # power; and s = 1, where every form of the pair sums one term at n = 1
+    assert _methods("pf", _modular(1, 2, 1), 1) == ["power", "recursion"]
+    assert _methods("pf", _modular(2, 1, 1), 1) == ["power", "recursion"]
+    one = {"kind": "segment", "s": 1}
+    for kind in ("pf", "defect", "ones"):
+        assert _methods(kind, one, 1) == ["total", "subtractive", "alternating"], kind
+        assert _methods(kind, one, 2) == ["subtractive", "alternating"], kind
+    assert _methods("ppf", one, 1) == ["total"]
+    assert _methods("ppf", one, 2) == ["subtractive", "alternating"]
+    assert _methods("orbits", one, 1) == _methods("orbits", one, 2) == ["triangle"]
     forms, _ = formulas.routes("pf", segment, 4)
     assert {method: form() for method, form in forms.items()} == dict.fromkeys(forms, 125)
     forms, _ = formulas.routes("pf", _modular(2, 3, 1), 5)

@@ -250,25 +250,32 @@ def test_argparse_import_is_detected():
     assert not _imports_argparse(ast.parse("import math\nfrom . import cli\n"))
 
 
-# The routes of requests of every kind ``formulas.routes`` counts: each
-# kind on the segments [1..5] with 5 cars, and pf and ppf modular at
-# g = 2, s = 3.
+# The kind and the routes of requests of every kind ``formulas.routes``
+# counts: each kind on the segments [1..5] with 5 cars, and pf and ppf
+# modular at g = 2, s = 3.
 ROUTES = [
-    formulas.routes(kind, {"kind": "segment", "s": s}, 5)
+    (kind, formulas.routes(kind, {"kind": "segment", "s": s}, 5))
     for kind in ("pf", "ppf", "defect", "orbits", "ones")
     for s in range(1, 6)
 ] + [
-    formulas.routes(kind, {"kind": "modular", "g": 2, "s": 3, "k": k}, 6 - k)
+    (kind, formulas.routes(kind, {"kind": "modular", "g": 2, "s": 3, "k": k}, 6 - k))
     for kind in ("pf", "ppf")
     for k in (1, 2)
 ]
 
 
-def _oracle_count(oracle):
-    """The ``brute`` function that an oracle's ``count`` calls, the
-    brute-force count of its kind, as a set of one name."""
-    count = inspect.getclosurevars(oracle).nonlocals["count"]
-    return {f"brute.{name}" for name in count.__code__.co_names}
+def _oracle_count(kind):
+    """The ``brute`` function that the oracle of ``kind`` calls, the
+    brute-force count of its entry in the family table, as a set of one
+    name."""
+    return {f"brute.{name}" for name in formulas.FAMILIES[kind].count.__code__.co_names}
+
+
+def _form_names(form):
+    """The ``formulas`` functions that a form of the family table calls,
+    by name; a route's form is the table's form bound to the request
+    (``form.func``)."""
+    return set(form.__code__.co_names)
 
 
 # The route-independence audit: no two routes compared by a check may
@@ -350,9 +357,9 @@ def _compared_pairs(index):
     each form by the function its lambda calls and the oracle by the
     ``brute`` count of its kind; then ``COMPARED``."""
     pairs = {}
-    for forms, oracle in ROUTES:
-        named = [{f"formulas.{name}" for name in form.__code__.co_names} for form in forms.values()]
-        named.append(_oracle_count(oracle))
+    for kind, (forms, _) in ROUTES:
+        named = [{f"formulas.{name}" for name in _form_names(form.func)} for form in forms.values()]
+        named.append(_oracle_count(kind))
         sides = [side & index.keys() for side in named]
         assert all(sides), forms
         for one, other in combinations(sides, 2):
@@ -537,10 +544,10 @@ def test_route_sharing_is_detected():
 # ``table`` and checked by ``verify`` with no code of their own.  Each is
 # named by the function its lambda calls.
 COUNT_FORMS = {
-    name for forms, _ in ROUTES for form in forms.values() for name in form.__code__.co_names
+    name for _, (forms, _) in ROUTES for form in forms.values() for name in _form_names(form.func)
 }
 # The brute-force counts that ``formulas.routes`` names as the oracles.
-COUNT_ORACLES = {name.split(".")[1] for _, oracle in ROUTES for name in _oracle_count(oracle)}
+COUNT_ORACLES = {name.split(".")[1] for kind, _ in ROUTES for name in _oracle_count(kind)}
 
 
 def _named(tree, names=COUNT_FORMS):
@@ -556,7 +563,7 @@ def _named(tree, names=COUNT_FORMS):
 # suite, each table family, and each form by its method and function name.
 OWNED_NAMES = (
     set(verify.suite_names()) | set(formulas.TABLES) | COUNT_FORMS
-    | {method for forms, _ in ROUTES for method in forms}
+    | {method for _, (forms, _) in ROUTES for method in forms}
 )
 # Words of the CLI's own that a suite or a family shares: the modular
 # restriction of ``count --format json`` and the ones field of ``enum``.
@@ -604,6 +611,65 @@ def test_form_named_outside_the_resolver_is_detected():
     )
     assert _literals(ast.parse(source), OWNED_NAMES) == [
         "abel", "all", "pf-restricted", "pf_total", "power",
+    ]
+
+
+# Each kind's label, as its verify check prints it, and the functions that
+# the kinds' forms on a segment call: the family table of ``formulas`` is
+# their one owner, so a second list of kinds cannot come back beside it.
+LABELS = {family.label for family in formulas.FAMILIES.values()}
+SEGMENT_FORMS = {
+    name
+    for family in formulas.FAMILIES.values()
+    for _, form, _ in family.forms["segment"]
+    for name in _form_names(form)
+}
+# Words of a module's own that a label shares: the ones field of ``enum``'s
+# records, and the prime recoloring involution of ``verify``.
+OWN_WORDS = {"cli": {"ones"}, "verify": {"prime"}}
+
+
+def _second_owners(trees):
+    """``module: name`` for each label that a string literal of a module
+    other than ``formulas`` spells out whole (but for the module's own
+    words), and ``module: name()`` for each segment form it calls."""
+    found = []
+    for module, tree in trees.items():
+        if module == "formulas":
+            continue
+        found += [f"{module}: {label}" for label in _literals(tree, LABELS - OWN_WORDS.get(module, set()))]
+        called = {
+            getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+        }
+        found += [f"{module}: {name}()" for name in sorted(called & SEGMENT_FORMS)]
+    return sorted(found)
+
+
+def test_only_the_family_table_spells_out_labels_and_calls_segment_forms():
+    assert LABELS == {"restricted", "prime", "min-defect", "orbit", "ones"}
+    assert {"pf_total", "ppf_total", "catalan_triangle", "ones_poly_alternating"} < SEGMENT_FORMS
+    assert _second_owners(TREES) == []
+
+
+def test_second_owner_of_a_family_is_detected():
+    sources = {
+        "formulas": "LABELS = ('restricted', 'orbit')\ndef t(n):\n    return catalan_triangle(n, 0)\n",
+        "verify": (
+            "from . import formulas\n"
+            "_LABELS = {'pf': 'restricted', 'ppf': 'prime', 'defect': 'min-defect'}\n"
+            "def involution(prime):\n    return 'prime' if prime else 'plain'\n"
+            "def table(n):\n    return [formulas.catalan_triangle(n, k) for k in range(n)]\n"
+        ),
+        "cli": (
+            "from .formulas import pf_total\n"
+            "FIELDS = ('prefs', 'ones')\n"
+            "def count(n):\n    return pf_total(n), f'{n} ones', 'orbit'\n"
+        ),
+    }
+    assert _second_owners({name: ast.parse(source) for name, source in sources.items()}) == [
+        "cli: orbit", "cli: pf_total()", "verify: catalan_triangle()", "verify: min-defect", "verify: restricted",
     ]
 
 

@@ -2,6 +2,7 @@
 a single input; the CLI reports such a failure with exit code 3."""
 
 import ast
+import json
 import time
 from itertools import combinations
 from operator import sub
@@ -274,6 +275,21 @@ def test_suites_are_the_benchmark_cli_suites():
         and [getattr(target, "id", None) for target in node.targets] == ["CLI_SUITES"]
     ]
     assert set(verify.suite_names()) - {"all"} == set(ast.literal_eval(cli_suites))
+
+
+# Each check of ``verify all`` at its default bounds, by name and the cases
+# it compares, as recorded before the family table of ``formulas`` took
+# over the routes: 121 checks and 27,532 cases.
+INVENTORY = Path(__file__).resolve().parent / "verify_all_inventory.json"
+
+
+def test_verify_all_runs_the_recorded_checks(verify_all_checks):
+    # a route, a case or a label that goes missing from a suite shows here,
+    # even where every check that is left still passes
+    want = json.loads(INVENTORY.read_text())
+    assert (len(want), sum(cases for _, cases in want)) == (121, 27532)
+    assert [[check.name, check.cases] for check in verify_all_checks] == want
+    assert all(check.ok for check in verify_all_checks)
 
 
 def test_unknown_suite_is_named():
