@@ -1,52 +1,54 @@
 """Exhaustive oracles over restricted preference spaces.
 
 The streams enumerate, the fiber oracle simulates, and the counters walk
-the states of the parking procedure.  The counters rest on one
-observation: whether every car parks (and whether the list is prime),
-how many cars prefer spot 1, and how many cars park on fewer spots than
-cars are all unchanged when the cars are reordered.  So the counters
-choose how many cars prefer each allowed value in turn, c of the
-``rest`` cars still unplaced in C(rest, c) ways.  What is left to count
-below a choice depends only on the value reached and on how many cars
-are placed, so each counter fills one array per value, indexed by the
-cars placed (or unplaced), from the last value back, and counts each
-state once rather than once per orbit (sorted list) that passes through
-it.  The values after a state are counted at fewer cars unplaced, so the
-walk runs from few cars unplaced to many and grows the binomial row of
-``rest`` by one as it goes: it holds one row, not the triangle.  The
-parking counters keep a choice only while the occupancy condition (at
-least i entries <= i, for every i) can still hold (:func:`_count_walk`),
-and the ones tally is the first level of that walk: C(n, c) ways to
-choose the c cars preferring spot 1, times the count over spots 2..s
-with those c cars placed.  The min-defect counter instead parks the cars
-a spot at a time, counting the cars waiting at each spot, and drops a
-choice at the first spot that finds none (:func:`_min_defect_walk`).
-Either walk, rows included, takes at most (|S| - 1)(n + 1)(n + 2)/2
-additions and multiplications (:func:`walk_steps`), where the orbits are
-exponentially many.
+the states of the parking procedure.  The parking counters and streams
+read the occupancy condition (at least i entries <= i for every i, more
+than i for a prime list when i < n) in one form, the state of a prefix:
+how many more entries <= i it needs, for each i, then the entries still
+to come.  A prefix that needs d entries <= j needs d entries <= i for
+every i >= j too, so the state holds each need at the largest one before
+it, a nondecreasing running maximum, and the completions of a prefix
+depend only on its state (:func:`_start` gives the empty prefix's).
 
-The ``enum_*`` streams walk the lists in lexicographic order and extend a
-prefix only by the entries that keep it completable.  The completions of
-a prefix depend only on how many entries are left and on how far each
-occupancy count still falls short.  A prefix that still needs d entries
-<= j needs d entries <= i for every i >= j too, so the state holds each
-shortfall at the largest one before it: a nondecreasing running maximum
-that ends with the entries left, one state per set of completions.  A
-stream builds the completions of its last ``short`` positions once per
-such state (its tails, at most 256 lists each), and the ``short``
-positions above them once per state too: a state's plan lists, in
-order, its middles (the entries up to a tail state) and the tails that
-follow each, at most 256 pairs, built from the plans below it.  The
-Python walk stops ``2 * short`` entries from the end and emits each list
-as its prefix, a middle and a tail joined in C (``map`` of
+The counters rest on one observation: whether every car parks (and
+whether the list is prime), how many cars prefer spot 1, and how many
+cars park on fewer spots than cars are all unchanged when the cars are
+reordered.  So the counters choose how many cars prefer each allowed
+value in turn, c of the ``rest`` cars still unplaced in C(rest, c) ways.
+What is left to count below a choice depends only on the value reached
+and on how many cars are placed, so each counter fills one array per
+value, indexed by the cars placed (or unplaced), from the last value
+back, and counts each state once rather than once per orbit (sorted
+list) that passes through it.  The values after a state are counted at
+fewer cars unplaced, so the walk runs from few cars unplaced to many and
+grows the binomial row of ``rest`` by one as it goes: it holds one row,
+not the triangle.  The parking counters keep a choice only while the
+bounds a state sets on each allowed value (:func:`_bounds`) can still
+hold (:func:`_count_walk`), and the ones tally is the first level of
+that walk: C(n, c) ways to choose the c cars preferring spot 1, times
+the count over spots 2..s with those c cars placed.  The min-defect
+counter instead parks the cars a spot at a time, counting the cars
+waiting at each spot, and drops a choice at the first spot that finds
+none (:func:`_min_defect_walk`).  Either walk, rows included, takes at
+most (|S| - 1)(n + 1)(n + 2)/2 additions and multiplications
+(:func:`walk_steps`), where the orbits are exponentially many.
+
+The ``enum_*`` streams walk the lists in lexicographic order and extend
+a prefix only by the entries that keep its state completable
+(:func:`_steps`).  A stream keeps one memo, a plan for each state within
+``2 * short`` entries of the end, built once from the plans after it: in
+order, its middles (the entries up to a tail state, at most ``short``
+entries from the end) and the tails that follow each, at most 256
+pairs.  A tail state's plan has one empty middle, with its completions,
+at most 256, as its tails.  The Python walk stops at the plans and emits
+each list as its prefix, a middle and a tail joined in C (``map`` of
 ``operator.add`` over the tails, one per pair, made by an outer
 ``map``), so it expands each state once per stream rather than once per
-prefix.  The public ``enum_*`` functions return that iterator
-rather than re-yield it, so no Python frame runs per list.  The orbit
-count runs a dynamic programme over the last entry of the sorted
-prefixes, and the fiber oracle parks the cars one at a time and follows
-only the preferences that put each car where the outcome permutation
-does.
+prefix.  The public ``enum_*`` functions return that iterator rather
+than re-yield it, so no Python frame runs per list.  The orbit count
+runs a dynamic programme over the last entry of the sorted prefixes, and
+the fiber oracle parks the cars one at a time and follows only the
+preferences that put each car where the outcome permutation does.
 
 These are the trusted, independent counterparts of the closed forms in
 :mod:`parkres.formulas`; the two are never allowed to share a code path.
@@ -82,16 +84,6 @@ def restriction_spots(restriction: dict, n: int) -> tuple:
     return tuple(range(1, n + 1, values[0]))
 
 
-def _occupancy_need(n: int, allowed: tuple, strict: bool) -> tuple:
-    """Bounds for :func:`_count_walk` from the occupancy condition.
-
-    Entry j is the fewest entries <= ``allowed[j]`` a parking list has:
-    each i from ``allowed[j]`` up to the next allowed value needs at least
-    i entries <= i (more than i when ``strict`` and i < n).
-    """
-    return tuple(min(v, n) if strict else v - 1 for v in allowed[1:]) + (n,)
-
-
 def walk_steps(n: int, allowed: Iterable[int]) -> int:
     """The most steps the walk of :func:`count_restricted` or
     :func:`count_prime_restricted` takes for ``n`` cars over ``allowed``:
@@ -118,7 +110,22 @@ def _count_parking(n: int, allowed: tuple, strict: bool) -> int:
         return 0  # spot 1 is never preferred
     if len(allowed) == 1:
         return 1  # every car prefers spot 1
-    return sum(_count_walk(n, _occupancy_need(n, allowed, strict)))
+    return sum(_count_walk(n, _bounds(_start(n, strict), allowed)))
+
+
+def _start(n: int, strict: bool) -> tuple:
+    # The state of the empty prefix of n >= 0 entries: a list needs i
+    # entries <= i (i + 1 when strict and i < n), and n are to come.
+    return tuple(range(1 + strict, n + strict)) + (n,)
+
+
+def _bounds(state: tuple, allowed: tuple) -> tuple:
+    # The bounds of :func:`_count_walk` over ``state[-1]`` cars for the
+    # completions of a prefix in ``state``.  Entry j is the fewest entries
+    # <= allowed[j] they hold, the need at spot allowed[j + 1] - 1: as the
+    # state is nondecreasing, the largest need from allowed[j] up to it.
+    # The last value takes every entry still to come.
+    return tuple(state[v - 2] for v in allowed[1:]) + (state[-1],)
 
 
 def _count_walk(n: int, need: tuple) -> list:
@@ -162,8 +169,7 @@ def _stream(n: int, allowed: tuple, strict: bool) -> Iterator[tuple]:
     short = 0
     while short < n and len(allowed) ** (short + 1) <= _TAIL_LISTS:
         short += 1
-    need = tuple(range(1 + strict, n + strict)) + (n,)
-    return chain.from_iterable(_walk((), need, allowed, short, {}, {}))
+    return chain.from_iterable(_walk((), _start(n, strict), allowed, short, {}))
 
 
 def _steps(need: tuple, allowed: tuple) -> Iterator[tuple]:
@@ -187,55 +193,47 @@ def _steps(need: tuple, allowed: tuple) -> Iterator[tuple]:
         yield v, need[: v - 1] + tuple([d - 1 if d > held else held for d in need[v - 1 :]])
 
 
-def _walk(prefix: tuple, need: tuple, allowed: tuple, short: int, plans: dict, memo: dict):
+def _walk(prefix: tuple, need: tuple, allowed: tuple, short: int, plans: dict):
     # Yield, in order, one iterable of lists per tail state below ``prefix``:
     # within 2 * short entries of the end, the state's plan gives them, as
     # ``prefix + middle`` joined to each tail of the middle.
     if need[-1] <= 2 * short:
-        middles, tails = _plan(need, allowed, short, plans, memo)
+        middles, tails = _plan(need, allowed, short, plans)
         yield from map(map, repeat(add), map(repeat, map(add, repeat(prefix), middles)), tails)
         return
     for v, after in _steps(need, allowed):
-        yield from _walk(prefix + (v,), after, allowed, short, plans, memo)
+        yield from _walk(prefix + (v,), after, allowed, short, plans)
 
 
-def _plan(need: tuple, allowed: tuple, short: int, plans: dict, memo: dict) -> tuple:
+def _plan(need: tuple, allowed: tuple, short: int, plans: dict) -> tuple:
     # The (middles, tails) of state ``need``, at most ``short`` entries
     # above the tail states: each completion of a prefix in that state is
     # some middles[k] followed by one of tails[k], in lexicographic order.
-    # With at most ``short`` entries in a middle there are at most
-    # |S|**short <= _TAIL_LISTS of them; ``plans`` holds them per state.
+    # A tail state, at most ``short`` entries from the end, has one empty
+    # middle and its completions as its tails, built from those of the
+    # tail states after it.  With at most ``short`` entries in a middle or
+    # a tail there are at most |S|**short <= _TAIL_LISTS of them; ``plans``
+    # holds them per state for the whole stream.
     plan = plans.get(need)
     if plan is None:
-        if need[-1] <= short:
-            plan = [()], [_tails(need, allowed, memo)]
+        if need[-1] == 0:
+            plan = [()], [[()]]
+        elif need[-1] <= short:
+            tails = [
+                (v,) + tail
+                for v, after in _steps(need, allowed)
+                for tail in _plan(after, allowed, short, plans)[1][0]
+            ]
+            plan = [()], [tails]
         else:
             middles, tails = [], []
             for v, after in _steps(need, allowed):
-                below, below_tails = _plan(after, allowed, short, plans, memo)
+                below, below_tails = _plan(after, allowed, short, plans)
                 middles += map(add, repeat((v,)), below)
                 tails += below_tails
             plan = middles, tails
         plans[need] = plan
     return plan
-
-
-def _tails(need: tuple, allowed: tuple, memo: dict) -> list:
-    # The completions of any prefix in state ``need``, in lexicographic
-    # order; ``memo`` holds them per state (entries to come and deficits,
-    # as ``need`` ends with the former) for the whole stream.
-    tails = memo.get(need)
-    if tails is None:
-        if need[-1] == 0:
-            tails = [()]
-        else:
-            tails = [
-                (v,) + tail
-                for v, after in _steps(need, allowed)
-                for tail in _tails(after, allowed, memo)
-            ]
-        memo[need] = tails
-    return tails
 
 
 def enum_restricted(n: int, allowed: Iterable[int]) -> Iterator[tuple]:
@@ -304,7 +302,7 @@ def ones_distribution(n: int, s: int) -> tuple:
     times the walk over spots 2..s with those c cars placed.
     """
     n, s = _check_ns(n, s)
-    tally = _count_walk(n, _occupancy_need(n, tuple(range(1, s + 1)), False))
+    tally = _count_walk(n, _bounds(_start(n, False), tuple(range(1, s + 1))))
     if tally[0] != 0:
         raise ParkresError("parking function with no car preferring spot 1")
     return tuple(tally[1:])

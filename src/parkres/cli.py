@@ -3,7 +3,8 @@
 Counts are printed in full decimal.  ``--format json`` emits stable
 machine-readable objects; enumerations stream one line per list (as
 text, in blocks of lines, one write each).  Exit codes: 0 ok, 2 usage
-or domain error, 3 verification mismatch.
+or domain error, 3 verification mismatch (or an exact computation that
+was not exact, an internal fault).
 
 The command line is read against one table, :data:`COMMANDS`, by the few
 lines of :func:`parse`: each call is a fresh process, and importing and
@@ -16,12 +17,13 @@ from __future__ import annotations
 import math
 import sys
 from itertools import islice, repeat
+from types import SimpleNamespace
 
 # Each library module is imported where a request uses it (``formulas``
 # by the closed forms, ``brute`` by brute force, ``core`` by parking), as
 # each call is a fresh process that pays for every module it loads.
 from . import __version__
-from .exceptions import BudgetExceeded, ParkresError
+from .exceptions import BudgetExceeded, NonIntegerIntermediate, ParkresError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -384,14 +386,6 @@ HELP = {"-h": None, "--help": None}
 TOP = {**HELP, "--version": None}
 
 
-class Args:
-    """The values of one command line, by name: ``args.n_max`` for
-    ``--n-max``."""
-
-    def __init__(self, values: dict):
-        self.__dict__.update(values)
-
-
 def _flags(entry) -> dict:
     """Every flag of a command: its own, --format and -h/--help."""
     formats = entry["formats"]
@@ -483,7 +477,7 @@ def parse(argv) -> tuple:
     for flag, spec in flags.items():
         if spec is not None:
             values.setdefault(_dest(flag), spec[1])
-    return entry["run"], Args(values)
+    return entry["run"], SimpleNamespace(**values)
 
 
 def _metavar(kind, name: str) -> str:
@@ -525,6 +519,9 @@ def main(argv=None) -> int:
     try:
         run, args = parse(sys.argv[1:] if argv is None else argv)
         return run(args)
+    except NonIntegerIntermediate as exc:  # a fault of the library, not of the request
+        print(f"MISMATCH: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     except ParkresError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,6 +6,7 @@ from parkres import bijections, brute, core
 from parkres.bijections import FIXED_POINT, Color, ColoredPF
 from parkres.exceptions import (
     DomainError,
+    ImageContainsLastSpot,
     InvalidColoring,
     MissingOne,
     NotInShiftedSet,
@@ -42,6 +43,16 @@ def test_prime_to_restricted_examples():
         bijections.prime_to_restricted((1, 2), (1, 2))
     with pytest.raises(NotRestricted):
         bijections.prime_to_restricted((1, 1, 2), (1, 3))
+
+
+def test_prime_image_guard_refuses_the_last_spot(monkeypatch):
+    # no prime list prefers spot n, so only a wrong prime test reaches the
+    # guard: it raises rather than return a list outside the shifted set
+    real = core.is_prime
+    monkeypatch.setattr(core, "is_prime", lambda prefs: tuple(prefs) == (1, 2) or real(prefs))
+    with pytest.raises(ImageContainsLastSpot, match=r"prime list \(1, 2\) prefers spot 2"):
+        bijections.prime_to_restricted((1, 2), (1, 2))
+    assert bijections.prime_to_restricted((1, 1), (1, 2)) == (1, 1)
 
 
 def test_restricted_to_prime_examples():

@@ -1,6 +1,7 @@
 import gc
 import inspect
 import tracemalloc
+from bisect import bisect_left
 from collections import Counter, deque
 from itertools import accumulate, combinations, combinations_with_replacement, permutations, product
 
@@ -219,28 +220,25 @@ def test_stream_states_are_canonical(monkeypatch):
     # Each deficit is held at the largest one before it, so every state a
     # stream memoises is nondecreasing, ends with the entries to come, and
     # stands for one set of completions: no two tail states share tails.
-    tails, plans = {}, {}
-    build_tails, build_plan = brute._tails, brute._plan
+    # A tail state's plan has one empty middle, with its completions as
+    # its tails.
+    plans = {}
+    build_plan = brute._plan
 
-    def record_tails(need, allowed, memo):
-        tails[need] = build_tails(need, allowed, memo)
-        return tails[need]
-
-    def record_plan(need, allowed, short, plan_memo, memo):
-        plans[need] = build_plan(need, allowed, short, plan_memo, memo)
+    def record_plan(need, allowed, short, memo):
+        plans[need] = build_plan(need, allowed, short, memo)
         return plans[need]
 
-    monkeypatch.setattr(brute, "_tails", record_tails)
     monkeypatch.setattr(brute, "_plan", record_plan)
     for n in range(1, 7):
         for S in all_subsets(n):
             if S[0] != 1:
                 continue
             for enum in (brute.enum_restricted, brute.enum_prime_restricted):
-                tails.clear()
                 plans.clear()
                 deque(enum(n, S), maxlen=0)
-                for need in {*tails, *plans}:
+                tails = {need: below[0] for need, (middles, below) in plans.items() if middles == [()]}
+                for need in plans:
                     assert list(need) == sorted(need), (enum, n, S, need)
                 for need, lists in tails.items():
                     assert {len(tail) for tail in lists} == {need[-1]}, (enum, n, S, need)
@@ -248,6 +246,51 @@ def test_stream_states_are_canonical(monkeypatch):
                     lengths = {len(m) + len(t) for m, ts in zip(middles, below) for t in ts}
                     assert lengths == {need[-1]}, (enum, n, S, need)
                 assert len({tuple(lists) for lists in tails.values()}) == len(tails), (enum, n, S)
+
+
+def _first_prefixes(n, S, strict):
+    """The first prefix, in lexicographic order, that reaches each state
+    of the stream over S, by state."""
+    first = {}
+    todo = [((), brute._start(n, strict))]
+    while todo:
+        prefix, state = todo.pop()
+        if state not in first:
+            first[state] = prefix
+            todo += [(prefix + (v,), after) for v, after in reversed(list(brute._steps(state, S)))]
+    return first
+
+
+def test_count_walk_counts_the_completions_of_each_stream_state(monkeypatch):
+    # The walk, started at the bounds a state sets, counts the lists the
+    # stream emits below that state: those that extend a prefix reaching
+    # it, a contiguous run of the lexicographic stream.
+    reached = set()
+    take_steps = brute._steps
+
+    def record_steps(need, allowed):
+        reached.add(need)
+        for v, after in take_steps(need, allowed):
+            reached.add(after)
+            yield v, after
+
+    for n in range(1, 8):
+        for S in all_subsets(n):
+            if S[0] != 1:
+                continue
+            for strict, enum in ((False, brute.enum_restricted), (True, brute.enum_prime_restricted)):
+                reached.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(brute, "_steps", record_steps)
+                    lists = list(enum(n, S))
+                first = _first_prefixes(n, S, strict)
+                # with one allowed spot the stream emits its list unwalked
+                assert reached == (first.keys() if len(S) > 1 else set()), (enum, n, S)
+                for state in reached:
+                    prefix = first[state]
+                    below = bisect_left(lists, prefix + (n + 1,)) - bisect_left(lists, prefix)
+                    walked = sum(brute._count_walk(state[-1], brute._bounds(state, S)))
+                    assert walked == below, (enum, n, S, prefix, state)
 
 
 def test_count_walks_hold_one_binomial_row():
@@ -374,7 +417,7 @@ def test_ones_distribution():
 def test_ones_distribution_names_a_list_without_a_one(monkeypatch):
     # with no occupancy bound the walk reaches lists no car of which
     # prefers spot 1; the census reports that as a library error
-    monkeypatch.setattr(brute, "_occupancy_need", lambda n, values, strict: (0,) * len(values))
+    monkeypatch.setattr(brute, "_bounds", lambda state, values: (0,) * len(values))
     with pytest.raises(ParkresError, match="no car preferring spot 1"):
         brute.ones_distribution(3, 2)
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from parkres import __version__, brute, core, formulas, verify
 from parkres.cli import COMMANDS, main
+from parkres.exceptions import NonIntegerIntermediate
 from parkres.formulas import routes
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -427,6 +428,10 @@ def test_restricted_tables_match_count(capsys):
                 assert row[s] == count.strip(), (kind, n, s)
 
 
+def _not_integral(*args):
+    raise NonIntegerIntermediate("sum not integral")
+
+
 def _off_by_one(value):
     # a count one higher, or a polynomial one higher in its constant coefficient
     if isinstance(value, tuple):
@@ -455,6 +460,12 @@ def test_table_cross_check_exits_3(monkeypatch, capsys, argv, form):
         assert (code, out) == (3, ""), (argv, form)
         lines = err.splitlines()
         assert lines and all(line.startswith(f"MISMATCH: table {argv[0]} ") for line in lines)
+    # an exact form that was not exact is a fault of the library, not of
+    # the request: it is reported as a mismatch too
+    monkeypatch.setattr(formulas, form, _not_integral)
+    for fmt in ("csv", "json"):
+        code, out, err = run(capsys, "table", *argv, "--format", fmt)
+        assert (code, out, err) == (3, "", "MISMATCH: sum not integral\n"), (argv, form)
 
 
 @pytest.mark.parametrize(
@@ -476,6 +487,9 @@ def test_count_cross_check_exits_3(monkeypatch, capsys, argv, form):
     code, out, err = run(capsys, "count", *argv)
     assert (code, out) == (3, "")
     assert err == f"MISMATCH: formula {want + 1}, brute force {want}\n"
+    monkeypatch.setattr(formulas, form, _not_integral)
+    code, out, err = run(capsys, "count", *argv)
+    assert (code, out, err) == (3, "", "MISMATCH: sum not integral\n")
 
 
 def _format_choices():

@@ -138,14 +138,14 @@ def orbit_cases():
             yield n, tuple(range(1, r + 1)), (0,) * r
             for values in combinations(range(1, n + 1), r):
                 for strict in (False, True):
-                    yield n, values, brute._occupancy_need(n, values, strict)
+                    yield n, values, brute._bounds(brute._start(n, strict), values)
 
 
 def test_count_walk_sums_the_factorial_sizes_of_the_bounded_multisets():
     # The walk carries each size as a product of binomials, a level per
     # value; here each size is n!/prod(c_v!)
     # over the multisets filtered from every sorted list by the bound as
-    # the docstring of _occupancy_need states it.
+    # the comment of _bounds states it.
     for n, values, need in orbit_cases():
         want = 0
         for entries in combinations_with_replacement(range(len(values)), n):

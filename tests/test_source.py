@@ -474,17 +474,18 @@ def test_shared_count_helper_is_detected():
 
 def test_reached_parking_route_is_detected():
     parking = (
-        "def _occupancy_need(n):\n    return (n,)\n"
+        "def _start(n):\n    return (n,)\n"
+        "def _bounds(state):\n    return state\n"
         "def _count_walk(need):\n    return need[0]\n"
         "def _rows(n):\n    return [n]\n"
-        "def _walk(n):\n    return _count_walk(_occupancy_need(n))\n"
+        "def _walk(n):\n    return _count_walk(_bounds(_start(n)))\n"
         "def _direct(n):\n    return _rows(n)\n"
         "def count_min_defect(n):\n    return _direct(n) + _walk(n)\n"
         "def count_plain(n):\n    return _direct(n)\n"
-        "def count_restricted(n):\n    return _count_walk(_occupancy_need(n))\n"
+        "def count_restricted(n):\n    return _count_walk(_bounds(_start(n)))\n"
     )
     _assert_shares([
-        ({"brute": parking}, {WALKS: ["brute._count_walk", "brute._occupancy_need"]}),
+        ({"brute": parking}, {WALKS: ["brute._bounds", "brute._count_walk", "brute._start"]}),
         ({"brute": parking}, {("brute.count_plain", "brute.count_restricted"): []}),
     ])
 
@@ -735,3 +736,32 @@ def test_brute_named_outside_routes_is_detected():
         "def plain(n):\n    'Not a brute-force count of parkres.brute.'\n    return n\n"
     )
     assert _brute_owners(ast.parse(source)) == ["<module>", "form", "loader", "routes"]
+
+
+def _try_owners(tree):
+    """The module-level functions of ``tree`` that hold a ``try``
+    statement, at any depth; ``<module>`` for one outside any function."""
+    tries = tuple(getattr(ast, name) for name in ("Try", "TryStar") if hasattr(ast, name))
+    return sorted({
+        top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else "<module>"
+        for top in tree.body
+        if any(isinstance(node, tries) for node in ast.walk(top))
+    })
+
+
+def test_verify_handles_faults_in_the_fold_alone():
+    # a route that raises fails its own check in ``_check``; a second
+    # handler would turn a fault into a case or hide it from the fold
+    assert _try_owners(TREES["verify"]) == ["_check"]
+
+
+def test_fault_handler_outside_the_fold_is_detected():
+    source = (
+        "def _check(name, outcomes):\n    try:\n        return list(outcomes)\n"
+        "    except Exception:\n        return []\n"
+        "def _cases(n):\n    for i in range(n):\n        try:\n            yield 1 / i\n"
+        "        except ZeroDivisionError:\n            yield 'raised'\n"
+        "try:\n    from math import comb\nexcept ImportError:\n    comb = None\n"
+        "def plain(n):\n    return n\n"
+    )
+    assert _try_owners(ast.parse(source)) == ["<module>", "_cases", "_check"]

@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 from parkres import bijections, brute, circular, formulas, verify
-from parkres.bijections import FIXED_POINT
+from parkres.bijections import FIXED_POINT, Color
 from parkres.cli import main
-from parkres.exceptions import DomainError
+from parkres.exceptions import DomainError, NonIntegerIntermediate
 
 
 # Each skew gets the route's value and the arguments it was called with.
@@ -300,3 +300,61 @@ def test_unknown_suite_is_named():
 def test_a_check_that_compares_no_cases_fails():
     check = verify._check("nothing", iter(()))
     assert (check.ok, check.detail, check.cases) == (False, "compared no cases", 0)
+
+
+def _raise_at_seven(real):
+    def route(n, s):
+        if n == 7:
+            raise NonIntegerIntermediate(f"binomial sum not integral at n={n}, s={s}")
+        return real(n, s)
+
+    return route
+
+
+def _all_red(real):
+    # RECOLORED with every car red: no valid coloring, so building it raises
+    def route(colored):
+        if colored == RECOLORED:
+            return colored._replace(colors=(Color.RED,) * len(colored.prefs))
+        return real(colored)
+
+    return route
+
+
+RAISING = [
+    (
+        formulas, "restricted_subtractive", _raise_at_seven, ["formulas", "--n-max", "7"],
+        ["restricted routes agree (n <= 7)", "min-defect routes agree (n <= 7)"],
+        "raised NonIntegerIntermediate: binomial sum not integral at n=7, s=1",
+    ),
+    (
+        bijections, "involution", _all_red, ["involution", "--n-max", "3"],
+        ["plain recoloring involution (n <= 3)"],
+        "raised InvalidColoring: 0 indigo cars, need at least s=1",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "module, route, wrap, argv, failing, detail", RAISING, ids=[c[1] for c in RAISING]
+)
+def test_a_raising_route_fails_its_own_check(
+    monkeypatch, capsys, module, route, wrap, argv, failing, detail
+):
+    # the fold catches the exception: that check fails naming it, with the
+    # cases compared before it, and every other check of the suite runs
+    assert main(["verify", *argv, "--format", "json"]) == 0
+    clean = json.loads(capsys.readouterr().out)["checks"]
+    monkeypatch.setattr(module, route, wrap(getattr(module, route)))
+    code = main(["verify", *argv, "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (3, "")
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == [c["name"] for c in clean]
+    assert sorted(c["name"] for c in checks if not c["ok"]) == sorted(failing)
+    for check, before in zip(checks, clean):
+        if check["name"] in failing:
+            assert check["detail"] == detail
+            assert 0 < check["cases"] < before["cases"]
+        else:
+            assert check["cases"] == before["cases"]
