@@ -27,6 +27,7 @@ from .exceptions import (
     DomainError,
     NonIntegerIntermediate,
     NotBlockAligned,
+    _check_budget,
     _check_gsk,
     _int_tuple,
     _ints,
@@ -404,7 +405,7 @@ def verify_relation(g: int, s: int, k: int, budget: int = 10**7) -> RelationRepo
     rotation.  Summed over classes this is exactly the relation.
     """
     g, s, k = _check_gsk(g, s, k, strict=True)
-    (budget,) = _ints(budget)
+    _check_budget(budget)
     m = g * s - k
     total = s**m
     orbits = comb(m + s - 1, s - 1)

@@ -89,28 +89,25 @@ def cmd_count(args) -> int:
     from . import formulas
 
     restriction, n = _restriction_of(args)
-    forms, oracle = formulas.routes(args.kind, restriction, n)
-    method = next(iter(forms), "brute") if args.method == "auto" else args.method
-    checked = None  # the route that agreed with the printed count
-    if method == "brute":
-        value = oracle(args.budget)
-    elif method not in forms:
-        have = ", ".join(forms) or "none"
+    routes = formulas.routes(args.kind, restriction, n, args.budget)
+    method = next(iter(routes)) if args.method == "auto" else args.method
+    if method not in routes:
+        have = ", ".join(list(routes)[:-1]) or "none"  # the forms, the oracle last
         raise ParkresError(
             f"no {method} formula for this {args.kind} count (closed forms here: {have})"
         )
-    else:
-        value = forms[method]()
-        if args.method == "auto":
-            try:
-                check = oracle(args.budget)
-            except BudgetExceeded:  # beyond the budget the formula stands alone
-                pass
-            else:
-                if check != value:
-                    print(f"MISMATCH: formula {value}, brute force {check}", file=sys.stderr)
-                    return EXIT_MISMATCH
-                checked = "brute"
+    value = routes[method]()
+    checked = None  # the route that agreed with the printed count
+    if args.method == "auto" and method != "brute":
+        try:
+            check = routes["brute"]()
+        except BudgetExceeded:  # beyond the budget the formula stands alone
+            pass
+        else:
+            if check != value:
+                print(f"MISMATCH: formula {value}, brute force {check}", file=sys.stderr)
+                return EXIT_MISMATCH
+            checked = "brute"
     if args.format == "json":
         _print_json(
             {
@@ -310,22 +307,17 @@ def _families() -> list:
 # that names a verify suite or a table family is read as text, which the
 # handler refuses if the owning module has no such name; ``names`` lists
 # them for the help, importing that module only then.  The first --format
-# value is the default.  ``--budget`` and the list flags are shared, as
-# several commands read them.
-BUDGET = {
-    "--budget": (
-        _parse_budget,
-        10**7,
-        "brute-force work: walk steps for count, candidate lists for enum and verify",
-    )
-}
+# value is the default.  count and enum share the list flags; verify's
+# --budget has no default, as only its modular suite reads it.
 LISTS = {
     "--n": (int, None, "number of cars"),
     "--s": (int, None, "allowed spots 1..s (default n)"),
     "--set": (str, None, "explicit allowed spots, e.g. 1,4,7"),
     "--g": (int, None, "row size for modular restriction"),
     "--k": (int, None, "missing spots for modular restriction"),
-    **BUDGET,
+    "--budget": (
+        _parse_budget, 10**7, "brute-force work: walk steps for count, candidate lists for enum"
+    ),
 }
 KIND = ("kind", ("pf", "ppf"), "parking functions or prime parking functions")
 COMMANDS = {
@@ -364,7 +356,10 @@ COMMANDS = {
         "help": "run cross-verification suites",
         "positional": ("suite", str, "the suite to run"),
         "names": _suites,
-        "flags": {**BUDGET, "--n-max": (int, None, "largest n each suite checks")},
+        "flags": {
+            "--budget": (_parse_budget, None, "candidate lists, for modular alone (default 10**7)"),
+            "--n-max": (int, None, "largest n each suite checks"),
+        },
         "formats": ("text", "json"),
         "run": cmd_verify,
     },

@@ -129,6 +129,12 @@ def _check_gsk(g: int, s: int, k: int, strict: bool = False) -> tuple:
     return g, s, k
 
 
+def _check_budget(budget):
+    """Refuse a bound on brute-force work that is not an int or a float >= 0 (NaN is not)."""
+    if not isinstance(budget, (int, float)) or not budget >= 0:
+        raise DomainError(f"need a number >= 0 for the budget, got {budget!r}")
+
+
 def _check_permutation(sigma) -> tuple:
     """``sigma`` as a tuple of ints, a permutation of 1..len(sigma)."""
     sigma = _int_tuple(sigma)

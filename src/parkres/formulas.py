@@ -3,9 +3,9 @@
 Each count that also has a brute-force oracle in :mod:`parkres.brute`
 is computed here from a formula alone; agreement between the two routes is
 enforced by the verification suites, never assumed.  Each count kind is
-one entry of :data:`FAMILIES`, from which :func:`routes` names, for one
-count request, its closed forms and the oracle that checks them; no form
-calls into :mod:`parkres.brute`, which is imported only when that oracle
+one entry of :data:`FAMILIES`, from which :func:`routes` lists, for one
+count request, its closed forms and then the oracle that checks them; no
+form calls into :mod:`parkres.brute`, imported only when that oracle
 runs.  All arithmetic is exact: Python ints, :class:`fractions.Fraction`,
 and the ones enumerators' coefficient tuples of ints, summed in place.
 
@@ -25,6 +25,7 @@ from .exceptions import (
     BudgetExceeded,
     DomainError,
     NonIntegerIntermediate,
+    _check_budget,
     _check_gsk,
     _check_n,
     _check_ns,
@@ -412,18 +413,15 @@ FAMILIES = {
 }
 
 
-def routes(kind: str, restriction: dict, n: int) -> tuple:
-    """``(forms, oracle)``: the routes that count ``kind`` on
-    ``restriction``, the object ``count --format json`` reports, with n
-    cars, by the kind's entry of :data:`FAMILIES`.  An unknown kind or
-    restriction, or a shape the kind is not counted on, raises
-    :class:`DomainError` at the call.  ``forms`` holds the forms with a
-    value here by method, cheapest first (in declared order on a tie), as
-    ``count --method auto`` tries them; [s] outside 1..n has none.
-    ``oracle(budget=None)`` is the brute-force count on the spots of
-    :func:`brute.restriction_spots`, which checks them; given a budget, it
-    raises :class:`BudgetExceeded` when the count's steps may exceed it.
-    """
+def routes(kind: str, restriction: dict, n: int, budget=None) -> dict:
+    """Zero-argument calls by method that count ``kind`` on ``restriction``
+    (as ``count --format json`` reports it) with n cars, by its entry of
+    :data:`FAMILIES`: the forms with a value here cheapest first (declared
+    order on a tie; none for [s] outside 1..n), then ``brute``, the oracle
+    on the spots of :func:`brute.restriction_spots`, which raises
+    :class:`BudgetExceeded` if its steps may exceed ``budget`` (None: no
+    bound).  An unknown kind or restriction, a shape the kind is not counted
+    on, or a budget not a number >= 0 raises :class:`DomainError` at the call."""
     if not isinstance(kind, str) or kind not in FAMILIES:
         raise DomainError(f"kind must be one of {', '.join(FAMILIES)}, got {kind!r}")
     family = FAMILIES[kind]
@@ -431,32 +429,32 @@ def routes(kind: str, restriction: dict, n: int) -> tuple:
     if shape not in family.forms:
         shapes = " or ".join(family.forms)
         raise DomainError(f"{kind} counts need a {shapes} restriction, got {shape}")
+    if budget is not None:
+        _check_budget(budget)
 
-    def oracle(budget=None):
-        from . import brute  # only when called: table loads formulas but never brute
+    def oracle():
+        from . import brute  # only when called: a table of two forms never loads brute
 
         spots = brute.restriction_spots(restriction, n)
         if budget is not None and (steps := family.steps(brute, n, spots, *values)) > budget:
             raise BudgetExceeded(f"{steps} {family.unit} steps exceed --budget {budget}")
         return family.count(brute, n, spots, *values)
 
-    if shape == "segment" and not 1 <= values[0] <= n:
-        return {}, oracle
-    costed = [(cost(n, *values), method, form) for method, form, cost in family.forms[shape]]
+    forms = () if shape == "segment" and not 1 <= values[0] <= n else family.forms[shape]
+    costed = [(cost(n, *values), method, form) for method, form, cost in forms]
     costed.sort(key=itemgetter(0))
-    return {method: partial(form, n, *values) for cost, method, form in costed if cost}, oracle
+    found = {method: partial(form, n, *values) for cost, method, form in costed if cost}
+    return {**found, "brute": oracle}
 
 
 def _checked(kind: str, n: int, s: int, mismatches: list):
-    """The [s]-restricted ``kind`` count on n cars by the first form
-    :func:`routes` gives, checked against the second (the ppf diagonal has
-    only the total); a disagreement is appended to ``mismatches``."""
-    (first, form), *rest = routes(kind, {"kind": "segment", "s": s}, n)[0].items()
-    value = form()
-    for second, other in rest[:1]:
-        check = other()
-        if check != value:
-            mismatches.append(f"n={n}, s={s}: {first} {value}, {second} {check}")
+    """The [s]-restricted ``kind`` count on n cars by its first route, checked
+    against the second: a form, or the oracle where the first form is alone
+    (the triangle, the ppf diagonal); a mismatch is appended to ``mismatches``."""
+    (first, form), (second, other) = list(routes(kind, {"kind": "segment", "s": s}, n).items())[:2]
+    value, check = form(), other()
+    if check != value:
+        mismatches.append(f"n={n}, s={s}: {first} {value}, {second} {check}")
     return value
 
 
@@ -481,9 +479,9 @@ def _ones_table(n, s):
 # The families of ``parkres table``, by name: each maps the flags it reads
 # to their defaults (None: required), and its builder takes their values by
 # keyword (``--n-max`` as ``n_max``) and returns ``(header, rows,
-# mismatches)``, each mismatch a value whose second route disagrees (all
-# have one but the triangle's and the ppf diagonal's).  The triangle's
-# column k holds the orbits on [s] with s = k+1.
+# mismatches)``, each mismatch a value whose second route (a form, or the
+# oracle where a cell has one form) disagrees.  The triangle's column k
+# holds the orbits on [s] with s = k+1.
 TABLES = {
     "pf-restricted": ({"--n-max": 8}, partial(_grid_table, "pf", "s={}".format)),
     "ppf-restricted": ({"--n-max": 8}, partial(_grid_table, "ppf", "s={}".format)),

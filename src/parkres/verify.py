@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from . import bijections, brute, circular, core, formulas
 from .bijections import FIXED_POINT, ColoredPF
-from .exceptions import DomainError, _ints
+from .exceptions import DomainError, _check_budget, _ints
 
 
 class Check(NamedTuple):
@@ -68,15 +68,13 @@ def _grid(n_max: int) -> Iterator[tuple]:
 
 
 def _routes(kind: str, n: int, s: int) -> dict:
-    """The closed forms that :func:`formulas.routes` gives for the
-    [s]-restricted ``kind`` count on n cars, and its oracle as ``brute``."""
-    forms, oracle = formulas.routes(kind, {"kind": "segment", "s": s}, n)
-    return {**forms, "brute": oracle}
+    """The :func:`formulas.routes` of the [s]-restricted ``kind`` count on n cars."""
+    return formulas.routes(kind, {"kind": "segment", "s": s}, n)
 
 
-def _agree(case: str, forms: dict) -> Iterator:
-    """One case per form after the first, against the first."""
-    (first, form), *rest = forms.items()
+def _agree(case: str, routes: dict) -> Iterator:
+    """One case per route after the first, against the first."""
+    (first, form), *rest = routes.items()
     want = form()
     for method, other in rest:
         yield _differ(f"{case}: {method} vs {first}", other(), want)
@@ -279,8 +277,8 @@ def _modular(g: int, s: int, k: int) -> Iterator:
     # each form, then the oracle, against the first form; then the
     # relation class by class
     case = f"g={g}, s={s}, k={k}"
-    forms, oracle = formulas.routes("pf", {"kind": "modular", "g": g, "s": s, "k": k}, g * s - k)
-    yield from _agree(case, {**forms, "brute": oracle})
+    restriction = {"kind": "modular", "g": g, "s": s, "k": k}
+    yield from _agree(case, formulas.routes("pf", restriction, g * s - k))
     report = circular.verify_relation(g, s, k)
     yield not report.ok and f"relation rows off: {[r for r in report.rows if not r.ok][:3]}"
 
@@ -294,9 +292,8 @@ def _modular_jobs(budget: int) -> list:
     """The (g, s, k) jobs of :func:`check_modular`: every k within budget,
     none past :func:`circular.verify_relation`'s default orbit bound (816
     at most, at (4, 4, 1)).  Raises :class:`DomainError` when none fits or
-    the budget is not a number."""
-    if not isinstance(budget, (int, float)):
-        raise DomainError(f"need a number for the budget, got {budget!r}")
+    the budget is not a number >= 0."""
+    _check_budget(budget)
     jobs = sorted(
         (g, s, k)
         for g, s in MODULAR_PAIRS
@@ -345,19 +342,21 @@ def run_suite(name: str, n_max=None, budget=None) -> list:
 
     An unknown name, an ``n_max`` given to ``modular`` (which checks every
     (g, s, k) within the budget), not an integer, or below 1, or a budget
-    that is not a number or that no modular job fits, raises
-    :class:`DomainError` before any check runs.
+    that no requested suite reads, not a number >= 0 or that no modular job
+    fits, raises :class:`DomainError` before any check runs.
     """
     if name not in suite_names():
         raise DomainError(f"unknown verify suite {name!r} (known: {', '.join(suite_names())})")
     keys = list(SUITES) if name == "all" else [name]
     if n_max is not None and keys == ["modular"]:
         raise DomainError("--n-max cannot be used with verify modular, which reads --budget")
+    if budget is not None and "modular" not in keys:
+        raise DomainError(f"--budget cannot be used with verify {name}, which reads --n-max")
     if n_max is not None:
         (n_max,) = _ints(n_max)
         if n_max < 1:
             raise DomainError(f"verify {name} needs --n-max >= 1, got {n_max}")
-    if "modular" in keys and budget is not None:
+    if budget is not None:  # then modular is in keys
         _modular_jobs(budget)
     kwargs = {"n_max": n_max, "budget": budget}
     kwargs = {key: value for key, value in kwargs.items() if value is not None}

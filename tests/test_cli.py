@@ -448,13 +448,16 @@ def _off_by_one(value):
         (("ppf-restricted", "--n-max", "4"), "prime_subtractive"),
         (("ones", "--n", "4", "--s", "2"), "ones_poly_alternating"),
         (("ones", "--n", "4", "--s", "2"), "ones_poly_subtractive"),
+        # one form, checked by the oracle
+        (("catalan-triangle", "--n-max", "4"), "catalan_triangle"),
+        (("ppf-restricted", "--n-max", "4"), "ppf_total"),
     ],
 )
 def test_table_cross_check_exits_3(monkeypatch, capsys, argv, form):
     # each value is checked by a second route: one form off by one is a
     # mismatch, and no table is printed
     real = getattr(formulas, form)
-    monkeypatch.setattr(formulas, form, lambda n, s: _off_by_one(real(n, s)))
+    monkeypatch.setattr(formulas, form, lambda *args: _off_by_one(real(*args)))
     for fmt in ("csv", "json"):
         code, out, err = run(capsys, "table", *argv, "--format", fmt)
         assert (code, out) == (3, ""), (argv, form)
@@ -712,6 +715,8 @@ UNREAD_COMMAND_FLAGS = [
     (("table", "ones", "--n", "2", "--s", "2", "--n-max", "5"), "--n-max"),
     (("verify", "modular", "--n-max", "0", "--budget", "2e4"), "--n-max"),
     (("verify", "modular", "--n-max", "6"), "--n-max"),
+    (("verify", "orbits", "--budget", "10"), "--budget"),
+    (("verify", "formulas", "--budget", "10"), "--budget"),
 ]
 
 
@@ -921,8 +926,8 @@ def test_readme_cli_example(capsys, monkeypatch, request, argv, shown):
     calls = []
     if argv == ["verify", "all"]:
         # the CLI prints the one run of every suite at default bounds that
-        # the inventory test of test_verify reads too (the CLI's default
-        # budget is the modular suite's)
+        # the inventory test of test_verify reads too (the CLI passes no
+        # budget, so the modular suite's default holds)
         checks = request.getfixturevalue("verify_all_checks")
         monkeypatch.setattr(verify, "run_suite", lambda *args, **kwargs: calls.append((args, kwargs)) or checks)
     code, out, err = run(capsys, *argv)
@@ -930,7 +935,7 @@ def test_readme_cli_example(capsys, monkeypatch, request, argv, shown):
     if shown is not None:
         assert out == shown
     if calls:
-        assert calls == [(("all",), {"n_max": None, "budget": 10**7})]
+        assert calls == [(("all",), {"n_max": None, "budget": None})]
 
 
 def test_import_loads_no_unused_stdlib():
@@ -1125,7 +1130,7 @@ def test_well_formed_count_prints_the_oracle(case):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     out, err = out.getvalue(), err.getvalue()
-    forms, _ = routes(kind, {"kind": "segment", "s": s}, n)
+    forms = routes(kind, {"kind": "segment", "s": s}, n)
     if method not in ("auto", "brute") and method not in forms:
         assert (code, out) == (2, ""), argv
         assert err.startswith(f"error: no {method} formula"), argv

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parkres import bijections, circular, core, formulas
+from parkres import bijections, circular, core, formulas, verify
 from parkres.exceptions import DomainError, NotAParkingFunction, PreferenceOutOfRange
 
 
@@ -99,6 +99,16 @@ def test_nondecreasing():
         (formulas.abel_check, (3, "x", 1), {}, DomainError),
         (formulas.abel_check, (3, None, 1), {}, DomainError),
         (circular.verify_relation, (2, 2, 1), {"budget": None}, DomainError),
+        # a budget is an int or a float that is not NaN, at least 0, read
+        # alike by each reader: a string once leaked a TypeError, and NaN
+        # once ran unbounded, as every comparison with it is false
+        (formulas.routes, ("pf", {"kind": "segment", "s": 2}, 3, "5"), {}, DomainError),
+        (formulas.routes, ("pf", {"kind": "segment", "s": 2}, 3, float("nan")), {}, DomainError),
+        (formulas.routes, ("pf", {"kind": "segment", "s": 2}, 3, -1), {}, DomainError),
+        (circular.verify_relation, (2, 2, 1), {"budget": float("nan")}, DomainError),
+        (circular.verify_relation, (2, 2, 1), {"budget": "5"}, DomainError),
+        (verify.check_modular, (float("nan"),), {}, DomainError),
+        (verify.check_modular, ("5",), {}, DomainError),
     ],
     ids=lambda value: getattr(value, "__name__", None),
 )
@@ -106,6 +116,15 @@ def test_malformed_arguments_are_refused_by_the_readers(call, args, kwargs, faul
     with pytest.raises(fault) as raised:
         call(*args, **kwargs)
     assert type(raised.value) is fault
+
+
+def test_float_budgets_are_read_alike():
+    # a float budget bounds the oracle of routes and the relation's census
+    # as it bounds verify modular, which once alone accepted one
+    segment = {"kind": "segment", "s": 2}
+    for budget in (1e9, float("inf"), 10.0):  # 10 walk steps
+        assert formulas.routes("pf", segment, 3, budget)["brute"]() == 7
+    assert circular.verify_relation(2, 3, 1, budget=1e9).ok
 
 
 def test_is_prime_examples():

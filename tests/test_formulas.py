@@ -22,8 +22,10 @@ def test_totals():
 
 
 def _methods(kind, restriction, n):
-    forms, _ = formulas.routes(kind, restriction, n)
-    return list(forms)
+    # the forms: every route but the oracle, which comes last
+    *forms, oracle = formulas.routes(kind, restriction, n)
+    assert oracle == "brute"
+    return forms
 
 
 def _modular(g, s, k):
@@ -60,23 +62,24 @@ def test_closed_forms_by_request(monkeypatch):
     assert _methods("ppf", one, 1) == ["total"]
     assert _methods("ppf", one, 2) == ["subtractive", "alternating"]
     assert _methods("orbits", one, 1) == _methods("orbits", one, 2) == ["triangle"]
-    forms, _ = formulas.routes("pf", segment, 4)
-    assert {method: form() for method, form in forms.items()} == dict.fromkeys(forms, 125)
-    forms, _ = formulas.routes("pf", _modular(2, 3, 1), 5)
-    assert {method: form() for method, form in forms.items()} == dict.fromkeys(forms, 81)
+    routes = formulas.routes("pf", segment, 4)
+    assert {method: route() for method, route in routes.items()} == dict.fromkeys(routes, 125)
+    routes = formulas.routes("pf", _modular(2, 3, 1), 5)
+    assert {method: route() for method, route in routes.items()} == dict.fromkeys(routes, 81)
     with pytest.raises(DomainError, match="one of pf, ppf, defect, orbits, ones, got 'ppx'"):
         formulas.routes("ppx", segment, 4)
     # the oracle is the brute-force count of the kind, on the request's spots
     for n, s in ((4, 2), (5, 5), (3, 1)):
         allowed = range(1, s + 1)
-        _, oracle = formulas.routes("pf", {"kind": "segment", "s": s}, n)
+        oracle = formulas.routes("pf", {"kind": "segment", "s": s}, n)["brute"]
         assert oracle() == brute.count_restricted(n, allowed)
-        _, oracle = formulas.routes("ppf", {"kind": "segment", "s": s}, n)
+        oracle = formulas.routes("ppf", {"kind": "segment", "s": s}, n)["brute"]
         assert oracle() == brute.count_prime_restricted(n, allowed)
     for g, s, k in ((2, 3, 1), (2, 3, 2), (3, 2, 4)):
         m = g * s - k
-        forms, oracle = formulas.routes("pf", _modular(g, s, k), m)
-        assert oracle() == forms["recursion"]() == formulas.mod_count(g, s, k)
+        routes = formulas.routes("pf", _modular(g, s, k), m)
+        oracle = routes["brute"]
+        assert oracle() == routes["recursion"]() == formulas.mod_count(g, s, k)
     # it looks brute up when called, so the verify timing tests and the
     # benchmark tracer see a patched count
     monkeypatch.setattr(brute, "count_restricted", lambda n, allowed: -1)
@@ -99,12 +102,13 @@ def test_segment_kinds_by_request():
         "ones": ((0,) + brute.ones_distribution(6, 4), formulas.ones_poly_subtractive(6, 4)),
     }
     for kind, (count, form_count) in want.items():
-        forms, oracle = formulas.routes(kind, segment, 6)
-        assert oracle() == oracle(10**6) == count == form_count, kind
-        assert [form() for form in forms.values()] == [count] * len(forms), kind
+        routes = formulas.routes(kind, segment, 6)
+        oracle = routes["brute"]
+        assert oracle() == formulas.routes(kind, segment, 6, 10**6)["brute"]() == count == form_count, kind
+        assert [route() for route in routes.values()] == [count] * len(routes), kind
     # s outside 1..n has no form, and the oracle raises, as pf's does
     for kind in ("defect", "orbits", "ones"):
-        _, oracle = formulas.routes(kind, segment, 3)
+        oracle = formulas.routes(kind, segment, 3)["brute"]
         with pytest.raises(DomainError):
             oracle()
 
@@ -150,8 +154,8 @@ def test_routes_and_spots_read_a_request_alike(restriction, n, count):
         with pytest.raises(DomainError):
             brute.restriction_spots(restriction, n)
         return
-    forms, oracle = formulas.routes("pf", restriction, n)
-    assert forms == {} and oracle() == count
+    routes = formulas.routes("pf", restriction, n)
+    assert list(routes) == ["brute"] and routes["brute"]() == count
     assert brute.restriction_spots(restriction, n) == (1, 2)
 
 
@@ -210,7 +214,9 @@ def test_oracle_counts_its_own_request_within_the_budget():
         assert brute.restriction_spots(restriction, n) == tuple(spots)
         steps = brute.walk_steps(n, spots)
         for kind, count in (("pf", brute.count_restricted), ("ppf", brute.count_prime_restricted)):
-            _, oracle = formulas.routes(kind, restriction, n)
+            def oracle(budget=None):
+                return formulas.routes(kind, restriction, n, budget)["brute"]()
+
             assert oracle() == oracle(steps) == count(n, spots), (kind, restriction)
             with pytest.raises(BudgetExceeded, match=f"{steps} walk steps"):
                 oracle(steps - 1)
@@ -223,9 +229,9 @@ def test_oracle_counts_its_own_request_within_the_budget():
             ({"kind": "set", "elements": []}, EmptyRestriction),
             ({"kind": "segment", "s": 0}, EmptyRestriction),
         ):
-            _, oracle = formulas.routes(kind, restriction, 3)
+            oracle = formulas.routes(kind, restriction, 3, 0)["brute"]
             with pytest.raises(fault) as raised:
-                oracle(0)
+                oracle()
             assert type(raised.value) is fault, (kind, restriction)
 
 
@@ -233,15 +239,17 @@ def test_orbits_oracle_is_held_to_its_recurrence():
     # the orbit count is an O(n*s) running sum, held to its own steps and
     # not to the parking walk's 32,159,799
     segment = {"kind": "segment", "s": 400}
-    forms, oracle = formulas.routes("orbits", segment, 400)
+    def oracle(budget):
+        return formulas.routes("orbits", segment, 400, budget)["brute"]()
+
     steps = brute.orbit_steps(400, 400)
     assert steps < 10**7 < brute.walk_steps(400, range(1, 401))
-    assert oracle(10**7) == oracle(steps) == forms["triangle"]()
+    assert oracle(10**7) == oracle(steps) == formulas.routes("orbits", segment, 400)["triangle"]()
     with pytest.raises(BudgetExceeded, match=f"{steps} recurrence steps"):
         oracle(steps - 1)
     # [s] is checked before the budget
     with pytest.raises(DomainError):
-        formulas.routes("orbits", {"kind": "segment", "s": 5}, 3)[1](0)
+        formulas.routes("orbits", {"kind": "segment", "s": 5}, 3, 0)["brute"]()
 
 
 def test_restricted_subtractive_values():

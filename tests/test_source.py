@@ -357,8 +357,9 @@ def _compared_pairs(index):
     each form by the function its lambda calls and the oracle by the
     ``brute`` count of its kind; then ``COMPARED``."""
     pairs = {}
-    for kind, (forms, _) in ROUTES:
-        named = [{f"formulas.{name}" for name in _form_names(form.func)} for form in forms.values()]
+    for kind, routes in ROUTES:
+        forms = [route for method, route in routes.items() if method != "brute"]
+        named = [{f"formulas.{name}" for name in _form_names(form.func)} for form in forms]
         named.append(_oracle_count(kind))
         sides = [side & index.keys() for side in named]
         assert all(sides), forms
@@ -545,7 +546,11 @@ def test_route_sharing_is_detected():
 # ``table`` and checked by ``verify`` with no code of their own.  Each is
 # named by the function its lambda calls.
 COUNT_FORMS = {
-    name for _, (forms, _) in ROUTES for form in forms.values() for name in _form_names(form.func)
+    name
+    for _, routes in ROUTES
+    for method, form in routes.items()
+    if method != "brute"
+    for name in _form_names(form.func)
 }
 # The brute-force counts that ``formulas.routes`` names as the oracles.
 COUNT_ORACLES = {name.split(".")[1] for kind, _ in ROUTES for name in _oracle_count(kind)}
@@ -564,7 +569,7 @@ def _named(tree, names=COUNT_FORMS):
 # suite, each table family, and each form by its method and function name.
 OWNED_NAMES = (
     set(verify.suite_names()) | set(formulas.TABLES) | COUNT_FORMS
-    | {method for _, (forms, _) in ROUTES for method in forms}
+    | {method for _, routes in ROUTES for method in routes if method != "brute"}
 )
 # Words of the CLI's own that a suite or a family shares: the modular
 # restriction of ``count --format json`` and the ones field of ``enum``.
@@ -765,3 +770,55 @@ def test_fault_handler_outside_the_fold_is_detected():
         "def plain(n):\n    return n\n"
     )
     assert _try_owners(ast.parse(source)) == ["<module>", "_cases", "_check"]
+
+
+def _calls_routes(node) -> bool:
+    """Whether ``node`` calls a function named ``routes``."""
+    func = getattr(node, "func", None)
+    return isinstance(node, ast.Call) and (getattr(func, "id", None) or getattr(func, "attr", None)) == "routes"
+
+
+def _route_list_owners(trees):
+    """``module.function`` (``module.<module>`` outside any function) for
+    each dict display that holds a ``"brute"`` key, or merges the result
+    of a ``routes(...)`` call with ``**``, in a module but ``formulas``
+    and ``__init__`` (whose namespace table is keyed by module)."""
+    found = set()
+    for module, tree in trees.items():
+        if module in ("formulas", "__init__"):
+            continue
+        for top in tree.body:
+            for node in filter(lambda node: isinstance(node, ast.Dict), ast.walk(top)):
+                if any(
+                    (isinstance(key, ast.Constant) and key.value == "brute")
+                    or (key is None and _calls_routes(value))
+                    for key, value in zip(node.keys, node.values)
+                ):
+                    found.add(f"{module}.{getattr(top, 'name', '<module>')}")
+    return sorted(found)
+
+
+def test_only_routes_lists_the_routes_of_a_request():
+    # count, table and verify read the one list that ``formulas.routes``
+    # gives, the oracle last; a list built beside it could drop a route
+    assert _route_list_owners(TREES) == []
+
+
+def test_second_route_list_is_detected():
+    sources = {
+        "formulas": "def routes(kind):\n    return {'total': 1, 'brute': 2}\n",
+        "verify": (
+            "from . import formulas\n"
+            "def _routes(kind, n, s):\n"
+            "    forms, oracle = formulas.routes(kind, {'kind': 'segment', 's': s}, n)\n"
+            "    return {**forms, 'brute': oracle}\n"
+            "def merged(kind, n):\n    return {**formulas.routes(kind, {}, n), 'extra': None}\n"
+            "def plain(kind, n):\n"
+            "    return {'method': 'brute'}, formulas.routes(kind, {}, n)['brute']()\n"
+        ),
+        "cli": "ORACLES = {'brute': None}\n",
+        "__init__": "_MODULES = {'brute': ('count_restricted',)}\n",
+    }
+    assert _route_list_owners({name: ast.parse(source) for name, source in sources.items()}) == [
+        "cli.<module>", "verify._routes", "verify.merged",
+    ]
