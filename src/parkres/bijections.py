@@ -12,6 +12,7 @@ Three constructions live here:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
@@ -84,16 +85,8 @@ def restricted_to_prime(prefs: Sequence[int], allowed: Iterable[int]) -> tuple:
 
 def u_vector(allowed: Iterable[int], n: int) -> tuple:
     """The non-decreasing bound vector u with u_i = |allowed ∩ [i]|."""
-    elems = _check_restriction(n, allowed)[1]
-    out = []
-    count = 0
-    idx = 0
-    for i in range(1, n + 1):
-        while idx < len(elems) and elems[idx] <= i:
-            count += 1
-            idx += 1
-        out.append(count)
-    return tuple(out)
+    n, elems = _check_restriction(n, allowed)
+    return tuple(bisect_right(elems, i) for i in range(1, n + 1))
 
 
 def is_u_parking(prefs: Sequence[int], u: Sequence[int]) -> bool:
@@ -254,8 +247,11 @@ def involution(colored: ColoredPF):
     parity of the red count, so the signed count over all valid colorings
     collapses onto the fixed points: the all-indigo colorings whose
     preferences already sit inside [s].  For those, :data:`FIXED_POINT`
-    is returned.
+    is returned.  Anything but a :class:`ColoredPF` raises
+    :class:`DomainError`.
     """
+    if not isinstance(colored, ColoredPF):
+        raise DomainError(f"need a ColoredPF, got {colored!r}")
     m = max(colored.prefs)
     if m <= colored.s:
         return FIXED_POINT

@@ -9,15 +9,14 @@ whole rows.  A row that only its first spot feeds behaves like one spot
 holding g cars, so :func:`modular_census` parks one sorted list per
 orbit a row at a time.  All rows are alike, so rotating a list's row
 counts rotates its fill; the census parks one list per rotation class
-and weights it by the class size, and so classifies every preference
-list by that decomposition.  The tally yields the counting relation
-checked by :func:`verify_relation`.
+and weights it by the class size, from :func:`math.comb`, and so
+classifies every preference list by that decomposition.  The tally
+yields the counting relation checked by :func:`verify_relation`.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial
-from operator import add
+from math import comb, factorial, prod
 from typing import Iterator, NamedTuple, Sequence
 
 from .brute import count_restricted
@@ -130,8 +129,10 @@ def decompose(state: CircularState) -> Decomposition:
     of empty spots, block row counts sum to s.  Requires at least one
     empty spot.  Every row must fill from its first spot, as the parking
     procedure fills it; a row with a car after an empty spot raises
-    :class:`NotBlockAligned`.
+    :class:`NotBlockAligned`, and anything but a state :class:`DomainError`.
     """
+    if not isinstance(state, CircularState):
+        raise DomainError(f"need a CircularState, got {state!r}")
     if state.empty_count == 0:
         raise DomainError("no empty spots: nothing to decompose")
     g = state.g
@@ -153,18 +154,15 @@ def linearize(state: CircularState):
     that run sits at the end turns the preferences into a parking function
     of length spots - gap over the row starts; the rotated list is
     returned.  With several gaps (or none) there is no such cut and None
-    is returned.  A street with no cars linearizes to the empty list.
+    is returned.  A street with no cars linearizes to the empty list;
+    anything but a :class:`CircularState` raises :class:`DomainError`.
     """
-    if not state.prefs:
-        return ()
-    if state.empty_count == 0:
+    if isinstance(state, CircularState) and state.empty_count == 0:
         return None
-    parts = decompose(state)
+    parts = decompose(state)  # which refuses anything but a state
     if len(parts.lam) != 1:
         return None
-    anchor = parts.anchor
-    length = state.spots
-    return tuple((p - anchor) % length + 1 for p in state.prefs)
+    return tuple((p - parts.anchor) % state.spots + 1 for p in state.prefs)
 
 
 class ClassRow(NamedTuple):
@@ -209,15 +207,6 @@ def canonical_class(lam: tuple, mu: tuple) -> tuple:
     return tuple(p[0] for p in best), tuple(p[1] for p in best)
 
 
-def _binomial_rows(n: int) -> list:
-    """Rows 0..n of Pascal's triangle: ``rows[r][c]`` is C(r, c)."""
-    rows = [[1]]
-    for _ in range(n):
-        row = rows[-1]
-        rows.append([1, *map(add, row, row[1:]), 1])
-    return rows
-
-
 def _necklace_counts(m: int, s: int) -> Iterator[tuple]:
     """Yield ``(counts, weight)`` for each rotation class of the ways to
     put m cars into s rows.
@@ -229,34 +218,32 @@ def _necklace_counts(m: int, s: int) -> Iterator[tuple]:
     start at another count equal to c_0.  ``weight`` is the period (the
     number of distinct rotations) times the orbit size m!/prod(c_r!), so
     the weights sum to s**m.  The orbit size is carried down the walk as
-    a product of binomials C(rest, c_r).
+    a product of binomials C(rest, c_r), each from :func:`math.comb`.
     """
     if s == 1:
         yield (m,), 1
         return
-    rows = _binomial_rows(m)
     if s == 2:
         for top in range(-(-m // 2), m + 1):
             counts = (top, m - top)
-            yield counts, _largest_period(counts, top) * rows[m][top]
+            yield counts, _largest_period(counts, top) * comb(m, top)
         return
     counts = [0] * s
     for top in range(-(-m // s), m + 1):
         counts[0] = top
-        yield from _necklace_walk(s, top, rows, counts, 1, m - top, rows[m][top])
+        yield from _necklace_walk(s, top, counts, 1, m - top, comb(m, top))
 
 
-def _necklace_walk(s, top, rows, counts, j, rest, size):
+def _necklace_walk(s, top, counts, j, rest, size):
     # counts[:j] are chosen with none above counts[0] = top, ``rest`` cars
     # are left and ``size`` counts their orders so far; the last row takes
     # what is left
-    row = rows[rest]
     low = max(0, rest - top * (s - j - 1))
     high = min(top, rest)
     if j + 2 < s:
         for c in range(low, high + 1):
             counts[j] = c
-            yield from _necklace_walk(s, top, rows, counts, j + 1, rest - c, size * row[c])
+            yield from _necklace_walk(s, top, counts, j + 1, rest - c, size * comb(rest, c))
         return
     for c in range(low, high + 1):
         counts[j] = c
@@ -264,7 +251,7 @@ def _necklace_walk(s, top, rows, counts, j, rest, size):
         t = tuple(counts)
         period = s if t.count(top) == 1 else _largest_period(t, top)
         if period:
-            yield t, period * size * row[c]
+            yield t, period * size * comb(rest, c)
 
 
 def _largest_period(counts: tuple, top: int) -> int:
@@ -362,10 +349,7 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
         raise DomainError(f"negative part in {parts}")
     if sum(parts) != n:
         raise DomainError(f"parts {parts} do not sum to {n}")
-    result = factorial(n)
-    for p in parts:
-        result //= factorial(p)
-    return result
+    return factorial(n) // prod(map(factorial, parts))
 
 
 def _least_period(pairs: tuple) -> int:

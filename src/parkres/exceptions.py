@@ -1,5 +1,6 @@
-"""Exception types raised by the library, and the argument checks that
-raise :class:`DomainError`, each rule written once for every module.
+"""Exception types raised by the library, the argument checks that
+raise :class:`DomainError`, each rule written once for every module, and
+the exactness guard :func:`_exact` of the closed forms' divisions.
 Arguments are integers only: a float, even a whole one, or any other
 non-integer raises :class:`DomainError`, as does an integer out of range.
 A count request's restriction object is read here alone, so its closed
@@ -69,6 +70,15 @@ class NonIntegerIntermediate(ParkresError):
 
 class BudgetExceeded(ParkresError):
     """An exhaustive verification would enumerate more lists than allowed."""
+
+
+def _exact(numerator: int, denominator: int, what: str) -> int:
+    """``numerator / denominator``, a count: a remainder or a negative
+    quotient raises :class:`NonIntegerIntermediate` naming ``what``."""
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder or quotient < 0:
+        raise NonIntegerIntermediate(f"{what} is not a nonnegative integer")
+    return quotient
 
 
 def _ints(*values) -> tuple:

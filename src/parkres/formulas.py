@@ -8,6 +8,8 @@ count request, its closed forms and then the oracle that checks them; no
 form calls into :mod:`parkres.brute`, imported only when that oracle
 runs.  All arithmetic is exact: Python ints, :class:`fractions.Fraction`,
 and the ones enumerators' coefficient tuples of ints, summed in place.
+Each division that must give a count is guarded by ``exceptions._exact``,
+which raises :class:`NonIntegerIntermediate`; no function here raises it.
 
 Conventions used throughout, chosen so every identity holds verbatim:
 0**0 == 1; the factor (i+1)**(i-1) at i == 0 is 1; the factor x*(x+i)**(i-1)
@@ -24,13 +26,13 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 from .exceptions import (
     BudgetExceeded,
     DomainError,
-    NonIntegerIntermediate,
     _check_budget,
     _check_gsk,
     _check_n,
     _check_ns,
     _check_permutation,
     _check_request,
+    _exact,
     _ints,
     _rationals,
 )
@@ -132,17 +134,14 @@ def restricted_subtractive(n: int, s: int) -> int:
     unoccupied spot.  The term i = s-1 holds 0**(n-s+1) and is left out.
     Each other term's two powers come from one :func:`_power_product`
     chain, and the binomial weights are combined by binary splitting
-    (:func:`_rising_binomial_series`), whose T / Q must divide exactly; a
-    remainder raises :class:`NonIntegerIntermediate`.
+    (:func:`_rising_binomial_series`), whose T / Q must divide exactly,
+    under the guard ``exceptions._exact``.
     """
     n, s = _check_ns(n, s)
     _, q, t = _rising_binomial_series(  # (i+1)**(i-1) is 1**0 at i == 0
         n, 0, s - 2, lambda i: _power_product(i + 1, max(i - 1, 0), s - i - 1, n - i)
     )
-    subtracted, remainder = divmod(t, q)
-    if remainder:
-        raise NonIntegerIntermediate(f"binomial sum not integral at n={n}, s={s}")
-    return s**n - subtracted
+    return s**n - _exact(t, q, f"binomial sum at n={n}, s={s}")
 
 
 def _binomial_series(n: int, lo: int, hi: int, term) -> tuple:
@@ -178,17 +177,14 @@ def restricted_alternating(n: int, s: int) -> int:
     recoloring involution.  ``parkres verify formulas`` compares the two.
     Each term's two powers come from one :func:`_power_pair` chain, and the
     binomial weights are combined by binary splitting
-    (:func:`_binomial_series`), whose T / Q must divide exactly; a
-    remainder raises :class:`NonIntegerIntermediate`.
+    (:func:`_binomial_series`), whose T / Q must divide exactly, under
+    the guard ``exceptions._exact``.
     """
     n, s = _check_ns(n, s)
     _, q, t = _binomial_series(
         n, s, n, lambda i: _power_pair(i + 1, i - 1, s - i - 1, n - i)
     )
-    total, remainder = divmod(t, q)
-    if remainder:
-        raise NonIntegerIntermediate(f"binomial sum not integral at n={n}, s={s}")
-    return total
+    return _exact(t, q, f"binomial sum at n={n}, s={s}")
 
 
 def prime_subtractive(n: int, s: int) -> int:
@@ -198,17 +194,14 @@ def prime_subtractive(n: int, s: int) -> int:
 
     subtracting the non-prime lists by the position of the first failure
     of the strict occupancy condition.  The term i = s holds 0**(n-s) and
-    is left out; the others are summed as in
+    is left out; the others are summed, and guarded, as in
     :func:`restricted_subtractive`.
     """
     n, s = _check_ns(n, s, strict=True)
     _, q, t = _rising_binomial_series(
         n, 1, s - 1, lambda i: _power_product(i - 1, i - 1, s - i, n - i)
     )
-    subtracted, remainder = divmod(t, q)
-    if remainder:
-        raise NonIntegerIntermediate(f"binomial sum not integral at n={n}, s={s}")
-    return s**n - (s - 1) ** n - subtracted
+    return s**n - (s - 1) ** n - _exact(t, q, f"binomial sum at n={n}, s={s}")
 
 
 def prime_alternating(n: int, s: int) -> int:
@@ -219,17 +212,14 @@ def prime_alternating(n: int, s: int) -> int:
     ``parkres verify formulas`` compares it with :func:`prime_subtractive`.
     Each term's two powers come from one :func:`_power_pair` chain, and the
     binomial weights are combined by binary splitting
-    (:func:`_binomial_series`), whose T / Q must divide exactly; a
-    remainder raises :class:`NonIntegerIntermediate`.
+    (:func:`_binomial_series`), whose T / Q must divide exactly, under
+    the guard ``exceptions._exact``.
     """
     n, s = _check_ns(n, s, strict=True)
     _, q, t = _binomial_series(
         n, s + 1, n, lambda i: _power_pair(i - 1, i - 1, s - i, n - i)
     )
-    total, remainder = divmod(t, q)
-    if remainder:
-        raise NonIntegerIntermediate(f"binomial sum not integral at n={n}, s={s}")
-    return total
+    return _exact(t, q, f"binomial sum at n={n}, s={s}")
 
 
 def catalan_triangle(n: int, k: int) -> int:
@@ -624,10 +614,10 @@ def mod_count(g: int, s: int, k: int) -> int:
     length L, so N(m) costs O(m**2) big-integer products whatever k is.
     One table per g keeps N, the T columns and the binomial row C(L, .)
     and grows as longer lengths are asked for.  A length of 0
-    (k == g*s) counts as 1, the empty list.  A remainder not divisible by
-    the row count, or a negative count, raises
-    :class:`NonIntegerIntermediate` (it would indicate a bug, the result is
-    provably a nonnegative integer).
+    (k == g*s) counts as 1, the empty list.  Each length's division by its
+    row count is guarded by ``exceptions._exact``: a remainder or a negative
+    count would be a bug (the result is provably a nonnegative integer), and
+    the table for g is dropped.
     """
     g, s, k = _check_gsk(g, s, k)
     return _mod_count(g, g * s - k)
@@ -653,12 +643,7 @@ def _mod_count(g: int, m: int) -> int:
                 terms = list(map(mul, weights, blocks[gaps - a1][rows - 1:0:-1]))
                 plain += sum(terms)
                 weighted += sum(map(mul, terms, range(1, rows)))
-            remainder = rows**length - weighted
-            if remainder % rows:
-                raise NonIntegerIntermediate(f"total not divisible by s at g={g}, s={rows}, k={gaps}")
-            value = remainder // rows
-            if value < 0:
-                raise NonIntegerIntermediate(f"negative count at g={g}, s={rows}, k={gaps}")
+            value = _exact(rows**length - weighted, rows, f"count at g={g}, s={rows}, k={gaps}")
             counts.append(value)
             if gaps < g:
                 blocks.setdefault(gaps, [0]).append(value + plain)

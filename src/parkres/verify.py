@@ -83,7 +83,9 @@ def _agree(case: str, routes: dict) -> Iterator:
 def check_closed_forms(kind: str, n_max: int) -> list:
     """Every route of the [s]-restricted ``kind`` count that
     :func:`formulas.routes` gives, each closed form and the brute-force
-    oracle, against the first form."""
+    oracle, against the first form; an unknown kind raises :class:`DomainError`."""
+    if not isinstance(kind, str) or kind not in formulas.FAMILIES:
+        raise DomainError(f"kind must be one of {', '.join(formulas.FAMILIES)}, got {kind!r}")
     return [
         _check(
             f"{formulas.FAMILIES[kind].label} routes agree (n <= {n_max})",
@@ -219,22 +221,28 @@ def check_bijections(n_max: int) -> list:
 
 
 def iter_colorings(n: int, s: int, prime: bool = False) -> Iterator[ColoredPF]:
-    """All valid two-colored (prime) parking functions on n cars."""
+    """All valid two-colored (prime) parking functions on n cars.  The
+    sizes are read when the function is called, before the first ``next()``."""
+    n, s = _ints(n, s)
     full = tuple(range(1, n + 1))
     enum = brute.enum_prime_restricted if prime else brute.enum_restricted
-    for i in range(s, n + 1):
-        indigo_lists = list(enum(i, range(1, i + 1)))
-        forbidden = range(s + 1, i + 2 - prime)  # above s, up to i + 1 (i when prime)
-        for positions in combinations(full, i):
-            red_positions = [c for c in full if c not in positions]
-            for indigo in indigo_lists:
-                for reds in product(forbidden, repeat=n - i):
-                    prefs = [0] * n
-                    for car, p in zip(positions, indigo):
-                        prefs[car - 1] = p
-                    for car, p in zip(red_positions, reds):
-                        prefs[car - 1] = p
-                    yield ColoredPF.from_indigo_cars(prefs, positions, s, prime)
+
+    def colorings():
+        for i in range(s, n + 1):
+            indigo_lists = list(enum(i, range(1, i + 1)))
+            forbidden = range(s + 1, i + 2 - prime)  # above s, up to i + 1 (i when prime)
+            for positions in combinations(full, i):
+                red_positions = [c for c in full if c not in positions]
+                for indigo in indigo_lists:
+                    for reds in product(forbidden, repeat=n - i):
+                        prefs = [0] * n
+                        for car, p in zip(positions, indigo):
+                            prefs[car - 1] = p
+                        for car, p in zip(red_positions, reds):
+                            prefs[car - 1] = p
+                        yield ColoredPF.from_indigo_cars(prefs, positions, s, prime)
+
+    return colorings()
 
 
 def _involution(n_max: int, prime: bool) -> Iterator:
@@ -243,9 +251,10 @@ def _involution(n_max: int, prime: bool) -> Iterator:
     for n, s in _grid(n_max):
         signed = 0
         fixed = set()
-        for colored in iter_colorings(n, s, prime):
+        # each image once; one outside the colorings maps back to nothing
+        image = {colored: bijections.involution(colored) for colored in iter_colorings(n, s, prime)}
+        for colored, out in image.items():
             signed += colored.sign
-            out = bijections.involution(colored)
             if out is FIXED_POINT:
                 fixed.add(colored.prefs)
                 restricted = colored.red_count == 0 and max(colored.prefs) <= s
@@ -253,7 +262,7 @@ def _involution(n_max: int, prime: bool) -> Iterator:
             elif (out.red_count - colored.red_count) % 2 == 0:
                 yield f"parity not flipped at {colored}"
             else:
-                yield bijections.involution(out) != colored and f"not an involution at {colored}"
+                yield image.get(out) != colored and f"not an involution at {colored}"
         yield _differ(f"n={n}, s={s}: signed sum", signed, _routes(kind, n, s)["brute"]())
         lists = set(enum(n, range(1, s + 1)))
         yield fixed != lists and f"n={n}, s={s}: fixed points != restricted lists"

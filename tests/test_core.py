@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parkres import bijections, circular, core, formulas, verify
-from parkres.exceptions import DomainError, NotAParkingFunction, PreferenceOutOfRange
+from parkres.exceptions import (
+    DomainError,
+    NonIntegerIntermediate,
+    NotAParkingFunction,
+    PreferenceOutOfRange,
+    _exact,
+)
 
 
 def test_park_all_ones():
@@ -109,6 +115,14 @@ def test_nondecreasing():
         (circular.verify_relation, (2, 2, 1), {"budget": "5"}, DomainError),
         (verify.check_modular, (float("nan"),), {}, DomainError),
         (verify.check_modular, ("5",), {}, DomainError),
+        # a record or a kind that is not one once leaked an AttributeError,
+        # a TypeError or a KeyError from its first use
+        (bijections.involution, (None,), {}, DomainError),
+        (bijections.involution, ((1, 2),), {}, DomainError),
+        (circular.decompose, (None,), {}, DomainError),
+        (circular.linearize, ("x",), {}, DomainError),
+        (verify.iter_colorings, ("3", 1), {}, DomainError),
+        (verify.check_closed_forms, ("nope", 3), {}, DomainError),
     ],
     ids=lambda value: getattr(value, "__name__", None),
 )
@@ -116,6 +130,19 @@ def test_malformed_arguments_are_refused_by_the_readers(call, args, kwargs, faul
     with pytest.raises(fault) as raised:
         call(*args, **kwargs)
     assert type(raised.value) is fault
+
+
+def test_exact_returns_the_quotient():
+    assert _exact(12, 4, "twelve by four") == 3
+    assert _exact(0, 7, "nothing") == 0
+    assert _exact(10**40, 10**20, "a large power") == 10**20
+
+
+def test_exact_names_the_quantity_on_a_remainder_or_a_negative_quotient():
+    # either would mean a broken form: its quotient is a count
+    for numerator, denominator in ((7, 2), (-6, 3), (6, -3), (-7, 2)):
+        with pytest.raises(NonIntegerIntermediate, match=r"^the sum at n=4, s=2 is not"):
+            _exact(numerator, denominator, "the sum at n=4, s=2")
 
 
 def test_float_budgets_are_read_alike():

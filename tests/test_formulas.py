@@ -639,7 +639,7 @@ def test_inexact_binomial_series_raises(monkeypatch):
     monkeypatch.setattr(formulas, "_rising_binomial_series", inexact)
     for name in ("restricted_alternating", "prime_alternating",
                  "restricted_subtractive", "prime_subtractive"):
-        with pytest.raises(NonIntegerIntermediate):
+        with pytest.raises(NonIntegerIntermediate, match="at n=5, s=2 "):
             getattr(formulas, name)(5, 2)
 
 
@@ -909,6 +909,19 @@ def test_mod_count_interrupted_fill_leaves_no_table(monkeypatch):
     assert 3 not in formulas._MOD_TABLES
     monkeypatch.undo()
     assert formulas.mod_count(3, 20, 7) == want
+
+
+def test_mod_count_remainder_raises_and_leaves_no_table():
+    # N(3) for g = 2 one too large: length 4 weights it by C(4, 3) * T(1, 1)
+    # * 2 = 8, which its three rows do not divide, so the guard raises and
+    # the table, which would corrupt every later count for g = 2, is dropped
+    formulas._MOD_TABLES.clear()
+    assert formulas.mod_count(2, 2, 1) == 4  # lengths 0..3
+    formulas._MOD_TABLES[2][0][3] += 1
+    with pytest.raises(NonIntegerIntermediate, match="at g=2, s=3, k=2 is not"):
+        formulas.mod_count(2, 3, 2)  # length 4
+    assert 2 not in formulas._MOD_TABLES
+    assert formulas.mod_count(2, 3, 2) == _row_start_count(2, 4)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

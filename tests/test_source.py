@@ -822,3 +822,42 @@ def test_second_route_list_is_detected():
     assert _route_list_owners({name: ast.parse(source) for name, source in sources.items()}) == [
         "cli.<module>", "verify._routes", "verify.merged",
     ]
+
+
+def _guard_raisers(tree):
+    """The module-level functions of ``tree`` that raise
+    ``NonIntegerIntermediate`` themselves, at any depth, by name or as an
+    attribute such as ``exceptions.NonIntegerIntermediate``; ``<module>``
+    for a raise outside any function."""
+    return sorted({
+        getattr(top, "name", "<module>")
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Raise)
+        and any(
+            (getattr(sub, "id", None) or getattr(sub, "attr", None)) == "NonIntegerIntermediate"
+            for sub in ast.walk(node)
+        )
+    })
+
+
+def test_formulas_leaves_inexact_division_to_the_guard():
+    # each count form divides through ``exceptions._exact``: a hand-kept
+    # divmod and raise beside it is a second copy of the rule
+    assert "_exact" in _imported(TREES["formulas"])
+    assert _guard_raisers(TREES["formulas"]) == []
+
+
+def test_hand_kept_guard_is_detected():
+    source = (
+        "from . import exceptions\n"
+        "from .exceptions import NonIntegerIntermediate, _exact\n"
+        "def form(t, q):\n    total, remainder = divmod(t, q)\n"
+        "    if remainder:\n        raise NonIntegerIntermediate('not integral')\n    return total\n"
+        "def table(m):\n    def fill(value):\n        if value < 0:\n"
+        "            raise exceptions.NonIntegerIntermediate('negative')\n    return fill(m)\n"
+        "def guarded(t, q):\n    return _exact(t, q, 'the sum')\n"
+        "def other(n):\n    raise ValueError('not a NonIntegerIntermediate')\n"
+        "if False:\n    raise NonIntegerIntermediate\n"
+    )
+    assert _guard_raisers(ast.parse(source)) == ["<module>", "form", "table"]

@@ -58,6 +58,16 @@ RECOLORED = next(
     if bijections.involution(colored) is not FIXED_POINT
 )
 
+# The image of the other coloring of (2, 1) that the involution recolors and
+# that has RECOLORED's red parity: a valid coloring of the other parity,
+# which maps back to that other coloring, not to RECOLORED.
+OTHER_IMAGE = next(
+    bijections.involution(colored)
+    for colored in verify.iter_colorings(2, 1)
+    if colored != RECOLORED and colored.sign == RECOLORED.sign
+    and bijections.involution(colored) is not FIXED_POINT
+)
+
 # (module, route, the arguments it gets wrong, how it goes wrong, the check
 #  that must catch it, the CLI argv that runs that check, the case's name);
 # the route is wrong wherever its arguments start with the given ones
@@ -153,6 +163,14 @@ CASES = [
         bijections, "involution", (RECOLORED,), lambda out, *args: FIXED_POINT,
         lambda: verify.check_involution(2), ["involution", "--n-max", "2"], "n=2, s=1",
     ),
+    # RECOLORED sent to a valid image of the flipped parity that does not
+    # map back: only the inverse branch of the check notices, at RECOLORED
+    # and at the coloring whose image RECOLORED is
+    pytest.param(
+        bijections, "involution", (RECOLORED,), lambda out, *args: OTHER_IMAGE,
+        lambda: verify.check_involution(2), ["involution", "--n-max", "2"],
+        "not an involution at", id="bijections.involution-inverse",
+    ),
     (
         bijections, "to_u_parking", ((1, 1), (1, 2)), _bump_first,
         lambda: verify.check_bijections(2), ["bijections", "--n-max", "2"], "n=2, S=(1, 2)",
@@ -168,7 +186,7 @@ CASES = [
 @pytest.mark.parametrize(
     "module, route, bad_args, skew, run_check, argv, case",
     CASES,
-    ids=[f"{c[0].__name__.split('.')[-1]}.{c[1]}" for c in CASES],
+    ids=[getattr(c, "id", None) or f"{c[0].__name__.split('.')[-1]}.{c[1]}" for c in CASES],
 )
 def test_mismatch_fails_and_names_the_case(
     monkeypatch, capsys, module, route, bad_args, skew, run_check, argv, case
