@@ -21,9 +21,8 @@ __version__ = "0.1.0"
 # Each submodule and the public names it gives the package namespace.
 _EXPORTS = {
     "bijections": (
-        "FIXED_POINT", "Color", "ColoredPF", "involution", "is_u_parking",
-        "prime_to_restricted", "restricted_to_prime", "shift_restriction",
-        "to_u_parking", "u_vector",
+        "FIXED_POINT", "Color", "ColoredPF", "involution", "prime_to_restricted",
+        "restricted_to_prime", "shift_restriction", "to_u_parking", "u_vector",
     ),
     "brute": (
         "count_min_defect", "count_nondecreasing_restricted", "count_prime_restricted",
@@ -37,7 +36,7 @@ _EXPORTS = {
     ),
     "core": (
         "EMPTY", "ParkingResult", "catalan_check", "defect", "is_parking_function",
-        "is_prime", "nondecreasing", "outcome_permutation", "park",
+        "is_prime", "is_u_parking", "nondecreasing", "outcome_permutation", "park",
     ),
     "formulas": (
         "AbelCheck", "abel_check", "catalan_number", "catalan_triangle",

@@ -17,6 +17,7 @@ from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
 from . import core
+from .core import is_u_parking  # noqa: F401  the u-parking test, core's occupancy condition
 from .exceptions import (
     DomainError,
     ImageContainsLastSpot,
@@ -25,7 +26,6 @@ from .exceptions import (
     NotInShiftedSet,
     NotPrime,
     NotRestricted,
-    PreferenceOutOfRange,
     _check_restriction,
     _int_tuple,
     _ints,
@@ -87,17 +87,6 @@ def u_vector(allowed: Iterable[int], n: int) -> tuple:
     """The non-decreasing bound vector u with u_i = |allowed ∩ [i]|."""
     n, elems = _check_restriction(n, allowed)
     return tuple(bisect_right(elems, i) for i in range(1, n + 1))
-
-
-def is_u_parking(prefs: Sequence[int], u: Sequence[int]) -> bool:
-    """True iff the i-th smallest preference is at most u_i for all i; the
-    entries of both are integers, and the preferences at least 1."""
-    prefs, u = _int_tuple(prefs), _int_tuple(u)
-    if len(prefs) != len(u):
-        raise DomainError("preference list and bound vector differ in length")
-    if min(prefs, default=1) < 1:
-        raise PreferenceOutOfRange(f"preference {min(prefs)} in {prefs} is below spot 1")
-    return all(p <= b for p, b in zip(sorted(prefs), u))
 
 
 def to_u_parking(prefs: Sequence[int], allowed: Iterable[int]) -> tuple:

@@ -28,6 +28,7 @@ from .exceptions import (
     NotBlockAligned,
     _check_budget,
     _check_gsk,
+    _check_n,
     _int_tuple,
     _ints,
 )
@@ -35,9 +36,7 @@ from .exceptions import (
 
 def preferred_spots(g: int, s: int) -> tuple:
     """The s row-start spots 1, g+1, ..., g(s-1)+1."""
-    g, s = _ints(g, s)
-    if g < 1 or s < 1:
-        raise DomainError(f"need g, s >= 1, got g={g}, s={s}")
+    g, s = _check_n(g, "g"), _check_n(s, "s")
     return tuple(1 + j * g for j in range(s))
 
 
@@ -398,15 +397,7 @@ def verify_relation(g: int, s: int, k: int, budget: int = 10**7) -> RelationRepo
     observed = modular_census(g, s, k)
 
     spots = preferred_spots(g, s)
-    segment_cache: dict = {}
-
-    def segment_count(seg_len: int) -> int:
-        cached = segment_cache.get(seg_len)
-        if cached is None:
-            allowed = tuple(v for v in spots if v <= seg_len)
-            cached = count_restricted(seg_len, allowed)
-            segment_cache[seg_len] = cached
-        return cached
+    segment_counts: dict = {}  # the oracle's count of each segment length, once
 
     expected: dict = {}
     for n in range(1, min(k, s) + 1):
@@ -424,7 +415,9 @@ def verify_relation(g: int, s: int, k: int, budget: int = 10**7) -> RelationRepo
                 parts = tuple(g * b - a for a, b in pairs)
                 value = layouts * multinomial(m, parts)
                 for seg in parts:
-                    value *= segment_count(seg)
+                    if seg not in segment_counts:
+                        segment_counts[seg] = count_restricted(seg, [v for v in spots if v <= seg])
+                    value *= segment_counts[seg]
                 expected[lam, mu] = value
 
     keys = sorted(set(observed) | set(expected))

@@ -3,8 +3,8 @@
 Counts are printed in full decimal.  ``--format json`` emits stable
 machine-readable objects; enumerations stream one line per list (as
 text, in blocks of lines, one write each).  Exit codes: 0 ok, 2 usage
-or domain error, 3 verification mismatch (or an exact computation that
-was not exact, an internal fault).
+or domain error (or a request too large to run), 3 verification
+mismatch (or an exact computation that was not exact, an internal fault).
 
 The command line is read against one table, :data:`COMMANDS`, by the few
 lines of :func:`parse`: each call is a fresh process, and importing and
@@ -76,8 +76,6 @@ def _restriction_of(args) -> tuple:
         )
     if args.n is None:
         raise ParkresError("--n is required without --g")
-    if args.n < 0:
-        raise ParkresError(f"--n must be >= 0, got {args.n}")
     if args.set is not None:
         if args.s is not None:
             raise ParkresError("--s cannot be used with --set, which names the allowed spots")
@@ -128,9 +126,11 @@ def cmd_enum(args) -> int:
     from . import brute, core
 
     restriction, n = _restriction_of(args)
+    if n > args.budget:  # before the spots are built, as many as the entries of a segment
+        raise BudgetExceeded(f"lists of {n} entries exceed --budget {args.budget}")
     spots = brute.restriction_spots(restriction, n)  # distinct, for every kind
     route = brute.enum_restricted if args.kind == "pf" else brute.enum_prime_restricted
-    stream = route(n, spots)  # checks the spots before any list, so before the budget
+    stream = route(n, spots)  # checks the spots before any list, so before their count
     # With two or more spots, |spots|**b > budget for b = budget.bit_length(),
     # so the power past b entries need not be built to refuse it.
     if len(spots) ** min(n, args.budget.bit_length()) > args.budget:
@@ -201,8 +201,6 @@ def cmd_simulate(args) -> int:
         return EXIT_OK
     from . import core
 
-    if args.spots is not None and args.spots < 0:
-        raise ParkresError(f"--spots must be >= 0, got {args.spots}")
     spots = args.spots if args.spots is not None else len(prefs)
     result = core.park(prefs, spots)
     outcome = None
@@ -279,8 +277,6 @@ def cmd_table(args) -> int:
             )
     if None in values.values():
         raise ParkresError(f"table {args.family} needs {read}")
-    if values.get("n_max", 1) < 1:
-        raise ParkresError(f"table {args.family} needs --n-max >= 1, got {values['n_max']}")
     header, rows, mismatches = build(**values)
     for mismatch in mismatches:
         print(f"MISMATCH: table {args.family} {mismatch}", file=sys.stderr)
@@ -316,7 +312,7 @@ LISTS = {
     "--g": (int, None, "row size for modular restriction"),
     "--k": (int, None, "missing spots for modular restriction"),
     "--budget": (
-        _parse_budget, 10**7, "brute-force work: walk steps for count, candidate lists for enum"
+        _parse_budget, 10**7, "brute-force work: count's walk steps, enum's lists and their length"
     ),
 }
 KIND = ("kind", ("pf", "ppf"), "parking functions or prime parking functions")
@@ -358,7 +354,8 @@ COMMANDS = {
         "names": _suites,
         "flags": {
             "--budget": (_parse_budget, None, "candidate lists, for modular alone (default 10**7)"),
-            "--n-max": (int, None, "largest n each suite checks"),
+            "--n-max": (int, None, "largest n each suite checks (5 at most in bijections, "
+                        "involution and fibers)"),
         },
         "formats": ("text", "json"),
         "run": cmd_verify,
@@ -517,8 +514,8 @@ def main(argv=None) -> int:
     except NonIntegerIntermediate as exc:  # a fault of the library, not of the request
         print(f"MISMATCH: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except ParkresError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ParkresError, OverflowError, MemoryError) as exc:  # simulate has no budget to refuse
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
     finally:
         if lift:

@@ -14,9 +14,11 @@ it needs and range-checks against it.
 
 from __future__ import annotations
 
+from operator import le
 from typing import NamedTuple, Sequence
 
-from .exceptions import NotAParkingFunction, PreferenceOutOfRange, _int_tuple, _ints, _tuple
+from .exceptions import (DomainError, NotAParkingFunction, PreferenceOutOfRange, _check_n,
+                         _int_tuple, _ints, _tuple)
 
 #: Marker used in occupancy sequences for a spot with no car in it.
 EMPTY = None
@@ -41,8 +43,9 @@ class ParkingResult(NamedTuple):
 
 def validate_prefs(prefs: Sequence[int], limit: int) -> tuple:
     """``prefs`` as a tuple of ints.  A non-iterable ``prefs``, a
-    non-integer entry or limit raises :class:`DomainError`, an entry
-    outside [1, limit] :class:`PreferenceOutOfRange`."""
+    non-integer entry or limit, or a limit below 0 raises
+    :class:`DomainError`, an entry outside [1, limit]
+    :class:`PreferenceOutOfRange`."""
     prefs = _tuple(prefs)
     try:
         # The sum is an int only when every term is one, so a list of
@@ -54,6 +57,8 @@ def validate_prefs(prefs: Sequence[int], limit: int) -> tuple:
     if not ints:  # one conversion, so every fault reads alike
         limit, *prefs = _ints(limit, *prefs)
         prefs = tuple(prefs)
+    if limit < 0:  # the street's length is at fault, not the entries
+        _check_n(limit, "num_spots", 0)
     for car, p in enumerate(prefs, 1):
         if not 1 <= p <= limit:
             raise PreferenceOutOfRange(
@@ -66,7 +71,8 @@ def park(prefs: Sequence[int], num_spots: int) -> ParkingResult:
     """Simulate the parking procedure for ``prefs`` on ``num_spots`` spots.
 
     Deterministic: cars enter in index order, park at their preference if
-    it is empty and otherwise at the first empty spot after it.
+    it is empty and otherwise at the first empty spot after it.  Fewer
+    than 0 spots raise :class:`DomainError`.
     """
     prefs = validate_prefs(prefs, num_spots)
     occupancy = [EMPTY] * num_spots
@@ -96,27 +102,17 @@ def is_parking_function(prefs: Sequence[int]) -> bool:
 def catalan_check(prefs: Sequence[int]) -> bool:
     """True iff at least i entries are <= i, for every i up to the length.
 
-    Equivalent to :func:`is_parking_function` but decided by counting
-    instead of simulation; the two are cross-checked in the test suite.
+    Equivalent to :func:`is_parking_function` but decided from the sorted
+    list instead of by simulation; the two are cross-checked in the test suite.
     """
-    return _occupancy(prefs, strict=False)
-
-
-def _occupancy(prefs: Sequence[int], strict: bool) -> bool:
-    # at least i entries <= i for every i up to the length, or more than i
-    # for every i below it when ``strict``
     prefs = _tuple(prefs)
-    prefs = validate_prefs(prefs, len(prefs))
-    n = len(prefs)
-    counts = [0] * (n + 1)
-    for p in prefs:
-        counts[p] += 1
-    running = 0
-    for i in range(1, n + 1 - strict):
-        running += counts[i]
-        if running < i + strict:
-            return False
-    return True
+    return _occupancy(validate_prefs(prefs, len(prefs)), range(1, len(prefs) + 1))
+
+
+def _occupancy(prefs: tuple, u) -> bool:
+    # The occupancy condition of every family: the i-th smallest entry is
+    # at most u_i, that is at least i entries are <= u_i, for every i.
+    return all(map(le, sorted(prefs), u))
 
 
 def nondecreasing(prefs: Sequence[int]) -> tuple:
@@ -137,7 +133,17 @@ def is_prime(prefs: Sequence[int]) -> bool:
     starts at 1 and afterwards stays strictly below its position.  The
     single list (1,) of length 1 is prime (the condition is vacuous).
     """
-    return _occupancy(prefs, strict=True)
+    prefs = _tuple(prefs)
+    return _occupancy(validate_prefs(prefs, len(prefs)), (1, *range(1, len(prefs))))
+
+
+def is_u_parking(prefs: Sequence[int], u: Sequence[int]) -> bool:
+    """True iff the i-th smallest preference is at most u_i for all i; the
+    entries of both are integers, and the preferences at least 1."""
+    prefs, u = nondecreasing(prefs), _int_tuple(u)
+    if len(prefs) != len(u):
+        raise DomainError("preference list and bound vector differ in length")
+    return _occupancy(prefs, u)
 
 
 def outcome_permutation(prefs: Sequence[int]) -> tuple:

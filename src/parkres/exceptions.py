@@ -113,11 +113,11 @@ def _int_tuple(values) -> tuple:
     return _ints(*_tuple(values))
 
 
-def _check_n(n: int) -> int:
-    """``n`` as an int, at least 1."""
+def _check_n(n: int, name: str = "n", least: int = 1) -> int:
+    """``n`` as an int, at least ``least``; a fault names it ``name``."""
     (n,) = _ints(n)
-    if n < 1:
-        raise DomainError(f"need n >= 1, got n={n}")
+    if n < least:
+        raise DomainError(f"need {name} >= {least}, got {name}={n}")
     return n
 
 
@@ -137,6 +137,12 @@ def _check_gsk(g: int, s: int, k: int, strict: bool = False) -> tuple:
         bound = "<" if strict else "<="
         raise DomainError(f"need g, s >= 1 and 1 <= k {bound} g*s, got g={g}, s={s}, k={k}")
     return g, s, k
+
+
+def _check_flag(value, name: str):
+    """Refuse a ``value`` that is not True or False; a fault names it ``name``."""
+    if not isinstance(value, bool):
+        raise DomainError(f"need True or False for {name}, got {value!r}")
 
 
 def _check_budget(budget):
@@ -160,13 +166,11 @@ def _check_restriction(n: int, allowed) -> tuple:
     n must be at least 0 and, when cars are present, every spot must lie
     inside [1, n].
     """
+    n = _check_n(n, least=0)
     try:
-        n = index(n)
         elems = tuple(sorted(set(map(index, allowed))))
     except TypeError:
         raise DomainError(f"need integer arguments, got n={n!r}, allowed={allowed!r}") from None
-    if n < 0:
-        raise DomainError(f"need n >= 0, got n={n}")
     if n and elems and not (1 <= elems[0] and elems[-1] <= n):
         raise DomainError(f"restriction {elems} not contained in 1..{n}")
     return n, elems
@@ -185,7 +189,7 @@ def _check_request(restriction: dict, n: int) -> tuple:
     on n cars, as ``count --format json`` reports it, reading only the
     keys of its kind: ``(s,)`` for a segment, the elements of a set, and
     ``(g, s, k)`` for a modular one, whose n must be g*s - k.  Any other
-    kind, a missing key, or a restriction that is not a dict raises
+    kind, a missing key, n < 0, or a restriction that is not a dict raises
     :class:`DomainError`; the oracles check the spots against n."""
     if not isinstance(restriction, dict):
         raise DomainError(f"a restriction is a dict, got {restriction!r}")
@@ -201,7 +205,7 @@ def _check_request(restriction: dict, n: int) -> tuple:
             raise DomainError(f"restriction kind must be segment, set or modular, got {kind!r}")
     except KeyError as key:
         raise DomainError(f"{kind} restriction needs the key {key}") from None
-    (n,) = _ints(n)
+    n = _check_n(n, least=0)
     if kind == "modular" and n != values[0] * values[1] - values[2]:
         raise DomainError(f"modular (g, s, k) = {values} has g*s - k cars, got n={n}")
     return kind, n, values

@@ -451,6 +451,7 @@ def _checked(kind: str, n: int, s: int, mismatches: list):
 def _grid_table(kind: str, column, n_max: int) -> tuple:
     """The [s]-restricted ``kind`` counts: row n holds them at s = 1..n,
     each by :func:`_checked`, under the header ``column(s)``."""
+    n_max = _check_n(n_max, "--n-max")
     header = ["n"] + [column(s) for s in range(1, n_max + 1)]
     rows, mismatches = [], []
     for n in range(1, n_max + 1):

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from . import bijections, brute, circular, core, formulas
 from .bijections import FIXED_POINT, ColoredPF
-from .exceptions import DomainError, _check_budget, _ints
+from .exceptions import DomainError, _check_budget, _check_flag, _check_n, _ints
 
 
 class Check(NamedTuple):
@@ -83,9 +83,11 @@ def _agree(case: str, routes: dict) -> Iterator:
 def check_closed_forms(kind: str, n_max: int) -> list:
     """Every route of the [s]-restricted ``kind`` count that
     :func:`formulas.routes` gives, each closed form and the brute-force
-    oracle, against the first form; an unknown kind raises :class:`DomainError`."""
+    oracle, against the first form; an unknown kind, or an ``n_max`` not an
+    integer >= 1, raises :class:`DomainError`."""
     if not isinstance(kind, str) or kind not in formulas.FAMILIES:
         raise DomainError(f"kind must be one of {', '.join(formulas.FAMILIES)}, got {kind!r}")
+    n_max = _check_n(n_max, "--n-max")
     return [
         _check(
             f"{formulas.FAMILIES[kind].label} routes agree (n <= {n_max})",
@@ -122,13 +124,17 @@ _OWN_CHECKS = {
 def check_families(suite: str, n_max: int) -> list:
     """The checks of each kind of :data:`formulas.FAMILIES` that ``suite``
     runs, in the table's order: its routes (:func:`check_closed_forms`),
-    then its own checks, if it has any."""
+    then its own checks, if it has any.  A suite that no kind names, or an
+    ``n_max`` not an integer >= 1, raises :class:`DomainError`."""
+    n_max = _check_n(n_max, "--n-max")
     checks = []
     for kind, family in formulas.FAMILIES.items():
         if family.suite == suite:
             checks += check_closed_forms(kind, n_max)
             own = _OWN_CHECKS.get(kind, {})
             checks += [_check(name, outcomes(n_max)) for name, outcomes in own.items()]
+    if not checks:  # then none ran
+        raise DomainError(f"no count kind is checked by suite {suite!r}")
     return checks
 
 
@@ -137,6 +143,7 @@ def check_abel(n_max: int) -> list:
     specializations y = s - n - x, where its left side is s**n."""
     from fractions import Fraction  # only here, to keep it out of every CLI start
 
+    n_max = _check_n(n_max, "--n-max")
     grid = [Fraction(v) for v in range(-3, 4)] + [Fraction(1, 2), Fraction(-1, 2)]
 
     def abel(n, x, y):
@@ -167,6 +174,7 @@ def _fibers(n_max: int) -> Iterator:
 
 def check_fibers(n_max: int) -> list:
     """Fiber sizes of the outcome map, formula vs. enumeration."""
+    n_max = _check_n(n_max, "--n-max")
     return [_check(f"outcome fibers match formula (n <= {n_max})", _fibers(n_max))]
 
 
@@ -214,6 +222,7 @@ def _u_parking(n_max: int) -> Iterator:
 
 def check_bijections(n_max: int) -> list:
     """Shift bijection round trips and the u-parking correspondence."""
+    n_max = _check_n(n_max, "--n-max")
     return [
         _check(f"prime/restricted shift bijection (n <= {n_max})", _shift_bijection(n_max)),
         _check(f"u-parking correspondence (n <= {n_max})", _u_parking(n_max)),
@@ -222,8 +231,10 @@ def check_bijections(n_max: int) -> list:
 
 def iter_colorings(n: int, s: int, prime: bool = False) -> Iterator[ColoredPF]:
     """All valid two-colored (prime) parking functions on n cars.  The
-    sizes are read when the function is called, before the first ``next()``."""
+    sizes and ``prime`` are read when the function is called, before the
+    first ``next()``."""
     n, s = _ints(n, s)
+    _check_flag(prime, "prime")
     full = tuple(range(1, n + 1))
     enum = brute.enum_prime_restricted if prime else brute.enum_restricted
 
@@ -271,6 +282,7 @@ def _involution(n_max: int, prime: bool) -> Iterator:
 def check_involution(n_max: int) -> list:
     """The recoloring involution: parity-flipping, self-inverse, fixed
     exactly on the all-indigo restricted lists, with the right signed sum."""
+    n_max = _check_n(n_max, "--n-max")
     return [
         _check(f"{label} recoloring involution (n <= {n_max})", _involution(n_max, prime))
         for label, prime in (("plain", False), ("prime", True))
@@ -317,8 +329,10 @@ def _modular_jobs(budget: int) -> list:
 
 def check_modular(budget: int, threads: int = 1) -> list:
     """Per-class verification of the circular relation plus the recursion
-    and the one-missing-spot closed form, for every k within budget."""
+    and the one-missing-spot closed form, for every k within budget, in
+    ``threads`` worker processes when more than 1."""
     jobs = _modular_jobs(budget)
+    threads = _check_n(threads, "threads")
     if threads > 1:
         # imported here, as its imports would slow the start of every CLI call
         from concurrent.futures import ProcessPoolExecutor
@@ -329,14 +343,15 @@ def check_modular(budget: int, threads: int = 1) -> list:
 
 
 # Each suite's run, with the suite's default bounds, by name: :func:`run_suite`
-# calls these and a tracer may wrap them.
+# calls these and a tracer may wrap them.  The bijections, involution and
+# fibers suites stop at n = 5, as their cases grow too fast past it.
 SUITES = {
     "formulas": lambda n_max=12, budget=None: check_families("formulas", n_max),
-    "bijections": lambda n_max=5, budget=None: check_bijections(min(n_max, 5)),
-    "involution": lambda n_max=5, budget=None: check_involution(min(n_max, 5)),
+    "bijections": lambda n_max=5, budget=None: check_bijections(min(_check_n(n_max, "--n-max"), 5)),
+    "involution": lambda n_max=5, budget=None: check_involution(min(_check_n(n_max, "--n-max"), 5)),
     "abel": lambda n_max=10, budget=None: check_abel(n_max),
     "orbits": lambda n_max=8, budget=None: check_families("orbits", n_max),
-    "fibers": lambda n_max=5, budget=None: check_fibers(min(n_max, 5)),
+    "fibers": lambda n_max=5, budget=None: check_fibers(min(_check_n(n_max, "--n-max"), 5)),
     "modular": lambda n_max=None, budget=10**7: check_modular(budget),
 }
 
@@ -350,9 +365,9 @@ def run_suite(name: str, n_max=None, budget=None) -> list:
     """Run one named suite (or ``all``) and return its checks.
 
     An unknown name, an ``n_max`` given to ``modular`` (which checks every
-    (g, s, k) within the budget), not an integer, or below 1, or a budget
-    that no requested suite reads, not a number >= 0 or that no modular job
-    fits, raises :class:`DomainError` before any check runs.
+    (g, s, k) within the budget) or that the suites' entries refuse, or a
+    budget that no requested suite reads, not a number >= 0 or that no
+    modular job fits, raises :class:`DomainError` before any check runs.
     """
     if name not in suite_names():
         raise DomainError(f"unknown verify suite {name!r} (known: {', '.join(suite_names())})")
@@ -361,10 +376,6 @@ def run_suite(name: str, n_max=None, budget=None) -> list:
         raise DomainError("--n-max cannot be used with verify modular, which reads --budget")
     if budget is not None and "modular" not in keys:
         raise DomainError(f"--budget cannot be used with verify {name}, which reads --n-max")
-    if n_max is not None:
-        (n_max,) = _ints(n_max)
-        if n_max < 1:
-            raise DomainError(f"verify {name} needs --n-max >= 1, got {n_max}")
     if budget is not None:  # then modular is in keys
         _modular_jobs(budget)
     kwargs = {"n_max": n_max, "budget": budget}

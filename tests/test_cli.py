@@ -204,7 +204,7 @@ def test_count_usage_errors(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error:") and "budget" in err
     code, _, err = run(capsys, "enum", "pf", "--n", "-1", "--set", "")
-    assert code == 2 and err.startswith("error: --n must be >= 0")
+    assert code == 2 and err.startswith("error: need n >= 0, got n=-1")
     for family in ("pf-restricted", "ppf-restricted", "catalan-triangle"):
         for n_max in ("0", "-1"):
             code, out, err = run(capsys, "table", family, "--n-max", n_max)
@@ -234,11 +234,14 @@ def test_budget_refusal_names_the_power_without_building_it(capsys):
 
 
 def test_budget_refuses_exactly_past_the_power(capsys):
-    # count runs within (s - 1)(n + 1)(n + 2)/2 walk steps, enum within s**n lists
+    # count runs within (s - 1)(n + 1)(n + 2)/2 walk steps, enum within s**n
+    # lists of n entries
     for n in range(7):
         for s in range(1, max(n, 1) + 1):
             steps = (s - 1) * (n + 1) * (n + 2) // 2
-            for command, size, extra in (("count", steps, ("--method", "brute")), ("enum", s**n, ())):
+            for command, size, extra in (
+                ("count", steps, ("--method", "brute")), ("enum", max(s**n, n), ())
+            ):
                 for budget in range(max(size - 1, 0), size + 1):
                     argv = (command, "pf", "--n", str(n), "--s", str(s), *extra)
                     code, _, err = run(capsys, *argv, "--budget", str(budget))
@@ -383,10 +386,12 @@ def test_modular_k_below_one_exits_2(capsys):
 
 
 def test_restriction_fault_is_named_at_any_budget(capsys):
-    # spots outside 1..n are the fault, whether or not |S|^n fits the budget
+    # spots outside 1..n are the fault, whether or not |S|^n fits the budget;
+    # a budget of 4 is the least that holds a list of the 4 cars, which enum
+    # checks first
     for argv in (("count", "pf"), ("count", "ppf"), ("enum", "pf"), ("enum", "ppf")):
         errors = set()
-        for budget in ((), ("--budget", "0"), ("--budget", "1e9")):
+        for budget in ((), ("--budget", "4"), ("--budget", "1e9")):
             code, out, err = run(capsys, *argv, "--n", "4", "--s", "9", *budget)
             assert code == 2 and out == "", (argv, budget)
             errors.add(err)
@@ -666,10 +671,33 @@ def test_simulate_errors(capsys):
 def test_negative_spots_is_named(capsys):
     for fmt in ("text", "json"):
         code, out, err = run(capsys, "simulate", "1,1", "--spots", "-1", "--format", fmt)
-        assert (code, out, err) == (2, "", "error: --spots must be >= 0, got -1\n"), fmt
+        assert (code, out, err) == (2, "", "error: need num_spots >= 0, got num_spots=-1\n"), fmt
     # zero spots is a street, on which no preference lies
     code, out, err = run(capsys, "simulate", "1,1", "--spots", "0")
     assert (code, out) == (2, "") and "outside 1..0" in err
+
+
+def test_oversized_requests_exit_2_without_a_traceback(capsys, monkeypatch):
+    # enum refuses a list longer than the budget before it builds the spots,
+    # which for a segment are as many as the cars
+    for argv in (
+        ("enum", "pf", "--n", "99999999999999999999"),
+        ("enum", "pf", "--n", "3000000000", "--s", "1"),
+        ("enum", "ppf", "--n", "10000000000", "--set", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and re.fullmatch(r"error: lists of \d+ entries exceed --budget 10000000\n", err)
+    # simulate has no budget: a street past any index, and one too large to
+    # hold, raised here by the handler rather than by a real allocation
+    for street in (("--spots", "99999999999999999999"), ("--circular", "99999999999999999999,2")):
+        code, out, err = run(capsys, "simulate", "1", *street)
+        assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+
+    def no_memory(args):
+        raise MemoryError
+
+    monkeypatch.setitem(COMMANDS["simulate"], "run", no_memory)
+    assert run(capsys, "simulate", "1", "--spots", "3000000000") == (2, "", "error: MemoryError\n")
 
 
 def test_spots_with_circular_is_refused(capsys):
@@ -824,7 +852,7 @@ def test_flag_spellings_select_the_same_request(capsys):
         assert run(capsys, *argv) == run(capsys, "simulate", "1,1"), argv
     # a value may start with "-", and "=" may give an empty one
     code, out, err = run(capsys, "count", "pf", "--n", "-1")
-    assert (code, out) == (2, "") and err.startswith("error: --n must be >= 0, got -1")
+    assert (code, out) == (2, "") and err.startswith("error: need n >= 0, got n=-1")
     code, out, err = run(capsys, "count", "pf", "--n", "3", "--set=")
     assert (code, out, err) == (2, "", "error: no allowed preferences with cars present\n")
 

@@ -1,4 +1,4 @@
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -184,20 +184,54 @@ def test_outcome_permutation_examples():
         core.outcome_permutation((2, 2))
 
 
+def _sorted_rule(prefs, u):
+    # the occupancy condition, written on the sorted list: its i-th entry is
+    # at most u_i, for every i
+    return all(p <= b for p, b in zip(sorted(prefs), u))
+
+
 def test_simulation_catalan_and_prime_equivalences():
     # simulation == counting condition, and the prime condition matches the
-    # sorted-rearrangement characterization, exhaustively for n <= 6
-    for n in range(1, 7):
-        for prefs in product(range(1, n + 1), repeat=n):
+    # sorted-rearrangement characterization, exhaustively for n <= 6.  Each
+    # is the sorted rule on its bound vector, u = 1..n and 1, 1, 2, ..., n-1,
+    # and is_u_parking follows it on u = 1..n over every list in [n+1]^n,
+    # where an entry n + 1 is past the street of the others; each reference
+    # is worked out once per sorted list
+    assert bijections.is_u_parking is core.is_u_parking
+    for n in range(7):
+        catalan, prime = list(range(1, n + 1)), [1, *range(1, n)][:n]
+        want = {}
+        for prefs in product(range(1, n + 2), repeat=n):
+            up = tuple(sorted(prefs))
+            if up not in want:
+                at_most = [sum(p <= i for p in up) for i in range(n + 1)]
+                parks = _sorted_rule(up, catalan)
+                assert parks == all(at_most[i] >= i for i in range(1, n + 1))
+                # 1 first, then each entry below its position
+                sorted_prime = all(up[i - 1] < max(i, 2) for i in range(1, n + 1))
+                assert _sorted_rule(up, prime) == sorted_prime
+                want[up] = parks, sorted_prime
+            parks, sorted_prime = want[up]
+            assert core.is_u_parking(prefs, catalan) == parks
+            if n + 1 in prefs:
+                continue
             sim = core.is_parking_function(prefs)
-            assert sim == core.catalan_check(prefs)
-            up = core.nondecreasing(prefs)
-            sorted_prime = up[0] == 1 and all(
-                up[i - 1] < i for i in range(2, n + 1)
-            )
+            assert sim == core.catalan_check(prefs) == parks
             assert core.is_prime(prefs) == sorted_prime
-            if core.is_prime(prefs):
+            if sorted_prime:
                 assert sim
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_u_parking_reads_any_bound_vector(n):
+    # every u of length n, nondecreasing or not, with entries 0..n+1 (1..n
+    # at n = 5, to keep the sweep short), against every sorted list of n
+    # entries up to the largest of them: the rule reads only the sorted list
+    values = range(1, n + 1) if n == 5 else range(n + 2)
+    lists = list(combinations_with_replacement(range(1, max(values, default=0) + 1), n))
+    for u in product(values, repeat=n):
+        for prefs in lists:
+            assert core.is_u_parking(prefs, u) == _sorted_rule(prefs, u), (prefs, u)
 
 
 def test_parking_is_permutation_invariant():

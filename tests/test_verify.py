@@ -265,18 +265,23 @@ def test_small_modular_budget_is_refused_before_any_suite(monkeypatch, capsys):
 
 
 def test_malformed_arguments_are_refused_before_any_suite(monkeypatch):
+    # run_suite refuses the budget, and each suite's entry its n_max, before
+    # any check runs
     ran = []
-    for key in verify.SUITES:
-        monkeypatch.setitem(verify.SUITES, key, lambda **kwargs: ran.append(kwargs) or [])
+    monkeypatch.setattr(verify, "_check", lambda name, outcomes: ran.append(name))
     for name, kwargs in [
         ("orbits", {"n_max": 3.5}),
         ("all", {"n_max": "8"}),
+        ("bijections", {"n_max": 2.5}),
+        ("fibers", {"n_max": 0}),
         ("modular", {"budget": "x"}),
         ("all", {"budget": [10]}),
     ]:
         with pytest.raises(DomainError):
             verify.run_suite(name, **kwargs)
     assert ran == []
+    for key in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, key, lambda **kwargs: ran.append(kwargs) or [])
     verify.run_suite("modular", budget=1e7)  # a numeric budget need not be an int
     assert ran == [{"budget": 1e7}]
 
